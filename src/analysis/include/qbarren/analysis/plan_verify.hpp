@@ -93,12 +93,14 @@ struct PlanVerifyOptions {
 
 /// Statically estimated execution cost of one pass of the lowered program
 /// over `batch` 2^num_qubits state-vector lanes, from a simple per-kernel
-/// cost model (complex mul = 6 flops, complex add = 2; bytes = amplitudes
-/// read + written at 16 bytes each). `flops` and `bytes` scale linearly
-/// with the batch; `shared_bytes` is the per-op matrix traffic fetched
-/// once per dispatch regardless of lane count (2x2 entries 64 bytes, 4x4
-/// 256, fused runs 64 per element, CZ none) — the amortization batching
-/// buys. Deterministic and exact for the model — used for plan-to-plan
+/// cost model charging each kernel the flops it performs (complex mul = 6
+/// flops, complex add = 2: a generic 2x2 costs 28 per amplitude pair, a
+/// parameterized RX/RY/RZ rotation's specialised body 12; bytes =
+/// amplitudes read + written at 16 bytes each). `flops` and `bytes` scale
+/// linearly with the batch; `shared_bytes` is the per-op matrix traffic
+/// fetched once per dispatch regardless of lane count (2x2 entries 64
+/// bytes, 4x4 256, fused runs 64 per element, CZ none) — the amortization
+/// batching buys. Deterministic and exact for the model — used for plan-to-plan
 /// comparisons (QB010, bench JSON), not wall-time prediction. batch = 1
 /// reproduces the serial estimate.
 struct PlanResourceEstimate {

@@ -462,8 +462,7 @@ void rule_plan_cost(const Circuit& circuit, Diagnostics& out) {
 
 // --- QB011: closed-form predicted gradient variance -------------------------
 
-void rule_predicted_variance(const Circuit& circuit,
-                             const CircuitLintContext& context,
+void rule_predicted_variance(const CircuitLintContext& context,
                              const LintOptions& options,
                              const VariancePredictor& predictor,
                              const std::optional<VariancePrediction>& baseline,
@@ -628,8 +627,7 @@ Diagnostics lint_circuit(const Circuit& circuit,
     rule_plan_cost(circuit, out);
   }
   if (options.rule_enabled("QB011") && predictor.has_value()) {
-    rule_predicted_variance(circuit, context, options, *predictor, baseline,
-                            out);
+    rule_predicted_variance(context, options, *predictor, baseline, out);
   }
   if (options.rule_enabled("QN120")) {
     rule_noise_floor(context, baseline, out);

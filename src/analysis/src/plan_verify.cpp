@@ -805,14 +805,18 @@ PlanResourceEstimate estimate_plan_resources(
     const exec::CompiledCircuit& plan, std::size_t batch) {
   QBARREN_REQUIRE(batch >= 1,
                   "estimate_plan_resources: batch must be at least 1");
-  // Cost model: a complex multiply is 6 flops, a complex add 2, an
-  // amplitude 16 bytes. A 2x2 applied to an amplitude pair is 4 mul +
-  // 2 add = 28 flops; a 4x4 applied to a quadruple is 16 mul + 12 add
-  // = 120 flops. Controlled kernels touch only the control-set half of
-  // the register; CZ negates the quarter with both bits set. Batched
-  // dispatch repeats the amplitude work per lane but fetches each op's
-  // matrix once (shared_bytes), which is why states/second grows with B.
+  // Cost model: each kernel is charged the flops it performs. A complex
+  // multiply is 6 flops, a complex add 2, an amplitude 16 bytes. A generic
+  // 2x2 applied to an amplitude pair is 4 mul + 2 add = 28 flops; a
+  // parameterized rotation takes its axis-specialised body, 12 flops per
+  // pair (RX/RY: 8 real mul + 4 real add; RZ: 2 complex mul); a 4x4
+  // applied to a quadruple is 16 mul + 12 add = 120 flops. Controlled
+  // kernels touch only the control-set half of the register; CZ negates
+  // the quarter with both bits set. Batched dispatch repeats the amplitude
+  // work per lane but fetches each op's matrix once (shared_bytes), which
+  // is why states/second grows with B.
   constexpr double kMat2Flops = 28.0;
+  constexpr double kRotationFlops = 12.0;
   constexpr double kMat4Flops = 120.0;
   constexpr double kAmpBytes = 16.0;
   constexpr double kMat2Bytes = 4.0 * 16.0;
@@ -829,6 +833,10 @@ PlanResourceEstimate estimate_plan_resources(
   for (const PlanOp& op : plan.plan_ops()) {
     switch (op.kernel) {
       case Kernel::kRotation:
+        estimate.flops += kRotationFlops * pairs;
+        estimate.bytes += 2.0 * amps * kAmpBytes;
+        estimate.shared_bytes += kMat2Bytes;
+        break;
       case Kernel::kFixedSingle:
         estimate.flops += kMat2Flops * pairs;
         estimate.bytes += 2.0 * amps * kAmpBytes;

@@ -30,25 +30,29 @@ void batched_apply_mat2_per_lane(BatchedStateVector& batch, std::size_t lanes,
                                  const gates::Mat2* entries,
                                  std::size_t target);
 
-/// Uniform rotation with precomputed entries; RZ takes the serial kernel's
-/// diagonal fast path per lane.
+/// Uniform rotation with precomputed entries, through the serial kernel's
+/// axis body per lane.
 void batched_apply_rotation_mat2(BatchedStateVector& batch, std::size_t lanes,
                                  gates::Axis axis, const gates::Mat2& u,
                                  std::size_t target);
 
-/// Per-lane rotation entries (batched bindings differ per lane); RZ takes
-/// the diagonal fast path per lane.
+/// Per-lane rotation entries (batched bindings differ per lane), through
+/// the axis body per lane.
 void batched_apply_rotation_per_lane(BatchedStateVector& batch,
                                      std::size_t lanes, gates::Axis axis,
                                      const gates::Mat2* entries,
                                      std::size_t target);
 
-/// u_first then u_second on `target` of every lane in one pass, keeping
-/// each amplitude pair in registers between the gates — bit-identical to
-/// two batched_apply_mat2 calls, exactly as the serial apply_mat2_pair.
-void batched_apply_mat2_pair(BatchedStateVector& batch, std::size_t lanes,
-                             const gates::Mat2& u_first,
-                             const gates::Mat2& u_second, std::size_t target);
+/// Rotation u_first then rotation u_second on `target` of every lane in
+/// one pass, keeping each amplitude pair in registers between the gates —
+/// identical to two batched_apply_rotation_mat2 calls, exactly as the
+/// serial apply_rotation_pair.
+void batched_apply_rotation_pair(BatchedStateVector& batch, std::size_t lanes,
+                                 gates::Axis axis_first,
+                                 const gates::Mat2& u_first,
+                                 gates::Axis axis_second,
+                                 const gates::Mat2& u_second,
+                                 std::size_t target);
 
 /// Fused constant run (kFusedSingle): pool[indices[...]] applied in order
 /// (reversed when `reverse`) in one pass per lane, as apply_mat2_run.

@@ -147,7 +147,8 @@ class CompiledCircuit final : public ExecutionPlan {
   /// same qubit — to lanes [0, lanes) in one pass per lane, with uniform
   /// entries for all lanes (the batched shift walk applies unshifted
   /// suffix ops to every lane). Bit-identical to two single applications
-  /// per lane, as the serial apply_mat2_pair.
+  /// per lane, as the serial apply_rotation_pair. `first` and `second`
+  /// must be the rotation entries of ops k and k+1's axes.
   void apply_plan_op_batch_pair(std::size_t k, BatchedStateVector& batch,
                                 std::size_t lanes, const gates::Mat2& first,
                                 const gates::Mat2& second) const;

@@ -1,14 +1,31 @@
 // Allocation-free state-vector kernels for compiled execution.
 //
 // Each kernel mirrors the corresponding StateVector member
-// (apply_single_qubit / apply_controlled / apply_two_qubit) expression for
-// expression: the same pair enumeration and the same complex arithmetic
-// per amplitude. That is what makes compiled execution bit-identical to
-// the interpreted path — the differences are that the 2x2 entries live on
-// the stack (no heap-allocated ComplexMatrix per gate application), that
-// fused runs make a single pass over the amplitudes, and that the
-// out-of-place variants avoid the full-vector copy the adjoint sweep
-// otherwise pays per parameter.
+// (apply_single_qubit / apply_controlled / apply_two_qubit): the same
+// amplitude pairs (independent, so visiting them block by block changes
+// nothing) and per amplitude the same result. That is what makes
+// compiled execution bit-identical to the interpreted path — the
+// differences are that the 2x2 entries live on the stack (no heap-allocated
+// ComplexMatrix per gate application), that fused runs make a single pass
+// over the amplitudes, and that the out-of-place variants avoid the
+// full-vector copy the adjoint sweep otherwise pays per parameter.
+//
+// Arithmetic contract (shared with the batched kernels, which run the same
+// per-pair bodies):
+//  * Complex products use the naive component formula on plain doubles.
+//    For finite operands it equals the std::complex product exactly; the
+//    library multiply differs only through its NaN fixup, which never fires
+//    on a valid simulation's finite values, and whose per-product branch
+//    would otherwise sit in every hot loop.
+//  * Parameterized rotations take an axis-specialised body: RX and RY in
+//    real arithmetic (12 flops per amplitude pair instead of the generic
+//    28), RZ as a diagonal phase. The products they skip are with entry
+//    components that are exact zeros, and such a product can only change
+//    the sign of a zero result. Every nonzero amplitude component is
+//    therefore bit-identical to the generic 2x2 (and interpreted) result;
+//    signed zeros never reach reported values, since expectations and
+//    inner products accumulate from +0. Hence no numerics or fingerprint
+//    bump accompanied the specialisation.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +50,8 @@ void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
 void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
                            std::size_t control, std::size_t target);
 
-/// Parameterized rotation R_axis(theta) on `target`. RZ takes a diagonal
-/// fast path: its off-diagonal entries are exact zeros, so dropping their
-/// products cannot change any finite amplitude.
+/// Parameterized rotation R_axis(theta) on `target`, through the axis body
+/// (RX/RY in real arithmetic, RZ diagonal; see the contract above).
 void apply_rotation(StateVector& state, gates::Axis axis, double theta,
                     std::size_t target);
 
@@ -46,18 +62,19 @@ void apply_controlled_rotation(StateVector& state, gates::Axis axis,
                                std::size_t target);
 
 /// As apply_rotation, but with the rotation entries already computed (the
-/// adjoint sweep evaluates them once and applies them several times). RZ
-/// entries take the same diagonal fast path.
+/// adjoint sweep evaluates them once and applies them several times).
+/// `u` must be rotation_entries(axis, angle) for some angle.
 void apply_rotation_mat2(StateVector& state, gates::Axis axis,
                          const gates::Mat2& u, std::size_t target);
 
-/// Applies u_first then u_second to `target` in one pass, keeping each
-/// amplitude pair in registers between the two gates — bit-identical to
-/// two apply_mat2 calls, as with apply_mat2_run. HEA layers interleave
-/// same-qubit rotation pairs (RX then RY), so the adjoint forward pass
-/// hits this constantly.
-void apply_mat2_pair(StateVector& state, const gates::Mat2& u_first,
-                     const gates::Mat2& u_second, std::size_t target);
+/// Applies rotation u_first then rotation u_second (entries of their axes)
+/// to `target` in one pass, keeping each amplitude pair in registers
+/// between the two gates — identical to two apply_rotation_mat2 calls.
+/// HEA layers interleave same-qubit rotation pairs (RX then RY), so the
+/// adjoint forward pass hits this constantly.
+void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
+                         const gates::Mat2& u_first, gates::Axis axis_second,
+                         const gates::Mat2& u_second, std::size_t target);
 
 /// <lambda | (U on target) | phi> in a single pass. Visits amplitudes in
 /// the same ascending-index order as StateVector::inner_product and forms
@@ -97,8 +114,8 @@ void apply_mat4_from(StateVector& dst, const StateVector& src,
 /// update), and applies `inv` to lambda in place — the three passes the
 /// sweep otherwise makes per parameter, in two loops over the amplitudes.
 /// Per-amplitude expressions and the inner product's ascending-index
-/// accumulation order match the separate kernels exactly. RZ takes the
-/// diagonal fast path for all three roles.
+/// accumulation order match the separate kernels exactly. `inv` and `dr`
+/// take the axis body (the derivative has the rotation's shape).
 [[nodiscard]] Complex adjoint_rotation_sweep(StateVector& phi,
                                              StateVector& lambda,
                                              gates::Axis axis,

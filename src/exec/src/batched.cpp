@@ -153,7 +153,7 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
         // Same-qubit rotation pair with no lane branching at either op:
         // both gates in one pass per lane, entries computed once for the
         // whole batch (bit-identical to two single applications, as the
-        // adjoint forward pass's apply_mat2_pair).
+        // adjoint forward pass's apply_rotation_pair).
         const gates::Mat2 first =
             gates::rotation_entries(ops[k].axis, params[ops[k].param]);
         const gates::Mat2 second =

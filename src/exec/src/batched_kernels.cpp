@@ -2,263 +2,133 @@
 
 #include <algorithm>
 
+#include "kernel_bodies.hpp"
+
 namespace qbarren::exec {
 
-// Every lane loop below runs the serial kernel's body (kernels.cpp /
-// statevector.cpp) on that lane's amplitudes: identical pair enumeration,
-// identical per-amplitude arithmetic. Lanes are independent, so looping
-// them outside the serial body cannot change any per-lane value.
-//
-// The complex products are expanded to the naive component formula the
-// compiler inlines for finite std::complex operands. The library multiply
-// only diverges from this expansion through its NaN fixup (__muldc3),
-// which never fires on the finite amplitudes and gate entries a valid
-// simulation produces — so per-lane results stay bit-identical while the
-// per-product NaN branch (which blocks pipelining across amplitude pairs)
-// disappears from the hot loops.
+// Every lane loop below runs the serial kernel's pair body (kernel_bodies.hpp,
+// the same objects kernels.cpp uses) on that lane's amplitudes: identical
+// pair enumeration, identical per-amplitude arithmetic. Lanes are
+// independent, so looping them outside the serial body cannot change any
+// per-lane value. The arithmetic contract — branch-free naive complex
+// products equal to the finite-path std::complex product, axis-specialised
+// rotation bodies that can only change the sign of a zero — is the serial
+// one, stated in kernel_bodies.hpp and qbarren/exec/kernels.hpp; per-lane
+// results are bit-identical to the serial kernels', with no numerics bump.
+
+using detail::cadd;
+using detail::cmul;
+using detail::Mat2Body;
+using detail::pack;
+using detail::raw;
+using detail::RawC;
 
 namespace {
 
-/// One complex value held as two scalars, for branch-free products.
-struct RawC {
-  double re;
-  double im;
-};
-
-inline RawC raw(const Complex& c) { return RawC{c.real(), c.imag()}; }
-
-/// a * b by the naive formula: same scalar products, same summation order
-/// as the inlined finite-path std::complex multiply.
-inline RawC cmul(RawC a, RawC b) {
-  return RawC{a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+/// for_each_pair on two independent vectors in one pass: two dependency
+/// chains in flight per pair. Each vector sees exactly the one-vector
+/// expressions.
+template <class Body>
+void for_each_pair2(Complex* x, Complex* y, std::size_t dim,
+                    std::size_t target, const Body body) {
+  detail::for_each_pair_index(
+      dim, target, [&](std::size_t i0, std::size_t i1) {
+        RawC x0 = raw(x[i0]);
+        RawC x1 = raw(x[i1]);
+        RawC y0 = raw(y[i0]);
+        RawC y1 = raw(y[i1]);
+        body(x0, x1);
+        body(y0, y1);
+        x[i0] = pack(x0);
+        x[i1] = pack(x1);
+        y[i0] = pack(y0);
+        y[i1] = pack(y1);
+      });
 }
 
-inline RawC cadd(RawC a, RawC b) { return RawC{a.re + b.re, a.im + b.im}; }
-
-inline Complex pack(RawC a) { return Complex{a.re, a.im}; }
-
-/// u00*a0 + u01*a1 with the serial kernel's operand order.
-inline RawC mat2_row(RawC u0, RawC u1, RawC a0, RawC a1) {
-  return cadd(cmul(u0, a0), cmul(u1, a1));
+/// One body on every lane in [0, lanes), two lanes per pass: their
+/// updates are independent, which keeps two dependency chains in flight
+/// per amplitude pair.
+template <class Body>
+void uniform_pairs(BatchedStateVector& batch, std::size_t lanes,
+                   std::size_t target, const Body body) {
+  const std::size_t dim = batch.dimension();
+  std::size_t b = 0;
+  for (; b + 1 < lanes; b += 2) {
+    for_each_pair2(batch.lane_data(b), batch.lane_data(b + 1), dim, target,
+                   body);
+  }
+  for (; b < lanes; ++b) {
+    detail::for_each_pair(batch.lane_data(b), dim, target, body);
+  }
 }
 
 }  // namespace
 
 void batched_apply_mat2(BatchedStateVector& batch, std::size_t lanes,
                         const gates::Mat2& u, std::size_t target) {
-  const RawC u00 = raw(u.m00);
-  const RawC u01 = raw(u.m01);
-  const RawC u10 = raw(u.m10);
-  const RawC u11 = raw(u.m11);
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
-  // Two lanes per pass: their updates are independent, which keeps two
-  // dependency chains in flight per amplitude pair. Each lane still sees
-  // exactly the single-lane expressions.
-  std::size_t b = 0;
-  for (; b + 1 < lanes; b += 2) {
-    Complex* ampsx = batch.lane_data(b);
-    Complex* ampsy = batch.lane_data(b + 1);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC x0 = raw(ampsx[i0]);
-      const RawC x1 = raw(ampsx[i1]);
-      const RawC y0 = raw(ampsy[i0]);
-      const RawC y1 = raw(ampsy[i1]);
-      ampsx[i0] = pack(mat2_row(u00, u01, x0, x1));
-      ampsx[i1] = pack(mat2_row(u10, u11, x0, x1));
-      ampsy[i0] = pack(mat2_row(u00, u01, y0, y1));
-      ampsy[i1] = pack(mat2_row(u10, u11, y0, y1));
-    }
-  }
-  for (; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
-  }
+  uniform_pairs(batch, lanes, target, Mat2Body(u));
 }
 
 void batched_apply_mat2_per_lane(BatchedStateVector& batch, std::size_t lanes,
                                  const gates::Mat2* entries,
                                  std::size_t target) {
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
   for (std::size_t b = 0; b < lanes; ++b) {
-    const RawC u00 = raw(entries[b].m00);
-    const RawC u01 = raw(entries[b].m01);
-    const RawC u10 = raw(entries[b].m10);
-    const RawC u11 = raw(entries[b].m11);
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
+    detail::for_each_pair(batch.lane_data(b), batch.dimension(), target,
+                          Mat2Body(entries[b]));
   }
 }
-
-namespace {
-
-// RZ diagonal body, as apply_rotation_mat2's fast path: the off-diagonal
-// entries are exact zeros, so the skipped products only ever add a signed
-// zero.
-inline void diagonal_lane(Complex* amps, std::size_t dim, std::size_t bit,
-                          std::size_t low_mask, const RawC u00,
-                          const RawC u11) {
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    amps[i0] = pack(cmul(u00, raw(amps[i0])));
-    amps[i1] = pack(cmul(u11, raw(amps[i1])));
-  }
-}
-
-}  // namespace
 
 void batched_apply_rotation_mat2(BatchedStateVector& batch, std::size_t lanes,
                                  gates::Axis axis, const gates::Mat2& u,
                                  std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    const RawC u00 = raw(u.m00);
-    const RawC u11 = raw(u.m11);
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = batch.dimension();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      diagonal_lane(batch.lane_data(b), dim, bit, low_mask, u00, u11);
-    }
-    return;
-  }
-  batched_apply_mat2(batch, lanes, u, target);
+  detail::with_rotation_body(axis, u, [&](const auto body) {
+    uniform_pairs(batch, lanes, target, body);
+  });
 }
 
 void batched_apply_rotation_per_lane(BatchedStateVector& batch,
                                      std::size_t lanes, gates::Axis axis,
                                      const gates::Mat2* entries,
                                      std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = batch.dimension();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      diagonal_lane(batch.lane_data(b), dim, bit, low_mask,
-                    raw(entries[b].m00), raw(entries[b].m11));
-    }
-    return;
+  for (std::size_t b = 0; b < lanes; ++b) {
+    detail::with_rotation_body(axis, entries[b], [&](const auto body) {
+      detail::for_each_pair(batch.lane_data(b), batch.dimension(), target,
+                            body);
+    });
   }
-  batched_apply_mat2_per_lane(batch, lanes, entries, target);
 }
 
-void batched_apply_mat2_pair(BatchedStateVector& batch, std::size_t lanes,
-                             const gates::Mat2& u_first,
-                             const gates::Mat2& u_second, std::size_t target) {
-  const RawC f00 = raw(u_first.m00);
-  const RawC f01 = raw(u_first.m01);
-  const RawC f10 = raw(u_first.m10);
-  const RawC f11 = raw(u_first.m11);
-  const RawC s00 = raw(u_second.m00);
-  const RawC s01 = raw(u_second.m01);
-  const RawC s10 = raw(u_second.m10);
-  const RawC s11 = raw(u_second.m11);
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
-  // Two lanes per pass, as batched_apply_mat2.
-  std::size_t b = 0;
-  for (; b + 1 < lanes; b += 2) {
-    Complex* ampsx = batch.lane_data(b);
-    Complex* ampsy = batch.lane_data(b + 1);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC x0 = raw(ampsx[i0]);
-      const RawC x1 = raw(ampsx[i1]);
-      const RawC y0 = raw(ampsy[i0]);
-      const RawC y1 = raw(ampsy[i1]);
-      const RawC bx0 = mat2_row(f00, f01, x0, x1);
-      const RawC bx1 = mat2_row(f10, f11, x0, x1);
-      const RawC by0 = mat2_row(f00, f01, y0, y1);
-      const RawC by1 = mat2_row(f10, f11, y0, y1);
-      ampsx[i0] = pack(mat2_row(s00, s01, bx0, bx1));
-      ampsx[i1] = pack(mat2_row(s10, s11, bx0, bx1));
-      ampsy[i0] = pack(mat2_row(s00, s01, by0, by1));
-      ampsy[i1] = pack(mat2_row(s10, s11, by0, by1));
-    }
-  }
-  for (; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      const RawC b0 = mat2_row(f00, f01, a0, a1);
-      const RawC b1 = mat2_row(f10, f11, a0, a1);
-      amps[i0] = pack(mat2_row(s00, s01, b0, b1));
-      amps[i1] = pack(mat2_row(s10, s11, b0, b1));
-    }
-  }
+void batched_apply_rotation_pair(BatchedStateVector& batch, std::size_t lanes,
+                                 gates::Axis axis_first,
+                                 const gates::Mat2& u_first,
+                                 gates::Axis axis_second,
+                                 const gates::Mat2& u_second,
+                                 std::size_t target) {
+  detail::with_rotation_body(axis_first, u_first, [&](const auto first) {
+    detail::with_rotation_body(axis_second, u_second, [&](const auto second) {
+      uniform_pairs(batch, lanes, target, detail::PairBody{first, second});
+    });
+  });
 }
 
 void batched_apply_mat2_run(BatchedStateVector& batch, std::size_t lanes,
                             const gates::Mat2* pool,
                             const std::uint32_t* indices, std::size_t count,
                             bool reverse, std::size_t target) {
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
   for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      RawC a0 = raw(amps[i0]);
-      RawC a1 = raw(amps[i1]);
-      for (std::size_t j = 0; j < count; ++j) {
-        const gates::Mat2& u = pool[indices[reverse ? count - 1 - j : j]];
-        const RawC b0 = mat2_row(raw(u.m00), raw(u.m01), a0, a1);
-        const RawC b1 = mat2_row(raw(u.m10), raw(u.m11), a0, a1);
-        a0 = b0;
-        a1 = b1;
-      }
-      amps[i0] = pack(a0);
-      amps[i1] = pack(a1);
-    }
+    detail::for_each_pair(batch.lane_data(b), batch.dimension(), target,
+                          detail::RunBody{pool, indices, count, reverse});
   }
 }
 
 void batched_apply_controlled_mat2(BatchedStateVector& batch,
                                    std::size_t lanes, const gates::Mat2& u,
                                    std::size_t control, std::size_t target) {
-  const RawC u00 = raw(u.m00);
-  const RawC u01 = raw(u.m01);
-  const RawC u10 = raw(u.m10);
-  const RawC u11 = raw(u.m11);
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
+  const Mat2Body body(u);
   for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i0 = 0; i0 < dim; ++i0) {
-      if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-      const std::size_t i1 = i0 | tbit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
+    detail::for_each_controlled_pair(batch.lane_data(b), batch.dimension(),
+                                     control, target, body);
   }
 }
 
@@ -267,35 +137,11 @@ void batched_apply_controlled_per_lane(BatchedStateVector& batch,
                                        const gates::Mat2* entries,
                                        std::size_t control,
                                        std::size_t target) {
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
   for (std::size_t b = 0; b < lanes; ++b) {
-    const RawC u00 = raw(entries[b].m00);
-    const RawC u01 = raw(entries[b].m01);
-    const RawC u10 = raw(entries[b].m10);
-    const RawC u11 = raw(entries[b].m11);
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i0 = 0; i0 < dim; ++i0) {
-      if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-      const std::size_t i1 = i0 | tbit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
+    detail::for_each_controlled_pair(batch.lane_data(b), batch.dimension(),
+                                     control, target, Mat2Body(entries[b]));
   }
 }
-
-namespace {
-// Ascending enumeration of the basis indices with both qubit bits set, as
-// in kernels.cpp.
-inline std::size_t both_set_index(std::size_t x, std::size_t low_mask,
-                                  std::size_t high_mask, std::size_t bits) {
-  const std::size_t t = ((x & ~low_mask) << 1) | (x & low_mask);
-  return (((t & ~high_mask) << 1) | (t & high_mask)) | bits;
-}
-}  // namespace
 
 void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
                       std::size_t qubit_a, std::size_t qubit_b) {
@@ -307,7 +153,7 @@ void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
   for (std::size_t b = 0; b < lanes; ++b) {
     Complex* amps = batch.lane_data(b);
     for (std::size_t x = 0; x < dim / 4; ++x) {
-      const std::size_t i = both_set_index(x, lm, hm, bl | bh);
+      const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
       amps[i] = -amps[i];
     }
   }

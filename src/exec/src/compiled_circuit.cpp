@@ -445,7 +445,9 @@ void CompiledCircuit::apply_plan_op_batch_pair(std::size_t k,
                       plan_ops_[k].qubit0 == plan_ops_[k + 1].qubit0,
                   "CompiledCircuit::apply_plan_op_batch_pair: ops must be "
                   "same-qubit rotations");
-  batched_apply_mat2_pair(batch, lanes, first, second, plan_ops_[k].qubit0);
+  batched_apply_rotation_pair(batch, lanes, plan_ops_[k].axis, first,
+                              plan_ops_[k + 1].axis, second,
+                              plan_ops_[k].qubit0);
 }
 
 double CompiledCircuit::adjoint_value_and_gradient(
@@ -484,7 +486,8 @@ double CompiledCircuit::adjoint_value_and_gradient(
       // RY); run both in one pass when they are.
       if (k + 1 < n && plan_ops_[k + 1].kernel == Kernel::kRotation &&
           plan_ops_[k + 1].qubit0 == op.qubit0) {
-        apply_mat2_pair(phi, fwd[k], fwd[k + 1], op.qubit0);
+        apply_rotation_pair(phi, op.axis, fwd[k], plan_ops_[k + 1].axis,
+                            fwd[k + 1], op.qubit0);
         ++k;
       } else {
         apply_rotation_mat2(phi, op.axis, fwd[k], op.qubit0);
@@ -625,8 +628,8 @@ void CompiledCircuit::apply_plan_op_inverse_pair(
   if (op.kernel == Kernel::kRotation) {
     const gates::Mat2 e =
         gates::rotation_entries(op.axis, -params[op.param]);
-    apply_mat2(a, e, op.qubit0);
-    apply_mat2(b, e, op.qubit0);
+    apply_rotation_mat2(a, op.axis, e, op.qubit0);
+    apply_rotation_mat2(b, op.axis, e, op.qubit0);
     return;
   }
   if (op.kernel == Kernel::kControlledRotation) {

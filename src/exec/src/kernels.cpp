@@ -2,104 +2,54 @@
 
 #include <algorithm>
 
+#include "kernel_bodies.hpp"
+
 namespace qbarren::exec {
 
 // The loops below intentionally reproduce the StateVector kernels'
 // structure (statevector.cpp) so both execution paths perform the same
 // floating-point operations in the same order. Bounds are validated once
-// at compile (lowering) time, not per application.
+// at compile (lowering) time, not per application. The per-pair
+// arithmetic lives in kernel_bodies.hpp, shared with the batched kernels.
+
+using detail::cadd;
+using detail::cmul;
+using detail::Mat2Body;
+using detail::pack;
+using detail::raw;
+using detail::RawC;
 
 void apply_mat2(StateVector& state, const gates::Mat2& u,
                 std::size_t target) {
   auto& amps = state.amplitudes();
-  // Local copies: `u` may be a pool reference whose Complex members could
-  // alias the amplitude array as far as the compiler knows; locals keep
-  // the loop reload-free and vectorizable (as in StateVector's kernels).
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    amps[i0] = u00 * a0 + u01 * a1;
-    amps[i1] = u10 * a0 + u11 * a1;
-  }
+  detail::for_each_pair(amps.data(), amps.size(), target, Mat2Body(u));
 }
 
-void apply_mat2_pair(StateVector& state, const gates::Mat2& u_first,
-                     const gates::Mat2& u_second, std::size_t target) {
+void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
+                         const gates::Mat2& u_first, gates::Axis axis_second,
+                         const gates::Mat2& u_second, std::size_t target) {
   auto& amps = state.amplitudes();
-  const Complex f00 = u_first.m00;
-  const Complex f01 = u_first.m01;
-  const Complex f10 = u_first.m10;
-  const Complex f11 = u_first.m11;
-  const Complex s00 = u_second.m00;
-  const Complex s01 = u_second.m01;
-  const Complex s10 = u_second.m10;
-  const Complex s11 = u_second.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    const Complex b0 = f00 * a0 + f01 * a1;
-    const Complex b1 = f10 * a0 + f11 * a1;
-    amps[i0] = s00 * b0 + s01 * b1;
-    amps[i1] = s10 * b0 + s11 * b1;
-  }
+  detail::with_rotation_body(axis_first, u_first, [&](const auto first) {
+    detail::with_rotation_body(axis_second, u_second, [&](const auto second) {
+      detail::for_each_pair(amps.data(), amps.size(), target,
+                            detail::PairBody{first, second});
+    });
+  });
 }
 
 void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
                     const std::uint32_t* indices, std::size_t count,
                     bool reverse, std::size_t target) {
   auto& amps = state.amplitudes();
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    Complex a0 = amps[i0];
-    Complex a1 = amps[i1];
-    for (std::size_t j = 0; j < count; ++j) {
-      const gates::Mat2& u = pool[indices[reverse ? count - 1 - j : j]];
-      const Complex b0 = u.m00 * a0 + u.m01 * a1;
-      const Complex b1 = u.m10 * a0 + u.m11 * a1;
-      a0 = b0;
-      a1 = b1;
-    }
-    amps[i0] = a0;
-    amps[i1] = a1;
-  }
+  detail::for_each_pair(amps.data(), amps.size(), target,
+                        detail::RunBody{pool, indices, count, reverse});
 }
 
 void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
                            std::size_t control, std::size_t target) {
   auto& amps = state.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  for (std::size_t i0 = 0; i0 < dim; ++i0) {
-    if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-    const std::size_t i1 = i0 | tbit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    amps[i0] = u00 * a0 + u01 * a1;
-    amps[i1] = u10 * a0 + u11 * a1;
-  }
+  detail::for_each_controlled_pair(amps.data(), amps.size(), control, target,
+                                   Mat2Body(u));
 }
 
 void apply_rotation(StateVector& state, gates::Axis axis, double theta,
@@ -110,24 +60,10 @@ void apply_rotation(StateVector& state, gates::Axis axis, double theta,
 
 void apply_rotation_mat2(StateVector& state, gates::Axis axis,
                          const gates::Mat2& u, std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    // Diagonal phase kernel: RZ's off-diagonal entries are exact zeros, so
-    // the skipped products (0 * amplitude) only ever add a signed zero.
-    auto& amps = state.amplitudes();
-    const Complex u00 = u.m00;
-    const Complex u11 = u.m11;
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = amps.size();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      amps[i0] = u00 * amps[i0];
-      amps[i1] = u11 * amps[i1];
-    }
-    return;
-  }
-  apply_mat2(state, u, target);
+  auto& amps = state.amplitudes();
+  detail::with_rotation_body(axis, u, [&](const auto body) {
+    detail::for_each_pair(amps.data(), amps.size(), target, body);
+  });
 }
 
 void apply_controlled_rotation(StateVector& state, gates::Axis axis,
@@ -139,35 +75,18 @@ void apply_controlled_rotation(StateVector& state, gates::Axis axis,
 
 void apply_mat2_from(StateVector& dst, const StateVector& src,
                      const gates::Mat2& u, std::size_t target) {
-  auto& out = dst.amplitudes();
-  const auto& in = src.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = in.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = in[i0];
-    const Complex a1 = in[i1];
-    out[i0] = u00 * a0 + u01 * a1;
-    out[i1] = u10 * a0 + u11 * a1;
-  }
+  Complex* out = dst.amplitudes().data();
+  const Complex* in = src.amplitudes().data();
+  const Mat2Body body(u);
+  detail::for_each_pair_index(
+      src.dimension(), target, [&](std::size_t i0, std::size_t i1) {
+        RawC a0 = raw(in[i0]);
+        RawC a1 = raw(in[i1]);
+        body(a0, a1);
+        out[i0] = pack(a0);
+        out[i1] = pack(a1);
+      });
 }
-
-namespace {
-// Ascending enumeration of the basis indices with both qubit bits set:
-// expand x (over the quarter-sized subspace) by inserting a bit at the
-// lower position, then at the higher, then set both.
-inline std::size_t both_set_index(std::size_t x, std::size_t low_mask,
-                                  std::size_t high_mask, std::size_t bits) {
-  const std::size_t t = ((x & ~low_mask) << 1) | (x & low_mask);
-  return (((t & ~high_mask) << 1) | (t & high_mask)) | bits;
-}
-}  // namespace
 
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
   auto& amps = state.amplitudes();
@@ -177,7 +96,7 @@ void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
   const std::size_t hm = bh - 1;
   const std::size_t dim = amps.size();
   for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = both_set_index(x, lm, hm, bl | bh);
+    const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
     amps[i] = -amps[i];
   }
 }
@@ -192,7 +111,7 @@ void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
   const std::size_t hm = bh - 1;
   const std::size_t dim = a1.size();
   for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = both_set_index(x, lm, hm, bl | bh);
+    const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
     a1[i] = -a1[i];
     a2[i] = -a2[i];
   }
@@ -202,100 +121,82 @@ Complex inner_product_mat2(const StateVector& lambda, const StateVector& phi,
                            const gates::Mat2& u, std::size_t target) {
   const auto& l = lambda.amplitudes();
   const auto& in = phi.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
+  const RawC u00 = raw(u.m00);
+  const RawC u01 = raw(u.m01);
+  const RawC u10 = raw(u.m10);
+  const RawC u11 = raw(u.m11);
   const std::size_t bit = std::size_t{1} << target;
   const std::size_t dim = in.size();
   // inner_product accumulates in ascending index order; within each block
   // of 2*bit indices that order is the bit-clear half followed by the
   // bit-set half, so the two inner loops below reproduce it exactly.
-  Complex acc{0.0, 0.0};
+  RawC acc{0.0, 0.0};
   for (std::size_t base = 0; base < dim; base += 2 * bit) {
     for (std::size_t j = 0; j < bit; ++j) {
       const std::size_t i0 = base + j;
       const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i0]) * (u00 * in[i0] + u01 * in[i1]);
+      acc = cadd(acc, cmul(detail::conj(raw(l[i0])),
+                           detail::mat2_row(u00, u01, raw(in[i0]),
+                                            raw(in[i1]))));
     }
     for (std::size_t j = 0; j < bit; ++j) {
       const std::size_t i0 = base + j;
       const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i1]) * (u10 * in[i0] + u11 * in[i1]);
+      acc = cadd(acc, cmul(detail::conj(raw(l[i1])),
+                           detail::mat2_row(u10, u11, raw(in[i0]),
+                                            raw(in[i1]))));
     }
   }
-  return acc;
+  return pack(acc);
 }
 
 Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
                                gates::Axis axis, const gates::Mat2& inv,
                                const gates::Mat2& dr, std::size_t target) {
-  auto& p = phi.amplitudes();
-  auto& l = lambda.amplitudes();
+  Complex* p = phi.amplitudes().data();
+  Complex* l = lambda.amplitudes().data();
   const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = p.size();
-  Complex acc{0.0, 0.0};
+  const std::size_t dim = phi.dimension();
+  RawC acc{0.0, 0.0};
   // Block structure as in inner_product_mat2: the bit-clear half of each
   // block precedes the bit-set half in index order, so accumulating the
   // row-0 terms in the first loop and the row-1 terms in the second
   // reproduces inner_product's ascending-index order. lambda's own update
-  // happens only after both of its amplitudes fed the accumulator.
-  if (axis == gates::Axis::kZ) {
-    // Diagonal inverse and diagonal derivative: RZ's off-diagonal entries
-    // (and those of (-i/2) Z RZ) are exact zeros; see apply_rotation_mat2.
-    const Complex v00 = inv.m00;
-    const Complex v11 = inv.m11;
-    const Complex d00 = dr.m00;
-    const Complex d11 = dr.m11;
+  // happens only after both of its amplitudes fed the accumulator. The
+  // inverse and the derivative have the rotation's shape, so both take the
+  // axis body; each loop keeps one row of the derivative (the compiler
+  // drops the other).
+  detail::with_rotation_body(axis, inv, [&](const auto inv_body) {
+    using Body = decltype(inv_body);
+    const Body dr_body(dr);
     for (std::size_t base = 0; base < dim; base += 2 * bit) {
       for (std::size_t j = 0; j < bit; ++j) {
         const std::size_t i0 = base + j;
-        const Complex np0 = v00 * p[i0];
-        p[i0] = np0;
-        p[i0 | bit] = v11 * p[i0 | bit];
-        acc += std::conj(l[i0]) * (d00 * np0);
+        const std::size_t i1 = i0 | bit;
+        RawC a0 = raw(p[i0]);
+        RawC a1 = raw(p[i1]);
+        inv_body(a0, a1);
+        p[i0] = pack(a0);
+        p[i1] = pack(a1);
+        dr_body(a0, a1);
+        acc = cadd(acc, cmul(detail::conj(raw(l[i0])), a0));
       }
       for (std::size_t j = 0; j < bit; ++j) {
         const std::size_t i0 = base + j;
         const std::size_t i1 = i0 | bit;
-        acc += std::conj(l[i1]) * (d11 * p[i1]);
-        l[i0] = v00 * l[i0];
-        l[i1] = v11 * l[i1];
+        RawC a0 = raw(p[i0]);
+        RawC a1 = raw(p[i1]);
+        dr_body(a0, a1);
+        acc = cadd(acc, cmul(detail::conj(raw(l[i1])), a1));
+        RawC b0 = raw(l[i0]);
+        RawC b1 = raw(l[i1]);
+        inv_body(b0, b1);
+        l[i0] = pack(b0);
+        l[i1] = pack(b1);
       }
     }
-    return acc;
-  }
-  const Complex v00 = inv.m00;
-  const Complex v01 = inv.m01;
-  const Complex v10 = inv.m10;
-  const Complex v11 = inv.m11;
-  const Complex d00 = dr.m00;
-  const Complex d01 = dr.m01;
-  const Complex d10 = dr.m10;
-  const Complex d11 = dr.m11;
-  for (std::size_t base = 0; base < dim; base += 2 * bit) {
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      const Complex a0 = p[i0];
-      const Complex a1 = p[i1];
-      const Complex np0 = v00 * a0 + v01 * a1;
-      const Complex np1 = v10 * a0 + v11 * a1;
-      p[i0] = np0;
-      p[i1] = np1;
-      acc += std::conj(l[i0]) * (d00 * np0 + d01 * np1);
-    }
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i1]) * (d10 * p[i0] + d11 * p[i1]);
-      const Complex b0 = l[i0];
-      const Complex b1 = l[i1];
-      l[i0] = v00 * b0 + v01 * b1;
-      l[i1] = v10 * b0 + v11 * b1;
-    }
-  }
-  return acc;
+  });
+  return pack(acc);
 }
 
 void apply_mat4_from(StateVector& dst, const StateVector& src,
@@ -306,19 +207,25 @@ void apply_mat4_from(StateVector& dst, const StateVector& src,
   const std::size_t bl = std::size_t{1} << q_low;
   const std::size_t bh = std::size_t{1} << q_high;
   const std::size_t dim = in_amps.size();
+  RawC u[4][4];
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      u[r][c] = raw(m[r][c]);
+    }
+  }
   for (std::size_t i = 0; i < dim; ++i) {
     if ((i & bl) != 0 || (i & bh) != 0) continue;  // base of each 4-group
     const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
-    Complex in[4];
+    RawC in[4];
     for (std::size_t k = 0; k < 4; ++k) {
-      in[k] = in_amps[idx[k]];
+      in[k] = raw(in_amps[idx[k]]);
     }
     for (std::size_t r = 0; r < 4; ++r) {
-      Complex acc{0.0, 0.0};
+      RawC acc{0.0, 0.0};
       for (std::size_t c = 0; c < 4; ++c) {
-        acc += m[r][c] * in[c];
+        acc = cadd(acc, cmul(u[r][c], in[c]));
       }
-      out[idx[r]] = acc;
+      out[idx[r]] = pack(acc);
     }
   }
 }

@@ -2,18 +2,24 @@
 // process batch-limit policy, and — most importantly — exact byte-identity
 // (==, not near) of every batched consumer against its serial counterpart:
 // simulate/expectation, the shifted-binding evaluator, all shift-rule
-// gradient engines, landscape rows, variance cells, and Rotosolve.
+// gradient engines, landscape rows, variance cells, and Rotosolve; plus
+// kernel-level equivalence of every batched rotation kernel, lane by lane,
+// against StateVector's interpreted apply.
 #include "qbarren/exec/batched.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "qbarren/bp/landscape.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
@@ -455,6 +461,148 @@ TEST(BatchedRotosolve, TrainingHistoryMatchesSerialExactly) {
     expect_vectors_equal(batched.loss_history, serial.loss_history);
     expect_vectors_equal(batched.final_params, serial.final_params);
     EXPECT_EQ(batched.final_loss, serial.final_loss);
+  }
+}
+
+// --- batched kernel equivalence ---------------------------------------------
+//
+// Every batched rotation kernel, lane by lane, against StateVector's
+// interpreted apply: equal under == on every component, bit-identical on
+// every nonzero one (the axis-specialised bodies may only change the sign
+// of a zero). Five lanes exercise both the two-lane interleave and the
+// odd tail of the uniform kernels.
+
+void expect_lane_matches(const BatchedStateVector& batch, std::size_t b,
+                         const StateVector& want, const std::string& what) {
+  const StateVector got = batch.extract_lane(b);
+  for (std::size_t i = 0; i < want.dimension(); ++i) {
+    const Complex g = got.amplitudes()[i];
+    const Complex w = want.amplitudes()[i];
+    EXPECT_EQ(g, w) << what << ", lane " << b << ", amplitude " << i;
+    for (const auto& [gp, wp] : {std::pair{g.real(), w.real()},
+                                 std::pair{g.imag(), w.imag()}}) {
+      if (wp != 0.0) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gp),
+                  std::bit_cast<std::uint64_t>(wp))
+            << what << ", lane " << b << ", amplitude " << i;
+      }
+    }
+  }
+}
+
+// Lanes with exact zeros — |0...0>, after a lone RZ, after a lone RX —
+// and dense random vectors with some components zeroed.
+BatchedStateVector kernel_input_batch(std::size_t qubits, Rng& rng) {
+  BatchedStateVector batch(qubits, 5);
+  StateVector lone_rz(qubits);
+  lone_rz.apply_single_qubit(gates::rz(0.8), qubits - 1);
+  batch.set_lane(1, lone_rz);
+  StateVector lone_rx(qubits);
+  lone_rx.apply_single_qubit(gates::rx(1.1), 0);
+  batch.set_lane(2, lone_rx);
+  for (std::size_t b = 3; b < 5; ++b) {
+    StateVector dense(qubits);
+    for (Complex& a : dense.amplitudes()) {
+      const double re = rng.bernoulli(0.2) ? 0.0 : rng.normal();
+      const double im = rng.bernoulli(0.2) ? 0.0 : rng.normal();
+      a = Complex(re, im);
+    }
+    batch.set_lane(b, dense);
+  }
+  return batch;
+}
+
+constexpr gates::Axis kAxes[] = {gates::Axis::kX, gates::Axis::kY,
+                                 gates::Axis::kZ};
+constexpr double kLaneAngles[] = {0.0, 0.37, -2.1, M_PI, 1.3};
+
+TEST(BatchedKernels, RotationKernelsMatchInterpretedApplyPerLane) {
+  Rng rng(81);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const BatchedStateVector inputs = kernel_input_batch(q, rng);
+    const std::size_t lanes = inputs.batch_size();
+    for (const gates::Axis axis : kAxes) {
+      for (std::size_t t = 0; t < q; ++t) {
+        const std::string name = "q=" + std::to_string(q) + " axis " +
+                                 std::to_string(static_cast<int>(axis)) +
+                                 " target " + std::to_string(t);
+        std::vector<gates::Mat2> entries(lanes);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          entries[b] = gates::rotation_entries(axis, kLaneAngles[b]);
+        }
+        BatchedStateVector per_lane = inputs;
+        exec::batched_apply_rotation_per_lane(per_lane, lanes, axis,
+                                              entries.data(), t);
+        BatchedStateVector generic = inputs;
+        exec::batched_apply_mat2_per_lane(generic, lanes, entries.data(), t);
+        BatchedStateVector uniform = inputs;
+        exec::batched_apply_rotation_mat2(
+            uniform, lanes, axis, gates::rotation_entries(axis, 0.37), t);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          StateVector want = inputs.extract_lane(b);
+          StateVector want_uniform = want;
+          want.apply_single_qubit(gates::rotation(axis, kLaneAngles[b]), t);
+          want_uniform.apply_single_qubit(gates::rotation(axis, 0.37), t);
+          expect_lane_matches(per_lane, b, want, "per-lane " + name);
+          expect_lane_matches(generic, b, want, "generic " + name);
+          expect_lane_matches(uniform, b, want_uniform, "uniform " + name);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedKernels, GenericKernelsMatchInterpretedApplyPerLane) {
+  // Dense entries (every component nonzero): each of the 28 flops counts.
+  const ComplexMatrix u = gates::u3(0.7, 1.9, -0.4);
+  Rng rng(83);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const BatchedStateVector inputs = kernel_input_batch(q, rng);
+    const std::size_t lanes = inputs.batch_size();
+    const std::vector<gates::Mat2> entries(lanes, gates::entries_of(u));
+    for (std::size_t t = 0; t < q; ++t) {
+      const std::string name = "q=" + std::to_string(q) + " target " +
+                               std::to_string(t);
+      BatchedStateVector uniform = inputs;
+      exec::batched_apply_mat2(uniform, lanes, gates::entries_of(u), t);
+      BatchedStateVector per_lane = inputs;
+      exec::batched_apply_mat2_per_lane(per_lane, lanes, entries.data(), t);
+      for (std::size_t b = 0; b < lanes; ++b) {
+        StateVector want = inputs.extract_lane(b);
+        want.apply_single_qubit(u, t);
+        expect_lane_matches(uniform, b, want, "uniform " + name);
+        expect_lane_matches(per_lane, b, want, "per-lane " + name);
+      }
+    }
+  }
+}
+
+TEST(BatchedKernels, RotationPairMatchesTwoInterpretedAppliesPerLane) {
+  Rng rng(82);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const BatchedStateVector inputs = kernel_input_batch(q, rng);
+    const std::size_t lanes = inputs.batch_size();
+    for (const gates::Axis first : kAxes) {
+      for (const gates::Axis second : kAxes) {
+        for (std::size_t t = 0; t < q; ++t) {
+          BatchedStateVector got = inputs;
+          exec::batched_apply_rotation_pair(
+              got, lanes, first, gates::rotation_entries(first, 0.37), second,
+              gates::rotation_entries(second, -2.1), t);
+          for (std::size_t b = 0; b < lanes; ++b) {
+            StateVector want = inputs.extract_lane(b);
+            want.apply_single_qubit(gates::rotation(first, 0.37), t);
+            want.apply_single_qubit(gates::rotation(second, -2.1), t);
+            expect_lane_matches(
+                got, b, want,
+                "q=" + std::to_string(q) + " axes " +
+                    std::to_string(static_cast<int>(first)) + "," +
+                    std::to_string(static_cast<int>(second)) + " target " +
+                    std::to_string(t));
+          }
+        }
+      }
+    }
   }
 }
 

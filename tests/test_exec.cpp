@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
+#include "qbarren/exec/kernels.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
 
@@ -382,6 +386,169 @@ TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
     exec::PartialEvaluator cost(plan, obs, params, i);
     // delta = 0 reproduces the unshifted cost bit-for-bit.
     EXPECT_EQ(cost(0.0), obs.expectation(plan->simulate(params))) << i;
+  }
+}
+
+// --- kernel equivalence ------------------------------------------------------
+//
+// The axis-specialised rotation kernels (RX/RY in real arithmetic, RZ
+// diagonal) and the branch-free generic 2x2 kernel against StateVector's
+// interpreted apply: equal under == on every component, and bit-identical
+// wherever the interpreted component is nonzero (a skipped product with an
+// exact-zero entry component may only change the sign of a zero).
+
+void expect_same_amplitudes(const StateVector& got, const StateVector& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.dimension(), want.dimension()) << what;
+  for (std::size_t i = 0; i < want.dimension(); ++i) {
+    const Complex g = got.amplitudes()[i];
+    const Complex w = want.amplitudes()[i];
+    EXPECT_EQ(g, w) << what << ", amplitude " << i;
+    for (const auto& [gp, wp] : {std::pair{g.real(), w.real()},
+                                 std::pair{g.imag(), w.imag()}}) {
+      if (wp != 0.0) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gp),
+                  std::bit_cast<std::uint64_t>(wp))
+            << what << ", amplitude " << i;
+      }
+    }
+  }
+}
+
+// Inputs with exact zeros — |0...0>, the state after a lone RZ (one
+// nonzero amplitude), after a lone RX (amplitudes with one zero
+// component) — and dense random vectors with some components zeroed.
+std::vector<StateVector> kernel_inputs(std::size_t qubits, Rng& rng) {
+  std::vector<StateVector> states(3, StateVector(qubits));
+  states[1].apply_single_qubit(gates::rz(0.8), qubits - 1);
+  states[2].apply_single_qubit(gates::rx(1.1), 0);
+  for (int k = 0; k < 2; ++k) {
+    StateVector dense(qubits);
+    for (Complex& a : dense.amplitudes()) {
+      const double re = rng.bernoulli(0.2) ? 0.0 : rng.normal();
+      const double im = rng.bernoulli(0.2) ? 0.0 : rng.normal();
+      a = Complex(re, im);
+    }
+    states.push_back(dense);
+  }
+  return states;
+}
+
+constexpr gates::Axis kAxes[] = {gates::Axis::kX, gates::Axis::kY,
+                                 gates::Axis::kZ};
+constexpr double kAngles[] = {0.0, 0.37, -2.1, M_PI};
+
+std::string case_name(std::size_t qubits, std::size_t input, gates::Axis axis,
+                      double angle, std::size_t target) {
+  return "q=" + std::to_string(qubits) + " input " + std::to_string(input) +
+         " axis " + std::to_string(static_cast<int>(axis)) + " angle " +
+         std::to_string(angle) + " target " + std::to_string(target);
+}
+
+TEST(Kernels, RotationKernelsMatchInterpretedApply) {
+  Rng rng(71);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = kernel_inputs(q, rng);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      for (const gates::Axis axis : kAxes) {
+        for (const double angle : kAngles) {
+          for (std::size_t t = 0; t < q; ++t) {
+            const std::string name = case_name(q, n, axis, angle, t);
+            StateVector want = inputs[n];
+            want.apply_single_qubit(gates::rotation(axis, angle), t);
+            StateVector specialised = inputs[n];
+            exec::apply_rotation(specialised, axis, angle, t);
+            expect_same_amplitudes(specialised, want, "specialised " + name);
+            StateVector generic = inputs[n];
+            exec::apply_mat2(generic, gates::rotation_entries(axis, angle), t);
+            expect_same_amplitudes(generic, want, "generic " + name);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, GenericKernelMatchesInterpretedApplyOnDenseMatrices) {
+  // Every entry component nonzero, so each of the 28 flops counts: any
+  // reassociation of the branch-free product would show here.
+  const ComplexMatrix u = gates::u3(0.7, 1.9, -0.4);
+  Rng rng(74);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = kernel_inputs(q, rng);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      for (std::size_t t = 0; t < q; ++t) {
+        StateVector want = inputs[n];
+        want.apply_single_qubit(u, t);
+        StateVector got = inputs[n];
+        exec::apply_mat2(got, gates::entries_of(u), t);
+        expect_same_amplitudes(got, want,
+                               "q=" + std::to_string(q) + " input " +
+                                   std::to_string(n) + " target " +
+                                   std::to_string(t));
+      }
+    }
+  }
+}
+
+TEST(Kernels, RotationPairMatchesTwoInterpretedApplies) {
+  Rng rng(72);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = kernel_inputs(q, rng);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      for (const gates::Axis first : kAxes) {
+        for (const gates::Axis second : kAxes) {
+          for (std::size_t t = 0; t < q; ++t) {
+            StateVector want = inputs[n];
+            want.apply_single_qubit(gates::rotation(first, 0.37), t);
+            want.apply_single_qubit(gates::rotation(second, -2.1), t);
+            StateVector got = inputs[n];
+            exec::apply_rotation_pair(
+                got, first, gates::rotation_entries(first, 0.37), second,
+                gates::rotation_entries(second, -2.1), t);
+            expect_same_amplitudes(got, want,
+                                   case_name(q, n, first, 0.37, t) +
+                                       " then axis " +
+                                       std::to_string(static_cast<int>(second)));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, AdjointRotationSweepMatchesSeparatePasses) {
+  Rng rng(73);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = kernel_inputs(q, rng);
+    const StateVector& lambda_in = inputs.back();
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      for (const gates::Axis axis : kAxes) {
+        for (const double angle : kAngles) {
+          for (std::size_t t = 0; t < q; ++t) {
+            const std::string name = case_name(q, n, axis, angle, t);
+            // Interpreted: inverse on phi, <lambda| dR |phi>, inverse on
+            // lambda — three separate passes.
+            StateVector want_phi = inputs[n];
+            want_phi.apply_single_qubit(gates::rotation(axis, -angle), t);
+            StateVector d = want_phi;
+            d.apply_single_qubit(gates::rotation_derivative(axis, angle), t);
+            const Complex want_acc = lambda_in.inner_product(d);
+            StateVector want_lambda = lambda_in;
+            want_lambda.apply_single_qubit(gates::rotation(axis, -angle), t);
+
+            StateVector phi = inputs[n];
+            StateVector lambda = lambda_in;
+            const Complex acc = exec::adjoint_rotation_sweep(
+                phi, lambda, axis, gates::rotation_entries(axis, -angle),
+                gates::rotation_derivative_entries(axis, angle), t);
+            expect_same_amplitudes(phi, want_phi, "phi " + name);
+            expect_same_amplitudes(lambda, want_lambda, "lambda " + name);
+            EXPECT_EQ(acc, want_acc) << name;
+          }
+        }
+      }
+    }
   }
 }
 

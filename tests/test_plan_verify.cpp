@@ -414,15 +414,37 @@ TEST(PlanResources, MatchesTheCostModelExactly) {
   // 2 qubits: amps = 4, pairs = 2, quads = 1.
   Circuit circuit(2);
   circuit.add_hadamard(0);       // kFixedSingle: 28*2 flops, 2*4*16 bytes
-  circuit.add_rotation(gates::Axis::kY, 1);  // kRotation: same cost shape
+  circuit.add_rotation(gates::Axis::kY, 1);  // kRotation: 12*2 flops
   circuit.add_cz(0, 1);          // kCzGate: 2*1 flops, 2*1*16 bytes
   circuit.add_swap(0, 1);        // kFixedTwo: 120*1 flops, 2*4*16 bytes
   const auto plan = CompiledCircuit::compile(circuit);
   const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
   EXPECT_EQ(estimate.plan_ops, 4u);
   EXPECT_EQ(estimate.fused_runs, 0u);
-  EXPECT_DOUBLE_EQ(estimate.flops, 28.0 * 2 + 28.0 * 2 + 2.0 + 120.0);
+  EXPECT_DOUBLE_EQ(estimate.flops, 28.0 * 2 + 12.0 * 2 + 2.0 + 120.0);
   EXPECT_DOUBLE_EQ(estimate.bytes, 128.0 + 128.0 + 32.0 + 128.0);
+}
+
+TEST(PlanResources, ChargesEachKernelItsOwnFlops) {
+  // 3 qubits: amps = 8, pairs = 4, quads = 2.
+  for (const gates::Axis axis :
+       {gates::Axis::kX, gates::Axis::kY, gates::Axis::kZ}) {
+    Circuit rotation(3);
+    rotation.add_rotation(axis, 2);  // specialised body: 12 per pair
+    EXPECT_DOUBLE_EQ(
+        estimate_plan_resources(*CompiledCircuit::compile(rotation)).flops,
+        12.0 * 4);
+    Circuit fixed(3);
+    fixed.add_fixed_rotation(axis, 2, 0.3);  // generic 2x2: 28 per pair
+    EXPECT_DOUBLE_EQ(
+        estimate_plan_resources(*CompiledCircuit::compile(fixed)).flops,
+        28.0 * 4);
+    Circuit controlled(3);
+    controlled.add_controlled_rotation(axis, 0, 2);  // generic, half the pairs
+    EXPECT_DOUBLE_EQ(
+        estimate_plan_resources(*CompiledCircuit::compile(controlled)).flops,
+        28.0 * 2);
+  }
 }
 
 TEST(PlanResources, FusionSavesBytesButNotFlops) {
