@@ -201,7 +201,10 @@ PoolReferences collect_pool_references(const Circuit& circuit,
 
 // --- QP100: shape agreement -------------------------------------------------
 
-void check_shapes(const Circuit& circuit, const CompiledCircuit& plan,
+/// Returns false when the parameter counts disagree. The plan's parameter
+/// tables cannot then be trusted to hold num_parameters() entries, so the
+/// binding checks (QP104), which walk them, must not run.
+bool check_shapes(const Circuit& circuit, const CompiledCircuit& plan,
                   const PlanVerifyOptions& options, Diagnostics& out) {
   CodeSink sink(out, options, Severity::kError, "QP100");
   if (plan.num_qubits() != circuit.num_qubits()) {
@@ -210,7 +213,8 @@ void check_shapes(const Circuit& circuit, const CompiledCircuit& plan,
         << " qubit(s) but the circuit has " << circuit.num_qubits();
     sink.add(msg.str(), "num_qubits");
   }
-  if (plan.num_parameters() != circuit.num_parameters()) {
+  const bool params_agree = plan.num_parameters() == circuit.num_parameters();
+  if (!params_agree) {
     std::ostringstream msg;
     msg << "plan binds " << plan.num_parameters()
         << " parameter(s) but the circuit has " << circuit.num_parameters();
@@ -222,6 +226,7 @@ void check_shapes(const Circuit& circuit, const CompiledCircuit& plan,
         << " source op(s) but the circuit has " << circuit.num_operations();
     sink.add(msg.str(), "source_ops");
   }
+  return params_agree;
 }
 
 // --- QP101: matrix-pool unitarity -------------------------------------------
@@ -413,8 +418,8 @@ void check_bindings(const Circuit& circuit, const CompiledCircuit& plan,
                     const PlanVerifyOptions& options, Diagnostics& out) {
   const auto& ops = circuit.operations();
   const auto plan_ops = plan.plan_ops();
-  const std::size_t num_params =
-      std::min(circuit.num_parameters(), plan.num_parameters());
+  // verify_plan runs this only when the plan's parameter count agrees.
+  const std::size_t num_params = circuit.num_parameters();
 
   std::vector<std::size_t> source_first(num_params, kNoOp);
   std::vector<std::size_t> source_uses(num_params, 0);
@@ -776,11 +781,11 @@ Diagnostics verify_plan(const Circuit& circuit,
                         const PlanVerifyOptions& options) {
   Diagnostics out;
   const PoolReferences refs = collect_pool_references(circuit, plan);
-  check_shapes(circuit, plan, options, out);
+  const bool params_agree = check_shapes(circuit, plan, options, out);
   check_pool_unitarity(circuit, plan, refs, options, out);
   check_pool_inverses(circuit, plan, refs, options, out);
   check_fusion(circuit, plan, options, out);
-  check_bindings(circuit, plan, options, out);
+  if (params_agree) check_bindings(circuit, plan, options, out);
   check_coverage(circuit, plan, options, out);
   check_custom_fallback(circuit, plan, options, out);
   check_batch_slots(circuit, plan, options, out);

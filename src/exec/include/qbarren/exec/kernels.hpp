@@ -26,6 +26,14 @@
 //    signed zeros never reach reported values, since expectations and
 //    inner products accumulate from +0. Hence no numerics or fingerprint
 //    bump accompanied the specialisation.
+//  * RX and RZ compute each subtracted term d*x - o*y as d*x + (-o)*y.
+//    IEEE subtraction is addition of the negation and negating a factor
+//    negates the product exactly, so this is bit-identical on every
+//    component, signed zeros included: no value, and hence no numerics
+//    version or fingerprint, changes.
+//  * CZ, controlled and two-qubit kernels enumerate the indices whose two
+//    qubit bits match a pattern as contiguous runs instead of scanning and
+//    skipping; the visited amplitudes and their arithmetic are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +95,14 @@ void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
                                          std::size_t target);
 
 /// CZ on (a, b): negates the quarter of the amplitudes with both qubit
-/// bits set, enumerating that subspace directly instead of scanning the
+/// bits set, enumerating them as contiguous runs instead of scanning the
 /// whole vector with a branch. Negation is exact, so the result is
 /// bit-identical to StateVector::apply_cz.
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b);
 
-/// CZ applied to two states in one pass (the adjoint sweep un-applies
-/// every constant gate from both phi and lambda).
+/// CZ applied to both states (the adjoint sweep un-applies every constant
+/// gate from both phi and lambda), one state after the other: a joint pass
+/// over two vectors that may alias measured about half as fast.
 void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
                    std::size_t qubit_b);
 

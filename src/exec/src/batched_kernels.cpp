@@ -1,7 +1,5 @@
 #include "qbarren/exec/batched_kernels.hpp"
 
-#include <algorithm>
-
 #include "kernel_bodies.hpp"
 
 namespace qbarren::exec {
@@ -16,8 +14,6 @@ namespace qbarren::exec {
 // one, stated in kernel_bodies.hpp and qbarren/exec/kernels.hpp; per-lane
 // results are bit-identical to the serial kernels', with no numerics bump.
 
-using detail::cadd;
-using detail::cmul;
 using detail::Mat2Body;
 using detail::pack;
 using detail::raw;
@@ -145,26 +141,17 @@ void batched_apply_controlled_per_lane(BatchedStateVector& batch,
 
 void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
                       std::size_t qubit_a, std::size_t qubit_b) {
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = batch.dimension();
   for (std::size_t b = 0; b < lanes; ++b) {
     Complex* amps = batch.lane_data(b);
-    for (std::size_t x = 0; x < dim / 4; ++x) {
-      const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
-      amps[i] = -amps[i];
-    }
+    detail::for_each_index_matching(
+        batch.dimension(), qubit_a, true, qubit_b, true,
+        [&](std::size_t i) { amps[i] = -amps[i]; });
   }
 }
 
 void batched_apply_mat4(BatchedStateVector& batch, std::size_t lanes,
                         const ComplexMatrix& u, std::size_t q_low,
                         std::size_t q_high) {
-  const std::size_t bl = std::size_t{1} << q_low;
-  const std::size_t bh = std::size_t{1} << q_high;
-  const std::size_t dim = batch.dimension();
   RawC m[4][4];
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
@@ -173,21 +160,7 @@ void batched_apply_mat4(BatchedStateVector& batch, std::size_t lanes,
   }
   for (std::size_t b = 0; b < lanes; ++b) {
     Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim; ++i) {
-      if ((i & bl) != 0 || (i & bh) != 0) continue;  // base of each 4-group
-      const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
-      RawC in[4];
-      for (std::size_t k = 0; k < 4; ++k) {
-        in[k] = raw(amps[idx[k]]);
-      }
-      for (std::size_t r = 0; r < 4; ++r) {
-        RawC acc{0.0, 0.0};
-        for (std::size_t c = 0; c < 4; ++c) {
-          acc = cadd(acc, cmul(m[r][c], in[c]));
-        }
-        amps[idx[r]] = pack(acc);
-      }
-    }
+    detail::for_each_quad(amps, amps, batch.dimension(), m, q_low, q_high);
   }
 }
 

@@ -23,8 +23,14 @@
 //   results (expectations and inner products accumulate from +0, which no
 //   zero addend can turn into -0), which is why this needs no numerics or
 //   fingerprint bump.
+//
+// * RX and RZ fold each subtracted term's sign into a negated entry
+//   (d*x - o*y as d*x + n*y, n = -o): IEEE 754 defines x - y as x + (-y)
+//   and (-o)*y is exactly -(o*y), so no component changes, signed zeros
+//   included, and no numerics or fingerprint bump is needed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -77,19 +83,21 @@ struct Mat2Body {
 };
 
 /// RX shape [[c, -is], [-is, c]]: real diagonal, imaginary off-diagonal
-/// (also the shape of RX's derivative). 12 flops per pair.
+/// (also the shape of RX's derivative). 12 flops per pair, sign-folded.
 struct RxBody {
-  double d0, o01, o10, d1;  // m00.re, m01.im, m10.im, m11.re
+  double d0, o01, n01, o10, n10, d1;  // n = -o
 
   explicit RxBody(const gates::Mat2& u)
       : d0(u.m00.real()),
         o01(u.m01.imag()),
+        n01(-o01),
         o10(u.m10.imag()),
+        n10(-o10),
         d1(u.m11.real()) {}
 
   void operator()(RawC& a0, RawC& a1) const {
-    const RawC b0{d0 * a0.re - o01 * a1.im, d0 * a0.im + o01 * a1.re};
-    a1 = RawC{d1 * a1.re - o10 * a0.im, d1 * a1.im + o10 * a0.re};
+    const RawC b0{d0 * a0.re + n01 * a1.im, d0 * a0.im + o01 * a1.re};
+    a1 = RawC{d1 * a1.re + n10 * a0.im, d1 * a1.im + o10 * a0.re};
     a0 = b0;
   }
 };
@@ -113,15 +121,18 @@ struct RyBody {
 };
 
 /// RZ shape diag(e^{-i theta/2}, e^{i theta/2}): exact-zero off-diagonal
-/// (also the shape of RZ's derivative). 12 flops per pair.
+/// (also the shape of RZ's derivative). 12 flops per pair: cmul,
+/// sign-folded.
 struct RzBody {
   RawC u00, u11;
+  double n0, n1;  // -u00.im, -u11.im
 
-  explicit RzBody(const gates::Mat2& u) : u00(raw(u.m00)), u11(raw(u.m11)) {}
+  explicit RzBody(const gates::Mat2& u)
+      : u00(raw(u.m00)), u11(raw(u.m11)), n0(-u00.im), n1(-u11.im) {}
 
   void operator()(RawC& a0, RawC& a1) const {
-    a0 = cmul(u00, a0);
-    a1 = cmul(u11, a1);
+    a0 = RawC{u00.re * a0.re + n0 * a0.im, u00.re * a0.im + u00.im * a0.re};
+    a1 = RawC{u11.re * a1.re + n1 * a1.im, u11.re * a1.im + u11.im * a1.re};
   }
 };
 
@@ -182,6 +193,17 @@ inline void with_rotation_body(gates::Axis axis, const gates::Mat2& u,
 template <class F>
 inline void for_each_pair_index(std::size_t dim, std::size_t target, F&& f) {
   const std::size_t bit = std::size_t{1} << target;
+  if (bit == 1) {  // target 0: adjacent pairs, one flat loop
+    for (std::size_t i0 = 0; i0 < dim; i0 += 2) f(i0, i0 + 1);
+    return;
+  }
+  if (bit == 2) {  // target 1: two pairs per block of four
+    for (std::size_t i0 = 0; i0 < dim; i0 += 4) {
+      f(i0, i0 + 2);
+      f(i0 + 1, i0 + 3);
+    }
+    return;
+  }
   for (std::size_t base = 0; base < dim; base += 2 * bit) {
     for (std::size_t i0 = base; i0 < base + bit; ++i0) {
       f(i0, i0 + bit);
@@ -204,32 +226,70 @@ inline void for_each_pair(Complex* amps, std::size_t dim, std::size_t target,
   });
 }
 
-/// Applies `body` to the `target` pairs whose `control` bit is set,
-/// scanning in ascending index order as StateVector::apply_controlled.
+/// Calls f(i) for every i in [0, dim) whose bit `a` is `a_set` and whose
+/// bit `b` is `b_set` (a != b), in ascending order. Those indices form
+/// contiguous runs of 2^min(a, b), so the inner loop is affine.
+template <class F>
+inline void for_each_index_matching(std::size_t dim, std::size_t a,
+                                    bool a_set, std::size_t b, bool b_set,
+                                    F&& f) {
+  const std::size_t lo = std::size_t{1} << std::min(a, b);
+  const std::size_t hi = std::size_t{1} << std::max(a, b);
+  const std::size_t set = (std::size_t{a_set} << a) | (std::size_t{b_set} << b);
+  if (hi == 2) {  // bits 0 and 1: one index in every four
+    for (std::size_t i = set; i < dim; i += 4) f(i);
+    return;
+  }
+  for (std::size_t block = set & hi; block < dim; block += 2 * hi) {
+    if (lo == 1) {  // runs of one: every other index of the block
+      for (std::size_t i = block + (set & 1); i < block + hi; i += 2) f(i);
+    } else {
+      for (std::size_t run = block + (set & lo); run < block + hi;
+           run += 2 * lo) {
+        for (std::size_t i = run; i < run + lo; ++i) f(i);
+      }
+    }
+  }
+}
+
+/// Applies `body` to the `target` pairs whose `control` bit is set, in
+/// ascending index order as StateVector::apply_controlled.
 template <class Body>
 inline void for_each_controlled_pair(Complex* amps, std::size_t dim,
                                      std::size_t control, std::size_t target,
                                      const Body body) {
-  const std::size_t cbit = std::size_t{1} << control;
   const std::size_t tbit = std::size_t{1} << target;
-  for (std::size_t i0 = 0; i0 < dim; ++i0) {
-    if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-    const std::size_t i1 = i0 | tbit;
+  const auto pair = [&](std::size_t i0) {
     RawC a0 = raw(amps[i0]);
-    RawC a1 = raw(amps[i1]);
+    RawC a1 = raw(amps[i0 + tbit]);
     body(a0, a1);
     amps[i0] = pack(a0);
-    amps[i1] = pack(a1);
-  }
+    amps[i0 + tbit] = pack(a1);
+  };
+  for_each_index_matching(dim, control, true, target, false, pair);
 }
 
-/// Ascending enumeration of the basis indices with both qubit bits set:
-/// expand x (over the quarter-sized subspace) by inserting a bit at the
-/// lower position, then at the higher, then set both.
-inline std::size_t both_set_index(std::size_t x, std::size_t low_mask,
-                                  std::size_t high_mask, std::size_t bits) {
-  const std::size_t t = ((x & ~low_mask) << 1) | (x & low_mask);
-  return (((t & ~high_mask) << 1) | (t & high_mask)) | bits;
+/// out <- (m on q_low, q_high) in, with apply_two_qubit's 4-group order
+/// and accumulation order (matrix bit 0 = q_low). Each group is read in
+/// full before it is written, so out may equal in.
+inline void for_each_quad(const Complex* in, Complex* out, std::size_t dim,
+                          const RawC (&m)[4][4], std::size_t q_low,
+                          std::size_t q_high) {
+  const std::size_t bl = std::size_t{1} << q_low;
+  const std::size_t bh = std::size_t{1} << q_high;
+  const auto quad = [&](std::size_t i) {
+    const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
+    RawC a[4];
+    for (std::size_t k = 0; k < 4; ++k) a[k] = raw(in[idx[k]]);
+    for (std::size_t r = 0; r < 4; ++r) {
+      RawC acc{0.0, 0.0};
+      for (std::size_t c = 0; c < 4; ++c) {
+        acc = cadd(acc, cmul(m[r][c], a[c]));
+      }
+      out[idx[r]] = pack(acc);
+    }
+  };
+  for_each_index_matching(dim, q_low, false, q_high, false, quad);
 }
 
 }  // namespace qbarren::exec::detail

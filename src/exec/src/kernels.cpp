@@ -1,7 +1,5 @@
 #include "qbarren/exec/kernels.hpp"
 
-#include <algorithm>
-
 #include "kernel_bodies.hpp"
 
 namespace qbarren::exec {
@@ -89,32 +87,16 @@ void apply_mat2_from(StateVector& dst, const StateVector& src,
 }
 
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
-  auto& amps = state.amplitudes();
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = amps.size();
-  for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
-    amps[i] = -amps[i];
-  }
+  Complex* amps = state.amplitudes().data();
+  detail::for_each_index_matching(
+      state.dimension(), qubit_a, true, qubit_b, true,
+      [&](std::size_t i) { amps[i] = -amps[i]; });
 }
 
 void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
                    std::size_t qubit_b) {
-  auto& a1 = s1.amplitudes();
-  auto& a2 = s2.amplitudes();
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = a1.size();
-  for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = detail::both_set_index(x, lm, hm, bl | bh);
-    a1[i] = -a1[i];
-    a2[i] = -a2[i];
-  }
+  apply_cz(s1, qubit_a, qubit_b);
+  apply_cz(s2, qubit_a, qubit_b);
 }
 
 Complex inner_product_mat2(const StateVector& lambda, const StateVector& phi,
@@ -202,32 +184,14 @@ Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
 void apply_mat4_from(StateVector& dst, const StateVector& src,
                      const Complex (&m)[4][4], std::size_t q_low,
                      std::size_t q_high) {
-  auto& out = dst.amplitudes();
-  const auto& in_amps = src.amplitudes();
-  const std::size_t bl = std::size_t{1} << q_low;
-  const std::size_t bh = std::size_t{1} << q_high;
-  const std::size_t dim = in_amps.size();
   RawC u[4][4];
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       u[r][c] = raw(m[r][c]);
     }
   }
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & bl) != 0 || (i & bh) != 0) continue;  // base of each 4-group
-    const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
-    RawC in[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      in[k] = raw(in_amps[idx[k]]);
-    }
-    for (std::size_t r = 0; r < 4; ++r) {
-      RawC acc{0.0, 0.0};
-      for (std::size_t c = 0; c < 4; ++c) {
-        acc = cadd(acc, cmul(u[r][c], in[c]));
-      }
-      out[idx[r]] = pack(acc);
-    }
-  }
+  detail::for_each_quad(src.amplitudes().data(), dst.amplitudes().data(),
+                        src.dimension(), u, q_low, q_high);
 }
 
 }  // namespace qbarren::exec

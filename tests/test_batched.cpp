@@ -606,5 +606,105 @@ TEST(BatchedKernels, RotationPairMatchesTwoInterpretedAppliesPerLane) {
   }
 }
 
+// --- run-based index enumeration, lane by lane -------------------------------
+//
+// Batched CZ, controlled 2x2 (uniform and per-lane) and 4x4 kernels against
+// the interpreted scan-and-skip loops, per lane, for every ordered qubit
+// pair: bit-identical on every component, signed zeros included.
+
+void expect_lane_bit_identical(const BatchedStateVector& batch, std::size_t b,
+                               const StateVector& want,
+                               const std::string& what) {
+  const StateVector got = batch.extract_lane(b);
+  for (std::size_t i = 0; i < want.dimension(); ++i) {
+    const Complex g = got.amplitudes()[i];
+    const Complex w = want.amplitudes()[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.real()),
+              std::bit_cast<std::uint64_t>(w.real()))
+        << what << ", lane " << b << ", amplitude " << i << " real";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.imag()),
+              std::bit_cast<std::uint64_t>(w.imag()))
+        << what << ", lane " << b << ", amplitude " << i << " imag";
+  }
+}
+
+// kernel_input_batch's five lanes plus two whose components are +0, -0 or
+// normal at random.
+BatchedStateVector signed_zero_batch(std::size_t qubits, Rng& rng) {
+  const BatchedStateVector base = kernel_input_batch(qubits, rng);
+  BatchedStateVector batch(qubits, base.batch_size() + 2);
+  for (std::size_t b = 0; b < base.batch_size(); ++b) {
+    batch.set_lane(b, base.extract_lane(b));
+  }
+  const auto component = [&] {
+    const std::size_t pick = rng.index(3);
+    return pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.normal();
+  };
+  for (std::size_t b = base.batch_size(); b < batch.batch_size(); ++b) {
+    StateVector mixed(qubits);
+    for (Complex& a : mixed.amplitudes()) {
+      const double re = component();
+      a = Complex(re, component());
+    }
+    batch.set_lane(b, mixed);
+  }
+  return batch;
+}
+
+TEST(BatchedKernels, TwoQubitKernelsMatchInterpretedApplyPerLane) {
+  const ComplexMatrix u = gates::u3(0.7, 1.9, -0.4);
+  Rng rng(84);
+  ComplexMatrix dense4(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      dense4(r, c) = Complex(rng.normal(), rng.normal());
+    }
+  }
+  for (std::size_t q = 2; q <= 6; ++q) {
+    const BatchedStateVector inputs = signed_zero_batch(q, rng);
+    const std::size_t lanes = inputs.batch_size();
+    std::vector<gates::Mat2> entries(lanes);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      entries[b] = gates::rotation_entries(gates::Axis::kX, 0.3 * b - 0.7);
+    }
+    for (std::size_t a = 0; a < q; ++a) {
+      for (std::size_t t = 0; t < q; ++t) {
+        if (a == t) continue;
+        const std::string name = "q=" + std::to_string(q) + " pair (" +
+                                 std::to_string(a) + "," + std::to_string(t) +
+                                 ")";
+        BatchedStateVector cz = inputs;
+        exec::batched_apply_cz(cz, lanes, a, t);
+        BatchedStateVector controlled = inputs;
+        exec::batched_apply_controlled_mat2(controlled, lanes,
+                                            gates::entries_of(u), a, t);
+        BatchedStateVector per_lane = inputs;
+        exec::batched_apply_controlled_per_lane(per_lane, lanes,
+                                                entries.data(), a, t);
+        BatchedStateVector mat4 = inputs;
+        exec::batched_apply_mat4(mat4, lanes, dense4, a, t);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          const StateVector lane = inputs.extract_lane(b);
+          StateVector want_cz = lane;
+          want_cz.apply_cz(a, t);
+          expect_lane_bit_identical(cz, b, want_cz, "cz " + name);
+          StateVector want_controlled = lane;
+          want_controlled.apply_controlled(u, a, t);
+          expect_lane_bit_identical(controlled, b, want_controlled,
+                                    "controlled " + name);
+          StateVector want_per_lane = lane;
+          want_per_lane.apply_controlled(
+              gates::rotation(gates::Axis::kX, 0.3 * b - 0.7), a, t);
+          expect_lane_bit_identical(per_lane, b, want_per_lane,
+                                    "controlled per-lane " + name);
+          StateVector want_mat4 = lane;
+          want_mat4.apply_two_qubit(dense4, a, t);
+          expect_lane_bit_identical(mat4, b, want_mat4, "mat4 " + name);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qbarren

@@ -15,9 +15,11 @@
 
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
+#include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/kernels.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
+#include "qbarren/qsim/batched_statevector.hpp"
 
 namespace qbarren {
 namespace {
@@ -545,6 +547,225 @@ TEST(Kernels, AdjointRotationSweepMatchesSeparatePasses) {
             expect_same_amplitudes(phi, want_phi, "phi " + name);
             expect_same_amplitudes(lambda, want_lambda, "lambda " + name);
             EXPECT_EQ(acc, want_acc) << name;
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- bit identity on every component -----------------------------------------
+//
+// The kernels below must match their reference on every amplitude
+// component under std::bit_cast, signed zeros included. Their inputs add
+// states whose components are +0, -0 or normal at random to the
+// exact-zero inputs above.
+
+void expect_bit_identical(const StateVector& got, const StateVector& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.dimension(), want.dimension()) << what;
+  for (std::size_t i = 0; i < want.dimension(); ++i) {
+    const Complex g = got.amplitudes()[i];
+    const Complex w = want.amplitudes()[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.real()),
+              std::bit_cast<std::uint64_t>(w.real()))
+        << what << ", amplitude " << i << " real";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.imag()),
+              std::bit_cast<std::uint64_t>(w.imag()))
+        << what << ", amplitude " << i << " imag";
+  }
+}
+
+std::vector<StateVector> signed_zero_inputs(std::size_t qubits, Rng& rng) {
+  std::vector<StateVector> states = kernel_inputs(qubits, rng);
+  for (int k = 0; k < 2; ++k) {
+    StateVector mixed(qubits);
+    const auto component = [&] {
+      const std::size_t pick = rng.index(3);
+      return pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.normal();
+    };
+    for (Complex& a : mixed.amplitudes()) {
+      const double re = component();
+      a = Complex(re, component());
+    }
+    states.push_back(mixed);
+  }
+  return states;
+}
+
+// --- run-based index enumeration ---------------------------------------------
+//
+// CZ, the controlled 2x2 and the 4-group kernels enumerate the indices
+// whose two qubit bits match a pattern as contiguous runs, where the
+// interpreted kernels scan every index and skip. Every ordered pair,
+// adjacent or not, with a > b as well as a < b.
+
+TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
+  const ComplexMatrix u = gates::u3(0.7, 1.9, -0.4);
+  Rng rng(75);
+  ComplexMatrix dense4(4, 4);
+  Complex m4[4][4];
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      dense4(r, c) = Complex(rng.normal(), rng.normal());
+      m4[r][c] = dense4(r, c);
+    }
+  }
+  for (std::size_t q = 2; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      const StateVector& other = inputs[(n + 1) % inputs.size()];
+      for (std::size_t a = 0; a < q; ++a) {
+        for (std::size_t b = 0; b < q; ++b) {
+          if (a == b) continue;
+          const std::string name = "q=" + std::to_string(q) + " input " +
+                                   std::to_string(n) + " pair (" +
+                                   std::to_string(a) + "," +
+                                   std::to_string(b) + ")";
+          StateVector want_cz = inputs[n];
+          want_cz.apply_cz(a, b);
+          StateVector cz = inputs[n];
+          exec::apply_cz(cz, a, b);
+          expect_bit_identical(cz, want_cz, "cz " + name);
+
+          StateVector want_other = other;
+          want_other.apply_cz(a, b);
+          StateVector first = inputs[n];
+          StateVector second = other;
+          exec::apply_cz_pair(first, second, a, b);
+          expect_bit_identical(first, want_cz, "cz pair first " + name);
+          expect_bit_identical(second, want_other, "cz pair second " + name);
+
+          StateVector want_controlled = inputs[n];
+          want_controlled.apply_controlled(u, a, b);
+          StateVector controlled = inputs[n];
+          exec::apply_controlled_mat2(controlled, gates::entries_of(u), a, b);
+          expect_bit_identical(controlled, want_controlled,
+                               "controlled " + name);
+
+          StateVector want_mat4 = inputs[n];
+          want_mat4.apply_two_qubit(dense4, a, b);
+          StateVector mat4(q);
+          exec::apply_mat4_from(mat4, inputs[n], m4, a, b);
+          expect_bit_identical(mat4, want_mat4, "mat4 " + name);
+        }
+      }
+    }
+  }
+}
+
+// --- sign-folded RX / RZ bodies ----------------------------------------------
+//
+// RX and RZ compute each subtracted term as a product with a precomputed
+// negated entry, d*x + (-o)*y. The subtract-form bodies below, d*x - o*y,
+// are the oracle: IEEE defines x - y as x + (-y) and (-o)*y is exactly
+// -(o*y), so the folded kernels must match them bit for bit on every
+// component, signed zeros included.
+
+void oracle_rx(StateVector& state, const gates::Mat2& u, std::size_t target) {
+  const double d0 = u.m00.real();
+  const double o01 = u.m01.imag();
+  const double o10 = u.m10.imag();
+  const double d1 = u.m11.real();
+  auto& amps = state.amplitudes();
+  const std::size_t bit = std::size_t{1} << target;
+  for (std::size_t i0 = 0; i0 < amps.size(); ++i0) {
+    if ((i0 & bit) != 0) continue;
+    const Complex a0 = amps[i0];
+    const Complex a1 = amps[i0 | bit];
+    amps[i0] = Complex(d0 * a0.real() - o01 * a1.imag(),
+                       d0 * a0.imag() + o01 * a1.real());
+    amps[i0 | bit] = Complex(d1 * a1.real() - o10 * a0.imag(),
+                             d1 * a1.imag() + o10 * a0.real());
+  }
+}
+
+void oracle_rz(StateVector& state, const gates::Mat2& u, std::size_t target) {
+  const auto phase = [](Complex p, Complex a) {
+    return Complex(p.real() * a.real() - p.imag() * a.imag(),
+                   p.real() * a.imag() + p.imag() * a.real());
+  };
+  auto& amps = state.amplitudes();
+  const std::size_t bit = std::size_t{1} << target;
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    amps[i] = phase((i & bit) == 0 ? u.m00 : u.m11, amps[i]);
+  }
+}
+
+void oracle_apply(StateVector& state, gates::Axis axis, const gates::Mat2& u,
+                  std::size_t target) {
+  if (axis == gates::Axis::kX) {
+    oracle_rx(state, u, target);
+  } else {
+    oracle_rz(state, u, target);
+  }
+}
+
+TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
+  // -0.0 makes an off-diagonal entry component +0 (RX: -sin(-0/2)), the
+  // one case where folding by 0.0 - o instead of -o would flip a zero.
+  constexpr double kFoldAngles[] = {0.0, -0.0, 0.37, -2.1, M_PI};
+  constexpr gates::Axis kFolded[] = {gates::Axis::kX, gates::Axis::kZ};
+  Rng rng(76);
+  for (std::size_t q = 1; q <= 6; ++q) {
+    const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    BatchedStateVector batch(q, inputs.size());
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      batch.set_lane(n, inputs[n]);
+    }
+    for (const gates::Axis axis : kFolded) {
+      for (const double angle : kFoldAngles) {
+        for (const bool derivative : {false, true}) {
+          const gates::Mat2 u =
+              derivative ? gates::rotation_derivative_entries(axis, angle)
+                         : gates::rotation_entries(axis, angle);
+          for (std::size_t t = 0; t < q; ++t) {
+            const std::string name =
+                "q=" + std::to_string(q) + " axis " +
+                std::to_string(static_cast<int>(axis)) + " angle " +
+                std::to_string(angle) + " target " + std::to_string(t) +
+                (derivative ? " derivative" : " rotation");
+            BatchedStateVector uniform = batch;
+            exec::batched_apply_rotation_mat2(uniform, inputs.size(), axis,
+                                              u, t);
+            for (std::size_t n = 0; n < inputs.size(); ++n) {
+              StateVector want = inputs[n];
+              oracle_apply(want, axis, u, t);
+              StateVector got = inputs[n];
+              exec::apply_rotation_mat2(got, axis, u, t);
+              expect_bit_identical(got, want,
+                                   "serial input " + std::to_string(n) +
+                                       " " + name);
+              expect_bit_identical(uniform.extract_lane(n), want,
+                                   "batched lane " + std::to_string(n) +
+                                       " " + name);
+
+              // The adjoint sweep applies the body to phi and lambda.
+              StateVector phi = inputs[n];
+              StateVector lambda = inputs[(n + 1) % inputs.size()];
+              StateVector want_lambda = lambda;
+              oracle_apply(want_lambda, axis, u, t);
+              (void)exec::adjoint_rotation_sweep(phi, lambda, axis, u, u, t);
+              expect_bit_identical(phi, want,
+                                   "sweep phi input " + std::to_string(n) +
+                                       " " + name);
+              expect_bit_identical(lambda, want_lambda,
+                                   "sweep lambda input " +
+                                       std::to_string(n) + " " + name);
+
+              // Fused same-qubit pairs: RX then RZ, RZ then RX.
+              const gates::Axis other = axis == gates::Axis::kX
+                                            ? gates::Axis::kZ
+                                            : gates::Axis::kX;
+              const gates::Mat2 v = gates::rotation_entries(other, 1.3);
+              StateVector want_pair = want;
+              oracle_apply(want_pair, other, v, t);
+              StateVector pair = inputs[n];
+              exec::apply_rotation_pair(pair, axis, u, other, v, t);
+              expect_bit_identical(pair, want_pair,
+                                   "pair input " + std::to_string(n) + " " +
+                                       name);
+            }
           }
         }
       }
