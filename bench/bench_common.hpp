@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <string>
 
+#include "qbarren/exec/kernel_isa.hpp"
+
 namespace qbarren::bench {
 
 inline void print_banner(const std::string& experiment,
@@ -17,6 +19,21 @@ inline void print_banner(const std::string& experiment,
   std::printf("================================================================\n");
   std::printf("%s\n%s\n", experiment.c_str(), description.c_str());
   std::printf("================================================================\n\n");
+}
+
+/// Runs the registered google-benchmark timings, with the gate kernels'
+/// ISA variant (qbarren/exec/kernel_isa.hpp) in the report's context, so
+/// a saved report names the variant that produced it. Returns a
+/// main()-compatible exit code.
+inline int run_benchmarks(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::AddCustomContext("kernel_isa", exec::kernel_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 /// Prints the reproduction payload via `reproduce`, then runs registered
@@ -29,13 +46,7 @@ int run_bench_main(int argc, char** argv, Fn&& reproduce) {
     std::fprintf(stderr, "reproduction failed: %s\n", e.what());
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_benchmarks(argc, argv);
 }
 
 }  // namespace qbarren::bench

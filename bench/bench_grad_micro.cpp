@@ -290,4 +290,6 @@ BENCHMARK(bm_plan_verify)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return qbarren::bench::run_benchmarks(argc, argv);
+}

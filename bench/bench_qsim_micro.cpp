@@ -94,4 +94,6 @@ BENCHMARK(bm_probability_readout)->Arg(10)->Arg(20);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return qbarren::bench::run_benchmarks(argc, argv);
+}

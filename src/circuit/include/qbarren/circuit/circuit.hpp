@@ -49,7 +49,9 @@ namespace detail {
 /// Holds a circuit's attached execution plan behind a mutex so concurrent
 /// readers (the parallel experiment executor simulates shared circuits
 /// from many threads) are safe. Copying a circuit copies the attachment —
-/// the plan is immutable and describes the same operation list.
+/// the plan is immutable and describes the same operation list. The lock
+/// guards only the const paths: clear() serves non-const mutation, which
+/// already has the circuit to itself.
 class ExecutionPlanSlot {
  public:
   ExecutionPlanSlot() = default;
@@ -67,6 +69,10 @@ class ExecutionPlanSlot {
     const std::lock_guard<std::mutex> lock(mutex_);
     plan_ = std::move(plan);
   }
+  /// Detaches without locking. Only for a caller with exclusive access to
+  /// the owning circuit (a non-const member): no other thread may be
+  /// reading or attaching concurrently, as for the operation list itself.
+  void clear() noexcept { plan_.reset(); }
 
  private:
   mutable std::mutex mutex_;
@@ -264,7 +270,7 @@ class Circuit {
 
  private:
   void check_qubit(std::size_t q) const;
-  void invalidate_execution_plan() { plan_slot_.set(nullptr); }
+  void invalidate_execution_plan() noexcept { plan_slot_.clear(); }
   void push_op(const Operation& op);
   [[nodiscard]] ComplexMatrix op_matrix(const Operation& op,
                                         std::span<const double> params) const;

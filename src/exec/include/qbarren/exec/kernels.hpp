@@ -34,6 +34,18 @@
 //  * CZ, controlled and two-qubit kernels enumerate the indices whose two
 //    qubit bits match a pattern as contiguous runs instead of scanning and
 //    skipping; the visited amplitudes and their arithmetic are unchanged.
+//  * The kernels are compiled once per x86-64 ISA level (baseline,
+//    x86-64-v3, x86-64-v4) and these functions forward to the widest one
+//    the CPU supports (qbarren/exec/kernel_isa.hpp). Every variant does the
+//    same IEEE operations in the same order: wider vectors only process
+//    independent amplitude pairs side by side, the compiler never
+//    reassociates a sum without -ffast-math, and no variant contracts a
+//    product and a sum into an FMA — the library builds with
+//    -ffp-contract=off, and products with a gate entry are sign-folded as
+//    above, since GCC 12's vectoriser fuses the naive product's
+//    add/subtract pair into FMADDSUB regardless of that flag. So every
+//    variant returns the same bits, signed zeros included, and which one
+//    runs needs no numerics version or fingerprint bump.
 #pragma once
 
 #include <cstdint>

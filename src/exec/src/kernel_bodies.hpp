@@ -1,7 +1,14 @@
 // Branch-free complex arithmetic and the amplitude-pair bodies shared by
-// the serial (kernels.cpp) and batched (batched_kernels.cpp) executors.
+// the serial (kernels.inc) and batched (batched_kernels.inc) executors.
 // Internal to src/exec: every 2x2 update either executor performs is one
 // of the bodies below, so the two paths cannot drift apart.
+//
+// Not a self-contained header: each ISA variant's translation unit
+// (kernel_variant.hpp) includes it inside that variant's namespace and
+// target region, after every header it needs (<algorithm>, <cstddef>,
+// <cstdint>, qbarren/qsim/gates.hpp). Its inline functions and templates
+// are thereby distinct per variant: no COMDAT copy built for a wider ISA
+// can be shared with a narrower one.
 //
 // Arithmetic contract:
 //
@@ -24,19 +31,24 @@
 //   zero addend can turn into -0), which is why this needs no numerics or
 //   fingerprint bump.
 //
-// * RX and RZ fold each subtracted term's sign into a negated entry
-//   (d*x - o*y as d*x + n*y, n = -o): IEEE 754 defines x - y as x + (-y)
-//   and (-o)*y is exactly -(o*y), so no component changes, signed zeros
-//   included, and no numerics or fingerprint bump is needed.
-#pragma once
+// * RX, RZ and every product with a gate entry (the generic 2x2, fused
+//   runs, controlled and 4x4 kernels) fold each subtracted term's sign
+//   into a negated entry (d*x - o*y as d*x + n*y, n = -o): IEEE 754
+//   defines x - y as x + (-y) and (-o)*y is exactly -(o*y), so no
+//   component changes, signed zeros included, and no numerics or
+//   fingerprint bump is needed.
+//
+// * Every ISA variant performs these same IEEE operations in the same
+//   order. Wider vectors only do independent amplitude pairs side by side;
+//   the compiler never reassociates a sum (no -ffast-math), and nothing
+//   is contracted into an FMA: the library builds with -ffp-contract=off
+//   (src/CMakeLists.txt), and products with a gate entry are sign-folded
+//   (Entry below) because GCC 12's vectoriser fuses the naive product's
+//   add/subtract pair into FMADDSUB regardless of that flag. So the
+//   variants agree bit for bit, signed zeros included, and the choice of
+//   variant needs no numerics or fingerprint bump.
 
-#include <algorithm>
-#include <cstddef>
-#include <cstdint>
-
-#include "qbarren/qsim/gates.hpp"
-
-namespace qbarren::exec::detail {
+namespace detail {
 
 /// One complex value held as two scalars, for branch-free products.
 struct RawC {
@@ -58,8 +70,27 @@ inline RawC cadd(RawC a, RawC b) { return RawC{a.re + b.re, a.im + b.im}; }
 
 inline RawC conj(RawC a) { return RawC{a.re, -a.im}; }
 
+/// A gate entry, fixed across a pair loop, with its imaginary part also
+/// held negated.
+struct Entry {
+  double re, im, nim;  // nim = -im
+};
+
+inline Entry entry(const Complex& c) {
+  return Entry{c.real(), c.imag(), -c.imag()};
+}
+
+/// u * a by the naive formula, its subtraction sign-folded:
+/// (u.re a.re + (-u.im) a.im, u.re a.im + u.im a.re), bit-identical to
+/// cmul(raw(u), a). Without a subtraction the two components never form
+/// the add/subtract pair that GCC 12's vectoriser fuses into FMADDSUB,
+/// -ffp-contract=off notwithstanding, once FMA or AVX-512 is enabled.
+inline RawC cmul(const Entry& u, RawC a) {
+  return RawC{u.re * a.re + u.nim * a.im, u.re * a.im + u.im * a.re};
+}
+
 /// u0*a0 + u1*a1 with the std::complex kernels' operand order.
-inline RawC mat2_row(RawC u0, RawC u1, RawC a0, RawC a1) {
+inline RawC mat2_row(const Entry& u0, const Entry& u1, RawC a0, RawC a1) {
   return cadd(cmul(u0, a0), cmul(u1, a1));
 }
 
@@ -70,10 +101,13 @@ inline RawC mat2_row(RawC u0, RawC u1, RawC a0, RawC a1) {
 
 /// Any 2x2: four complex products and two adds, 28 flops per pair.
 struct Mat2Body {
-  RawC u00, u01, u10, u11;
+  Entry u00, u01, u10, u11;
 
   explicit Mat2Body(const gates::Mat2& u)
-      : u00(raw(u.m00)), u01(raw(u.m01)), u10(raw(u.m10)), u11(raw(u.m11)) {}
+      : u00(entry(u.m00)),
+        u01(entry(u.m01)),
+        u10(entry(u.m10)),
+        u11(entry(u.m11)) {}
 
   void operator()(RawC& a0, RawC& a1) const {
     const RawC b0 = mat2_row(u00, u01, a0, a1);
@@ -273,7 +307,7 @@ inline void for_each_controlled_pair(Complex* amps, std::size_t dim,
 /// and accumulation order (matrix bit 0 = q_low). Each group is read in
 /// full before it is written, so out may equal in.
 inline void for_each_quad(const Complex* in, Complex* out, std::size_t dim,
-                          const RawC (&m)[4][4], std::size_t q_low,
+                          const Entry (&m)[4][4], std::size_t q_low,
                           std::size_t q_high) {
   const std::size_t bl = std::size_t{1} << q_low;
   const std::size_t bh = std::size_t{1} << q_high;
@@ -292,4 +326,4 @@ inline void for_each_quad(const Complex* in, Complex* out, std::size_t dim,
   for_each_index_matching(dim, q_low, false, q_high, false, quad);
 }
 
-}  // namespace qbarren::exec::detail
+}  // namespace detail

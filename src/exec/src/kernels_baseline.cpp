@@ -1,0 +1,11 @@
+// The gate kernels for the target the compiler flags select (see
+// kernel_variant.hpp).
+#include "kernel_variant.hpp"
+
+namespace qbarren::exec::isa_baseline {
+#include "kernel_bodies.hpp"
+#include "kernels.inc"
+#include "batched_kernels.inc"
+
+const KernelSet kKernels = QBARREN_KERNEL_SET;
+}  // namespace qbarren::exec::isa_baseline

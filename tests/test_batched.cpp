@@ -21,6 +21,7 @@
 #include "qbarren/common/rng.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
+#include "qbarren/exec/kernel_isa.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/cost.hpp"
@@ -700,6 +701,146 @@ TEST(BatchedKernels, TwoQubitKernelsMatchInterpretedApplyPerLane) {
           StateVector want_mat4 = lane;
           want_mat4.apply_two_qubit(dense4, a, t);
           expect_lane_bit_identical(mat4, b, want_mat4, "mat4 " + name);
+        }
+      }
+    }
+  }
+}
+
+
+// --- ISA variants, lane by lane ----------------------------------------------
+//
+// Every batched entry point of every compiled kernel variant the host can
+// run (qbarren/exec/kernel_isa.hpp) against the baseline variant:
+// std::bit_cast equality on every component of every lane, signed zeros
+// included, at q = 1..11. Seven lanes exercise the uniform kernels'
+// two-lane interleave and their odd tail.
+
+/// Lane and amplitude of the first component whose bits differ, as text,
+/// or "" when none does.
+std::string first_bit_difference(const BatchedStateVector& got,
+                                 const BatchedStateVector& want) {
+  for (std::size_t b = 0; b < want.batch_size(); ++b) {
+    for (std::size_t i = 0; i < want.dimension(); ++i) {
+      const Complex g = got.lane_data(b)[i];
+      const Complex w = want.lane_data(b)[i];
+      if (std::bit_cast<std::uint64_t>(g.real()) !=
+              std::bit_cast<std::uint64_t>(w.real()) ||
+          std::bit_cast<std::uint64_t>(g.imag()) !=
+              std::bit_cast<std::uint64_t>(w.imag())) {
+        return "lane " + std::to_string(b) + ", amplitude " +
+               std::to_string(i);
+      }
+    }
+  }
+  return "";
+}
+
+TEST(BatchedKernelVariants, EveryEntryPointMatchesBaselineBitForBit) {
+  const exec::KernelSet& base = *exec::kernel_variants().front().kernels;
+  const gates::Mat2 dense = gates::entries_of(gates::u3(0.7, 1.9, -0.4));
+  const gates::Mat2 pool[] = {gates::entries_of(gates::hadamard()), dense,
+                              gates::rotation_entries(gates::Axis::kY, 0.9)};
+  const std::uint32_t run[] = {0, 1, 2, 1};
+  Rng rng(85);
+  ComplexMatrix dense4(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      dense4(r, c) = Complex(rng.normal(), rng.normal());
+    }
+  }
+  for (std::size_t q = 1; q <= 11; ++q) {
+    const BatchedStateVector inputs = signed_zero_batch(q, rng);
+    const std::size_t lanes = inputs.batch_size();
+    std::vector<gates::Mat2> per_lane(lanes);
+    for (const exec::KernelVariant& variant : exec::kernel_variants()) {
+      if (!variant.supported) continue;
+      const auto check = [&](const std::string& what, auto&& apply) {
+        BatchedStateVector got = inputs;
+        BatchedStateVector want = inputs;
+        apply(*variant.kernels, got);
+        apply(base, want);
+        EXPECT_EQ(first_bit_difference(got, want), "")
+            << variant.isa << " " << what << " q=" << q;
+      };
+      for (std::size_t t = 0; t < q; ++t) {
+        const std::string at = " target " + std::to_string(t);
+        check("mat2" + at, [&](const exec::KernelSet& k,
+                               BatchedStateVector& s) {
+          k.batched_apply_mat2(s, lanes, dense, t);
+        });
+        for (const bool reverse : {false, true}) {
+          check("mat2 run" + at, [&](const exec::KernelSet& k,
+                                     BatchedStateVector& s) {
+            k.batched_apply_mat2_run(s, lanes, pool, run, 4, reverse, t);
+          });
+        }
+        for (const gates::Axis axis : kAxes) {
+          const std::string name =
+              " axis " + std::to_string(static_cast<int>(axis)) + at;
+          for (std::size_t b = 0; b < lanes; ++b) {
+            // -0.0 and 0.0 among the lanes' angles.
+            per_lane[b] = gates::rotation_entries(
+                axis, b == 0 ? -0.0 : kLaneAngles[(b - 1) % 5]);
+          }
+          check("mat2 per lane" + name, [&](const exec::KernelSet& k,
+                                            BatchedStateVector& s) {
+            k.batched_apply_mat2_per_lane(s, lanes, per_lane.data(), t);
+          });
+          check("rotation per lane" + name, [&](const exec::KernelSet& k,
+                                                BatchedStateVector& s) {
+            k.batched_apply_rotation_per_lane(s, lanes, axis,
+                                              per_lane.data(), t);
+          });
+          for (const double angle : {-0.0, -2.1}) {
+            check("uniform rotation" + name, [&](const exec::KernelSet& k,
+                                                 BatchedStateVector& s) {
+              k.batched_apply_rotation_mat2(
+                  s, lanes, axis, gates::rotation_entries(axis, angle), t);
+            });
+            check("uniform derivative" + name,
+                  [&](const exec::KernelSet& k, BatchedStateVector& s) {
+                    k.batched_apply_rotation_mat2(
+                        s, lanes, axis,
+                        gates::rotation_derivative_entries(axis, angle), t);
+                  });
+          }
+          for (const gates::Axis second : kAxes) {
+            check("rotation pair" + name, [&](const exec::KernelSet& k,
+                                              BatchedStateVector& s) {
+              k.batched_apply_rotation_pair(
+                  s, lanes, axis, gates::rotation_entries(axis, 0.37), second,
+                  gates::rotation_entries(second, 1.3), t);
+            });
+          }
+        }
+      }
+      for (std::size_t a = 0; a < q; ++a) {
+        for (std::size_t t = 0; t < q; ++t) {
+          if (a == t) continue;
+          const std::string pair =
+              " pair (" + std::to_string(a) + "," + std::to_string(t) + ")";
+          for (std::size_t b = 0; b < lanes; ++b) {
+            per_lane[b] =
+                gates::rotation_entries(gates::Axis::kX, 0.3 * b - 0.7);
+          }
+          check("cz" + pair, [&](const exec::KernelSet& k,
+                                 BatchedStateVector& s) {
+            k.batched_apply_cz(s, lanes, a, t);
+          });
+          check("controlled" + pair, [&](const exec::KernelSet& k,
+                                         BatchedStateVector& s) {
+            k.batched_apply_controlled_mat2(s, lanes, dense, a, t);
+          });
+          check("controlled per lane" + pair, [&](const exec::KernelSet& k,
+                                                  BatchedStateVector& s) {
+            k.batched_apply_controlled_per_lane(s, lanes, per_lane.data(), a,
+                                                t);
+          });
+          check("mat4" + pair, [&](const exec::KernelSet& k,
+                                   BatchedStateVector& s) {
+            k.batched_apply_mat4(s, lanes, dense4, a, t);
+          });
         }
       }
     }

@@ -11,11 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
+#include "qbarren/exec/kernel_isa.hpp"
 #include "qbarren/exec/kernels.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
@@ -766,6 +768,249 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
                                    "pair input " + std::to_string(n) + " " +
                                        name);
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+
+// --- ISA variants ------------------------------------------------------------
+//
+// Every compiled kernel variant the host can run (qbarren/exec/
+// kernel_isa.hpp) against the baseline variant, entry point by entry
+// point: std::bit_cast equality on every component, signed zeros
+// included. q runs to 11, so every target sees whole AVX-512 vectors of
+// amplitudes plus a remainder.
+
+constexpr std::size_t kMaxVariantQubits = 11;
+
+/// Index of the first amplitude whose components differ in any bit, or
+/// the dimension when none does.
+std::size_t first_bit_difference(const StateVector& got,
+                                 const StateVector& want) {
+  for (std::size_t i = 0; i < want.dimension(); ++i) {
+    const Complex g = got.amplitudes()[i];
+    const Complex w = want.amplitudes()[i];
+    if (std::bit_cast<std::uint64_t>(g.real()) !=
+            std::bit_cast<std::uint64_t>(w.real()) ||
+        std::bit_cast<std::uint64_t>(g.imag()) !=
+            std::bit_cast<std::uint64_t>(w.imag())) {
+      return i;
+    }
+  }
+  return want.dimension();
+}
+
+bool same_bits(Complex a, Complex b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+const exec::KernelSet& baseline_kernels() {
+  return *exec::kernel_variants().front().kernels;
+}
+
+/// Applies `apply(kernels, state)` to a copy of `input` through `variant`
+/// and through the baseline, and requires the same bits.
+template <class Apply>
+void expect_variant_matches_baseline(const exec::KernelVariant& variant,
+                                     const StateVector& input,
+                                     const std::string& what, Apply&& apply) {
+  StateVector got = input;
+  StateVector want = input;
+  apply(*variant.kernels, got);
+  apply(baseline_kernels(), want);
+  EXPECT_EQ(first_bit_difference(got, want), want.dimension())
+      << variant.isa << " " << what;
+}
+
+TEST(KernelVariants, SelectedVariantIsTheWidestTheCpuSupports) {
+  const auto variants = exec::kernel_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_TRUE(variants.front().supported);
+  const exec::KernelVariant* widest = nullptr;
+  for (const exec::KernelVariant& v : variants) {
+    const std::string_view isa = v.isa;
+    EXPECT_TRUE(isa == "x86-64" || isa == "x86-64-v3" ||
+                isa == "x86-64-v4" || isa == "generic")
+        << isa;
+    if (v.supported) widest = &v;
+  }
+  EXPECT_STREQ(exec::kernel_isa(), widest->isa);
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && \
+    defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool v3 = __builtin_cpu_supports("x86-64-v3");
+  const bool v4 = __builtin_cpu_supports("x86-64-v4");
+  for (const exec::KernelVariant& v : variants.subspan(1)) {
+    const std::string_view isa = v.isa;
+    if (isa == "x86-64-v3") {
+      EXPECT_EQ(v.supported, v3);
+    }
+    if (isa == "x86-64-v4") {
+      EXPECT_EQ(v.supported, v4);
+    }
+  }
+  const std::string_view selected = exec::kernel_isa();
+  if (selected == "x86-64-v3") {
+    EXPECT_TRUE(v3);
+  }
+  if (selected == "x86-64-v4") {
+    EXPECT_TRUE(v4);
+  }
+#endif
+}
+
+TEST(KernelVariants, SingleQubitKernelsMatchBaselineBitForBit) {
+  constexpr double kVariantAngles[] = {0.0, -0.0, 0.37, -2.1, M_PI};
+  const gates::Mat2 dense = gates::entries_of(gates::u3(0.7, 1.9, -0.4));
+  const gates::Mat2 pool[] = {gates::entries_of(gates::hadamard()), dense,
+                              gates::rotation_entries(gates::Axis::kY, 0.9)};
+  const std::uint32_t run[] = {0, 1, 2, 1};
+  Rng rng(77);
+  for (std::size_t q = 1; q <= kMaxVariantQubits; ++q) {
+    const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    for (const exec::KernelVariant& variant : exec::kernel_variants()) {
+      if (!variant.supported) continue;
+      for (std::size_t n = 0; n < inputs.size(); ++n) {
+        const StateVector& lambda_in = inputs[(n + 1) % inputs.size()];
+        for (std::size_t t = 0; t < q; ++t) {
+          const std::string at = "q=" + std::to_string(q) + " input " +
+                                 std::to_string(n) + " target " +
+                                 std::to_string(t);
+          const auto check = [&](const std::string& what, auto&& apply) {
+            expect_variant_matches_baseline(variant, inputs[n],
+                                            what + " " + at, apply);
+          };
+          check("mat2", [&](const exec::KernelSet& k, StateVector& s) {
+            k.apply_mat2(s, dense, t);
+          });
+          check("mat2 from", [&](const exec::KernelSet& k, StateVector& s) {
+            k.apply_mat2_from(s, inputs[n], dense, t);
+          });
+          for (const bool reverse : {false, true}) {
+            check("mat2 run", [&](const exec::KernelSet& k, StateVector& s) {
+              k.apply_mat2_run(s, pool, run, 4, reverse, t);
+            });
+          }
+          const Complex got_inner = variant.kernels->inner_product_mat2(
+              lambda_in, inputs[n], dense, t);
+          const Complex want_inner = baseline_kernels().inner_product_mat2(
+              lambda_in, inputs[n], dense, t);
+          EXPECT_TRUE(same_bits(got_inner, want_inner))
+              << variant.isa << " inner product " << at;
+
+          for (const gates::Axis axis : kAxes) {
+            for (const double angle : kVariantAngles) {
+              const std::string name = "axis " +
+                                       std::to_string(static_cast<int>(axis)) +
+                                       " angle " + std::to_string(angle);
+              const gates::Mat2 r = gates::rotation_entries(axis, angle);
+              const gates::Mat2 dr =
+                  gates::rotation_derivative_entries(axis, angle);
+              check("rotation " + name,
+                    [&](const exec::KernelSet& k, StateVector& s) {
+                      k.apply_rotation(s, axis, angle, t);
+                    });
+              check("rotation entries " + name,
+                    [&](const exec::KernelSet& k, StateVector& s) {
+                      k.apply_rotation_mat2(s, axis, r, t);
+                    });
+              check("derivative entries " + name,
+                    [&](const exec::KernelSet& k, StateVector& s) {
+                      k.apply_rotation_mat2(s, axis, dr, t);
+                    });
+              for (const gates::Axis second : kAxes) {
+                check("rotation pair " + name + " then axis " +
+                          std::to_string(static_cast<int>(second)),
+                      [&](const exec::KernelSet& k, StateVector& s) {
+                        k.apply_rotation_pair(
+                            s, axis, r, second,
+                            gates::rotation_entries(second, 1.3), t);
+                      });
+              }
+
+              StateVector phi = inputs[n];
+              StateVector lambda = lambda_in;
+              const Complex acc = variant.kernels->adjoint_rotation_sweep(
+                  phi, lambda, axis, r, dr, t);
+              StateVector want_phi = inputs[n];
+              StateVector want_lambda = lambda_in;
+              const Complex want_acc =
+                  baseline_kernels().adjoint_rotation_sweep(
+                      want_phi, want_lambda, axis, r, dr, t);
+              EXPECT_EQ(first_bit_difference(phi, want_phi),
+                        want_phi.dimension())
+                  << variant.isa << " sweep phi " << name << " " << at;
+              EXPECT_EQ(first_bit_difference(lambda, want_lambda),
+                        want_lambda.dimension())
+                  << variant.isa << " sweep lambda " << name << " " << at;
+              EXPECT_TRUE(same_bits(acc, want_acc))
+                  << variant.isa << " sweep value " << name << " " << at;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelVariants, TwoQubitKernelsMatchBaselineOnEveryOrderedPair) {
+  const gates::Mat2 dense = gates::entries_of(gates::u3(0.7, 1.9, -0.4));
+  Rng rng(78);
+  Complex m4[4][4];
+  for (auto& row : m4) {
+    for (Complex& e : row) e = Complex(rng.normal(), rng.normal());
+  }
+  for (std::size_t q = 2; q <= kMaxVariantQubits; ++q) {
+    const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    for (const exec::KernelVariant& variant : exec::kernel_variants()) {
+      if (!variant.supported) continue;
+      for (std::size_t n = 0; n < inputs.size(); ++n) {
+        const StateVector& other = inputs[(n + 1) % inputs.size()];
+        for (std::size_t a = 0; a < q; ++a) {
+          for (std::size_t b = 0; b < q; ++b) {
+            if (a == b) continue;
+            const std::string at = "q=" + std::to_string(q) + " input " +
+                                   std::to_string(n) + " pair (" +
+                                   std::to_string(a) + "," +
+                                   std::to_string(b) + ")";
+            const auto check = [&](const std::string& what, auto&& apply) {
+              expect_variant_matches_baseline(variant, inputs[n],
+                                              what + " " + at, apply);
+            };
+            check("cz", [&](const exec::KernelSet& k, StateVector& s) {
+              k.apply_cz(s, a, b);
+            });
+            StateVector first = inputs[n];
+            StateVector second = other;
+            variant.kernels->apply_cz_pair(first, second, a, b);
+            StateVector want_first = inputs[n];
+            StateVector want_second = other;
+            baseline_kernels().apply_cz_pair(want_first, want_second, a, b);
+            EXPECT_EQ(first_bit_difference(first, want_first),
+                      want_first.dimension())
+                << variant.isa << " cz pair first " << at;
+            EXPECT_EQ(first_bit_difference(second, want_second),
+                      want_second.dimension())
+                << variant.isa << " cz pair second " << at;
+            check("controlled", [&](const exec::KernelSet& k, StateVector& s) {
+              k.apply_controlled_mat2(s, dense, a, b);
+            });
+            for (const gates::Axis axis : kAxes) {
+              check("controlled rotation axis " +
+                        std::to_string(static_cast<int>(axis)),
+                    [&](const exec::KernelSet& k, StateVector& s) {
+                      k.apply_controlled_rotation(s, axis, -2.1, a, b);
+                    });
+            }
+            check("mat4", [&](const exec::KernelSet& k, StateVector& s) {
+              k.apply_mat4_from(s, inputs[n], m4, a, b);
+            });
           }
         }
       }
