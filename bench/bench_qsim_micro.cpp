@@ -1,10 +1,16 @@
 // Micro-benchmarks of the state-vector simulator kernels that dominate the
 // reproduction workload. No reproduction payload — pure google-benchmark.
+#include <string>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
+
+// Internal to qbarren_exec: the table of compiled ISA variants.
+#include "kernel_variant.hpp"
 
 namespace {
 
@@ -92,8 +98,47 @@ void bm_probability_readout(benchmark::State& state) {
 }
 BENCHMARK(bm_probability_readout)->Arg(10)->Arg(20);
 
+// One Fig 5a-shaped layer (a random-axis rotation on every qubit, then a
+// CZ ladder) through one compiled kernel variant. Registered in main() for
+// every variant the CPU can run, so a report shows what each ISA level
+// gains over the baseline.
+void bm_kernel_variant_layer(benchmark::State& state,
+                             const exec::KernelSet* kernels) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  std::vector<gates::Axis> axes;
+  std::vector<gates::Mat2> entries;
+  for (std::size_t q = 0; q < n; ++q) {
+    axes.push_back(static_cast<gates::Axis>(rng.uniform_int(0, 2)));
+    entries.push_back(
+        gates::rotation_entries(axes.back(), rng.uniform(0.0, 2.0 * M_PI)));
+  }
+  StateVector s(n);
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < n; ++q) {
+      kernels->apply_rotation_mat2(s, axes[q], entries[q], q);
+    }
+    for (std::size_t q = 0; q + 1 < n; ++q) {
+      kernels->apply_cz(s, q, q + 1);
+    }
+  }
+  benchmark::DoNotOptimize(s.norm_squared());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s.dimension()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (const qbarren::exec::KernelVariant& variant :
+       qbarren::exec::kernel_variants()) {
+    if (variant.supported) {
+      benchmark::RegisterBenchmark(
+          (std::string("bm_kernel_variant_layer/") + variant.isa).c_str(),
+          bm_kernel_variant_layer, variant.kernels)
+          ->Arg(10)
+          ->Arg(16);
+    }
+  }
   return qbarren::bench::run_benchmarks(argc, argv);
 }

@@ -6,18 +6,15 @@
 // x86-64-v3 (AVX2) and x86-64-v4 (AVX-512) unless the baseline already
 // implies them. At first use the public kernels (kernels.hpp,
 // batched_kernels.hpp) select the widest compiled variant the running CPU
-// supports and forward to it from then on.
+// supports and forward to it from then on. The table of variants is
+// internal (src/exec/src/kernel_variant.hpp); the kernel tests use it to
+// compare every variant the host can run with the baseline.
 //
 // Every variant performs the same IEEE operations in the same order (no
 // reassociation, no contraction into FMA; see kernels.hpp), so all return
 // identical bits. The variant in use is therefore reported, never
 // recorded: it enters no fingerprint, checkpoint or cache key.
 #pragma once
-
-#include <span>
-
-#include "qbarren/exec/batched_kernels.hpp"
-#include "qbarren/exec/kernels.hpp"
 
 namespace qbarren::exec {
 
@@ -26,46 +23,5 @@ namespace qbarren::exec {
 /// flags already imply a level (e.g. -march=native) names its baseline by
 /// that level.
 [[nodiscard]] const char* kernel_isa();
-
-/// Every kernel entry point of one variant, with the public signatures.
-struct KernelSet {
-  decltype(&exec::apply_mat2) apply_mat2;
-  decltype(&exec::apply_mat2_run) apply_mat2_run;
-  decltype(&exec::apply_controlled_mat2) apply_controlled_mat2;
-  decltype(&exec::apply_rotation) apply_rotation;
-  decltype(&exec::apply_controlled_rotation) apply_controlled_rotation;
-  decltype(&exec::apply_rotation_mat2) apply_rotation_mat2;
-  decltype(&exec::apply_rotation_pair) apply_rotation_pair;
-  decltype(&exec::inner_product_mat2) inner_product_mat2;
-  decltype(&exec::apply_cz) apply_cz;
-  decltype(&exec::apply_cz_pair) apply_cz_pair;
-  decltype(&exec::apply_mat2_from) apply_mat2_from;
-  decltype(&exec::apply_mat4_from) apply_mat4_from;
-  decltype(&exec::adjoint_rotation_sweep) adjoint_rotation_sweep;
-  decltype(&exec::batched_apply_mat2) batched_apply_mat2;
-  decltype(&exec::batched_apply_mat2_per_lane) batched_apply_mat2_per_lane;
-  decltype(&exec::batched_apply_rotation_mat2) batched_apply_rotation_mat2;
-  decltype(&exec::batched_apply_rotation_per_lane)
-      batched_apply_rotation_per_lane;
-  decltype(&exec::batched_apply_rotation_pair) batched_apply_rotation_pair;
-  decltype(&exec::batched_apply_mat2_run) batched_apply_mat2_run;
-  decltype(&exec::batched_apply_controlled_mat2) batched_apply_controlled_mat2;
-  decltype(&exec::batched_apply_controlled_per_lane)
-      batched_apply_controlled_per_lane;
-  decltype(&exec::batched_apply_cz) batched_apply_cz;
-  decltype(&exec::batched_apply_mat4) batched_apply_mat4;
-};
-
-/// One compiled variant.
-struct KernelVariant {
-  const char* isa;     ///< as kernel_isa()
-  bool supported;      ///< the running CPU can execute it
-  const KernelSet* kernels;
-};
-
-/// The compiled variants, baseline first, in ascending ISA level. The
-/// public kernels run the last supported one. Tests use this to compare
-/// every variant the host can execute against the baseline.
-[[nodiscard]] std::span<const KernelVariant> kernel_variants();
 
 }  // namespace qbarren::exec

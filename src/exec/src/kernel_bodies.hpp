@@ -42,9 +42,9 @@
 //   order. Wider vectors only do independent amplitude pairs side by side;
 //   the compiler never reassociates a sum (no -ffast-math), and nothing
 //   is contracted into an FMA: the library builds with -ffp-contract=off
-//   (src/CMakeLists.txt), and products with a gate entry are sign-folded
-//   (Entry below) because GCC 12's vectoriser fuses the naive product's
-//   add/subtract pair into FMADDSUB regardless of that flag. So the
+//   (src/common/CMakeLists.txt), and products with a gate entry are
+//   sign-folded (Entry below) because GCC 12's vectoriser fuses the naive
+//   product's add/subtract pair into FMADDSUB regardless of that flag. So the
 //   variants agree bit for bit, signed zeros included, and the choice of
 //   variant needs no numerics or fingerprint bump.
 

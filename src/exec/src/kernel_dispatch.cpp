@@ -67,143 +67,9 @@ std::span<const KernelVariant> kernel_variants() {
 
 // --- public entry points: forward to the selected variant --------------------
 
-void apply_mat2(StateVector& state, const gates::Mat2& u,
-                std::size_t target) {
-  active().apply_mat2(state, u, target);
-}
-
-void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
-                    const std::uint32_t* indices, std::size_t count,
-                    bool reverse, std::size_t target) {
-  active().apply_mat2_run(state, pool, indices, count, reverse, target);
-}
-
-void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
-                           std::size_t control, std::size_t target) {
-  active().apply_controlled_mat2(state, u, control, target);
-}
-
-void apply_rotation(StateVector& state, gates::Axis axis, double theta,
-                    std::size_t target) {
-  active().apply_rotation(state, axis, theta, target);
-}
-
-void apply_controlled_rotation(StateVector& state, gates::Axis axis,
-                               double theta, std::size_t control,
-                               std::size_t target) {
-  active().apply_controlled_rotation(state, axis, theta, control, target);
-}
-
-void apply_rotation_mat2(StateVector& state, gates::Axis axis,
-                         const gates::Mat2& u, std::size_t target) {
-  active().apply_rotation_mat2(state, axis, u, target);
-}
-
-void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
-                         const gates::Mat2& u_first, gates::Axis axis_second,
-                         const gates::Mat2& u_second, std::size_t target) {
-  active().apply_rotation_pair(state, axis_first, u_first, axis_second,
-                               u_second, target);
-}
-
-Complex inner_product_mat2(const StateVector& lambda, const StateVector& phi,
-                           const gates::Mat2& u, std::size_t target) {
-  return active().inner_product_mat2(lambda, phi, u, target);
-}
-
-void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
-  active().apply_cz(state, qubit_a, qubit_b);
-}
-
-void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
-                   std::size_t qubit_b) {
-  active().apply_cz_pair(s1, s2, qubit_a, qubit_b);
-}
-
-void apply_mat2_from(StateVector& dst, const StateVector& src,
-                     const gates::Mat2& u, std::size_t target) {
-  active().apply_mat2_from(dst, src, u, target);
-}
-
-void apply_mat4_from(StateVector& dst, const StateVector& src,
-                     const Complex (&m)[4][4], std::size_t q_low,
-                     std::size_t q_high) {
-  active().apply_mat4_from(dst, src, m, q_low, q_high);
-}
-
-Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
-                               gates::Axis axis, const gates::Mat2& inv,
-                               const gates::Mat2& dr, std::size_t target) {
-  return active().adjoint_rotation_sweep(phi, lambda, axis, inv, dr, target);
-}
-
-void batched_apply_mat2(BatchedStateVector& batch, std::size_t lanes,
-                        const gates::Mat2& u, std::size_t target) {
-  active().batched_apply_mat2(batch, lanes, u, target);
-}
-
-void batched_apply_mat2_per_lane(BatchedStateVector& batch, std::size_t lanes,
-                                 const gates::Mat2* entries,
-                                 std::size_t target) {
-  active().batched_apply_mat2_per_lane(batch, lanes, entries, target);
-}
-
-void batched_apply_rotation_mat2(BatchedStateVector& batch, std::size_t lanes,
-                                 gates::Axis axis, const gates::Mat2& u,
-                                 std::size_t target) {
-  active().batched_apply_rotation_mat2(batch, lanes, axis, u, target);
-}
-
-void batched_apply_rotation_per_lane(BatchedStateVector& batch,
-                                     std::size_t lanes, gates::Axis axis,
-                                     const gates::Mat2* entries,
-                                     std::size_t target) {
-  active().batched_apply_rotation_per_lane(batch, lanes, axis, entries,
-                                           target);
-}
-
-void batched_apply_rotation_pair(BatchedStateVector& batch, std::size_t lanes,
-                                 gates::Axis axis_first,
-                                 const gates::Mat2& u_first,
-                                 gates::Axis axis_second,
-                                 const gates::Mat2& u_second,
-                                 std::size_t target) {
-  active().batched_apply_rotation_pair(batch, lanes, axis_first, u_first,
-                                       axis_second, u_second, target);
-}
-
-void batched_apply_mat2_run(BatchedStateVector& batch, std::size_t lanes,
-                            const gates::Mat2* pool,
-                            const std::uint32_t* indices, std::size_t count,
-                            bool reverse, std::size_t target) {
-  active().batched_apply_mat2_run(batch, lanes, pool, indices, count, reverse,
-                                  target);
-}
-
-void batched_apply_controlled_mat2(BatchedStateVector& batch,
-                                   std::size_t lanes, const gates::Mat2& u,
-                                   std::size_t control, std::size_t target) {
-  active().batched_apply_controlled_mat2(batch, lanes, u, control, target);
-}
-
-void batched_apply_controlled_per_lane(BatchedStateVector& batch,
-                                       std::size_t lanes,
-                                       const gates::Mat2* entries,
-                                       std::size_t control,
-                                       std::size_t target) {
-  active().batched_apply_controlled_per_lane(batch, lanes, entries, control,
-                                             target);
-}
-
-void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
-                      std::size_t qubit_a, std::size_t qubit_b) {
-  active().batched_apply_cz(batch, lanes, qubit_a, qubit_b);
-}
-
-void batched_apply_mat4(BatchedStateVector& batch, std::size_t lanes,
-                        const ComplexMatrix& u, std::size_t q_low,
-                        std::size_t q_high) {
-  active().batched_apply_mat4(batch, lanes, u, q_low, q_high);
-}
+#define QBARREN_KERNEL_FORWARDER(ret, name, params, args) \
+  ret name params { return active().name args; }
+QBARREN_KERNEL_ENTRY_POINTS(QBARREN_KERNEL_FORWARDER)
+#undef QBARREN_KERNEL_FORWARDER
 
 }  // namespace qbarren::exec

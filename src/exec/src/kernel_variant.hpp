@@ -1,7 +1,9 @@
 // The gate kernels' ISA variants (see qbarren/exec/kernel_isa.hpp): which
-// levels this build compiles, and what each variant's translation unit
-// (kernels_baseline.cpp, kernels_x86_64_v3.cpp, kernels_x86_64_v4.cpp)
-// exports to the dispatcher (kernel_dispatch.cpp).
+// levels this build compiles, the one list of kernel entry points, and
+// the table each variant's translation unit (kernels_baseline.cpp,
+// kernels_x86_64_v3.cpp, kernels_x86_64_v4.cpp) exports to the dispatcher
+// (kernel_dispatch.cpp). Internal: only the library, its kernel tests and
+// its kernel micro-benchmarks include it.
 //
 // There is one kernel source, kernel_bodies.hpp + kernels.inc +
 // batched_kernels.inc. Each variant TU includes it inside its own
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/kernel_isa.hpp"
@@ -59,21 +62,127 @@
 #define QBARREN_KERNEL_V4 0
 #endif
 
-/// The kernel set of the variant whose namespace this expands in.
-#define QBARREN_KERNEL_SET                                                  \
-  KernelSet {                                                               \
-    apply_mat2, apply_mat2_run, apply_controlled_mat2, apply_rotation,      \
-        apply_controlled_rotation, apply_rotation_mat2, apply_rotation_pair, \
-        inner_product_mat2, apply_cz, apply_cz_pair, apply_mat2_from,       \
-        apply_mat4_from, adjoint_rotation_sweep, batched_apply_mat2,        \
-        batched_apply_mat2_per_lane, batched_apply_rotation_mat2,           \
-        batched_apply_rotation_per_lane, batched_apply_rotation_pair,       \
-        batched_apply_mat2_run, batched_apply_controlled_mat2,              \
-        batched_apply_controlled_per_lane, batched_apply_cz,                \
-        batched_apply_mat4                                                  \
-  }
+// Every kernel entry point of kernels.hpp and batched_kernels.hpp, once,
+// as X(return type, name, (parameters), (arguments)). KernelSet, each
+// variant's table and the public forwarders are all generated from it; a
+// signature that disagrees with the public declaration does not compile.
+#define QBARREN_KERNEL_ENTRY_POINTS(X)                                       \
+  X(void, apply_mat2,                                                        \
+    (StateVector& state, const gates::Mat2& u, std::size_t target),          \
+    (state, u, target))                                                      \
+  X(void, apply_mat2_run,                                                    \
+    (StateVector& state, const gates::Mat2* pool,                            \
+     const std::uint32_t* indices, std::size_t count, bool reverse,          \
+     std::size_t target),                                                    \
+    (state, pool, indices, count, reverse, target))                          \
+  X(void, apply_controlled_mat2,                                             \
+    (StateVector& state, const gates::Mat2& u, std::size_t control,          \
+     std::size_t target),                                                    \
+    (state, u, control, target))                                             \
+  X(void, apply_rotation,                                                    \
+    (StateVector& state, gates::Axis axis, double theta,                     \
+     std::size_t target),                                                    \
+    (state, axis, theta, target))                                            \
+  X(void, apply_controlled_rotation,                                         \
+    (StateVector& state, gates::Axis axis, double theta,                     \
+     std::size_t control, std::size_t target),                               \
+    (state, axis, theta, control, target))                                   \
+  X(void, apply_rotation_mat2,                                               \
+    (StateVector& state, gates::Axis axis, const gates::Mat2& u,             \
+     std::size_t target),                                                    \
+    (state, axis, u, target))                                                \
+  X(void, apply_rotation_pair,                                               \
+    (StateVector& state, gates::Axis axis_first,                             \
+     const gates::Mat2& u_first, gates::Axis axis_second,                    \
+     const gates::Mat2& u_second, std::size_t target),                       \
+    (state, axis_first, u_first, axis_second, u_second, target))             \
+  X(Complex, inner_product_mat2,                                             \
+    (const StateVector& lambda, const StateVector& phi,                      \
+     const gates::Mat2& u, std::size_t target),                              \
+    (lambda, phi, u, target))                                                \
+  X(void, apply_cz,                                                          \
+    (StateVector& state, std::size_t qubit_a, std::size_t qubit_b),          \
+    (state, qubit_a, qubit_b))                                               \
+  X(void, apply_cz_pair,                                                     \
+    (StateVector& s1, StateVector& s2, std::size_t qubit_a,                  \
+     std::size_t qubit_b),                                                   \
+    (s1, s2, qubit_a, qubit_b))                                              \
+  X(void, apply_mat2_from,                                                   \
+    (StateVector& dst, const StateVector& src, const gates::Mat2& u,         \
+     std::size_t target),                                                    \
+    (dst, src, u, target))                                                   \
+  X(void, apply_mat4_from,                                                   \
+    (StateVector& dst, const StateVector& src, const Complex (&m)[4][4],     \
+     std::size_t q_low, std::size_t q_high),                                 \
+    (dst, src, m, q_low, q_high))                                            \
+  X(Complex, adjoint_rotation_sweep,                                         \
+    (StateVector& phi, StateVector& lambda, gates::Axis axis,                \
+     const gates::Mat2& inv, const gates::Mat2& dr, std::size_t target),     \
+    (phi, lambda, axis, inv, dr, target))                                    \
+  X(void, batched_apply_mat2,                                                \
+    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2& u,     \
+     std::size_t target),                                                    \
+    (batch, lanes, u, target))                                               \
+  X(void, batched_apply_mat2_per_lane,                                       \
+    (BatchedStateVector& batch, std::size_t lanes,                           \
+     const gates::Mat2* entries, std::size_t target),                        \
+    (batch, lanes, entries, target))                                         \
+  X(void, batched_apply_rotation_mat2,                                       \
+    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis,         \
+     const gates::Mat2& u, std::size_t target),                              \
+    (batch, lanes, axis, u, target))                                         \
+  X(void, batched_apply_rotation_per_lane,                                   \
+    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis,         \
+     const gates::Mat2* entries, std::size_t target),                        \
+    (batch, lanes, axis, entries, target))                                   \
+  X(void, batched_apply_rotation_pair,                                       \
+    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis_first,   \
+     const gates::Mat2& u_first, gates::Axis axis_second,                    \
+     const gates::Mat2& u_second, std::size_t target),                       \
+    (batch, lanes, axis_first, u_first, axis_second, u_second, target))      \
+  X(void, batched_apply_mat2_run,                                            \
+    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2* pool,  \
+     const std::uint32_t* indices, std::size_t count, bool reverse,          \
+     std::size_t target),                                                    \
+    (batch, lanes, pool, indices, count, reverse, target))                   \
+  X(void, batched_apply_controlled_mat2,                                     \
+    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2& u,     \
+     std::size_t control, std::size_t target),                               \
+    (batch, lanes, u, control, target))                                      \
+  X(void, batched_apply_controlled_per_lane,                                 \
+    (BatchedStateVector& batch, std::size_t lanes,                           \
+     const gates::Mat2* entries, std::size_t control, std::size_t target),   \
+    (batch, lanes, entries, control, target))                                \
+  X(void, batched_apply_cz,                                                  \
+    (BatchedStateVector& batch, std::size_t lanes, std::size_t qubit_a,      \
+     std::size_t qubit_b),                                                   \
+    (batch, lanes, qubit_a, qubit_b))                                        \
+  X(void, batched_apply_mat4,                                                \
+    (BatchedStateVector& batch, std::size_t lanes, const ComplexMatrix& u,   \
+     std::size_t q_low, std::size_t q_high),                                 \
+    (batch, lanes, u, q_low, q_high))
 
 namespace qbarren::exec {
+
+/// Every kernel entry point of one variant, with the public signatures.
+struct KernelSet {
+#define QBARREN_KERNEL_FIELD(ret, name, params, args)                        \
+  decltype(&exec::name) name;
+  QBARREN_KERNEL_ENTRY_POINTS(QBARREN_KERNEL_FIELD)
+#undef QBARREN_KERNEL_FIELD
+};
+
+/// One compiled variant.
+struct KernelVariant {
+  const char* isa;     ///< as kernel_isa()
+  bool supported;      ///< the running CPU can execute it
+  const KernelSet* kernels;
+};
+
+/// The compiled variants, baseline first, in ascending ISA level. The
+/// public kernels run the last supported one. Tests compare every variant
+/// the host can execute against the baseline.
+[[nodiscard]] std::span<const KernelVariant> kernel_variants();
 
 namespace isa_baseline {
 extern const KernelSet kKernels;
@@ -90,3 +199,9 @@ extern const KernelSet kKernels;
 #endif
 
 }  // namespace qbarren::exec
+
+#define QBARREN_KERNEL_NAME(ret, name, params, args) name,
+
+/// The kernel set of the variant whose namespace this expands in.
+#define QBARREN_KERNEL_SET                                                   \
+  KernelSet { QBARREN_KERNEL_ENTRY_POINTS(QBARREN_KERNEL_NAME) }

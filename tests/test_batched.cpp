@@ -21,13 +21,15 @@
 #include "qbarren/common/rng.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
-#include "qbarren/exec/kernel_isa.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/cost.hpp"
 #include "qbarren/obs/observable.hpp"
 #include "qbarren/opt/rotosolve.hpp"
 #include "qbarren/qsim/batched_statevector.hpp"
+
+// Internal to qbarren_exec: the table of compiled ISA variants.
+#include "kernel_variant.hpp"
 
 namespace qbarren {
 namespace {
@@ -711,7 +713,7 @@ TEST(BatchedKernels, TwoQubitKernelsMatchInterpretedApplyPerLane) {
 // --- ISA variants, lane by lane ----------------------------------------------
 //
 // Every batched entry point of every compiled kernel variant the host can
-// run (qbarren/exec/kernel_isa.hpp) against the baseline variant:
+// run (kernel_variant.hpp) against the baseline variant:
 // std::bit_cast equality on every component of every lane, signed zeros
 // included, at q = 1..11. Seven lanes exercise the uniform kernels'
 // two-lane interleave and their odd tail.

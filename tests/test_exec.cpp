@@ -17,11 +17,13 @@
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
-#include "qbarren/exec/kernel_isa.hpp"
 #include "qbarren/exec/kernels.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
 #include "qbarren/qsim/batched_statevector.hpp"
+
+// Internal to qbarren_exec: the table of compiled ISA variants.
+#include "kernel_variant.hpp"
 
 namespace qbarren {
 namespace {
@@ -663,6 +665,13 @@ TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
 // are the oracle: IEEE defines x - y as x + (-y) and (-o)*y is exactly
 // -(o*y), so the folded kernels must match them bit for bit on every
 // component, signed zeros included.
+//
+// The oracles compute every real part in one pass and every imaginary
+// part in another. Computed side by side, a subtracted real part and an
+// added imaginary part are the lane pair GCC 12's vectoriser fuses into
+// FMADDSUB once FMA is enabled (e.g. -march=native), -ffp-contract=off
+// notwithstanding; the fused oracle would round once where the kernels
+// round twice.
 
 void oracle_rx(StateVector& state, const gates::Mat2& u, std::size_t target) {
   const double d0 = u.m00.real();
@@ -671,26 +680,38 @@ void oracle_rx(StateVector& state, const gates::Mat2& u, std::size_t target) {
   const double d1 = u.m11.real();
   auto& amps = state.amplitudes();
   const std::size_t bit = std::size_t{1} << target;
+  std::vector<double> re(amps.size());
   for (std::size_t i0 = 0; i0 < amps.size(); ++i0) {
     if ((i0 & bit) != 0) continue;
     const Complex a0 = amps[i0];
     const Complex a1 = amps[i0 | bit];
-    amps[i0] = Complex(d0 * a0.real() - o01 * a1.imag(),
-                       d0 * a0.imag() + o01 * a1.real());
-    amps[i0 | bit] = Complex(d1 * a1.real() - o10 * a0.imag(),
-                             d1 * a1.imag() + o10 * a0.real());
+    re[i0] = d0 * a0.real() - o01 * a1.imag();
+    re[i0 | bit] = d1 * a1.real() - o10 * a0.imag();
+  }
+  for (std::size_t i0 = 0; i0 < amps.size(); ++i0) {
+    if ((i0 & bit) != 0) continue;
+    const Complex a0 = amps[i0];
+    const Complex a1 = amps[i0 | bit];
+    amps[i0] = Complex(re[i0], d0 * a0.imag() + o01 * a1.real());
+    amps[i0 | bit] = Complex(re[i0 | bit], d1 * a1.imag() + o10 * a0.real());
   }
 }
 
 void oracle_rz(StateVector& state, const gates::Mat2& u, std::size_t target) {
-  const auto phase = [](Complex p, Complex a) {
-    return Complex(p.real() * a.real() - p.imag() * a.imag(),
-                   p.real() * a.imag() + p.imag() * a.real());
-  };
   auto& amps = state.amplitudes();
   const std::size_t bit = std::size_t{1} << target;
+  const auto phase = [&](std::size_t i) {
+    return (i & bit) == 0 ? u.m00 : u.m11;
+  };
+  std::vector<double> re(amps.size());
   for (std::size_t i = 0; i < amps.size(); ++i) {
-    amps[i] = phase((i & bit) == 0 ? u.m00 : u.m11, amps[i]);
+    const Complex p = phase(i);
+    re[i] = p.real() * amps[i].real() - p.imag() * amps[i].imag();
+  }
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    const Complex p = phase(i);
+    amps[i] = Complex(re[i], p.real() * amps[i].imag() +
+                                 p.imag() * amps[i].real());
   }
 }
 
@@ -778,8 +799,8 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
 
 // --- ISA variants ------------------------------------------------------------
 //
-// Every compiled kernel variant the host can run (qbarren/exec/
-// kernel_isa.hpp) against the baseline variant, entry point by entry
+// Every compiled kernel variant the host can run (kernel_variant.hpp)
+// against the baseline variant, entry point by entry
 // point: std::bit_cast equality on every component, signed zeros
 // included. q runs to 11, so every target sees whole AVX-512 vectors of
 // amplitudes plus a remainder.
