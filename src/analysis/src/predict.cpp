@@ -7,9 +7,7 @@
 
 #include "qbarren/analysis/plan_verify.hpp"
 #include "qbarren/bp/variance.hpp"
-#include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/error.hpp"
-#include "qbarren/common/rng.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 
@@ -365,28 +363,6 @@ VariancePrediction VariancePredictor::predict(
 
 // --- experiment-level prediction --------------------------------------------
 
-namespace {
-
-/// Index of the parameter the experiment differentiates, mirroring
-/// compute_variance_cell's selection.
-std::size_t sampled_parameter_index(const Circuit& circuit,
-                                    GradientParameter which) {
-  std::size_t index = circuit.num_parameters() - 1;
-  switch (which) {
-    case GradientParameter::kLast:
-      break;
-    case GradientParameter::kMiddle:
-      index = circuit.num_parameters() / 2;
-      break;
-    case GradientParameter::kFirst:
-      index = 0;
-      break;
-  }
-  return index;
-}
-
-}  // namespace
-
 CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
                                      std::size_t qubit_index,
                                      const std::string& initializer,
@@ -408,22 +384,14 @@ CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
           : std::min(structures, options.circuits_per_point);
   QBARREN_REQUIRE(count > 0, "predict_variance_cell: empty ensemble");
 
-  // The exact structure ensemble compute_variance_cell samples: same seed
-  // tree, same ansatz builder — only the simulation is skipped.
-  const Rng q_stream = Rng(options.seed).child(qubit_index);
+  // The exact structure ensemble compute_variance_cell samples
+  // (variance_structure) — only the simulation is skipped.
   CellPrediction out;
   out.qubits = q;
   out.structures = count;
   double sum = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
-    const Rng circuit_stream = q_stream.child(2 * i);
-    Rng structure_rng = circuit_stream.child(0);
-    VarianceAnsatzOptions ansatz_options;
-    ansatz_options.layers = options.layers;
-    ansatz_options.entangle = options.entangle;
-    ansatz_options.entangler = options.entangler;
-    ansatz_options.topology = options.topology;
-    const Circuit circuit = variance_ansatz(q, structure_rng, ansatz_options);
+    const Circuit circuit = variance_structure(options, qubit_index, i);
     const auto angles = angle_model_for(initializer, circuit);
     QBARREN_REQUIRE(angles.has_value(),
                     "predict_variance_cell: angle model vanished");
@@ -431,7 +399,7 @@ CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
     const VariancePrediction prediction =
         predictor.predict(*angles, observable_qubits, cost);
     const std::size_t which =
-        sampled_parameter_index(circuit, options.which_parameter);
+        sampled_parameter(circuit, options.which_parameter);
     const ParameterPrediction& pp = prediction.parameters.at(which);
     if (!pp.alive) ++out.dead_structures;
     sum += pp.variance;

@@ -6,27 +6,8 @@
 
 #include "qbarren/analysis/stream_graph.hpp"
 #include "qbarren/circuit/ansatz.hpp"
-#include "qbarren/common/rng.hpp"
 
 namespace qbarren {
-namespace {
-
-/// The sampled-parameter index of a variance run, mirroring the experiment
-/// loop in bp/variance.cpp (kLast is the paper's choice).
-std::size_t sampled_parameter(const Circuit& circuit,
-                              GradientParameter which) {
-  switch (which) {
-    case GradientParameter::kLast:
-      return circuit.num_parameters() - 1;
-    case GradientParameter::kMiddle:
-      return circuit.num_parameters() / 2;
-    case GradientParameter::kFirst:
-      return 0;
-  }
-  return circuit.num_parameters() - 1;
-}
-
-}  // namespace
 
 LintMode lint_mode_from_name(const std::string& name) {
   if (name == "off") return LintMode::kOff;
@@ -61,22 +42,14 @@ Diagnostics lint_variance_options(const VarianceExperimentOptions& options,
                   "lint_variance_options: qubit_counts must be non-empty");
   // Lint the widest requested configuration — the BP-relevant one — using
   // the exact circuit the run itself would sample first at that width
-  // (same root/child RNG stream derivation as VarianceExperiment::run), so
-  // findings refer to a circuit the experiment will really execute.
+  // (variance_structure, as in VarianceExperiment::run), so findings refer
+  // to a circuit the experiment will really execute.
   const auto max_it =
       std::max_element(options.qubit_counts.begin(), options.qubit_counts.end());
   const std::size_t qi =
       static_cast<std::size_t>(max_it - options.qubit_counts.begin());
   const std::size_t q = *max_it;
-
-  const Rng root(options.seed);
-  Rng structure_rng = root.child(qi).child(0).child(0);
-  VarianceAnsatzOptions ansatz_options;
-  ansatz_options.layers = options.layers;
-  ansatz_options.entangle = options.entangle;
-  ansatz_options.entangler = options.entangler;
-  ansatz_options.topology = options.topology;
-  const Circuit circuit = variance_ansatz(q, structure_rng, ansatz_options);
+  const Circuit circuit = variance_structure(options, qi, 0);
 
   CircuitLintContext context;
   context.observable_qubits = cost_observable_qubits(options.cost, q);

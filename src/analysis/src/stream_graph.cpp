@@ -147,11 +147,11 @@ StreamGraph variance_stream_graph(const VarianceExperimentOptions& options,
     for (std::size_t t = 0; t < names.size(); ++t) {
       graph.cells.push_back("q=" + q + "/init=" + names[t]);
     }
-    // compute_variance_cell: q_stream = root.child(qi); per sampled
-    // circuit i, circuit_stream = q_stream.child(2i); the structure
-    // stream circuit_stream.child(0) is shared across initializers by
-    // design (every strategy sees the same circuits); the parameter
-    // stream is circuit_stream.child(1 + t).
+    // variance_structure (bp/variance.hpp) owns the structure stream
+    // root.child(qi).child(2i).child(0); it is shared across initializers
+    // by design (every strategy sees the same circuits, and the runner
+    // builds each once per q). The parameter stream of initializer t is
+    // root.child(qi).child(2i).child(1 + t).
     for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
       graph.leaves.push_back(make_leaf(StreamRole::kStructure,
                                        "q=" + q + "/init=*", options.seed,

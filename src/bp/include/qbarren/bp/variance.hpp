@@ -10,7 +10,9 @@
 //
 // The same 200 circuit *structures* are reused across initializers (only
 // the parameter draws differ), which removes structure-sampling noise from
-// the cross-initializer comparison.
+// the cross-initializer comparison. VarianceExperiment::run also shares
+// the work: each circuit and its compiled plan are built once per qubit
+// count and read by all of that count's initializer cells.
 #pragma once
 
 #include <cstdint>
@@ -74,13 +76,27 @@ struct VarianceExperimentOptions {
 [[nodiscard]] std::string options_fingerprint(
     const VarianceExperimentOptions& options);
 
+/// Circuit i of qubit count `qubit_counts[qubit_index]`: the Eq-2 HEA
+/// whose rotation axes are drawn from the structure stream
+/// Rng(seed).child(qubit_index).child(2i).child(0). That stream does not
+/// involve the initializer, so every initializer samples this circuit.
+/// The one place that stream path and the ansatz options are derived.
+[[nodiscard]] Circuit variance_structure(
+    const VarianceExperimentOptions& options, std::size_t qubit_index,
+    std::size_t i);
+
+/// Index of the parameter whose derivative a variance cell samples.
+[[nodiscard]] std::size_t sampled_parameter(const Circuit& circuit,
+                                            GradientParameter which);
+
 /// Computes the gradient samples of one (qubit count, initializer) cell —
 /// the exact computation VarianceExperiment::run performs for the cell
-/// keyed "q=<qubit_counts[qubit_index]>/init=<name>". The cell's RNG
-/// child streams depend only on (options.seed, qubit_index,
-/// initializer_index), so any process — an executor worker thread or a
-/// serve worker process on another machine — reproduces the in-process
-/// samples bit-for-bit. `ctx`, when non-null, is polled for cancellation
+/// keyed "q=<qubit_counts[qubit_index]>/init=<name>" (run shares each
+/// circuit and its plan across a qubit count's cells; this function
+/// builds its own, with the same bits). The cell's RNG child streams
+/// depend only on (options.seed, qubit_index, initializer_index), so any
+/// process — an executor worker thread or a serve worker process on
+/// another machine — reproduces the in-process samples bit-for-bit. `ctx`, when non-null, is polled for cancellation
 /// between circuits. Throws NumericalError on a non-finite sample.
 [[nodiscard]] std::vector<double> compute_variance_cell(
     const VarianceExperimentOptions& options, std::size_t qubit_index,

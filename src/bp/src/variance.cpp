@@ -1,14 +1,20 @@
 #include "qbarren/bp/variance.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <optional>
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
+#include "qbarren/common/rng.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 
@@ -78,49 +84,145 @@ std::string options_fingerprint(const VarianceExperimentOptions& options) {
   return fp;
 }
 
-std::vector<double> compute_variance_cell(
+namespace {
+
+/// Rng(seed).child(path[0]).child(path[1])..., with one generator seeded
+/// instead of one per level.
+Rng stream_at(std::uint64_t seed, std::initializer_list<std::uint64_t> path) {
+  for (const std::uint64_t index : path) seed = derive_child_seed(seed, index);
+  return Rng(seed);
+}
+
+VarianceAnsatzOptions ansatz_options_of(
+    const VarianceExperimentOptions& options) {
+  VarianceAnsatzOptions ansatz_options;
+  ansatz_options.layers = options.layers;
+  ansatz_options.entangle = options.entangle;
+  ansatz_options.entangler = options.entangler;
+  ansatz_options.topology = options.topology;
+  return ansatz_options;
+}
+
+}  // namespace
+
+Circuit variance_structure(const VarianceExperimentOptions& options,
+                           std::size_t qubit_index, std::size_t i) {
+  QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
+                  "variance_structure: qubit_index out of range");
+  Rng structure_rng = stream_at(options.seed, {qubit_index, 2 * i, 0});
+  return variance_ansatz(options.qubit_counts[qubit_index], structure_rng,
+                         ansatz_options_of(options));
+}
+
+std::size_t sampled_parameter(const Circuit& circuit,
+                              GradientParameter which) {
+  switch (which) {
+    case GradientParameter::kLast:
+      return circuit.num_parameters() - 1;
+    case GradientParameter::kMiddle:
+      return circuit.num_parameters() / 2;
+    case GradientParameter::kFirst:
+      return 0;
+  }
+  return circuit.num_parameters() - 1;
+}
+
+namespace {
+
+/// Circuit i of one qubit count with its compiled, verified plan attached.
+/// The first initializer cell that needs it builds it; the rest read it.
+/// A mutex rather than std::once_flag: a throwing build must leave the
+/// entry unbuilt for the next reader, and ThreadSanitizer's pthread_once
+/// interceptor never resets a once-flag whose callable threw.
+struct SharedStructure {
+  std::mutex mu;
+  std::optional<Circuit> circuit;  ///< set only once the plan is verified
+};
+
+/// The compute-once structure memo of one qubit count, shared by all of
+/// its initializer cells: entry i holds circuit i, for the first circuits
+/// that fit kRowBudgetBytes. `pending_cells` counts the cells that have not
+/// finished for good; the last one frees the row.
+struct StructureRow {
+  StructureRow(std::size_t circuits, std::size_t cells)
+      : entries(circuits), pending_cells(cells) {}
+  std::vector<SharedStructure> entries;
+  std::atomic<std::size_t> pending_cells;
+};
+
+/// Footprint cap of one structure row. A row lives from its q's first
+/// computed cell to its last, so with one worker every shared circuit stays
+/// resident across all of that q's cells. A circuit and its plan take about
+/// 100 bytes per operation (95 KB at q = 10, depth 50), so an uncapped
+/// 200-circuit row would hold ~19 MB. A row therefore shares only the
+/// circuits that fit in the cap; cells build the rest themselves, as the
+/// serve worker does. 384 KiB holds four q = 10, depth-50 circuits and
+/// keeps the memo to about 7 % of the peak of a small (~9 MiB) serve
+/// process that also runs reference grids in-process.
+constexpr std::size_t kRowBudgetBytes = std::size_t{384} << 10;
+constexpr std::size_t kRetainedBytesPerOperation = 100;
+
+std::size_t shared_circuits_per_row(const VarianceExperimentOptions& options,
+                                    std::size_t qubit_index) {
+  const std::size_t bytes =
+      kRetainedBytesPerOperation *
+      variance_ansatz_operations(options.qubit_counts[qubit_index],
+                                 ansatz_options_of(options));
+  return std::min(options.circuits_per_point, kRowBudgetBytes / bytes);
+}
+
+const Circuit& shared_structure(StructureRow& row,
+                                const VarianceExperimentOptions& options,
+                                std::size_t qubit_index, std::size_t i) {
+  SharedStructure& entry = row.entries[i];
+  const std::lock_guard<std::mutex> lock(entry.mu);
+  if (!entry.circuit) {
+    Circuit circuit = variance_structure(options, qubit_index, i);
+    // Compile and run the attach hook (plan verification) before the
+    // entry is published: if the hook throws, nothing is published and
+    // the next reader rebuilds and re-verifies, exactly as when every
+    // cell built its own circuit.
+    (void)exec::plan_for(circuit);
+    entry.circuit.emplace(std::move(circuit));
+  }
+  return *entry.circuit;
+}
+
+/// The body of one (qubit count, initializer) cell. With a `row`, the
+/// circuits it holds come from the qubit count's shared memo; the others,
+/// and all of them without a row, are built here. Both paths draw the
+/// same streams, so the samples are bit-identical.
+std::vector<double> variance_cell_samples(
     const VarianceExperimentOptions& options, std::size_t qubit_index,
     const Initializer& initializer, std::size_t initializer_index,
-    const GradientEngine& engine, const CellContext* ctx) {
+    const GradientEngine& engine, const CellContext* ctx,
+    StructureRow* row) {
   QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
                   "compute_variance_cell: qubit_index out of range");
   const std::size_t q = options.qubit_counts[qubit_index];
   const auto observable = make_cost_observable(options.cost, q);
-  const Rng q_stream = Rng(options.seed).child(qubit_index);
   std::vector<double> samples(options.circuits_per_point);
+  std::optional<Circuit> own;
   for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
     if (ctx != nullptr) {
       ctx->throw_if_cancelled(
           "variance experiment at qubits=" + std::to_string(q) +
           " circuit=" + std::to_string(i));
     }
-    const Rng circuit_stream = q_stream.child(2 * i);
-    Rng structure_rng = circuit_stream.child(0);
-    VarianceAnsatzOptions ansatz_options;
-    ansatz_options.layers = options.layers;
-    ansatz_options.entangle = options.entangle;
-    ansatz_options.entangler = options.entangler;
-    ansatz_options.topology = options.topology;
-    const Circuit circuit = variance_ansatz(q, structure_rng, ansatz_options);
-    std::size_t which = circuit.num_parameters() - 1;
-    switch (options.which_parameter) {
-      case GradientParameter::kLast:
-        break;
-      case GradientParameter::kMiddle:
-        which = circuit.num_parameters() / 2;
-        break;
-      case GradientParameter::kFirst:
-        which = 0;
-        break;
-    }
-    Rng param_rng = circuit_stream.child(1 + initializer_index);
+    // Samples differ in structure, so batching stays inside the engine's
+    // partial (one sample's shifted bindings); what is shared is a
+    // circuit and its plan across the initializers of this q.
+    const Circuit& circuit =
+        row != nullptr && i < row->entries.size()
+            ? shared_structure(*row, options, qubit_index, i)
+            : own.emplace(variance_structure(options, qubit_index, i));
+    Rng param_rng =
+        stream_at(options.seed, {qubit_index, 2 * i, 1 + initializer_index});
     const std::vector<double> params =
         initializer.initialize(circuit, param_rng);
-    // Each sample draws its own circuit *structure*, so samples cannot
-    // share a compiled plan or a batch: batching happens inside the
-    // engine's partial, which evaluates the sample's shifted bindings as
-    // one batched dispatch when the process batch limit allows it.
-    const double g = engine.partial(circuit, *observable, params, which);
+    const double g = engine.partial(
+        circuit, *observable, params,
+        sampled_parameter(circuit, options.which_parameter));
     if (!std::isfinite(g)) {
       throw NumericalError(
           "VarianceExperiment::run: non-finite gradient sample "
@@ -131,6 +233,16 @@ std::vector<double> compute_variance_cell(
     samples[i] = g;
   }
   return samples;
+}
+
+}  // namespace
+
+std::vector<double> compute_variance_cell(
+    const VarianceExperimentOptions& options, std::size_t qubit_index,
+    const Initializer& initializer, std::size_t initializer_index,
+    const GradientEngine& engine, const CellContext* ctx) {
+  return variance_cell_samples(options, qubit_index, initializer,
+                               initializer_index, engine, ctx, nullptr);
 }
 
 VarianceExperiment::VarianceExperiment(VarianceExperimentOptions options)
@@ -207,13 +319,24 @@ VarianceResult VarianceExperiment::run(
 
   // Sample gradients. Circuit structure streams depend on (q, i) only so
   // every initializer sees the same 200 random circuits per qubit count;
-  // parameter streams additionally depend on the initializer index. Each
-  // (q, initializer) cell's samples therefore do not depend on which other
-  // cells were computed in this process — restoring some cells from a
-  // checkpoint, or computing cells concurrently in any order, reproduces
+  // parameter streams additionally depend on the initializer index. The
+  // cells of one q therefore share each circuit and its compiled plan
+  // through that q's structure row, built by whichever cell reaches a
+  // circuit first. A shared circuit is the one the cell would have built
+  // itself, so each (q, initializer) cell's samples do not depend on which
+  // other cells were computed in this process: restoring some cells from
+  // a checkpoint, or computing cells concurrently in any order, reproduces
   // a serial uninterrupted run bit-for-bit.
   std::vector<CellTask> tasks;
   std::vector<CellFailure> missing;  // restore-only cells not in the store
+  // Rows exist only for qubit counts with cells to compute; a row is
+  // freed as soon as its last scheduled cell has finished for good.
+  std::vector<std::unique_ptr<StructureRow>> rows(
+      options_.qubit_counts.size());
+  std::vector<std::size_t> cells_to_compute(options_.qubit_counts.size(), 0);
+  const auto finish_row_cell = [&rows](std::size_t qi) {
+    if (rows[qi]->pending_cells.fetch_sub(1) == 1) rows[qi].reset();
+  };
   for (std::size_t qi = 0; qi < options_.qubit_counts.size(); ++qi) {
     const std::size_t q = options_.qubit_counts[qi];
     for (std::size_t t = 0; t < initializers.size(); ++t) {
@@ -242,10 +365,11 @@ VarianceResult VarianceExperiment::run(
         continue;
       }
 
+      ++cells_to_compute[qi];
       tasks.push_back(CellTask{
           key, [this, &control, &deposit, &deposit_mu, &completed_cells,
-                total_cells, checkpoint, initializer = initializers[t],
-                qi, t, key](CellContext& ctx) {
+                &rows, &finish_row_cell, total_cells, checkpoint,
+                initializer = initializers[t], qi, t, key](CellContext& ctx) {
             // Retries recompute the whole cell with the parameter-shift
             // fallback engine — fresh instance per attempt, so stateful
             // engines (fault injection, SPSA) stay cell-deterministic.
@@ -254,8 +378,23 @@ VarianceResult VarianceExperiment::run(
                     ? make_gradient_engine(options_.gradient_engine)
                     : std::unique_ptr<GradientEngine>(
                           std::make_unique<ParameterShiftEngine>());
-            const std::vector<double> samples = compute_variance_cell(
-                options_, qi, *initializer, t, *cell_engine, &ctx);
+            std::vector<double> samples;
+            try {
+              samples = variance_cell_samples(options_, qi, *initializer, t,
+                                              *cell_engine, &ctx,
+                                              rows[qi].get());
+            } catch (const NumericalError&) {
+              // The executor retries only non-finite failures, and only
+              // while attempts remain: keep the row for the retry.
+              if (ctx.attempt + 1 >= control.max_cell_attempts) {
+                finish_row_cell(qi);
+              }
+              throw;
+            } catch (...) {
+              finish_row_cell(qi);
+              throw;
+            }
+            finish_row_cell(qi);
 
             std::lock_guard<std::mutex> lock(deposit_mu);
             if (checkpoint != nullptr) {
@@ -266,6 +405,13 @@ VarianceResult VarianceExperiment::run(
             deposit(qi, t, samples);
             report_cell(control, key, ++completed_cells, total_cells, false);
           }});
+    }
+  }
+
+  for (std::size_t qi = 0; qi < rows.size(); ++qi) {
+    if (cells_to_compute[qi] != 0) {
+      rows[qi] = std::make_unique<StructureRow>(
+          shared_circuits_per_row(options_, qi), cells_to_compute[qi]);
     }
   }
 
@@ -365,8 +511,6 @@ PositionalVarianceResult positional_variance(
         "run's options");
   }
 
-  const Rng root(options.seed);
-
   PositionalVarianceResult result;
   result.fractions = std::move(fractions);
   result.qubit_counts = options.qubit_counts;
@@ -408,11 +552,10 @@ PositionalVarianceResult positional_variance(
 
     tasks.push_back(CellTask{
         key, [&options, &control, &initializer, &result, &deposit_mu,
-              &completed_cells, total_cells, checkpoint, root, qi, q,
+              &completed_cells, total_cells, checkpoint, qi, q,
               key](CellContext& ctx) {
           const AdjointEngine engine;
           const auto observable = make_cost_observable(options.cost, q);
-          const Rng q_stream = root.child(qi);
           std::vector<std::vector<double>> samples(
               result.fractions.size(),
               std::vector<double>(options.circuits_per_point));
@@ -420,16 +563,8 @@ PositionalVarianceResult positional_variance(
             ctx.throw_if_cancelled(
                 "positional variance at qubits=" + std::to_string(q) +
                 " circuit=" + std::to_string(i));
-            const Rng circuit_stream = q_stream.child(2 * i);
-            Rng structure_rng = circuit_stream.child(0);
-            VarianceAnsatzOptions ansatz_options;
-            ansatz_options.layers = options.layers;
-            ansatz_options.entangle = options.entangle;
-            ansatz_options.entangler = options.entangler;
-            ansatz_options.topology = options.topology;
-            const Circuit circuit =
-                variance_ansatz(q, structure_rng, ansatz_options);
-            Rng param_rng = circuit_stream.child(1);
+            const Circuit circuit = variance_structure(options, qi, i);
+            Rng param_rng = stream_at(options.seed, {qi, 2 * i, 1});
             const auto params = initializer.initialize(circuit, param_rng);
             const auto grad = engine.gradient(circuit, *observable, params);
 

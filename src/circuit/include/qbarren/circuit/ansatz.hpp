@@ -49,6 +49,10 @@ struct VarianceAnsatzOptions {
                                       const VarianceAnsatzOptions& options =
                                           {});
 
+/// Number of operations variance_ansatz appends (the same for every draw).
+[[nodiscard]] std::size_t variance_ansatz_operations(
+    std::size_t num_qubits, const VarianceAnsatzOptions& options = {});
+
 struct TrainingAnsatzOptions {
   std::size_t layers = 5;  ///< paper trains at L = 5
   bool entangle = true;

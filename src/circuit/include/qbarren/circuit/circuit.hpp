@@ -174,6 +174,10 @@ class Circuit {
 
   // --- building ------------------------------------------------------------
 
+  /// Reserves room for `count` operations, so a builder that knows its
+  /// final size leaves the operation list at exact capacity.
+  void reserve_operations(std::size_t count) { ops_.reserve(count); }
+
   /// Appends a trainable rotation; returns its parameter index.
   std::size_t add_rotation(gates::Axis axis, std::size_t qubit);
 

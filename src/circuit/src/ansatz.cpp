@@ -8,6 +8,24 @@ void add_cz_ladder(Circuit& circuit) {
   }
 }
 
+namespace {
+
+/// Gates add_entangling_layer appends on `n` qubits.
+std::size_t entangling_layer_size(std::size_t n, EntanglerTopology topology) {
+  const std::size_t ladder = n == 0 ? 0 : n - 1;
+  switch (topology) {
+    case EntanglerTopology::kLinear:
+      return ladder;
+    case EntanglerTopology::kRing:
+      return ladder + (n > 2 ? 1 : 0);
+    case EntanglerTopology::kAllToAll:
+      return n * ladder / 2;
+  }
+  return 0;
+}
+
+}  // namespace
+
 void add_entangling_layer(Circuit& circuit, EntanglerGate gate,
                           EntanglerTopology topology) {
   const std::size_t n = circuit.num_qubits();
@@ -47,6 +65,7 @@ Circuit variance_ansatz(std::size_t num_qubits, Rng& rng,
                         const VarianceAnsatzOptions& options) {
   QBARREN_REQUIRE(options.layers >= 1, "variance_ansatz: need >= 1 layer");
   Circuit c(num_qubits);
+  c.reserve_operations(variance_ansatz_operations(num_qubits, options));
   constexpr gates::Axis kAxes[3] = {gates::Axis::kX, gates::Axis::kY,
                                     gates::Axis::kZ};
   for (std::size_t layer = 0; layer < options.layers; ++layer) {
@@ -59,6 +78,14 @@ Circuit variance_ansatz(std::size_t num_qubits, Rng& rng,
   }
   c.set_layer_shape(LayerShape{options.layers, num_qubits});
   return c;
+}
+
+std::size_t variance_ansatz_operations(std::size_t num_qubits,
+                                      const VarianceAnsatzOptions& options) {
+  const std::size_t entanglers =
+      options.entangle ? entangling_layer_size(num_qubits, options.topology)
+                       : 0;
+  return options.layers * (num_qubits + entanglers);
 }
 
 Circuit training_ansatz(std::size_t num_qubits,

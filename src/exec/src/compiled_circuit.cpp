@@ -56,6 +56,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   plan->param_source_op_.assign(plan->num_params_, kNoOperation);
   plan->param_plan_op_.assign(plan->num_params_, kNoIndex32);
   plan->source_matrix_.assign(ops.size(), kNoIndex32);
+  plan->plan_ops_.reserve(ops.size());  // lowering never adds ops
 
   std::map<PoolKey, std::uint32_t> pool2_index;
   std::map<PoolKey, std::uint32_t> pool4_index;

@@ -83,6 +83,30 @@ TEST(VarianceAnsatz, CountsAndShape) {
   EXPECT_EQ(c.layer_shape()->params_per_layer, 5u);
 }
 
+TEST(VarianceAnsatz, OperationListIsSizedExactly) {
+  // Circuits are retained for a whole qubit count's cells, so the builder
+  // reserves its final size instead of growing by doubling.
+  for (const EntanglerTopology topology :
+       {EntanglerTopology::kLinear, EntanglerTopology::kRing,
+        EntanglerTopology::kAllToAll}) {
+    for (const bool entangle : {true, false}) {
+      for (const std::size_t qubits : {1u, 2u, 3u, 6u}) {
+        Rng rng(4);
+        VarianceAnsatzOptions options;
+        options.layers = 9;
+        options.entangle = entangle;
+        options.topology = topology;
+        const Circuit c = variance_ansatz(qubits, rng, options);
+        EXPECT_EQ(variance_ansatz_operations(qubits, options),
+                  c.num_operations());
+        EXPECT_EQ(c.operations().capacity(), c.num_operations())
+            << "topology=" << static_cast<int>(topology)
+            << " entangle=" << entangle << " qubits=" << qubits;
+      }
+    }
+  }
+}
+
 TEST(VarianceAnsatz, AxesAreRandomizedAcrossSeeds) {
   VarianceAnsatzOptions options;
   options.layers = 10;

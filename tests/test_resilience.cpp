@@ -4,9 +4,11 @@
 // run bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <filesystem>
+#include <functional>
 
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/bp/training.hpp"
@@ -14,6 +16,7 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/common/run.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/guard.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/cost.hpp"
@@ -651,6 +654,178 @@ TEST(ParallelVariance, RetryRecoversTheCellBitForBit) {
       VarianceExperiment(faulty).run({init.get()}, control);
   EXPECT_TRUE(result.failures.empty());
   expect_same_variance(reference, result);
+}
+
+// --- structures shared across a qubit count's cells --------------------------
+
+/// Installs a plan-attach hook for its lifetime and counts its calls (one
+/// per freshly compiled plan). `on_attach`, when set, runs after counting
+/// and may throw, as a failing plan verification does.
+class AttachHookGuard {
+ public:
+  explicit AttachHookGuard(
+      std::function<void(const Circuit&)> on_attach = nullptr)
+      : on_attach_(std::move(on_attach)),
+        previous_(exec::set_plan_attach_hook(
+            [this](const Circuit& circuit, const exec::CompiledCircuit&) {
+              ++calls_;
+              if (on_attach_) on_attach_(circuit);
+            })) {}
+  ~AttachHookGuard() { exec::set_plan_attach_hook(std::move(previous_)); }
+  AttachHookGuard(const AttachHookGuard&) = delete;
+  AttachHookGuard& operator=(const AttachHookGuard&) = delete;
+
+  [[nodiscard]] std::size_t calls() const { return calls_.load(); }
+
+ private:
+  std::function<void(const Circuit&)> on_attach_;
+  std::atomic<std::size_t> calls_{0};
+  exec::PlanAttachHook previous_;
+};
+
+std::vector<std::string> paper_names() {
+  std::vector<std::string> names;
+  for (const auto& init : paper_initializers()) names.push_back(init->name());
+  return names;
+}
+
+TEST(SharedStructures, OnePlanPerCircuitPerQubitCountAtAnyJobCount) {
+  const VarianceExperimentOptions options = small_variance_options();
+  const VarianceExperiment experiment(options);
+  const std::size_t rows = options.qubit_counts.size();
+  const VarianceResult reference = experiment.run_paper_set();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    RunControl control;
+    control.jobs = jobs;
+    const AttachHookGuard hook;
+    const VarianceResult result =
+        experiment.run_paper_set(FanMode::kLayerTensor, control);
+    // Six initializers, but each circuit is compiled once per qubit count.
+    EXPECT_EQ(hook.calls(), rows * options.circuits_per_point)
+        << "jobs=" << jobs;
+    expect_same_variance(reference, result);
+  }
+}
+
+TEST(SharedStructures, CircuitsPastTheRowFootprintCapAreBuiltPerCell) {
+  // A deep circuit takes ~100 KB with its plan, so a row shares only the
+  // first few; the rest are built (and compiled) by every cell, with the
+  // same bits either way.
+  VarianceExperimentOptions options = small_variance_options();
+  options.qubit_counts = {2};
+  options.layers = 350;
+  options.keep_samples = true;
+  const VarianceExperiment experiment(options);
+  const std::size_t n = options.circuits_per_point;
+  const std::size_t cells = paper_names().size();
+  const AttachHookGuard hook;
+  const VarianceResult result = experiment.run_paper_set();
+  EXPECT_GT(hook.calls(), n);
+  EXPECT_LT(hook.calls(), cells * n);
+  const auto inits = paper_initializers();
+  const ParameterShiftEngine engine;
+  for (std::size_t t = 0; t < cells; ++t) {
+    EXPECT_EQ(result.series[t].points[0].samples,
+              compute_variance_cell(options, 0, *inits[t], t, engine));
+  }
+}
+
+TEST(SharedStructures, RestoringHalfARowRecomputesTheRestBitForBit) {
+  const VarianceExperimentOptions options = small_variance_options();
+  const VarianceExperiment experiment(options);
+  const std::string fingerprint = options_fingerprint(options);
+  Checkpoint full("", fingerprint);
+  RunControl recording;
+  recording.checkpoint = &full;
+  const VarianceResult reference =
+      experiment.run_paper_set(FanMode::kLayerTensor, recording);
+
+  // q=2 fully restored (no row is built for it); q=3 has three of its six
+  // cells restored and the other three recomputed on a shared row.
+  const std::vector<std::string> names = paper_names();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    Checkpoint partial("", fingerprint);
+    for (std::size_t t = 0; t < names.size(); ++t) {
+      for (const std::string q : {"2", "3"}) {
+        if (q == "3" && t % 2 == 1) continue;
+        const std::string key = "q=" + q + "/init=" + names[t];
+        partial.record_cell(key, *full.find_cell(key));
+      }
+    }
+    RunControl control;
+    control.jobs = jobs;
+    control.checkpoint = &partial;
+    std::size_t restored = 0;
+    control.progress = [&restored](const RunProgress& p) {
+      if (p.from_checkpoint) ++restored;
+    };
+    const AttachHookGuard hook;
+    const VarianceResult result =
+        experiment.run_paper_set(FanMode::kLayerTensor, control);
+    EXPECT_EQ(restored, 9u);
+    EXPECT_EQ(hook.calls(), options.circuits_per_point) << "jobs=" << jobs;
+    expect_same_variance(reference, result);
+    EXPECT_EQ(partial.serialize(), full.serialize()) << "jobs=" << jobs;
+  }
+}
+
+TEST(SharedStructures, NanRetriesReuseTheSharedRowAndMatchTheCleanRun) {
+  VarianceExperimentOptions faulty = small_variance_options();
+  faulty.gradient_engine = "nan-at:3:parameter-shift";
+  VarianceExperimentOptions clean = faulty;
+  clean.gradient_engine = "parameter-shift";
+  const VarianceResult reference = VarianceExperiment(clean).run_paper_set();
+
+  // Every cell's first attempt fails at its fourth circuit; the retries
+  // run concurrently on the rows the first attempts built.
+  RunControl control;
+  control.jobs = 4;
+  control.max_cell_attempts = 2;
+  const AttachHookGuard hook;
+  const VarianceResult result =
+      VarianceExperiment(faulty).run_paper_set(FanMode::kLayerTensor, control);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(hook.calls(),
+            faulty.qubit_counts.size() * faulty.circuits_per_point);
+  expect_same_variance(reference, result);
+}
+
+TEST(SharedStructures, ThrowingAttachHookFailsEveryCellOfTheRowOnEveryAttempt) {
+  // A throwing hook (a failed plan verification) must never leave an
+  // unverified shared circuit behind: every attempt of every q=3 cell
+  // rebuilds circuit 0 and fails on it, exactly as when each cell built
+  // its own circuits. NumericalError makes the failure retryable.
+  const VarianceExperimentOptions options = small_variance_options();
+  const VarianceExperiment experiment(options);
+  const VarianceResult reference = experiment.run_paper_set();
+  const std::size_t cells = paper_names().size();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    std::atomic<std::size_t> rejected{0};
+    const AttachHookGuard hook([&rejected](const Circuit& circuit) {
+      if (circuit.num_qubits() == 3) {
+        ++rejected;
+        throw NumericalError("plan rejected");
+      }
+    });
+    RunControl control;
+    control.jobs = jobs;
+    control.max_cell_attempts = 2;
+    control.max_cell_failures = 2 * cells;
+    const VarianceResult result =
+        experiment.run_paper_set(FanMode::kLayerTensor, control);
+    ASSERT_EQ(result.failures.size(), cells) << "jobs=" << jobs;
+    for (const CellFailure& failure : result.failures) {
+      EXPECT_TRUE(failure.cell.starts_with("q=3/")) << failure.cell;
+      EXPECT_EQ(failure.error, CellErrorClass::kNonFinite);
+      EXPECT_EQ(failure.attempts, 2u);
+    }
+    EXPECT_EQ(rejected.load(), 2 * cells) << "jobs=" << jobs;
+    for (std::size_t t = 0; t < cells; ++t) {
+      EXPECT_EQ(result.series[t].points[0].variance,
+                reference.series[t].points[0].variance);
+      EXPECT_TRUE(std::isnan(result.series[t].points[1].variance));
+    }
+  }
 }
 
 TEST(ParallelTraining, WatchdogDeadlineIsReportedAsTimeout) {

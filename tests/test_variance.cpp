@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 
+#include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 
 namespace qbarren {
@@ -256,6 +261,105 @@ TEST(VarianceExperiment, SharedStructuresAcrossInitializers) {
       VarianceExperiment(options).run({random.get(), xavier.get()});
   EXPECT_DOUBLE_EQ(alone.series[0].points[0].variance,
                    paired.series[0].points[0].variance);
+}
+
+TEST(VarianceExperiment, EveryCellMatchesTheCellBodyWithoutTheSharedMemo) {
+  // run() shares each circuit and its plan across a qubit count's cells;
+  // compute_variance_cell (the serve worker's path) builds its own. Both
+  // must give the same bits, at any job count.
+  VarianceExperimentOptions options = small_options();
+  options.qubit_counts = {2, 3};
+  options.circuits_per_point = 8;
+  options.layers = 6;
+  options.keep_samples = true;
+  const auto inits = paper_initializers();
+  const ParameterShiftEngine engine;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    RunControl control;
+    control.jobs = jobs;
+    const VarianceResult result = VarianceExperiment(options).run_paper_set(
+        FanMode::kLayerTensor, control);
+    ASSERT_EQ(result.series.size(), inits.size());
+    for (std::size_t t = 0; t < inits.size(); ++t) {
+      for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
+        EXPECT_EQ(result.series[t].points[qi].samples,
+                  compute_variance_cell(options, qi, *inits[t], t, engine))
+            << "jobs=" << jobs << " init=" << inits[t]->name()
+            << " qi=" << qi;
+      }
+    }
+  }
+}
+
+/// Delegates to a registry initializer and keeps a weak reference to the
+/// plan attached to every circuit it is handed, keyed by qubit count.
+struct PlanLog {
+  std::mutex mu;
+  std::map<std::size_t, std::vector<std::weak_ptr<const ExecutionPlan>>>
+      plans;
+};
+
+class PlanLoggingInitializer final : public Initializer {
+ public:
+  PlanLoggingInitializer(std::unique_ptr<Initializer> inner, PlanLog& log)
+      : inner_(std::move(inner)), log_(log) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::vector<double> initialize(const Circuit& circuit,
+                                               Rng& rng) const override {
+    {
+      const std::lock_guard<std::mutex> lock(log_.mu);
+      log_.plans[circuit.num_qubits()].push_back(circuit.execution_plan());
+    }
+    return inner_->initialize(circuit, rng);
+  }
+
+ private:
+  std::unique_ptr<Initializer> inner_;
+  PlanLog& log_;
+};
+
+TEST(VarianceExperiment, QubitCountSharesStructuresUntilItsLastCell) {
+  VarianceExperimentOptions options = small_options();
+  options.qubit_counts = {2, 3};
+  options.circuits_per_point = 5;
+  options.layers = 4;
+  PlanLog log;
+  std::vector<std::unique_ptr<Initializer>> owned;
+  std::vector<const Initializer*> inits;
+  for (const char* name : {"random", "xavier-normal", "he"}) {
+    owned.push_back(std::make_unique<PlanLoggingInitializer>(
+        make_initializer(name), log));
+    inits.push_back(owned.back().get());
+  }
+
+  // jobs = 1 runs the cells in key order: a qubit count's three cells,
+  // then the next count's. The progress callback runs after a cell has
+  // finished, so it sees the row still held by the remaining cells and
+  // released after the last one.
+  std::map<std::size_t, std::size_t> done;
+  std::size_t checked = 0;
+  RunControl control;
+  control.progress = [&](const RunProgress& p) {
+    const std::size_t q = p.cell.starts_with("q=2/") ? 2 : 3;
+    const bool last = ++done[q] == inits.size();
+    const std::lock_guard<std::mutex> lock(log.mu);
+    for (const auto& plan : log.plans[q]) {
+      EXPECT_EQ(plan.expired(), last) << p.cell;
+      ++checked;
+    }
+  };
+  const VarianceResult result = VarianceExperiment(options).run(inits, control);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_GT(checked, 0u);
+
+  for (const std::size_t q : options.qubit_counts) {
+    const auto& plans = log.plans[q];
+    ASSERT_EQ(plans.size(), inits.size() * options.circuits_per_point);
+    std::set<std::weak_ptr<const ExecutionPlan>,
+             std::owner_less<std::weak_ptr<const ExecutionPlan>>>
+        distinct(plans.begin(), plans.end());
+    EXPECT_EQ(distinct.size(), options.circuits_per_point) << "q=" << q;
+  }
 }
 
 }  // namespace
