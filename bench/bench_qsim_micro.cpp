@@ -1,11 +1,13 @@
 // Micro-benchmarks of the state-vector simulator kernels that dominate the
 // reproduction workload. No reproduction payload — pure google-benchmark.
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/kernels.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
 
@@ -98,12 +100,38 @@ void bm_probability_readout(benchmark::State& state) {
 }
 BENCHMARK(bm_probability_readout)->Arg(10)->Arg(20);
 
+/// A CZ ladder's pairs `mask` applied either gate by gate (apply_cz) or as
+/// one sign pass (apply_cz_ladder), as a plan would without and with
+/// kCzLadder.
+struct CzLadderRun {
+  std::uint64_t mask;
+  std::uint64_t signs[exec::kCzLadderSignWords];
+
+  explicit CzLadderRun(std::uint64_t pairs) : mask(pairs) {
+    for (std::size_t w = 0; w < exec::kCzLadderSignWords; ++w) {
+      signs[w] = exec::cz_ladder_sign_word(mask, w);
+    }
+  }
+
+  void apply(const exec::KernelSet* kernels, StateVector& s,
+             bool one_pass) const {
+    if (one_pass) {
+      kernels->apply_cz_ladder(s, mask, signs);
+      return;
+    }
+    for (std::size_t k = 0; k + 1 < s.num_qubits(); ++k) {
+      if ((mask >> k) & 1u) kernels->apply_cz(s, k, k + 1);
+    }
+  }
+};
+
 // One Fig 5a-shaped layer (a random-axis rotation on every qubit, then a
-// CZ ladder) through one compiled kernel variant. Registered in main() for
-// every variant the CPU can run, so a report shows what each ISA level
-// gains over the baseline.
+// CZ ladder) through one compiled kernel variant, the ladder gate by gate
+// (`cz`) or in one pass (`ladder`). Registered in main() for every
+// variant the CPU can run, so a report shows what each ISA level gains
+// over the baseline.
 void bm_kernel_variant_layer(benchmark::State& state,
-                             const exec::KernelSet* kernels) {
+                             const exec::KernelSet* kernels, bool one_pass) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   std::vector<gates::Axis> axes;
@@ -113,15 +141,29 @@ void bm_kernel_variant_layer(benchmark::State& state,
     entries.push_back(
         gates::rotation_entries(axes.back(), rng.uniform(0.0, 2.0 * M_PI)));
   }
+  const CzLadderRun ladder((std::uint64_t{1} << (n - 1)) - 1);
   StateVector s(n);
   for (auto _ : state) {
     for (std::size_t q = 0; q < n; ++q) {
       kernels->apply_rotation_mat2(s, axes[q], entries[q], q);
     }
-    for (std::size_t q = 0; q + 1 < n; ++q) {
-      kernels->apply_cz(s, q, q + 1);
-    }
+    ladder.apply(kernels, s, one_pass);
   }
+  benchmark::DoNotOptimize(s.norm_squared());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s.dimension()));
+}
+
+// The ladder lowering's worst case: two CZs on the top pairs (n-3, n-2),
+// (n-2, n-1), which gate by gate touch a quarter of the amplitudes each,
+// against one pass over the blocks whose parity is odd.
+void bm_kernel_variant_top_pairs(benchmark::State& state,
+                                 const exec::KernelSet* kernels,
+                                 bool one_pass) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const CzLadderRun ladder(std::uint64_t{3} << (n - 3));
+  StateVector s(n);
+  for (auto _ : state) ladder.apply(kernels, s, one_pass);
   benchmark::DoNotOptimize(s.norm_squared());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(s.dimension()));
@@ -132,10 +174,18 @@ void bm_kernel_variant_layer(benchmark::State& state,
 int main(int argc, char** argv) {
   for (const qbarren::exec::KernelVariant& variant :
        qbarren::exec::kernel_variants()) {
-    if (variant.supported) {
+    if (!variant.supported) continue;
+    for (const bool one_pass : {false, true}) {
+      const std::string suffix =
+          std::string("/") + variant.isa + (one_pass ? "/ladder" : "/cz");
       benchmark::RegisterBenchmark(
-          (std::string("bm_kernel_variant_layer/") + variant.isa).c_str(),
-          bm_kernel_variant_layer, variant.kernels)
+          ("bm_kernel_variant_layer" + suffix).c_str(),
+          bm_kernel_variant_layer, variant.kernels, one_pass)
+          ->Arg(10)
+          ->Arg(16);
+      benchmark::RegisterBenchmark(
+          ("bm_kernel_variant_top_pairs" + suffix).c_str(),
+          bm_kernel_variant_top_pairs, variant.kernels, one_pass)
           ->Arg(10)
           ->Arg(16);
     }

@@ -56,7 +56,7 @@
 // variance, FP-noise-floor violations, ...) and exits 1 when any
 // error-severity finding fires. With --verify-plan it additionally lowers
 // the circuit to a compiled execution plan and statically verifies the
-// lowering (PlanVerifier, codes QP100-QP107). The experiment runners
+// lowering (PlanVerifier, codes QP100-QP108). The experiment runners
 // (variance / train / sweep) run the same analysis as a preflight:
 // --lint=warn (default) prints findings and launches, --lint=error
 // refuses to launch on error findings, --lint=off skips the check. With

@@ -28,7 +28,8 @@
 //   QP105  error    kernel-op coverage broken: the plan's source ranges do
 //                   not tile the op list exactly once in order, or a plan
 //                   op's kernel / wires / axis / parameter / pooled matrix
-//                   does not match the source op it claims to lower
+//                   (CZ-ladder mask) does not match the source op(s) it
+//                   claims to lower
 //   QP106  error    a plan exists over a custom gate whose matrix has the
 //                   wrong dimensions — compilation must refuse such
 //                   circuits so execution reaches the interpreted
@@ -41,6 +42,11 @@
 //                   to exactly the parameterized plan ops (every batched
 //                   dispatch must cover the same ops and bindings the
 //                   serial walk does)
+//   QP108  error    CZ-ladder pool entry broken: one of its 128 sign words
+//                   differs from the word recomputed from its mask, or the
+//                   mask names a pair outside the register
+//                   (QP105 proves the mask itself: one bit per covered
+//                   source CZ, each a neighbour pair (k, k+1) in the mask)
 #pragma once
 
 #include <atomic>
@@ -99,8 +105,9 @@ struct PlanVerifyOptions {
 /// amplitudes read + written at 16 bytes each). `flops` and `bytes` scale
 /// linearly with the batch; `shared_bytes` is the per-op matrix traffic
 /// fetched once per dispatch regardless of lane count (2x2 entries 64
-/// bytes, 4x4 256, fused runs 64 per element, CZ none) — the amortization
-/// batching buys. Deterministic and exact for the model — used for plan-to-plan
+/// bytes, 4x4 256, fused runs 64 per element, CZ and CZ ladders none) —
+/// the amortization batching buys. A CZ ladder is charged its gates'
+/// flops (2 per quad each) but one pass's bytes, like a fused run. Deterministic and exact for the model — used for plan-to-plan
 /// comparisons (QB010, bench JSON), not wall-time prediction. batch = 1
 /// reproduces the serial estimate.
 struct PlanResourceEstimate {
@@ -110,6 +117,8 @@ struct PlanResourceEstimate {
   double shared_bytes = 0.0;
   std::size_t plan_ops = 0;
   std::size_t fused_runs = 0;
+  std::size_t cz_ladders = 0;       ///< kCzLadder ops among plan_ops
+  std::size_t cz_ladder_gates = 0;  ///< source CZs those ladders cover
   /// Lane count the estimate is scaled for.
   std::size_t batch = 1;
 };

@@ -154,7 +154,9 @@ struct VariancePrediction {
   /// error: a Monte-Carlo estimate below this is numerically
   /// untrustworthy (QN120's threshold).
   double noise_floor = 0.0;
-  std::size_t plan_ops = 0;  ///< op count behind the noise model
+  /// Op count behind the noise model: plan ops, with each CZ ladder
+  /// counted as the CZ gates it covers.
+  std::size_t plan_ops = 0;
   /// The modeling assumptions the numbers rest on, for reports.
   std::vector<std::string> assumptions;
 

@@ -454,7 +454,9 @@ void rule_plan_cost(const Circuit& circuit, Diagnostics& out) {
   const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
   std::ostringstream msg;
   msg << "compiled plan: " << estimate.plan_ops << " kernel op(s) ("
-      << estimate.fused_runs << " fused run(s)) on " << circuit.num_qubits()
+      << estimate.fused_runs << " fused run(s), " << estimate.cz_ladders
+      << " CZ ladder(s) covering " << estimate.cz_ladder_gates
+      << " CZ gate(s)) on " << circuit.num_qubits()
       << " qubit(s); estimated " << estimate.flops << " flops and "
       << estimate.bytes << " bytes moved per application";
   out.push_back({Severity::kInfo, "QB010", msg.str(), "plan"});

@@ -1,6 +1,7 @@
 #include "qbarren/analysis/plan_verify.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -46,6 +47,7 @@ const char* kernel_name(Kernel kernel) {
     case Kernel::kCnot: return "kCnot";
     case Kernel::kCzGate: return "kCzGate";
     case Kernel::kFixedTwo: return "kFixedTwo";
+    case Kernel::kCzLadder: return "kCzLadder";
   }
   return "<unknown kernel>";
 }
@@ -193,6 +195,7 @@ PoolReferences collect_pool_references(const Circuit& circuit,
       case Kernel::kRotation:
       case Kernel::kControlledRotation:
       case Kernel::kCzGate:
+      case Kernel::kCzLadder:
         break;  // no pooled matrix
     }
   }
@@ -549,6 +552,16 @@ void check_op_pair(const Circuit& circuit, const CompiledCircuit& plan,
       return;
 
     case OpKind::kCz:
+      if (plan_op.kernel == Kernel::kCzLadder) {
+        // Which pair the ladder applies for this op is its mask's business
+        // (check_ladder_cover); here the op must be a neighbour pair.
+        if (std::max(source.qubit0, source.qubit1) !=
+            std::min(source.qubit0, source.qubit1) + 1) {
+          mismatch(sink, k, plan_op, i, source,
+                   "a CZ ladder covers only neighbour pairs (k, k+1)");
+        }
+        return;
+      }
       if (plan_op.kernel != Kernel::kCzGate) {
         mismatch(sink, k, plan_op, i, source, "wrong kernel");
         return;
@@ -662,6 +675,52 @@ void check_op_pair(const Circuit& circuit, const CompiledCircuit& plan,
   }
 }
 
+/// A kCzLadder op covering source ops [begin, begin + fused_count) must
+/// apply exactly their CZs: its mask holds one bit per covered op, and
+/// each covered neighbour CZ's bit is in it. (Since the mask has
+/// fused_count bits, the covered pairs are then distinct.)
+void check_ladder_cover(const Circuit& circuit, const CompiledCircuit& plan,
+                        CodeSink& sink, std::size_t k, const PlanOp& op) {
+  const auto ladders = plan.matrix_pool().cz_ladders;
+  if (op.matrix >= ladders.size()) {
+    std::ostringstream msg;
+    msg << "kCzLadder plan op references ladder " << op.matrix
+        << " out of range (pool size " << ladders.size() << ")";
+    sink.add(msg.str(), plan_op_location(k));
+    return;
+  }
+  const std::uint64_t mask = ladders[op.matrix].mask;
+  const auto pairs = static_cast<std::size_t>(std::popcount(mask));
+  if (pairs != op.fused_count) {
+    std::ostringstream msg;
+    msg << "kCzLadder mask names " << pairs << " pair(s) but the op covers "
+        << op.fused_count << " source CZ(s)";
+    sink.add(msg.str(), plan_op_location(k));
+  }
+  const auto& ops = circuit.operations();
+  std::uint64_t covered = 0;
+  for (std::size_t j = 0; j < op.fused_count; ++j) {
+    const Operation& source = ops[op.source_index + j];
+    const std::size_t low = std::min(source.qubit0, source.qubit1);
+    if (source.kind != OpKind::kCz || low >= 64) continue;  // check_op_pair
+    const std::uint64_t bit = std::uint64_t{1} << low;
+    if ((mask & bit) == 0) {
+      std::ostringstream msg;
+      msg << "kCzLadder mask lacks the pair (" << low << ", " << low + 1
+          << ") of source op " << op.source_index + j;
+      sink.add(msg.str(), plan_op_location(k));
+    }
+    covered |= bit;
+  }
+  if ((mask & ~covered) != 0) {
+    std::ostringstream msg;
+    msg << "kCzLadder mask applies CZ(" << std::countr_zero(mask & ~covered)
+        << ", " << std::countr_zero(mask & ~covered) + 1
+        << "), which no covered source op specifies";
+    sink.add(msg.str(), plan_op_location(k));
+  }
+}
+
 void check_coverage(const Circuit& circuit, const CompiledCircuit& plan,
                     const PlanVerifyOptions& options, Diagnostics& out) {
   const auto& ops = circuit.operations();
@@ -670,8 +729,9 @@ void check_coverage(const Circuit& circuit, const CompiledCircuit& plan,
   std::size_t next_source = 0;
   for (std::size_t k = 0; k < plan_ops.size(); ++k) {
     const PlanOp& op = plan_ops[k];
-    const std::size_t count =
-        op.kernel == Kernel::kFusedSingle ? op.fused_count : 1;
+    const bool multi = op.kernel == Kernel::kFusedSingle ||
+                       op.kernel == Kernel::kCzLadder;
+    const std::size_t count = multi ? op.fused_count : 1;
     const std::size_t begin = op.source_index;
     const std::size_t end = begin + count;
     if (begin != next_source) {
@@ -692,6 +752,9 @@ void check_coverage(const Circuit& circuit, const CompiledCircuit& plan,
     }
     for (std::size_t j = 0; j < count; ++j) {
       check_op_pair(circuit, plan, options, sink, k, op, j, begin + j);
+    }
+    if (op.kernel == Kernel::kCzLadder) {
+      check_ladder_cover(circuit, plan, sink, k, op);
     }
   }
   if (next_source != ops.size()) {
@@ -774,6 +837,33 @@ void check_batch_slots(const Circuit& circuit, const CompiledCircuit& plan,
   }
 }
 
+// --- QP108: CZ-ladder sign tables ------------------------------------------
+
+void check_ladder_signs(const Circuit& circuit, const CompiledCircuit& plan,
+                        const PlanVerifyOptions& options, Diagnostics& out) {
+  const auto ladders = plan.matrix_pool().cz_ladders;
+  CodeSink sink(out, options, Severity::kError, "QP108");
+  const std::size_t q = circuit.num_qubits();
+  for (std::size_t l = 0; l < ladders.size(); ++l) {
+    const CompiledCircuit::CzLadder& ladder = ladders[l];
+    const std::string location = pool_location("cz_ladders", l);
+    // Pair (k, k+1) needs k + 1 < q.
+    if (q < 2 || (q <= 64 && (ladder.mask >> (q - 1)) != 0)) {
+      sink.add("mask names a pair outside the " + std::to_string(q) +
+                   "-qubit register",
+               location);
+    }
+    for (std::size_t w = 0; w < exec::kCzLadderSignWords; ++w) {
+      if (ladder.signs[w] != exec::cz_ladder_sign_word(ladder.mask, w)) {
+        std::ostringstream msg;
+        msg << "sign word " << w << " differs from the one its mask implies "
+            << "(the pass would negate the wrong amplitudes)";
+        sink.add(msg.str(), location);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Diagnostics verify_plan(const Circuit& circuit,
@@ -789,6 +879,7 @@ Diagnostics verify_plan(const Circuit& circuit,
   check_coverage(circuit, plan, options, out);
   check_custom_fallback(circuit, plan, options, out);
   check_batch_slots(circuit, plan, options, out);
+  check_ladder_signs(circuit, plan, options, out);
   return out;
 }
 
@@ -817,7 +908,8 @@ PlanResourceEstimate estimate_plan_resources(
   // pair (RX/RY: 8 real mul + 4 real add; RZ: 2 complex mul); a 4x4
   // applied to a quadruple is 16 mul + 12 add = 120 flops. Controlled
   // kernels touch only the control-set half of the register; CZ negates
-  // the quarter with both bits set. Batched dispatch repeats the amplitude
+  // the quarter with both bits set, and a CZ ladder makes one pass over
+  // the register for all its gates. Batched dispatch repeats the amplitude
   // work per lane but fetches each op's matrix once (shared_bytes), which
   // is why states/second grows with B.
   constexpr double kMat2Flops = 28.0;
@@ -834,6 +926,8 @@ PlanResourceEstimate estimate_plan_resources(
   PlanResourceEstimate estimate;
   estimate.plan_ops = plan.num_plan_ops();
   estimate.fused_runs = plan.stats().fused_runs;
+  estimate.cz_ladders = plan.stats().cz_ladders;
+  estimate.cz_ladder_gates = plan.stats().cz_ladder_source_ops;
   estimate.batch = batch;
   for (const PlanOp& op : plan.plan_ops()) {
     switch (op.kernel) {
@@ -865,6 +959,10 @@ PlanResourceEstimate estimate_plan_resources(
       case Kernel::kCzGate:
         estimate.flops += 2.0 * quads;
         estimate.bytes += 2.0 * quads * kAmpBytes;
+        break;
+      case Kernel::kCzLadder:
+        estimate.flops += static_cast<double>(op.fused_count) * 2.0 * quads;
+        estimate.bytes += 2.0 * amps * kAmpBytes;
         break;
       case Kernel::kFixedTwo:
         estimate.flops += kMat4Flops * quads;

@@ -197,7 +197,11 @@ VariancePredictor::VariancePredictor(const Circuit& circuit,
   if (applicability_.empty()) {
     try {
       const auto plan = exec::CompiledCircuit::compile(circuit);
-      plan_ops_ = estimate_plan_resources(*plan).plan_ops;
+      // A CZ ladder counts as the gates it covers, as when each CZ was a
+      // kernel op of its own: the floor is a property of the circuit, not
+      // of how lowering batches its exact sign flips.
+      const PlanResourceEstimate e = estimate_plan_resources(*plan);
+      plan_ops_ = e.plan_ops - e.cz_ladders + e.cz_ladder_gates;
     } catch (const Error&) {
       // Fall back to the raw op count; the floor is a bound either way.
     }

@@ -14,6 +14,9 @@
 //     into a single one-pass kernel (their matrices are applied
 //     sequentially in registers, so the arithmetic — and therefore the
 //     result — is identical to applying them one at a time);
+//   * a run of >= 2 consecutive CZs on distinct neighbour pairs (k, k+1)
+//     — the entangling ladder of every paper ansatz — is lowered to one
+//     sign pass (kCzLadder; exact, see qbarren/exec/kernels.hpp);
 //   * parameterized rotations run through allocation-free kernels
 //     (qbarren/exec/kernels.hpp) instead of heap-matrix dispatch;
 //   * a parameter -> op binding table replaces the linear
@@ -24,6 +27,7 @@
 // before this layer existed therefore stay valid.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "qbarren/circuit/circuit.hpp"
+#include "qbarren/exec/kernels.hpp"
 #include "qbarren/qsim/batched_statevector.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
@@ -49,14 +54,18 @@ struct CompileOptions {
 
 class CompiledCircuit final : public ExecutionPlan {
  public:
+  /// The plan's kernel kinds. Each plan op lowers one source op, except
+  /// kFusedSingle and kCzLadder, which lower `fused_count` consecutive
+  /// ones.
   enum class Kernel : std::uint8_t {
     kRotation,            ///< parameterized R_axis(params[param]) on qubit0
     kControlledRotation,  ///< parameterized controlled-R, qubit0 = control
     kFixedSingle,         ///< cached 2x2 on qubit0
     kFusedSingle,         ///< run of >= 2 cached 2x2s on qubit0, one pass
     kCnot,                ///< cached X on qubit1 controlled on qubit0
-    kCzGate,              ///< sign-flip fast path
+    kCzGate,              ///< one CZ on (qubit0, qubit1): sign flips
     kFixedTwo,            ///< cached 4x4 on (qubit0, qubit1)
+    kCzLadder,            ///< >= 2 CZs on distinct (k, k+1) pairs, one pass
   };
 
   struct PlanOp {
@@ -65,9 +74,11 @@ class CompiledCircuit final : public ExecutionPlan {
     std::uint32_t qubit0 = 0;
     std::uint32_t qubit1 = 0;
     std::uint32_t param = 0;        ///< rotation kernels: parameter index
-    std::uint32_t matrix = 0;       ///< fixed kernels: matrix-pool index
+    /// Fixed kernels: matrix-pool index; kCzLadder: ladder-pool index.
+    std::uint32_t matrix = 0;
     std::uint32_t fused_begin = 0;  ///< kFusedSingle: offset into run list
-    std::uint32_t fused_count = 0;  ///< kFusedSingle: gates in the run
+    /// kFusedSingle, kCzLadder: source gates the op covers.
+    std::uint32_t fused_count = 0;
     std::uint32_t source_index = 0;  ///< first source op lowered here
   };
 
@@ -76,6 +87,8 @@ class CompiledCircuit final : public ExecutionPlan {
     std::size_t plan_ops = 0;          ///< kernel ops after lowering
     std::size_t fused_runs = 0;        ///< kFusedSingle ops emitted
     std::size_t fused_source_ops = 0;  ///< source ops inside fused runs
+    std::size_t cz_ladders = 0;        ///< kCzLadder ops emitted
+    std::size_t cz_ladder_source_ops = 0;  ///< source CZs inside ladders
     std::size_t rotation_ops = 0;      ///< parameterized kernel ops
     std::size_t cached_matrices = 0;   ///< distinct constant matrices cached
   };
@@ -182,20 +195,29 @@ class CompiledCircuit final : public ExecutionPlan {
     return plan_ops_;
   }
 
+  /// One CZ ladder, deduplicated by mask: what apply_cz_ladder needs.
+  /// The ladder is diagonal and self-inverse, so it has no inverse entry.
+  struct CzLadder {
+    std::uint64_t mask = 0;  ///< bit k set: CZ(k, k+1) is in the ladder
+    /// signs[w] = cz_ladder_sign_word(mask, w).
+    std::array<std::uint64_t, kCzLadderSignWords> signs{};
+  };
+
   /// The deduplicated constant-matrix pool. `single` / `single_inverse`
   /// are indexed by PlanOp::matrix (kFixedSingle, kCnot) and by the
   /// `fused` run list (kFusedSingle); `two` / `two_inverse` by
-  /// PlanOp::matrix (kFixedTwo). Forward and inverse entries share one
-  /// indexing.
+  /// PlanOp::matrix (kFixedTwo); `cz_ladders` by PlanOp::matrix
+  /// (kCzLadder). Forward and inverse entries share one indexing.
   struct MatrixPool {
     std::span<const gates::Mat2> single;
     std::span<const gates::Mat2> single_inverse;
     std::span<const ComplexMatrix> two;
     std::span<const ComplexMatrix> two_inverse;
     std::span<const std::uint32_t> fused;  ///< pool2 indices of fused runs
+    std::span<const CzLadder> cz_ladders;
   };
   [[nodiscard]] MatrixPool matrix_pool() const noexcept {
-    return {pool2_, pool2_inv_, pool4_, pool4_inv_, fused_};
+    return {pool2_, pool2_inv_, pool4_, pool4_inv_, fused_, cz_ladders_};
   }
 
   /// One parameter's lowering: the source op and plan op consuming it.
@@ -290,6 +312,7 @@ class CompiledCircuit final : public ExecutionPlan {
   std::vector<ComplexMatrix> pool4_;    ///< cached 4x4 matrices (forward)
   std::vector<ComplexMatrix> pool4_inv_;
   std::vector<std::uint32_t> fused_;  ///< pool2 indices of fused runs
+  std::vector<CzLadder> cz_ladders_;  ///< kCzLadder pool, one per mask
   std::vector<ComplexMatrix> const_matrices_;  ///< dense matrices, deduped
   std::vector<std::uint32_t> source_matrix_;   ///< source op -> dense index
   std::vector<std::size_t> param_source_op_;   ///< param -> source op

@@ -34,6 +34,14 @@
 //  * CZ, controlled and two-qubit kernels enumerate the indices whose two
 //    qubit bits match a pattern as contiguous runs instead of scanning and
 //    skipping; the visited amplitudes and their arithmetic are unchanged.
+//  * A CZ ladder (CZs on distinct neighbour pairs, as every paper ansatz's
+//    entangling layer) runs as one pass that flips the IEEE sign bit of
+//    both components of each amplitude the ladder negates an odd number of
+//    times. A CZ is diagonal with entries +-1, so CZs commute exactly and
+//    each one only negates; negation is exact and flips nothing but the
+//    sign bit, and two negations restore the original bits. So the pass
+//    returns the gate-by-gate result bit for bit, signed zeros and NaNs
+//    included, and needs no numerics version or fingerprint bump.
 //  * The kernels are compiled once per x86-64 ISA level (baseline,
 //    x86-64-v3, x86-64-v4) and these functions forward to the widest one
 //    the CPU supports (qbarren/exec/kernel_isa.hpp). Every variant does the
@@ -48,6 +56,7 @@
 //    runs needs no numerics version or fingerprint bump.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "qbarren/qsim/gates.hpp"
@@ -117,6 +126,31 @@ void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b);
 /// over two vectors that may alias measured about half as fast.
 void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
                    std::size_t qubit_b);
+
+/// Words in a CZ ladder's sign table (see apply_cz_ladder).
+inline constexpr std::size_t kCzLadderSignWords = 128;
+
+/// Word `w` (< kCzLadderSignWords) of the sign table of the ladder whose
+/// pairs are `mask` (bit k set: CZ(k, k+1)): the IEEE sign bit when the
+/// pairs wholly inside the low 7 index bits flip an amplitude whose index
+/// has low bits `w` an odd number of times, zero otherwise.
+[[nodiscard]] inline std::uint64_t cz_ladder_sign_word(std::uint64_t mask,
+                                                       std::size_t w) {
+  const std::uint64_t bits = w & (w >> 1) & mask & 0x3F;
+  return std::uint64_t{std::popcount(bits) & 1u} << 63;
+}
+
+/// A product of CZs on distinct neighbour pairs (k, k+1), bit k of `mask`
+/// set for each, in one pass: amplitude i is negated iff
+/// popcount(i & (i >> 1) & mask) is odd. Runs in blocks of 64 amplitudes;
+/// `signs[(i & 64) + (i & 63)]` = cz_ladder_sign_word(mask, i & 127)
+/// covers the pairs k <= 5, and the pairs k >= 6, which see only a
+/// block's index bits, add one parity per block. Blocks that nothing
+/// negates are skipped. Negation only flips the sign bit and the CZs
+/// commute, so the result is bit-identical to applying the CZs one by
+/// one, in any order (signed zeros and NaNs included).
+void apply_cz_ladder(StateVector& state, std::uint64_t mask,
+                     const std::uint64_t* signs);
 
 /// dst <- (U on target) src, out of place: every amplitude of dst is
 /// written from src, so no prior copy of src into dst is needed.

@@ -44,6 +44,10 @@ class PlanMutationHook {
   static std::vector<std::uint32_t>& fused(CompiledCircuit& plan) {
     return plan.fused_;
   }
+  static std::vector<CompiledCircuit::CzLadder>& cz_ladders(
+      CompiledCircuit& plan) {
+    return plan.cz_ladders_;
+  }
   static std::vector<std::size_t>& param_source_op(CompiledCircuit& plan) {
     return plan.param_source_op_;
   }

@@ -61,6 +61,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   std::map<PoolKey, std::uint32_t> pool2_index;
   std::map<PoolKey, std::uint32_t> pool4_index;
   std::map<PoolKey, std::uint32_t> dense_index;
+  std::map<std::uint64_t, std::uint32_t> ladder_index;
   std::vector<std::uint8_t> param_seen(plan->num_params_, 0);
 
   // Pending run of adjacent constant single-qubit gates on one qubit.
@@ -117,6 +118,19 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
     if (inserted) {
       plan->pool4_.push_back(fwd);
       plan->pool4_inv_.push_back(inv);
+    }
+    return it->second;
+  };
+
+  auto intern_ladder = [&](std::uint64_t mask) {
+    auto [it, inserted] =
+        ladder_index.try_emplace(mask, u32(plan->cz_ladders_.size()));
+    if (inserted) {
+      CzLadder& ladder = plan->cz_ladders_.emplace_back();
+      ladder.mask = mask;
+      for (std::size_t w = 0; w < kCzLadderSignWords; ++w) {
+        ladder.signs[w] = cz_ladder_sign_word(mask, w);
+      }
     }
     return it->second;
   };
@@ -227,13 +241,35 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
       }
       case OpKind::kCz: {
         flush_run();
+        // The longest run of CZs from here on distinct neighbour pairs
+        // (k, k+1) whose bit k fits the 64-bit mask.
+        std::uint64_t mask = 0;
+        std::size_t end = i;
+        for (; end < ops.size() && ops[end].kind == OpKind::kCz; ++end) {
+          const std::size_t low = std::min(ops[end].qubit0, ops[end].qubit1);
+          if (std::max(ops[end].qubit0, ops[end].qubit1) != low + 1 ||
+              low >= 63 || (mask >> low & 1u) != 0) {
+            break;
+          }
+          mask |= std::uint64_t{1} << low;
+        }
         PlanOp p;
-        p.kernel = Kernel::kCzGate;
-        p.qubit0 = u32(op.qubit0);
-        p.qubit1 = u32(op.qubit1);
         p.source_index = u32(i);
+        if (end - i >= 2) {
+          p.kernel = Kernel::kCzLadder;
+          p.matrix = intern_ladder(mask);
+          p.fused_count = u32(end - i);
+          ++plan->stats_.cz_ladders;
+          plan->stats_.cz_ladder_source_ops += end - i;
+          for (std::size_t j = i; j < end; ++j) intern_dense(ops[j], j);
+          i = end - 1;  // the loop resumes after the ladder
+        } else {
+          p.kernel = Kernel::kCzGate;
+          p.qubit0 = u32(op.qubit0);
+          p.qubit1 = u32(op.qubit1);
+          intern_dense(op, i);
+        }
         plan->plan_ops_.push_back(p);
-        intern_dense(op, i);
         break;
       }
       case OpKind::kCnot: {
@@ -425,6 +461,15 @@ void CompiledCircuit::apply_plan_op_batch(std::size_t k,
     case Kernel::kCzGate:
       batched_apply_cz(batch, lanes, op.qubit0, op.qubit1);
       return;
+    case Kernel::kCzLadder:
+      // Gate by gate: the CZs commute and only negate, so any order gives
+      // the serial ladder's bits.
+      for (std::uint64_t m = cz_ladders_[op.matrix].mask; m != 0;
+           m &= m - 1) {
+        const auto k = static_cast<std::size_t>(std::countr_zero(m));
+        batched_apply_cz(batch, lanes, k, k + 1);
+      }
+      return;
     case Kernel::kFixedTwo:
       batched_apply_mat4(batch, lanes, pool4_[op.matrix], op.qubit0,
                          op.qubit1);
@@ -575,6 +620,10 @@ void CompiledCircuit::apply_plan_op(std::size_t k, StateVector& state,
     case Kernel::kFixedTwo:
       state.apply_two_qubit(pool4_[op.matrix], op.qubit0, op.qubit1);
       return;
+    case Kernel::kCzLadder:
+      apply_cz_ladder(state, cz_ladders_[op.matrix].mask,
+                      cz_ladders_[op.matrix].signs.data());
+      return;
   }
   throw InvalidArgument("CompiledCircuit::apply_plan_op: unknown kernel");
 }
@@ -611,6 +660,10 @@ void CompiledCircuit::apply_plan_op_inverse(
       return;
     case Kernel::kFixedTwo:
       state.apply_two_qubit(pool4_inv_[op.matrix], op.qubit0, op.qubit1);
+      return;
+    case Kernel::kCzLadder:  // self-inverse
+      apply_cz_ladder(state, cz_ladders_[op.matrix].mask,
+                      cz_ladders_[op.matrix].signs.data());
       return;
   }
   throw InvalidArgument(

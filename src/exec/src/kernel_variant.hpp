@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -107,6 +108,9 @@
     (StateVector& s1, StateVector& s2, std::size_t qubit_a,                  \
      std::size_t qubit_b),                                                   \
     (s1, s2, qubit_a, qubit_b))                                              \
+  X(void, apply_cz_ladder,                                                   \
+    (StateVector& state, std::uint64_t mask, const std::uint64_t* signs),    \
+    (state, mask, signs))                                                    \
   X(void, apply_mat2_from,                                                   \
     (StateVector& dst, const StateVector& src, const gates::Mat2& u,         \
      std::size_t target),                                                    \

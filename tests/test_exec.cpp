@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
@@ -797,16 +800,6 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
 }
 
 
-// --- ISA variants ------------------------------------------------------------
-//
-// Every compiled kernel variant the host can run (kernel_variant.hpp)
-// against the baseline variant, entry point by entry
-// point: std::bit_cast equality on every component, signed zeros
-// included. q runs to 11, so every target sees whole AVX-512 vectors of
-// amplitudes plus a remainder.
-
-constexpr std::size_t kMaxVariantQubits = 11;
-
 /// Index of the first amplitude whose components differ in any bit, or
 /// the dimension when none does.
 std::size_t first_bit_difference(const StateVector& got,
@@ -823,6 +816,231 @@ std::size_t first_bit_difference(const StateVector& got,
   }
   return want.dimension();
 }
+
+// --- CZ ladders -------------------------------------------------------------
+//
+// A run of >= 2 consecutive CZs on distinct neighbour pairs lowers to one
+// kCzLadder op; every other CZ stays a kCzGate.
+
+std::vector<exec::CompiledCircuit::Kernel> kernels_of(const Circuit& circuit) {
+  const auto plan = exec::CompiledCircuit::compile(circuit);
+  std::vector<exec::CompiledCircuit::Kernel> out;
+  for (const auto& op : plan->plan_ops()) out.push_back(op.kernel);
+  return out;
+}
+
+TEST(CzLadders, PaperAnsaetzeLowerToOneLadderPerLayer) {
+  using Kernel = exec::CompiledCircuit::Kernel;
+  for (const std::size_t q : {3u, 7u, 10u}) {
+    const std::uint64_t full = (std::uint64_t{1} << (q - 1)) - 1;
+    const auto expect_ladders = [&](const Circuit& c, std::size_t layers,
+                                    const std::string& what) {
+      const auto plan = exec::CompiledCircuit::compile(c);
+      EXPECT_EQ(plan->stats().cz_ladders, layers) << what;
+      EXPECT_EQ(plan->stats().cz_ladder_source_ops, layers * (q - 1)) << what;
+      EXPECT_EQ(plan->stats().plan_ops,
+                plan->stats().source_ops - layers * (q - 2))
+          << what;
+      for (const auto& op : plan->plan_ops()) {
+        EXPECT_NE(op.kernel, Kernel::kCzGate) << what;
+        if (op.kernel != Kernel::kCzLadder) continue;
+        EXPECT_EQ(op.fused_count, q - 1) << what;
+        EXPECT_EQ(plan->matrix_pool().cz_ladders[op.matrix].mask, full)
+            << what;
+      }
+      // One distinct mask, so one pool entry.
+      EXPECT_EQ(plan->matrix_pool().cz_ladders.size(), 1u) << what;
+    };
+    Rng rng(q);
+    VarianceAnsatzOptions variance;
+    variance.layers = 6;
+    expect_ladders(variance_ansatz(q, rng, variance), 6,
+                   "variance q=" + std::to_string(q));
+    TrainingAnsatzOptions training;
+    training.layers = 5;
+    expect_ladders(training_ansatz(q, training), 5,
+                   "training q=" + std::to_string(q));
+    // Two blocks of 2 forward + 2 mirrored layers: the forward half's last
+    // ladder and the mirrored half's first repeat every pair, so they stay
+    // two ladders.
+    expect_ladders(mirror_block_ansatz(q, 2, 2, rng).circuit, 8,
+                   "mirror q=" + std::to_string(q));
+  }
+}
+
+TEST(CzLadders, OtherCzRunsStayCzGates) {
+  using Kernel = exec::CompiledCircuit::Kernel;
+  const auto all_cz_gates = [](const Circuit& c) {
+    const auto kernels = kernels_of(c);
+    return std::all_of(kernels.begin(), kernels.end(), [](Kernel k) {
+      return k == Kernel::kCzGate || k == Kernel::kFixedSingle;
+    });
+  };
+  Circuit single(3);
+  single.add_cz(1, 2);
+  EXPECT_TRUE(all_cz_gates(single));
+
+  Circuit repeated(3);  // (0,1) twice: not distinct pairs
+  repeated.add_cz(0, 1);
+  repeated.add_cz(1, 0);
+  EXPECT_TRUE(all_cz_gates(repeated));
+
+  Circuit interleaved(3);  // a constant gate between the CZs
+  interleaved.add_cz(0, 1);
+  interleaved.add_hadamard(2);
+  interleaved.add_cz(1, 2);
+  EXPECT_TRUE(all_cz_gates(interleaved));
+
+  Circuit distant(5);  // non-neighbour pairs
+  distant.add_cz(0, 2);
+  distant.add_cz(2, 4);
+  EXPECT_TRUE(all_cz_gates(distant));
+
+  Circuit wide(66);  // pairs from (63, 64) on do not fit a 64-bit mask
+  wide.add_cz(62, 63);
+  wide.add_cz(63, 64);
+  wide.add_cz(64, 65);
+  EXPECT_TRUE(all_cz_gates(wide));
+
+  Circuit all_to_all(4);
+  add_entangling_layer(all_to_all, EntanglerGate::kCz,
+                       EntanglerTopology::kAllToAll);
+  EXPECT_TRUE(all_cz_gates(all_to_all));
+
+  // A ring's linear part is a ladder; its closing (n-1, 0) pair is not a
+  // neighbour pair and stays a CZ gate.
+  Circuit ring(5);
+  add_entangling_layer(ring, EntanglerGate::kCz, EntanglerTopology::kRing);
+  EXPECT_EQ(kernels_of(ring),
+            (std::vector<Kernel>{Kernel::kCzLadder, Kernel::kCzGate}));
+
+  // A repeated pair ends a ladder and may start the next; either qubit
+  // order names the same pair.
+  Circuit runs(4);
+  runs.add_cz(1, 0);
+  runs.add_cz(2, 1);
+  runs.add_cz(0, 1);
+  runs.add_cz(2, 3);
+  runs.add_cz(2, 3);
+  const auto plan = exec::CompiledCircuit::compile(runs);
+  ASSERT_EQ(plan->num_plan_ops(), 3u);
+  EXPECT_EQ(plan->plan_ops()[0].kernel, Kernel::kCzLadder);
+  EXPECT_EQ(plan->plan_ops()[0].fused_count, 2u);
+  EXPECT_EQ(plan->plan_ops()[1].kernel, Kernel::kCzLadder);
+  EXPECT_EQ(plan->plan_ops()[1].source_index, 2u);
+  EXPECT_EQ(plan->plan_ops()[2].kernel, Kernel::kCzGate);
+  const auto pool = plan->matrix_pool().cz_ladders;
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool[plan->plan_ops()[0].matrix].mask, 0b011u);
+  EXPECT_EQ(pool[plan->plan_ops()[1].matrix].mask, 0b101u);
+}
+
+/// Circuits whose plans hold ladders across the 64-amplitude block and the
+/// bit-6 boundary, plus the rest of the kernel families.
+std::vector<Circuit> ladder_circuits() {
+  std::vector<Circuit> out;
+  for (const std::size_t q : {2u, 5u, 7u, 8u}) {
+    Rng rng(90 + q);
+    VarianceAnsatzOptions variance;
+    variance.layers = 4;
+    out.push_back(variance_ansatz(q, rng, variance));
+    TrainingAnsatzOptions training;
+    training.layers = 3;
+    out.push_back(training_ansatz(q, training));
+    out.push_back(mirror_block_ansatz(q, 2, 1, rng).circuit);
+    Circuit mixed = random_circuit(rng, q, 20);
+    add_entangling_layer(mixed, EntanglerGate::kCz, EntanglerTopology::kRing);
+    mixed.add_cz(q - 1, q - 2);
+    mixed.add_rotation(gates::Axis::kX, 0);
+    out.push_back(mixed);
+  }
+  return out;
+}
+
+TEST(CzLadders, EveryConsumerMatchesTheInterpretedPath) {
+  // The interpreted path's contract (see the kernel tests above): equal
+  // under ==, bit-identical on every nonzero component.
+  const AdjointEngine adjoint;
+  const ParameterShiftEngine shift;
+  std::size_t ladders = 0;
+  for (Circuit& c : ladder_circuits()) {
+    const Circuit interpreted = c;  // copied before a plan is attached
+    const std::size_t q = c.num_qubits();
+    const LocalZeroObservable obs(q);
+    Rng rng(q + c.num_operations());
+    const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+    const std::size_t lanes = 3;
+    std::vector<double> bindings;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      const auto row = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+      bindings.insert(bindings.end(), row.begin(), row.end());
+    }
+    const std::vector<std::size_t> partials = {0, c.num_parameters() / 2,
+                                               c.num_parameters() - 1};
+    const auto partials_of = [&](const Circuit& circuit) {
+      std::vector<double> out;
+      for (const std::size_t p : partials) {
+        out.push_back(shift.partial(circuit, obs, params, p));
+      }
+      return out;
+    };
+
+    const auto plan = exec::plan_for(c);
+    ASSERT_NE(plan, nullptr);
+    ladders += plan->stats().cz_ladders;
+    const StateVector got = c.simulate(params);
+    const BatchedStateVector batch = plan->simulate_batch(bindings, lanes);
+    // Adjoint: the forward pass and the inverse double sweep both run the
+    // ladders. Partials: PartialEvaluator's prefix and suffix cross them.
+    const ValueAndGradient got_vg = adjoint.value_and_gradient(c, obs, params);
+    const std::vector<double> got_partials = partials_of(c);
+
+    const exec::ScopedExecutionPlans off(false);
+    const std::string what = "q=" + std::to_string(q) + " ops " +
+                             std::to_string(c.num_operations());
+    expect_same_amplitudes(got, interpreted.simulate(params),
+                           "simulate " + what);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      const std::span<const double> row(
+          bindings.data() + b * c.num_parameters(), c.num_parameters());
+      expect_same_amplitudes(batch.extract_lane(b), interpreted.simulate(row),
+                             "batch lane " + std::to_string(b) + " " + what);
+    }
+    const ValueAndGradient want_vg =
+        adjoint.value_and_gradient(interpreted, obs, params);
+    EXPECT_EQ(got_vg.value, want_vg.value) << "adjoint value " << what;
+    EXPECT_EQ(got_vg.gradient, want_vg.gradient) << "adjoint " << what;
+    EXPECT_EQ(got_partials, partials_of(interpreted)) << "partials " << what;
+  }
+  EXPECT_GT(ladders, 0u);  // the fixtures must exercise the ladder kernel
+}
+
+TEST(CzLadders, NoisySimulatorMatchesInterpreted) {
+  const NoiseModel noise = make_depolarizing_model(0.01, 0.02);
+  for (Circuit& c : ladder_circuits()) {
+    if (c.num_qubits() > 5) continue;  // density matrices grow as 4^q
+    const Circuit interpreted = c;
+    const GlobalZeroObservable obs(c.num_qubits());
+    Rng rng(c.num_operations());
+    const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+    ASSERT_NE(exec::plan_for(c), nullptr);
+    const double compiled = noisy_expectation(c, params, obs, noise);
+    exec::ScopedExecutionPlans off(false);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(compiled),
+              std::bit_cast<std::uint64_t>(
+                  noisy_expectation(interpreted, params, obs, noise)));
+  }
+}
+
+// --- ISA variants ------------------------------------------------------------
+//
+// Every compiled kernel variant the host can run (kernel_variant.hpp)
+// against the baseline variant, entry point by entry
+// point: std::bit_cast equality on every component, signed zeros
+// included. q runs to 11, so every target sees whole AVX-512 vectors of
+// amplitudes plus a remainder.
+
+constexpr std::size_t kMaxVariantQubits = 11;
 
 bool same_bits(Complex a, Complex b) {
   return std::bit_cast<std::uint64_t>(a.real()) ==
@@ -1033,6 +1251,45 @@ TEST(KernelVariants, TwoQubitKernelsMatchBaselineOnEveryOrderedPair) {
               k.apply_mat4_from(s, inputs[n], m4, a, b);
             });
           }
+        }
+      }
+    }
+  }
+}
+
+// Every variant's CZ ladder against the baseline's CZs one by one, for
+// full, partial, top-pairs-only and random masks: q <= 6 is the
+// single-block (<= 64 amplitudes) path, q = 7 the first with a bit-6
+// half, and q = 12 puts pairs in the per-block parity.
+TEST(KernelVariants, CzLadderMatchesSequentialCzBitForBit) {
+  Rng rng(79);
+  for (std::size_t q = 1; q <= 12; ++q) {
+    const std::uint64_t full = (std::uint64_t{1} << (q - 1)) - 1;
+    std::vector<std::uint64_t> masks = {full, full & 0x55, full & ~0x3Full,
+                                        full & 0x60, full & (full << 4)};
+    if (q >= 3) masks.push_back(std::uint64_t{3} << (q - 3));  // top pairs
+    for (int r = 0; r < 6; ++r) masks.push_back(rng.index(full + 1));
+    std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    StateVector nan_input = inputs.back();
+    nan_input.amplitudes()[0] = Complex(std::nan(""), -0.0);
+    inputs.push_back(nan_input);
+    for (const std::uint64_t mask : masks) {
+      std::uint64_t signs[exec::kCzLadderSignWords];
+      for (std::size_t w = 0; w < exec::kCzLadderSignWords; ++w) {
+        signs[w] = exec::cz_ladder_sign_word(mask, w);
+      }
+      for (std::size_t n = 0; n < inputs.size(); ++n) {
+        StateVector want = inputs[n];
+        for (std::size_t k = 0; k + 1 < q; ++k) {
+          if ((mask >> k) & 1u) baseline_kernels().apply_cz(want, k, k + 1);
+        }
+        for (const exec::KernelVariant& variant : exec::kernel_variants()) {
+          if (!variant.supported) continue;
+          StateVector got = inputs[n];
+          variant.kernels->apply_cz_ladder(got, mask, signs);
+          EXPECT_EQ(first_bit_difference(got, want), want.dimension())
+              << variant.isa << " q=" << q << " mask " << mask << " input "
+              << n;
         }
       }
     }

@@ -443,6 +443,11 @@ TEST(LintQB010, ReportsCompiledPlanCost) {
   EXPECT_EQ(it->severity, Severity::kInfo);
   EXPECT_EQ(it->location, "plan");
   EXPECT_NE(it->message.find("flops"), std::string::npos);
+  // 4 qubits, 5 layers: 40 rotations and 5 ladders of 3 CZs.
+  EXPECT_NE(it->message.find("45 kernel op(s) (0 fused run(s), 5 CZ "
+                             "ladder(s) covering 15 CZ gate(s))"),
+            std::string::npos)
+      << it->message;
 }
 
 TEST(LintQB010, SilentWhenTheCircuitCannotBeLowered) {

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "qbarren/analysis/plan_verify.hpp"
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/circuit/qasm_parser.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/exec/plan_testing.hpp"
@@ -423,6 +426,22 @@ TEST(PlanResources, MatchesTheCostModelExactly) {
   EXPECT_EQ(estimate.fused_runs, 0u);
   EXPECT_DOUBLE_EQ(estimate.flops, 28.0 * 2 + 12.0 * 2 + 2.0 + 120.0);
   EXPECT_DOUBLE_EQ(estimate.bytes, 128.0 + 128.0 + 32.0 + 128.0);
+
+  // 3 qubits: amps = 8, quads = 2. Three CZs on (0,1), (1,2), (0,1): the
+  // first two are one kCzLadder, charged its gates' flops (2*2 each) but
+  // one pass's bytes (2*8*16); the repeated pair stays a kCzGate.
+  Circuit ladder(3);
+  ladder.add_cz(0, 1);
+  ladder.add_cz(2, 1);
+  ladder.add_cz(0, 1);
+  const PlanResourceEstimate l =
+      estimate_plan_resources(*CompiledCircuit::compile(ladder));
+  EXPECT_EQ(l.plan_ops, 2u);
+  EXPECT_EQ(l.cz_ladders, 1u);
+  EXPECT_EQ(l.cz_ladder_gates, 2u);
+  EXPECT_DOUBLE_EQ(l.flops, 2 * 2.0 * 2 + 2.0 * 2);
+  EXPECT_DOUBLE_EQ(l.bytes, 2.0 * 8 * 16 + 2.0 * 2 * 16);
+  EXPECT_DOUBLE_EQ(l.shared_bytes, 0.0);
 }
 
 TEST(PlanResources, ChargesEachKernelItsOwnFlops) {
@@ -492,6 +511,183 @@ TEST(PlanResources, SharedBytesFollowTheMatrixSizes) {
   const auto plan = CompiledCircuit::compile(circuit);
   const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
   EXPECT_DOUBLE_EQ(estimate.shared_bytes, 64.0 + 64.0 + 256.0);
+}
+
+// --- CZ ladders (QP105 coverage, QP108 sign tables) --------------------------
+
+/// A 6-qubit variance ansatz: every layer's CZs lower to one kCzLadder
+/// with mask 0b11111.
+Circuit ladder_circuit() {
+  Rng rng(8);
+  VarianceAnsatzOptions options;
+  options.layers = 3;
+  return variance_ansatz(6, rng, options);
+}
+
+CompiledCircuit::PlanOp& first_ladder(CompiledCircuit& plan) {
+  auto& ops = PlanMutationHook::plan_ops(plan);
+  const auto it = std::find_if(
+      ops.begin(), ops.end(), [](const CompiledCircuit::PlanOp& op) {
+        return op.kernel == CompiledCircuit::Kernel::kCzLadder;
+      });
+  EXPECT_NE(it, ops.end());
+  return *it;
+}
+
+void set_mask(CompiledCircuit::CzLadder& ladder, std::uint64_t mask) {
+  ladder.mask = mask;
+  for (std::size_t w = 0; w < exec::kCzLadderSignWords; ++w) {
+    ladder.signs[w] = exec::cz_ladder_sign_word(mask, w);
+  }
+}
+
+TEST(PlanVerify, LadderPlansVerifyClean) {
+  Rng rng(9);
+  for (const Circuit& circuit :
+       {ladder_circuit(), mirror_block_ansatz(7, 2, 2, rng).circuit}) {
+    const auto plan = CompiledCircuit::compile(circuit);
+    EXPECT_GT(plan->stats().cz_ladders, 0u);
+    EXPECT_TRUE(verify_plan(circuit, *plan).empty());
+  }
+  Circuit ring(4);  // a ladder, then the closing pair as a kCzGate
+  add_entangling_layer(ring, EntanglerGate::kCz, EntanglerTopology::kRing);
+  ring.add_cz(3, 2);
+  EXPECT_TRUE(verify_circuit_lowering(ring).empty());
+}
+
+TEST(PlanVerify, QP105FiresWhenALadderMaskDropsAPair) {
+  const Circuit circuit = ladder_circuit();
+  const auto plan = corruptible_plan(circuit);
+  // Consistent sign table, so only the coverage check can see it.
+  set_mask(PlanMutationHook::cz_ladders(*plan)[0], 0b11011);
+  const Diagnostics diags = verify_plan(circuit, *plan);
+  EXPECT_TRUE(has_code(diags, "QP105"));
+  EXPECT_FALSE(has_code(diags, "QP108"));
+  EXPECT_TRUE(has_errors(diags));
+}
+
+TEST(PlanVerify, QP105FiresWhenALadderMaskAddsOrSwapsAPair) {
+  const Circuit circuit = ladder_circuit();
+  const auto extra = corruptible_plan(circuit);
+  set_mask(PlanMutationHook::cz_ladders(*extra)[0], 0b111111);
+  // Pair (5, 6) is outside the 6-qubit register too.
+  const Diagnostics extra_diags = verify_plan(circuit, *extra);
+  EXPECT_TRUE(has_code(extra_diags, "QP105"));
+  EXPECT_TRUE(has_code(extra_diags, "QP108"));
+
+  // Same number of pairs, one of them wrong: (2, 3) traded for (5, 6).
+  const auto swapped = corruptible_plan(circuit);
+  set_mask(PlanMutationHook::cz_ladders(*swapped)[0], 0b111011);
+  EXPECT_TRUE(has_code(verify_plan(circuit, *swapped), "QP105"));
+}
+
+TEST(PlanVerify, QP105FiresWhenALadderCountIsOffByOne) {
+  const Circuit circuit = ladder_circuit();
+  for (const int delta : {-1, 1}) {
+    const auto plan = corruptible_plan(circuit);
+    CompiledCircuit::PlanOp& ladder = first_ladder(*plan);
+    ladder.fused_count = static_cast<std::uint32_t>(
+        static_cast<int>(ladder.fused_count) + delta);
+    const Diagnostics diags = verify_plan(circuit, *plan);
+    EXPECT_TRUE(has_code(diags, "QP105")) << delta;
+    EXPECT_TRUE(has_errors(diags)) << delta;
+  }
+}
+
+TEST(PlanVerify, QP108FiresWhenASignWordIsFlipped) {
+  const Circuit circuit = ladder_circuit();
+  const auto plan = corruptible_plan(circuit);
+  PlanMutationHook::cz_ladders(*plan)[0].signs[37] ^= std::uint64_t{1} << 63;
+  const Diagnostics diags = verify_plan(circuit, *plan);
+  EXPECT_EQ(count_code(diags, "QP108"), 1u);
+  EXPECT_FALSE(has_code(diags, "QP105"));
+  EXPECT_TRUE(has_errors(diags));
+}
+
+TEST(PlanVerify, QP105FiresWhenALadderCoversANonNeighbourCz) {
+  Circuit circuit(4);
+  circuit.add_cz(0, 1);
+  circuit.add_cz(1, 3);  // not a neighbour pair: lowered as a kCzGate
+  const auto plan = corruptible_plan(circuit);
+  auto& ops = PlanMutationHook::plan_ops(*plan);
+  ASSERT_EQ(ops.size(), 2u);
+  // Claim one ladder over both, with a two-pair mask.
+  auto& pool = PlanMutationHook::cz_ladders(*plan);
+  pool.emplace_back();
+  set_mask(pool.back(), 0b011);
+  ops[0].kernel = CompiledCircuit::Kernel::kCzLadder;
+  ops[0].matrix = 0;
+  ops[0].fused_count = 2;
+  ops.pop_back();
+  const Diagnostics diags = verify_plan(circuit, *plan);
+  ASSERT_TRUE(has_code(diags, "QP105"));
+  const auto it =
+      std::find_if(diags.begin(), diags.end(),
+                   [](const Diagnostic& d) { return d.code == "QP105"; });
+  EXPECT_NE(it->message.find("neighbour pairs"), std::string::npos);
+}
+
+/// The plan of CZ(0,1), CZ(1,0) (two kCzGate ops, the pair repeated)
+/// corrupted into one ladder over both with pairs `mask`.
+std::shared_ptr<CompiledCircuit> repeated_pair_as_ladder(
+    const Circuit& circuit, std::uint64_t mask) {
+  const auto plan = corruptible_plan(circuit);
+  auto& ops = PlanMutationHook::plan_ops(*plan);
+  EXPECT_EQ(ops.size(), 2u);
+  auto& pool = PlanMutationHook::cz_ladders(*plan);
+  pool.emplace_back();
+  set_mask(pool.back(), mask);
+  ops[0].kernel = CompiledCircuit::Kernel::kCzLadder;
+  ops[0].matrix = 0;
+  ops[0].fused_count = 2;
+  ops.pop_back();
+  PlanMutationHook::rotation_slots(*plan).pop_back();
+  return plan;
+}
+
+std::string only_qp105(const Diagnostics& diags) {
+  EXPECT_EQ(count_code(diags, "QP105"), 1u);
+  EXPECT_EQ(diags.size(), 1u);
+  const auto it =
+      std::find_if(diags.begin(), diags.end(),
+                   [](const Diagnostic& d) { return d.code == "QP105"; });
+  return it == diags.end() ? "" : it->message;
+}
+
+TEST(PlanVerify, QP105FiresWhenALadderFoldsARepeatedPair) {
+  Circuit circuit(3);
+  circuit.add_cz(0, 1);
+  circuit.add_cz(1, 0);
+  // Each source pair is in the one-pair mask, but the ladder applies the
+  // pair once where the source applies it twice.
+  const std::string once =
+      only_qp105(verify_plan(circuit, *repeated_pair_as_ladder(circuit, 1)));
+  EXPECT_NE(once.find("names 1 pair(s)"), std::string::npos) << once;
+  // The right pair count, each source pair in the mask, but CZ(1, 2)
+  // comes from nowhere.
+  const std::string extra = only_qp105(
+      verify_plan(circuit, *repeated_pair_as_ladder(circuit, 0b011)));
+  EXPECT_NE(extra.find("CZ(1, 2)"), std::string::npos) << extra;
+}
+
+TEST(PlanVerify, CzRunsFixtureKeepsNonLadderCzsAsGates) {
+  const std::string path = std::string(QBARREN_FIXTURE_DIR) + "/cz_runs.qasm";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot open fixture " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Circuit circuit = parse_qasm(text.str()).circuit;
+  const auto plan = CompiledCircuit::compile(circuit);
+  // The ring's linear part and the (1,2), (2,3) run are ladders; the ring
+  // closure, the repeated pair and the three interleaved CZs are not.
+  std::size_t cz_gates = 0;
+  for (const CompiledCircuit::PlanOp& op : plan->plan_ops()) {
+    cz_gates += op.kernel == CompiledCircuit::Kernel::kCzGate ? 1 : 0;
+  }
+  EXPECT_EQ(plan->stats().cz_ladders, 2u);
+  EXPECT_EQ(plan->stats().cz_ladder_source_ops, 5u);
+  EXPECT_EQ(cz_gates, 5u);
+  EXPECT_TRUE(verify_plan(circuit, *plan).empty());
 }
 
 // --- QP107: batched-dispatch slot table --------------------------------------
