@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "qbarren/analysis/plan_verify.hpp"
 #include "qbarren/circuit/ansatz.hpp"
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
@@ -177,76 +176,77 @@ void bm_compiled_parameter_shift_last_param(benchmark::State& state) {
 BENCHMARK(bm_compiled_parameter_shift_last_param)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// --- batched vs serial parameter-shift ---------------------------------------
+// --- the shared-prefix shift walk ---------------------------------------------
 //
-// The batched dispatcher evaluates all 2P shifted bindings of a full
-// parameter-shift gradient in one monotonic walk of the kernel-op stream
-// (chunked to the batch limit), instead of a fresh prefix simulation per
-// parameter. This bench sweeps the batch width B and reports serial and
-// batched wall-clock, the speedup, states-per-second throughput, and the
-// static cost model's prediction at batch=B. CI's bench-smoke step
-// uploads the counters.
+// With a plan, ParameterShiftEngine::gradient evaluates all 2P shifted
+// bindings in one walk of the op stream: one base state advances once,
+// and each shifted binding copies it at its consuming op and runs the
+// suffix with precomputed rotation entries. This bench times that against
+// a per-parameter PartialEvaluator loop (a fresh prefix simulation per
+// parameter) on the same plan and reports both wall-clocks, their ratio
+// (walk_speedup) and the walk's throughput in shifted-binding simulations
+// per second (states_per_second). CI's bench-smoke step gates the two
+// headline counters against bench/baselines/bench_grad_micro.json.
 
-void bm_batched_parameter_shift(benchmark::State& state) {
-  const Setup setup(6, 40);  // deep HEA: q=6, L=40, P=480
+void bm_shift_walk(benchmark::State& state) {
+  const Setup setup(static_cast<std::size_t>(state.range(0)),
+                    static_cast<std::size_t>(state.range(1)));
   const auto plan = exec::plan_for(setup.circuit);
   const ParameterShiftEngine engine;
-  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-  using Clock = std::chrono::steady_clock;
-  double serial_seconds = 0.0;
-  double batched_seconds = 0.0;
-  // Untimed warmup of both paths (cold caches, lazy statics).
-  benchmark::DoNotOptimize(
-      engine.gradient(setup.circuit, setup.observable, setup.params).data());
-  {
-    exec::ScopedBatchLimit limit(lanes);
-    benchmark::DoNotOptimize(
-        engine.gradient(setup.circuit, setup.observable, setup.params)
-            .data());
+  const std::size_t num_params = setup.circuit.num_parameters();
+  constexpr double kShift = M_PI / 2.0;
+  const auto per_parameter = [&] {
+    std::vector<double> grad(num_params);
+    for (std::size_t i = 0; i < num_params; ++i) {
+      exec::PartialEvaluator cost(plan, setup.observable, setup.params, i);
+      const double plus = cost(kShift);
+      const double minus = cost(-kShift);
+      grad[i] = 0.5 * (plus - minus);
+    }
+    return grad;
+  };
+  const auto walk = [&] {
+    return engine.gradient(setup.circuit, setup.observable, setup.params);
+  };
+  // Untimed warmup of both paths (cold caches, lazy statics), which also
+  // checks that they agree bit for bit.
+  if (per_parameter() != walk()) {
+    state.SkipWithError("shift walk differs from the per-parameter loop");
+    return;
   }
-  // Alternate serial and batched within each rep so machine-load drift
-  // hits both paths evenly instead of biasing whichever ran later.
-  constexpr int kReps = 5;
+  using Clock = std::chrono::steady_clock;
+  double loop_seconds = 0.0;
+  double walk_seconds = 0.0;
+  // Alternate the two within each rep so machine-load drift hits both
+  // evenly instead of biasing whichever ran later; enough reps that one
+  // scheduler hiccup cannot move the gated counters by itself.
+  constexpr int kReps = 20;
   for (auto _ : state) {
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = Clock::now();
-      benchmark::DoNotOptimize(
-          engine.gradient(setup.circuit, setup.observable, setup.params)
-              .data());
+      benchmark::DoNotOptimize(per_parameter().data());
       const auto t1 = Clock::now();
-      {
-        exec::ScopedBatchLimit limit(lanes);
-        benchmark::DoNotOptimize(
-            engine.gradient(setup.circuit, setup.observable, setup.params)
-                .data());
-      }
+      benchmark::DoNotOptimize(walk().data());
       const auto t2 = Clock::now();
-      serial_seconds += std::chrono::duration<double>(t1 - t0).count();
-      batched_seconds += std::chrono::duration<double>(t2 - t1).count();
+      loop_seconds += std::chrono::duration<double>(t1 - t0).count();
+      walk_seconds += std::chrono::duration<double>(t2 - t1).count();
     }
   }
   const double n = static_cast<double>(state.iterations()) * kReps;
-  const double shifted_bindings =
-      2.0 * static_cast<double>(setup.circuit.num_parameters());
-  state.counters["batch"] = static_cast<double>(lanes);
-  state.counters["serial_seconds"] = serial_seconds / n;
-  state.counters["batched_seconds"] = batched_seconds / n;
-  state.counters["batched_speedup"] =
-      batched_seconds > 0.0 ? serial_seconds / batched_seconds : 0.0;
-  // Shifted-binding simulations completed per second of batched execution.
+  const double shifted_bindings = 2.0 * static_cast<double>(num_params);
+  state.counters["loop_seconds"] = loop_seconds / n;
+  state.counters["walk_seconds"] = walk_seconds / n;
+  state.counters["walk_speedup"] =
+      walk_seconds > 0.0 ? loop_seconds / walk_seconds : 0.0;
   state.counters["states_per_second"] =
-      batched_seconds > 0.0 ? shifted_bindings * n / batched_seconds : 0.0;
-  if (plan != nullptr) {
-    const PlanResourceEstimate estimate =
-        estimate_plan_resources(*plan, lanes);
-    state.counters["plan_flops"] = estimate.flops;
-    state.counters["plan_bytes"] = estimate.bytes;
-    state.counters["plan_shared_bytes"] = estimate.shared_bytes;
-  }
-  state.SetLabel("q=6 L=40 parameter-shift full gradient, batched vs serial");
+      walk_seconds > 0.0 ? shifted_bindings * n / walk_seconds : 0.0;
+  state.SetLabel("q=" + std::to_string(state.range(0)) +
+                 " L=" + std::to_string(state.range(1)) +
+                 " parameter-shift full gradient, shift walk vs "
+                 "per-parameter loop");
 }
-BENCHMARK(bm_batched_parameter_shift)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
+BENCHMARK(bm_shift_walk)
+    ->Args({6, 40})->Args({10, 5})
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // --- plan verification overhead ---------------------------------------------

@@ -116,7 +116,6 @@
 #include "qbarren/common/cli.hpp"
 #include "qbarren/common/executor.hpp"
 #include "qbarren/common/exit_codes.hpp"
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/common/run.hpp"
 #include "qbarren/circuit/qasm_parser.hpp"
 #include "qbarren/common/version.hpp"
@@ -245,18 +244,15 @@ std::string strip_engine_decorators(std::string name) {
   return name;
 }
 
-/// Opt-in --batch=<B>|auto: scopes the process batch limit for the run.
-/// Batched execution is byte-identical to serial, so this only changes
-/// throughput. `engine_name` (empty when the subcommand has no gradient
-/// engine) gates the nonsensical combination: the adjoint engine computes
-/// the whole gradient in one forward/backward pass and has nothing to
-/// batch, so an explicit lane count with it is rejected; --batch=auto
-/// simply degrades to serial there.
-std::unique_ptr<exec::ScopedBatchLimit> scoped_batch_limit(
-    const CliArgs& args, const std::string& engine_name) {
-  if (!args.has("batch")) return nullptr;
+/// --batch=<B>|auto is accepted for compatibility but no longer changes
+/// execution: shift-rule gradients always share one prefix walk. The
+/// value is still validated as before, so scripts that passed a bad value
+/// keep failing the same way: it must be a positive lane count or 'auto',
+/// and an explicit count >= 2 is rejected with the adjoint engine
+/// (`engine_name`, empty when the subcommand has no gradient engine).
+void check_batch_flag(const CliArgs& args, const std::string& engine_name) {
+  if (!args.has("batch")) return;
   const std::string text = args.get_string("batch", "");
-  std::size_t limit = exec::kBatchAuto;
   if (text != "auto") {
     std::size_t parsed = 0;
     unsigned long long value = 0;
@@ -271,19 +267,20 @@ std::unique_ptr<exec::ScopedBatchLimit> scoped_batch_limit(
     QBARREN_REQUIRE(parsed == text.size() && !text.empty() && value >= 1,
                     "--batch must be a positive lane count or 'auto', got '" +
                         text + "'");
-    limit = static_cast<std::size_t>(value);
+    if (value >= 2 && strip_engine_decorators(engine_name) == "adjoint") {
+      throw InvalidArgument(
+          "--batch " + text +
+          " makes no sense with --engine adjoint: the adjoint engine "
+          "computes the whole gradient in one forward/backward pass and "
+          "has no shifted bindings to batch; drop --batch, use "
+          "--batch=auto (runs serial), or pick a shift-rule engine "
+          "(parameter-shift, finite-diff, spsa)");
+    }
   }
-  if (limit != exec::kBatchAuto && limit >= 2 &&
-      strip_engine_decorators(engine_name) == "adjoint") {
-    throw InvalidArgument(
-        "--batch " + text +
-        " makes no sense with --engine adjoint: the adjoint engine "
-        "computes the whole gradient in one forward/backward pass and has "
-        "no shifted bindings to batch; drop --batch, use --batch=auto "
-        "(runs serial), or pick a shift-rule engine (parameter-shift, "
-        "finite-diff, spsa)");
-  }
-  return std::make_unique<exec::ScopedBatchLimit>(limit);
+  std::fprintf(stderr,
+               "--batch %s: accepted but no longer changes execution "
+               "(shift-rule gradients always share one prefix walk)\n",
+               text.c_str());
 }
 
 VarianceExperimentOptions variance_options_from(const CliArgs& args) {
@@ -316,7 +313,7 @@ int cmd_variance(const CliArgs& args) {
   const VarianceExperimentOptions options = variance_options_from(args);
   preflight(args, lint_variance_options(options), "variance preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  const auto batch = scoped_batch_limit(args, options.gradient_engine);
+  check_batch_flag(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const VarianceResult result =
       VarianceExperiment(options).run_paper_set(FanMode::kLayerTensor,
@@ -363,7 +360,7 @@ int cmd_train(const CliArgs& args) {
   const TrainingExperimentOptions options = training_options_from(args);
   preflight(args, lint_training_options(options), "train preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  const auto batch = scoped_batch_limit(args, options.gradient_engine);
+  check_batch_flag(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const TrainingResult result =
       TrainingExperiment(options).run_paper_set(FanMode::kLayerTensor,
@@ -387,7 +384,7 @@ int cmd_sweep(const CliArgs& args) {
       static_cast<std::size_t>(args.get_int("repetitions", 5));
   preflight(args, lint_sweep_options(options), "sweep preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  const auto batch = scoped_batch_limit(args, options.base.gradient_engine);
+  check_batch_flag(args, options.base.gradient_engine);
   const auto verification = plan_verification(args);
   const auto owned = paper_initializers();
   const TrainingSweepResult result =
@@ -407,8 +404,8 @@ int cmd_landscape(const CliArgs& args) {
   for (int q : args.get_int_list("qubits", {2, 5, 10})) {
     widths.push_back(static_cast<std::size_t>(q));
   }
-  // No gradient engine here; any valid --batch value applies.
-  const auto batch = scoped_batch_limit(args, "");
+  // No gradient engine here; any valid --batch value is accepted.
+  check_batch_flag(args, "");
   const auto verification = plan_verification(args);
   std::printf("%s", landscape_flatness_table(widths, base).to_ascii().c_str());
   report_plan_verification(verification);
@@ -616,7 +613,7 @@ int cmd_predict(const CliArgs& args) {
 
   if (args.get_bool("conformance", false)) {
     ResilientRun resilient(args, options_fingerprint(options));
-    const auto batch = scoped_batch_limit(args, options.gradient_engine);
+    check_batch_flag(args, options.gradient_engine);
     const ConformanceReport report =
         predict_conformance(options, initializers, default_conformance_bands(),
                             {}, resilient.control);
@@ -930,13 +927,10 @@ void print_help() {
       "variance/train/sweep run cells in parallel: --jobs <n> (0 = all\n"
       "cores), --cell-timeout-sec <s>, --max-cell-failures <k>,\n"
       "--cell-retries <r>; results are identical at any --jobs value.\n"
-      "variance/train/sweep/landscape accept --batch <B>|auto: evaluate\n"
-      "up to B\n"
-      "parameter bindings per kernel dispatch (auto picks the width);\n"
-      "batched runs are byte-identical to serial ones, and --batch\n"
-      "composes with --jobs (lanes batch within a cell, cells fan out\n"
-      "across threads). An explicit --batch >= 2 is rejected with\n"
-      "--engine adjoint, which has no shifted bindings to batch.\n"
+      "variance/train/sweep/landscape still accept --batch <B>|auto,\n"
+      "which no longer changes execution (shift-rule gradients always\n"
+      "share one prefix walk); an explicit --batch >= 2 is still\n"
+      "rejected with --engine adjoint.\n"
       "see the header of examples/qbarren_cli.cpp for per-command "
       "options.\n",
       kVersionString);

@@ -3,18 +3,19 @@
 
 CI's bench-smoke job runs bench_grad_micro once and feeds the JSON here
 together with the baseline checked in under bench/baselines/. The
-comparison gates on the batched-dispatch sweep's two headline counters:
+comparison gates on the shift-walk bench's two headline counters:
 
-  batched_speedup    serial wall-clock / batched wall-clock for a full
+  walk_speedup       per-parameter PartialEvaluator loop wall-clock /
+                     shared-prefix walk wall-clock for a full
                      parameter-shift gradient (same machine, same run,
                      so the ratio transfers across hardware)
-  states_per_second  shifted-binding simulations per second of batched
-                     execution (absolute throughput; noisier across
-                     machines, which is why the peak-of-sweep value is
-                     compared rather than per-batch-width rows)
+  states_per_second  shifted-binding simulations per second of the walk
+                     (absolute throughput; noisier across machines, which
+                     is why the peak value is compared rather than
+                     per-shape rows)
 
 For each tracked counter the script takes the PEAK value across every
-benchmark that reports it — the sweep's best batch width — and compares
+benchmark that reports it — the bench's best circuit shape — and compares
 peaks. Only regressions gate: a current peak more than --warn-pct below
 the baseline prints a warning, more than --fail-pct below fails the run
 (exit 1). Improvements never fail; a >warn-pct improvement prints a
@@ -22,7 +23,7 @@ reminder to refresh the baseline so the gate keeps teeth.
 
 Usage:
   bench_compare.py CURRENT.json BASELINE.json
-      [--counters batched_speedup,states_per_second]
+      [--counters walk_speedup,states_per_second]
       [--warn-pct 10] [--fail-pct 25]
 
 Exit codes: 0 ok (possibly with warnings), 1 regression beyond
@@ -65,7 +66,7 @@ def main() -> int:
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument(
         "--counters",
-        default="batched_speedup,states_per_second",
+        default="walk_speedup,states_per_second",
         help="comma-separated counter names to gate on",
     )
     parser.add_argument("--warn-pct", type=float, default=10.0)

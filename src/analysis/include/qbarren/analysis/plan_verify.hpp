@@ -37,11 +37,8 @@
 //                   (info: the circuit cannot be lowered and execution
 //                   will use the interpreted fallback — emitted by
 //                   verify_circuit_lowering, never by verify_plan)
-//   QP107  error    batched-dispatch table broken: the rotation-slot table
-//                   does not assign dense, in-stream-order angle-table rows
-//                   to exactly the parameterized plan ops (every batched
-//                   dispatch must cover the same ops and bindings the
-//                   serial walk does)
+//   QP107  retired, not reused: checked the batched-dispatch rotation-slot
+//                   table, which was removed with lane batching
 //   QP108  error    CZ-ladder pool entry broken: one of its 128 sign words
 //                   differs from the word recomputed from its mask, or the
 //                   mask names a pair outside the register
@@ -98,33 +95,25 @@ struct PlanVerifyOptions {
 // --- static resource estimate (QB010, bench) -------------------------------
 
 /// Statically estimated execution cost of one pass of the lowered program
-/// over `batch` 2^num_qubits state-vector lanes, from a simple per-kernel
-/// cost model charging each kernel the flops it performs (complex mul = 6
-/// flops, complex add = 2: a generic 2x2 costs 28 per amplitude pair, a
+/// over a 2^num_qubits state vector, from a simple per-kernel cost model
+/// charging each kernel the flops it performs (complex mul = 6 flops,
+/// complex add = 2: a generic 2x2 costs 28 per amplitude pair, a
 /// parameterized RX/RY/RZ rotation's specialised body 12; bytes =
-/// amplitudes read + written at 16 bytes each). `flops` and `bytes` scale
-/// linearly with the batch; `shared_bytes` is the per-op matrix traffic
-/// fetched once per dispatch regardless of lane count (2x2 entries 64
-/// bytes, 4x4 256, fused runs 64 per element, CZ and CZ ladders none) —
-/// the amortization batching buys. A CZ ladder is charged its gates'
-/// flops (2 per quad each) but one pass's bytes, like a fused run. Deterministic and exact for the model — used for plan-to-plan
-/// comparisons (QB010, bench JSON), not wall-time prediction. batch = 1
-/// reproduces the serial estimate.
+/// amplitudes read + written at 16 bytes each). A CZ ladder is charged its
+/// gates' flops (2 per quad each) but one pass's bytes, like a fused run.
+/// Deterministic and exact for the model — used for plan-to-plan
+/// comparisons (QB010, bench JSON), not wall-time prediction.
 struct PlanResourceEstimate {
   double flops = 0.0;
   double bytes = 0.0;
-  /// Matrix bytes fetched once per dispatch, independent of the batch.
-  double shared_bytes = 0.0;
   std::size_t plan_ops = 0;
   std::size_t fused_runs = 0;
   std::size_t cz_ladders = 0;       ///< kCzLadder ops among plan_ops
   std::size_t cz_ladder_gates = 0;  ///< source CZs those ladders cover
-  /// Lane count the estimate is scaled for.
-  std::size_t batch = 1;
 };
 
 [[nodiscard]] PlanResourceEstimate estimate_plan_resources(
-    const exec::CompiledCircuit& plan, std::size_t batch = 1);
+    const exec::CompiledCircuit& plan);
 
 // --- run-wide verification hook --------------------------------------------
 

@@ -787,56 +787,6 @@ void check_custom_fallback(const Circuit& circuit, const CompiledCircuit& plan,
   }
 }
 
-// --- QP107: batched-dispatch slot table -------------------------------------
-
-void check_batch_slots(const Circuit& circuit, const CompiledCircuit& plan,
-                       const PlanVerifyOptions& options, Diagnostics& out) {
-  (void)circuit;
-  const auto plan_ops = plan.plan_ops();
-  const auto slots = plan.batch_rotation_slots();
-  CodeSink sink(out, options, Severity::kError, "QP107");
-  if (slots.size() != plan_ops.size()) {
-    std::ostringstream msg;
-    msg << "rotation-slot table has " << slots.size() << " entries for "
-        << plan_ops.size() << " plan op(s)";
-    sink.add(msg.str(), "rotation_slots");
-    return;
-  }
-  std::uint32_t next_slot = 0;
-  for (std::size_t k = 0; k < plan_ops.size(); ++k) {
-    const Kernel kernel = plan_ops[k].kernel;
-    const bool parameterized =
-        kernel == Kernel::kRotation || kernel == Kernel::kControlledRotation;
-    if (parameterized) {
-      if (slots[k] != next_slot) {
-        std::ostringstream msg;
-        msg << kernel_name(kernel) << " plan op must batch through "
-            << "angle-table row " << next_slot << " but the table assigns ";
-        if (slots[k] == CompiledCircuit::kNoBatchSlot) {
-          msg << "<none> — the op's per-lane angles would never be applied";
-        } else {
-          msg << "row " << slots[k]
-              << " (rows must be dense, in stream order)";
-        }
-        sink.add(msg.str(), plan_op_location(k));
-      }
-      ++next_slot;
-    } else if (slots[k] != CompiledCircuit::kNoBatchSlot) {
-      std::ostringstream msg;
-      msg << kernel_name(kernel) << " plan op takes no per-lane angle but "
-          << "the table assigns angle-table row " << slots[k];
-      sink.add(msg.str(), plan_op_location(k));
-    }
-  }
-  if (next_slot != plan.num_batch_slots()) {
-    std::ostringstream msg;
-    msg << "plan reserves " << plan.num_batch_slots()
-        << " angle-table row(s) but " << next_slot
-        << " parameterized plan op(s) need one";
-    sink.add(msg.str(), "rotation_slots");
-  }
-}
-
 // --- QP108: CZ-ladder sign tables ------------------------------------------
 
 void check_ladder_signs(const Circuit& circuit, const CompiledCircuit& plan,
@@ -878,7 +828,6 @@ Diagnostics verify_plan(const Circuit& circuit,
   if (params_agree) check_bindings(circuit, plan, options, out);
   check_coverage(circuit, plan, options, out);
   check_custom_fallback(circuit, plan, options, out);
-  check_batch_slots(circuit, plan, options, out);
   check_ladder_signs(circuit, plan, options, out);
   return out;
 }
@@ -898,9 +847,7 @@ Diagnostics verify_circuit_lowering(const Circuit& circuit,
 }
 
 PlanResourceEstimate estimate_plan_resources(
-    const exec::CompiledCircuit& plan, std::size_t batch) {
-  QBARREN_REQUIRE(batch >= 1,
-                  "estimate_plan_resources: batch must be at least 1");
+    const exec::CompiledCircuit& plan) {
   // Cost model: each kernel is charged the flops it performs. A complex
   // multiply is 6 flops, a complex add 2, an amplitude 16 bytes. A generic
   // 2x2 applied to an amplitude pair is 4 mul + 2 add = 28 flops; a
@@ -909,15 +856,11 @@ PlanResourceEstimate estimate_plan_resources(
   // applied to a quadruple is 16 mul + 12 add = 120 flops. Controlled
   // kernels touch only the control-set half of the register; CZ negates
   // the quarter with both bits set, and a CZ ladder makes one pass over
-  // the register for all its gates. Batched dispatch repeats the amplitude
-  // work per lane but fetches each op's matrix once (shared_bytes), which
-  // is why states/second grows with B.
+  // the register for all its gates.
   constexpr double kMat2Flops = 28.0;
   constexpr double kRotationFlops = 12.0;
   constexpr double kMat4Flops = 120.0;
   constexpr double kAmpBytes = 16.0;
-  constexpr double kMat2Bytes = 4.0 * 16.0;
-  constexpr double kMat4Bytes = 16.0 * 16.0;
   const double amps =
       std::ldexp(1.0, static_cast<int>(plan.num_qubits()));
   const double pairs = amps / 2.0;
@@ -928,18 +871,15 @@ PlanResourceEstimate estimate_plan_resources(
   estimate.fused_runs = plan.stats().fused_runs;
   estimate.cz_ladders = plan.stats().cz_ladders;
   estimate.cz_ladder_gates = plan.stats().cz_ladder_source_ops;
-  estimate.batch = batch;
   for (const PlanOp& op : plan.plan_ops()) {
     switch (op.kernel) {
       case Kernel::kRotation:
         estimate.flops += kRotationFlops * pairs;
         estimate.bytes += 2.0 * amps * kAmpBytes;
-        estimate.shared_bytes += kMat2Bytes;
         break;
       case Kernel::kFixedSingle:
         estimate.flops += kMat2Flops * pairs;
         estimate.bytes += 2.0 * amps * kAmpBytes;
-        estimate.shared_bytes += kMat2Bytes;
         break;
       case Kernel::kFusedSingle:
         // One pass over the register regardless of run length — the whole
@@ -947,14 +887,11 @@ PlanResourceEstimate estimate_plan_resources(
         estimate.flops += static_cast<double>(op.fused_count) * kMat2Flops *
                           pairs;
         estimate.bytes += 2.0 * amps * kAmpBytes;
-        estimate.shared_bytes += static_cast<double>(op.fused_count) *
-                                 kMat2Bytes;
         break;
       case Kernel::kControlledRotation:
       case Kernel::kCnot:
         estimate.flops += kMat2Flops * quads;
         estimate.bytes += 2.0 * (amps / 2.0) * kAmpBytes;
-        estimate.shared_bytes += kMat2Bytes;
         break;
       case Kernel::kCzGate:
         estimate.flops += 2.0 * quads;
@@ -967,13 +904,9 @@ PlanResourceEstimate estimate_plan_resources(
       case Kernel::kFixedTwo:
         estimate.flops += kMat4Flops * quads;
         estimate.bytes += 2.0 * amps * kAmpBytes;
-        estimate.shared_bytes += kMat4Bytes;
         break;
     }
   }
-  const double lanes = static_cast<double>(batch);
-  estimate.flops *= lanes;
-  estimate.bytes *= lanes;
   return estimate;
 }
 

@@ -1,13 +1,10 @@
 #include "qbarren/bp/landscape.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/common/stats.hpp"
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 
 namespace qbarren {
@@ -31,7 +28,7 @@ LandscapeResult scan_landscape(const LandscapeOptions& options) {
                   "scan_landscape: scanned parameter index out of range");
   const auto observable = make_cost_observable(options.cost, options.qubits);
   // One lowering serves all grid_points^2 simulations of the scan.
-  const auto plan = exec::plan_for(circuit);
+  static_cast<void>(exec::plan_for(circuit));
 
   Rng rng(options.seed);
   std::vector<double> params =
@@ -49,40 +46,12 @@ LandscapeResult scan_landscape(const LandscapeOptions& options) {
   }
 
   result.values.resize(n * n);
-  if (plan != nullptr && exec::batching_enabled()) {
-    // Batch each grid row: the n theta_b bindings of a row walk the
-    // kernel-op stream together in chunks of at most the batch limit,
-    // byte-identical to the serial point-by-point scan.
-    const std::size_t lanes = exec::resolve_batch_lanes(exec::batch_limit(), n);
-    const std::size_t num_params = circuit.num_parameters();
-    std::vector<double> bindings(lanes * num_params);
-    for (std::size_t i = 0; i < n; ++i) {
-      params[options.param_a] = result.axis[i];
-      for (std::size_t j0 = 0; j0 < n; j0 += lanes) {
-        const std::size_t width = std::min(lanes, n - j0);
-        for (std::size_t b = 0; b < width; ++b) {
-          params[options.param_b] = result.axis[j0 + b];
-          std::copy(params.begin(), params.end(),
-                    bindings.begin() +
-                        static_cast<std::ptrdiff_t>(b * num_params));
-        }
-        const std::vector<double> row = plan->expectation_batch(
-            *observable,
-            std::span<const double>(bindings.data(), width * num_params),
-            width);
-        std::copy(row.begin(), row.end(),
-                  result.values.begin() +
-                      static_cast<std::ptrdiff_t>(i * n + j0));
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      params[options.param_a] = result.axis[i];
-      for (std::size_t j = 0; j < n; ++j) {
-        params[options.param_b] = result.axis[j];
-        result.values[i * n + j] =
-            observable->expectation(circuit.simulate(params));
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    params[options.param_a] = result.axis[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      params[options.param_b] = result.axis[j];
+      result.values[i * n + j] =
+          observable->expectation(circuit.simulate(params));
     }
   }
 

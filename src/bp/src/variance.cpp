@@ -209,9 +209,8 @@ std::vector<double> variance_cell_samples(
           "variance experiment at qubits=" + std::to_string(q) +
           " circuit=" + std::to_string(i));
     }
-    // Samples differ in structure, so batching stays inside the engine's
-    // partial (one sample's shifted bindings); what is shared is a
-    // circuit and its plan across the initializers of this q.
+    // Samples differ in structure; what is shared is a circuit and its
+    // plan across the initializers of this q.
     const Circuit& circuit =
         row != nullptr && i < row->entries.size()
             ? shared_structure(*row, options, qubit_index, i)

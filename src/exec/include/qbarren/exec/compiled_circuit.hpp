@@ -36,7 +36,6 @@
 
 #include "qbarren/circuit/circuit.hpp"
 #include "qbarren/exec/kernels.hpp"
-#include "qbarren/qsim/batched_statevector.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
 
@@ -45,6 +44,8 @@ class Observable;  // qbarren/obs/observable.hpp
 }  // namespace qbarren
 
 namespace qbarren::exec {
+
+struct ShiftSpec;
 
 struct CompileOptions {
   /// Fuse adjacent constant single-qubit gates on the same qubit into one
@@ -117,71 +118,6 @@ class CompiledCircuit final : public ExecutionPlan {
     return num_params_;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  // --- batched execution ----------------------------------------------------
-  //
-  // One dispatch pass over the kernel-op stream executes B parameter
-  // bindings at once (qbarren/qsim/batched_statevector.hpp holds the B
-  // amplitude lanes). Parameterized ops bind a per-lane angle through a
-  // per-op angle table indexed by `batch_rotation_slots()`; constant ops
-  // apply their pooled matrix to every lane while it sits in registers.
-  // Per-lane arithmetic is the serial kernels' per amplitude, so lane b of
-  // simulate_batch is bit-identical to simulate(binding b).
-
-  /// Sentinel slot for plan ops that do not consume a parameter.
-  static constexpr std::uint32_t kNoBatchSlot =
-      static_cast<std::uint32_t>(-1);
-
-  /// Applies the lowered program to every lane of `batch`; lane b binds
-  /// parameter row b of `bindings` (`bindings.size()` must equal
-  /// `batch.batch_size() * num_parameters()`, rows stored back to back).
-  void apply_to_batch(BatchedStateVector& batch,
-                      std::span<const double> bindings) const;
-
-  /// Runs the lowered program from |0...0> on every lane.
-  [[nodiscard]] BatchedStateVector simulate_batch(
-      std::span<const double> bindings, std::size_t batch_size) const;
-
-  /// Expectation of `observable` per lane of simulate_batch, in lane
-  /// order. Each value is bit-identical to
-  /// `observable.expectation(simulate(binding b))`.
-  [[nodiscard]] std::vector<double> expectation_batch(
-      const Observable& observable, std::span<const double> bindings,
-      std::size_t batch_size) const;
-
-  /// Applies plan op `k` to lanes [0, lanes) of `batch`. Parameterized
-  /// kernels read per-lane rotation entries from `entries` (one Mat2 per
-  /// lane, required); constant kernels ignore it.
-  void apply_plan_op_batch(std::size_t k, BatchedStateVector& batch,
-                           std::size_t lanes,
-                           const gates::Mat2* entries) const;
-
-  /// Applies plan ops `k` and `k+1` — which must both be kRotation on the
-  /// same qubit — to lanes [0, lanes) in one pass per lane, with uniform
-  /// entries for all lanes (the batched shift walk applies unshifted
-  /// suffix ops to every lane). Bit-identical to two single applications
-  /// per lane, as the serial apply_rotation_pair. `first` and `second`
-  /// must be the rotation entries of ops k and k+1's axes.
-  void apply_plan_op_batch_pair(std::size_t k, BatchedStateVector& batch,
-                                std::size_t lanes, const gates::Mat2& first,
-                                const gates::Mat2& second) const;
-
-  /// The batched dispatch table: per plan op, the dense rotation slot
-  /// (0..rotation_ops-1, assigned in stream order) or kNoBatchSlot for
-  /// non-parameterized ops. A batched dispatch builds its per-op angle
-  /// table with one row per slot (row r holds lane 0..B-1's entries for
-  /// the r-th parameterized op). The plan verifier's QP107 proves this
-  /// table covers exactly the same ops and parameter bindings as serial
-  /// dispatch.
-  [[nodiscard]] std::span<const std::uint32_t> batch_rotation_slots()
-      const noexcept {
-    return rotation_slot_;
-  }
-
-  /// Rows in the per-op angle table (== stats().rotation_ops).
-  [[nodiscard]] std::size_t num_batch_slots() const noexcept {
-    return stats_.rotation_ops;
-  }
 
   // --- read-only introspection (static analysis, schedulers) ---------------
   //
@@ -303,6 +239,18 @@ class CompiledCircuit final : public ExecutionPlan {
   // Test-only corruption hook (qbarren/exec/plan_testing.hpp): the
   // PlanVerifier's negative-path tests seed plan corruptions through it.
   friend class PlanMutationHook;
+  friend std::vector<double> shifted_expectations(
+      const CompiledCircuit& plan, const Observable& observable,
+      std::span<const double> params, std::span<const ShiftSpec> specs);
+
+  /// Applies plan ops [begin, end) in order, each parameterized op k with
+  /// the precomputed rotation entries `entries[k]`. Back-to-back rotations
+  /// on one qubit inside the range (HEA layers put RX then RY) run as one
+  /// apply_rotation_pair pass, bit-identical to applying them one by one.
+  void apply_plan_ops_with_entries(StateVector& state,
+                                   std::span<const gates::Mat2> entries,
+                                   std::span<const double> params,
+                                   std::size_t begin, std::size_t end) const;
 
   std::size_t num_qubits_ = 0;
   std::size_t num_params_ = 0;
@@ -317,7 +265,6 @@ class CompiledCircuit final : public ExecutionPlan {
   std::vector<std::uint32_t> source_matrix_;   ///< source op -> dense index
   std::vector<std::size_t> param_source_op_;   ///< param -> source op
   std::vector<std::uint32_t> param_plan_op_;   ///< param -> plan op
-  std::vector<std::uint32_t> rotation_slot_;   ///< plan op -> angle-table row
   Stats stats_;
 };
 
@@ -387,5 +334,26 @@ class PartialEvaluator {
   StateVector prefix_;
   StateVector work_;
 };
+
+/// One shifted evaluation: the cost at `params` with
+/// params[param] += delta.
+struct ShiftSpec {
+  std::size_t param = 0;
+  double delta = 0.0;
+};
+
+/// Evaluates every spec's shifted cost, each one byte-identical to
+/// PartialEvaluator(plan, observable, params, spec.param)(spec.delta), in
+/// one walk of the op stream: a base state advances once with the
+/// unshifted parameters, and at each spec's consuming op a copy of it
+/// takes the shifted op and runs the suffix. The suffix reads rotation
+/// entries computed once per call instead of once per evaluation.
+/// Parameters without a unique consuming op (shared or unconsumed) are
+/// evaluated on the whole program, as PartialEvaluator's fallback.
+/// Results are returned in spec order. Throws InvalidArgument when a
+/// spec's parameter is out of range.
+[[nodiscard]] std::vector<double> shifted_expectations(
+    const CompiledCircuit& plan, const Observable& observable,
+    std::span<const double> params, std::span<const ShiftSpec> specs);
 
 }  // namespace qbarren::exec

@@ -1,12 +1,11 @@
 // ISA variants of the gate kernels.
 //
-// The kernel source (src/exec/src/kernels.inc, batched_kernels.inc and the
-// kernel_bodies.hpp they share) is compiled once per x86-64 ISA level:
-// the baseline the compiler targets, and with GCC on x86-64 also
-// x86-64-v3 (AVX2) and x86-64-v4 (AVX-512) unless the baseline already
-// implies them. At first use the public kernels (kernels.hpp,
-// batched_kernels.hpp) select the widest compiled variant the running CPU
-// supports and forward to it from then on. The table of variants is
+// The kernel source (src/exec/src/kernels.inc and the kernel_bodies.hpp
+// it uses) is compiled once per x86-64 ISA level: the baseline the
+// compiler targets, and with GCC on x86-64 also x86-64-v3 (AVX2) and
+// x86-64-v4 (AVX-512) unless the baseline already implies them. At first
+// use the public kernels (kernels.hpp) select the widest compiled variant
+// the running CPU supports and forward to it from then on. The table of variants is
 // internal (src/exec/src/kernel_variant.hpp); the kernel tests use it to
 // compare every variant the host can run with the baseline.
 //

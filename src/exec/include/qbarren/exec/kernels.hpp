@@ -10,8 +10,7 @@
 // over the amplitudes, and that the out-of-place variants avoid the
 // full-vector copy the adjoint sweep otherwise pays per parameter.
 //
-// Arithmetic contract (shared with the batched kernels, which run the same
-// per-pair bodies):
+// Arithmetic contract:
 //  * Complex products use the naive component formula on plain doubles.
 //    For finite operands it equals the std::complex product exactly; the
 //    library multiply differs only through its NaN fixup, which never fires

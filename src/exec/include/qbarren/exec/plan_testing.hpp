@@ -54,9 +54,6 @@ class PlanMutationHook {
   static std::vector<std::uint32_t>& param_plan_op(CompiledCircuit& plan) {
     return plan.param_plan_op_;
   }
-  static std::vector<std::uint32_t>& rotation_slots(CompiledCircuit& plan) {
-    return plan.rotation_slot_;
-  }
   static std::size_t& num_qubits(CompiledCircuit& plan) {
     return plan.num_qubits_;
   }

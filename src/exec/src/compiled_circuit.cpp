@@ -8,7 +8,6 @@
 #include <tuple>
 #include <utility>
 
-#include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/kernels.hpp"
 #include "qbarren/obs/observable.hpp"
 
@@ -318,17 +317,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   }
   flush_run();
 
-  // Batched dispatch table: parameterized ops get dense angle-table rows
-  // in stream order; everything else carries the sentinel.
-  plan->rotation_slot_.assign(plan->plan_ops_.size(), kNoBatchSlot);
-  std::uint32_t next_slot = 0;
-  for (std::size_t k = 0; k < plan->plan_ops_.size(); ++k) {
-    const Kernel kernel = plan->plan_ops_[k].kernel;
-    if (kernel == Kernel::kRotation || kernel == Kernel::kControlledRotation) {
-      plan->rotation_slot_[k] = next_slot++;
-    }
-  }
-
   plan->stats_.plan_ops = plan->plan_ops_.size();
   plan->stats_.cached_matrices = plan->pool2_.size() + plan->pool4_.size();
   return plan;
@@ -365,137 +353,6 @@ StateVector CompiledCircuit::simulate(std::span<const double> params) const {
   return state;
 }
 
-// --- batched execution -----------------------------------------------------
-
-void CompiledCircuit::apply_to_batch(BatchedStateVector& batch,
-                                     std::span<const double> bindings) const {
-  QBARREN_REQUIRE(batch.num_qubits() == num_qubits_,
-                  "CompiledCircuit::apply_to_batch: register width mismatch");
-  const std::size_t lanes = batch.batch_size();
-  QBARREN_REQUIRE(bindings.size() == lanes * num_params_,
-                  "CompiledCircuit::apply_to_batch: bindings must hold "
-                  "batch_size rows of num_parameters angles");
-  // Per-op angle table, one row per parameterized op: row r holds the
-  // rotation entries of every lane for the r-th parameterized op in stream
-  // order (rotation_slot_). Thread-local scratch — deep plans re-dispatch
-  // this thousands of times per experiment.
-  thread_local std::vector<gates::Mat2> angle_table;
-  angle_table.resize(stats_.rotation_ops * lanes);
-  for (std::size_t k = 0; k < plan_ops_.size(); ++k) {
-    const std::uint32_t slot = rotation_slot_[k];
-    if (slot == kNoBatchSlot) continue;
-    const PlanOp& op = plan_ops_[k];
-    gates::Mat2* row = angle_table.data() + std::size_t{slot} * lanes;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      row[b] = gates::rotation_entries(op.axis,
-                                       bindings[b * num_params_ + op.param]);
-    }
-  }
-  for (std::size_t k = 0; k < plan_ops_.size(); ++k) {
-    const std::uint32_t slot = rotation_slot_[k];
-    const gates::Mat2* entries =
-        slot == kNoBatchSlot
-            ? nullptr
-            : angle_table.data() + std::size_t{slot} * lanes;
-    apply_plan_op_batch(k, batch, lanes, entries);
-  }
-}
-
-BatchedStateVector CompiledCircuit::simulate_batch(
-    std::span<const double> bindings, std::size_t batch_size) const {
-  BatchedStateVector batch(num_qubits_, batch_size);
-  apply_to_batch(batch, bindings);
-  return batch;
-}
-
-std::vector<double> CompiledCircuit::expectation_batch(
-    const Observable& observable, std::span<const double> bindings,
-    std::size_t batch_size) const {
-  const BatchedStateVector batch = simulate_batch(bindings, batch_size);
-  std::vector<double> values(batch_size);
-  StateVector scratch(num_qubits_);
-  for (std::size_t b = 0; b < batch_size; ++b) {
-    batch.extract_lane(b, scratch);
-    values[b] = observable.expectation(scratch);
-  }
-  return values;
-}
-
-void CompiledCircuit::apply_plan_op_batch(std::size_t k,
-                                          BatchedStateVector& batch,
-                                          std::size_t lanes,
-                                          const gates::Mat2* entries) const {
-  QBARREN_REQUIRE(k < plan_ops_.size(),
-                  "CompiledCircuit::apply_plan_op_batch: index out of range");
-  QBARREN_REQUIRE(lanes <= batch.batch_size(),
-                  "CompiledCircuit::apply_plan_op_batch: lane count exceeds "
-                  "batch");
-  const PlanOp& op = plan_ops_[k];
-  switch (op.kernel) {
-    case Kernel::kRotation:
-      QBARREN_REQUIRE(entries != nullptr,
-                      "CompiledCircuit::apply_plan_op_batch: parameterized "
-                      "op needs per-lane entries");
-      batched_apply_rotation_per_lane(batch, lanes, op.axis, entries,
-                                      op.qubit0);
-      return;
-    case Kernel::kControlledRotation:
-      QBARREN_REQUIRE(entries != nullptr,
-                      "CompiledCircuit::apply_plan_op_batch: parameterized "
-                      "op needs per-lane entries");
-      batched_apply_controlled_per_lane(batch, lanes, entries, op.qubit0,
-                                        op.qubit1);
-      return;
-    case Kernel::kFixedSingle:
-      batched_apply_mat2(batch, lanes, pool2_[op.matrix], op.qubit0);
-      return;
-    case Kernel::kFusedSingle:
-      batched_apply_mat2_run(batch, lanes, pool2_.data(),
-                             fused_.data() + op.fused_begin, op.fused_count,
-                             /*reverse=*/false, op.qubit0);
-      return;
-    case Kernel::kCnot:
-      batched_apply_controlled_mat2(batch, lanes, pool2_[op.matrix],
-                                    op.qubit0, op.qubit1);
-      return;
-    case Kernel::kCzGate:
-      batched_apply_cz(batch, lanes, op.qubit0, op.qubit1);
-      return;
-    case Kernel::kCzLadder:
-      // Gate by gate: the CZs commute and only negate, so any order gives
-      // the serial ladder's bits.
-      for (std::uint64_t m = cz_ladders_[op.matrix].mask; m != 0;
-           m &= m - 1) {
-        const auto k = static_cast<std::size_t>(std::countr_zero(m));
-        batched_apply_cz(batch, lanes, k, k + 1);
-      }
-      return;
-    case Kernel::kFixedTwo:
-      batched_apply_mat4(batch, lanes, pool4_[op.matrix], op.qubit0,
-                         op.qubit1);
-      return;
-  }
-  throw InvalidArgument("CompiledCircuit::apply_plan_op_batch: unknown kernel");
-}
-
-void CompiledCircuit::apply_plan_op_batch_pair(std::size_t k,
-                                               BatchedStateVector& batch,
-                                               std::size_t lanes,
-                                               const gates::Mat2& first,
-                                               const gates::Mat2& second) const {
-  QBARREN_REQUIRE(k + 1 < plan_ops_.size(),
-                  "CompiledCircuit::apply_plan_op_batch_pair: index out of "
-                  "range");
-  QBARREN_REQUIRE(plan_ops_[k].kernel == Kernel::kRotation &&
-                      plan_ops_[k + 1].kernel == Kernel::kRotation &&
-                      plan_ops_[k].qubit0 == plan_ops_[k + 1].qubit0,
-                  "CompiledCircuit::apply_plan_op_batch_pair: ops must be "
-                  "same-qubit rotations");
-  batched_apply_rotation_pair(batch, lanes, plan_ops_[k].axis, first,
-                              plan_ops_[k + 1].axis, second,
-                              plan_ops_[k].qubit0);
-}
-
 double CompiledCircuit::adjoint_value_and_gradient(
     const Observable& observable, std::span<const double> params,
     std::span<double> gradient) const {
@@ -525,25 +382,7 @@ double CompiledCircuit::adjoint_value_and_gradient(
   }
 
   StateVector phi(num_qubits_);
-  for (std::size_t k = 0; k < n; ++k) {
-    const PlanOp& op = plan_ops_[k];
-    if (op.kernel == Kernel::kRotation) {
-      // HEA layers put same-qubit rotation pairs back to back (RX then
-      // RY); run both in one pass when they are.
-      if (k + 1 < n && plan_ops_[k + 1].kernel == Kernel::kRotation &&
-          plan_ops_[k + 1].qubit0 == op.qubit0) {
-        apply_rotation_pair(phi, op.axis, fwd[k], plan_ops_[k + 1].axis,
-                            fwd[k + 1], op.qubit0);
-        ++k;
-      } else {
-        apply_rotation_mat2(phi, op.axis, fwd[k], op.qubit0);
-      }
-    } else if (op.kernel == Kernel::kControlledRotation) {
-      apply_controlled_mat2(phi, fwd[k], op.qubit0, op.qubit1);
-    } else {
-      apply_plan_op(k, phi, params);
-    }
-  }
+  apply_plan_ops_with_entries(phi, fwd, params, 0, n);
   StateVector lambda = observable.apply(phi);
   const double value = phi.inner_product(lambda).real();
 
@@ -588,6 +427,29 @@ void CompiledCircuit::apply_plan_ops(StateVector& state,
                   "CompiledCircuit::apply_plan_ops: range out of bounds");
   for (std::size_t k = begin; k < end; ++k) {
     apply_plan_op(k, state, params);
+  }
+}
+
+void CompiledCircuit::apply_plan_ops_with_entries(
+    StateVector& state, std::span<const gates::Mat2> entries,
+    std::span<const double> params, std::size_t begin,
+    std::size_t end) const {
+  for (std::size_t k = begin; k < end; ++k) {
+    const PlanOp& op = plan_ops_[k];
+    if (op.kernel == Kernel::kRotation) {
+      if (k + 1 < end && plan_ops_[k + 1].kernel == Kernel::kRotation &&
+          plan_ops_[k + 1].qubit0 == op.qubit0) {
+        apply_rotation_pair(state, op.axis, entries[k], plan_ops_[k + 1].axis,
+                            entries[k + 1], op.qubit0);
+        ++k;
+      } else {
+        apply_rotation_mat2(state, op.axis, entries[k], op.qubit0);
+      }
+    } else if (op.kernel == Kernel::kControlledRotation) {
+      apply_controlled_mat2(state, entries[k], op.qubit0, op.qubit1);
+    } else {
+      apply_plan_op(k, state, params);
+    }
   }
 }
 
@@ -887,6 +749,70 @@ double PartialEvaluator::operator()(double delta) {
     params_[index_] = saved;
   }
   return observable_.expectation(work_);
+}
+
+// --- the shared-prefix shift walk ------------------------------------------
+
+std::vector<double> shifted_expectations(const CompiledCircuit& plan,
+                                         const Observable& observable,
+                                         std::span<const double> params,
+                                         std::span<const ShiftSpec> specs) {
+  QBARREN_REQUIRE(params.size() == plan.num_parameters(),
+                  "shifted_expectations: parameter count mismatch");
+  // (consuming plan op, spec) in walk order; specs whose parameter has no
+  // unique consuming op take PartialEvaluator's whole-program fallback.
+  std::vector<std::pair<std::size_t, std::size_t>> walk;
+  std::vector<std::size_t> fallback;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    QBARREN_REQUIRE(specs[s].param < plan.num_parameters(),
+                    "shifted_expectations: parameter index out of range");
+    const std::size_t branch = plan.plan_op_for_parameter(specs[s].param);
+    if (branch == ExecutionPlan::kNoOperation) {
+      fallback.push_back(s);
+    } else {
+      walk.emplace_back(branch, s);
+    }
+  }
+  std::sort(walk.begin(), walk.end());
+
+  const std::size_t num_ops = plan.num_plan_ops();
+  std::vector<gates::Mat2> entries(num_ops);
+  for (std::size_t k = 0; k < num_ops; ++k) {
+    if (plan.plan_op_is_parameterized(k)) {
+      const CompiledCircuit::PlanOp& op = plan.plan_ops_[k];
+      entries[k] = gates::rotation_entries(op.axis, params[op.param]);
+    }
+  }
+
+  std::vector<double> out(specs.size());
+  // The base holds ops [0, base_pos) with the unshifted parameters — at a
+  // spec's consuming op exactly PartialEvaluator's prefix state.
+  StateVector base(plan.num_qubits());
+  StateVector work(plan.num_qubits());
+  std::size_t base_pos = 0;
+  for (const auto& [branch, s] : walk) {
+    plan.apply_plan_ops_with_entries(base, entries, params, base_pos, branch);
+    base_pos = branch;
+    work = base;
+    plan.apply_plan_op_with_angle(branch, work,
+                                  params[specs[s].param] + specs[s].delta);
+    plan.apply_plan_ops_with_entries(work, entries, params, branch + 1,
+                                     num_ops);
+    out[s] = observable.expectation(work);
+  }
+
+  if (!fallback.empty()) {
+    std::vector<double> shifted(params.begin(), params.end());
+    for (const std::size_t s : fallback) {
+      const double saved = shifted[specs[s].param];
+      shifted[specs[s].param] = saved + specs[s].delta;
+      work.reset();
+      plan.apply_plan_ops(work, shifted, 0, num_ops);
+      shifted[specs[s].param] = saved;
+      out[s] = observable.expectation(work);
+    }
+  }
+  return out;
 }
 
 }  // namespace qbarren::exec

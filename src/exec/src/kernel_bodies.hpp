@@ -1,7 +1,6 @@
-// Branch-free complex arithmetic and the amplitude-pair bodies shared by
-// the serial (kernels.inc) and batched (batched_kernels.inc) executors.
-// Internal to src/exec: every 2x2 update either executor performs is one
-// of the bodies below, so the two paths cannot drift apart.
+// Branch-free complex arithmetic and the amplitude-pair bodies of the
+// kernels (kernels.inc). Internal to src/exec: every 2x2 update a kernel
+// performs is one of the bodies below.
 //
 // Not a self-contained header: each ISA variant's translation unit
 // (kernel_variant.hpp) includes it inside that variant's namespace and

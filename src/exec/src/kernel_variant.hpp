@@ -5,9 +5,8 @@
 // (kernel_dispatch.cpp). Internal: only the library, its kernel tests and
 // its kernel micro-benchmarks include it.
 //
-// There is one kernel source, kernel_bodies.hpp + kernels.inc +
-// batched_kernels.inc. Each variant TU includes it inside its own
-// namespace; the levels above the baseline do so inside a
+// There is one kernel source, kernel_bodies.hpp + kernels.inc. Each
+// variant TU includes it inside its own namespace; the levels above the baseline do so inside a
 // `#pragma GCC target("arch=...")` region, which makes every function
 // defined there, inline helpers and template bodies included, specific to
 // that level. This header includes every header the source uses, and the
@@ -26,10 +25,8 @@
 #include <cstdint>
 #include <span>
 
-#include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/kernel_isa.hpp"
 #include "qbarren/exec/kernels.hpp"
-#include "qbarren/qsim/batched_statevector.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
 
@@ -63,10 +60,10 @@
 #define QBARREN_KERNEL_V4 0
 #endif
 
-// Every kernel entry point of kernels.hpp and batched_kernels.hpp, once,
-// as X(return type, name, (parameters), (arguments)). KernelSet, each
-// variant's table and the public forwarders are all generated from it; a
-// signature that disagrees with the public declaration does not compile.
+// Every kernel entry point of kernels.hpp, once, as X(return type, name,
+// (parameters), (arguments)). KernelSet, each variant's table and the
+// public forwarders are all generated from it; a signature that disagrees
+// with the public declaration does not compile.
 #define QBARREN_KERNEL_ENTRY_POINTS(X)                                       \
   X(void, apply_mat2,                                                        \
     (StateVector& state, const gates::Mat2& u, std::size_t target),          \
@@ -122,49 +119,7 @@
   X(Complex, adjoint_rotation_sweep,                                         \
     (StateVector& phi, StateVector& lambda, gates::Axis axis,                \
      const gates::Mat2& inv, const gates::Mat2& dr, std::size_t target),     \
-    (phi, lambda, axis, inv, dr, target))                                    \
-  X(void, batched_apply_mat2,                                                \
-    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2& u,     \
-     std::size_t target),                                                    \
-    (batch, lanes, u, target))                                               \
-  X(void, batched_apply_mat2_per_lane,                                       \
-    (BatchedStateVector& batch, std::size_t lanes,                           \
-     const gates::Mat2* entries, std::size_t target),                        \
-    (batch, lanes, entries, target))                                         \
-  X(void, batched_apply_rotation_mat2,                                       \
-    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis,         \
-     const gates::Mat2& u, std::size_t target),                              \
-    (batch, lanes, axis, u, target))                                         \
-  X(void, batched_apply_rotation_per_lane,                                   \
-    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis,         \
-     const gates::Mat2* entries, std::size_t target),                        \
-    (batch, lanes, axis, entries, target))                                   \
-  X(void, batched_apply_rotation_pair,                                       \
-    (BatchedStateVector& batch, std::size_t lanes, gates::Axis axis_first,   \
-     const gates::Mat2& u_first, gates::Axis axis_second,                    \
-     const gates::Mat2& u_second, std::size_t target),                       \
-    (batch, lanes, axis_first, u_first, axis_second, u_second, target))      \
-  X(void, batched_apply_mat2_run,                                            \
-    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2* pool,  \
-     const std::uint32_t* indices, std::size_t count, bool reverse,          \
-     std::size_t target),                                                    \
-    (batch, lanes, pool, indices, count, reverse, target))                   \
-  X(void, batched_apply_controlled_mat2,                                     \
-    (BatchedStateVector& batch, std::size_t lanes, const gates::Mat2& u,     \
-     std::size_t control, std::size_t target),                               \
-    (batch, lanes, u, control, target))                                      \
-  X(void, batched_apply_controlled_per_lane,                                 \
-    (BatchedStateVector& batch, std::size_t lanes,                           \
-     const gates::Mat2* entries, std::size_t control, std::size_t target),   \
-    (batch, lanes, entries, control, target))                                \
-  X(void, batched_apply_cz,                                                  \
-    (BatchedStateVector& batch, std::size_t lanes, std::size_t qubit_a,      \
-     std::size_t qubit_b),                                                   \
-    (batch, lanes, qubit_a, qubit_b))                                        \
-  X(void, batched_apply_mat4,                                                \
-    (BatchedStateVector& batch, std::size_t lanes, const ComplexMatrix& u,   \
-     std::size_t q_low, std::size_t q_high),                                 \
-    (batch, lanes, u, q_low, q_high))
+    (phi, lambda, axis, inv, dr, target))
 
 namespace qbarren::exec {
 

@@ -5,7 +5,6 @@
 namespace qbarren::exec::isa_baseline {
 #include "kernel_bodies.hpp"
 #include "kernels.inc"
-#include "batched_kernels.inc"
 
 const KernelSet kKernels = QBARREN_KERNEL_SET;
 }  // namespace qbarren::exec::isa_baseline

@@ -9,7 +9,6 @@
 namespace qbarren::exec::isa_v3 {
 #include "kernel_bodies.hpp"
 #include "kernels.inc"
-#include "batched_kernels.inc"
 
 const KernelSet kKernels = QBARREN_KERNEL_SET;
 }  // namespace qbarren::exec::isa_v3

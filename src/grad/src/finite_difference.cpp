@@ -1,4 +1,3 @@
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 
@@ -16,13 +15,6 @@ double FiniteDifferenceEngine::partial(const Circuit& circuit,
   QBARREN_REQUIRE(index < params.size(),
                   "FiniteDifferenceEngine::partial: index out of range");
   if (const auto plan = exec::plan_for(circuit)) {
-    if (exec::batching_enabled()) {
-      // The +/- pair as a batch of 2 lanes sharing prefix and suffix.
-      const exec::ShiftSpec specs[] = {{index, h_}, {index, -h_}};
-      const std::vector<double> v =
-          exec::shifted_expectations(*plan, observable, params, specs);
-      return (v[0] - v[1]) / (2.0 * h_);
-    }
     // Both evaluations reuse the prefix state before the shifted gate.
     exec::PartialEvaluator cost(plan, observable, params, index);
     const double plus = cost(h_);
@@ -43,10 +35,9 @@ std::vector<double> FiniteDifferenceEngine::gradient(
   check_args(circuit, observable, params);
   std::vector<double> grad(params.size());
   const auto plan = exec::plan_for(circuit);
-  if (plan != nullptr && exec::batching_enabled() && !params.empty()) {
-    // All 2P shifted bindings through the chunked batched dispatch: one
-    // monotonic walk of the op stream instead of a fresh prefix per
-    // parameter.
+  if (plan != nullptr) {
+    // All 2P shifted bindings in one shared-prefix walk of the op stream
+    // instead of a fresh prefix simulation per parameter.
     std::vector<exec::ShiftSpec> specs;
     specs.reserve(2 * params.size());
     for (std::size_t i = 0; i < params.size(); ++i) {

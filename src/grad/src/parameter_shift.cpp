@@ -1,6 +1,5 @@
 #include <cmath>
 
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 
@@ -51,19 +50,6 @@ double ParameterShiftEngine::partial(const Circuit& circuit,
   if (circuit.operation_for_parameter(index).kind ==
       OpKind::kControlledRotation) {
     const auto [a, b] = four_term_rule();
-    if (plan != nullptr && exec::batching_enabled()) {
-      // All four shifted bindings in one batched dispatch (same prefix,
-      // per-lane shifted gate, shared suffix passes).
-      const exec::ShiftSpec specs[] = {{index, kShift},
-                                       {index, -kShift},
-                                       {index, 3.0 * kShift},
-                                       {index, -3.0 * kShift}};
-      const std::vector<double> v =
-          exec::shifted_expectations(*plan, observable, params, specs);
-      const double d1 = v[0] - v[1];
-      const double d3 = v[2] - v[3];
-      return a * d1 + b * d3;
-    }
     if (plan != nullptr) {
       // All four evaluations share the prefix state before the shifted
       // gate; only that gate and its suffix are re-run per shift.
@@ -81,14 +67,6 @@ double ParameterShiftEngine::partial(const Circuit& circuit,
     return a * d1 + b * d3;
   }
 
-  if (plan != nullptr && exec::batching_enabled()) {
-    // The +/- pair as a batch of 2 lanes sharing the prefix and suffix
-    // dispatch.
-    const exec::ShiftSpec specs[] = {{index, kShift}, {index, -kShift}};
-    const std::vector<double> v =
-        exec::shifted_expectations(*plan, observable, params, specs);
-    return 0.5 * (v[0] - v[1]);
-  }
   if (plan != nullptr) {
     // Prefix-state reuse: the Fig 5a hot path differentiates the LAST
     // parameter, whose prefix is nearly the whole circuit — simulating it
@@ -111,10 +89,9 @@ std::vector<double> ParameterShiftEngine::gradient(
   constexpr double kShift = M_PI / 2.0;
   std::vector<double> grad(params.size());
   const auto plan = exec::plan_for(circuit);
-  if (plan != nullptr && exec::batching_enabled() && !params.empty()) {
-    // Build every parameter's shifted bindings (2 per rotation, 4 per
-    // controlled rotation) and evaluate them all through the chunked
-    // batched dispatch — one monotonic walk of the op stream instead of a
+  if (plan != nullptr) {
+    // Every parameter's shifted bindings (2 per rotation, 4 per controlled
+    // rotation) in one shared-prefix walk of the op stream instead of a
     // fresh prefix simulation per parameter.
     std::vector<exec::ShiftSpec> specs;
     specs.reserve(2 * params.size());

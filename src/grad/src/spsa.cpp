@@ -1,4 +1,3 @@
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 
@@ -14,7 +13,7 @@ std::vector<double> SpsaEngine::gradient(const Circuit& circuit,
                                          std::span<const double> params) const {
   check_args(circuit, observable, params);
   // Attach the plan once; both evaluations below route through it.
-  const auto plan = exec::plan_for(circuit);
+  static_cast<void>(exec::plan_for(circuit));
   const std::size_t n = params.size();
   std::vector<double> delta(n);
   for (auto& d : delta) {
@@ -27,23 +26,8 @@ std::vector<double> SpsaEngine::gradient(const Circuit& circuit,
     plus[i] += c_ * delta[i];
     minus[i] -= c_ * delta[i];
   }
-  double c_plus = 0.0;
-  double c_minus = 0.0;
-  if (plan != nullptr && exec::batching_enabled()) {
-    // The +/- pair as a batch of 2 lanes: both bindings walk the kernel-op
-    // stream once, byte-identical to two serial simulations.
-    std::vector<double> bindings;
-    bindings.reserve(2 * n);
-    bindings.insert(bindings.end(), plus.begin(), plus.end());
-    bindings.insert(bindings.end(), minus.begin(), minus.end());
-    const std::vector<double> costs =
-        plan->expectation_batch(observable, bindings, 2);
-    c_plus = costs[0];
-    c_minus = costs[1];
-  } else {
-    c_plus = observable.expectation(circuit.simulate(plus));
-    c_minus = observable.expectation(circuit.simulate(minus));
-  }
+  const double c_plus = observable.expectation(circuit.simulate(plus));
+  const double c_minus = observable.expectation(circuit.simulate(minus));
   const double scale = (c_plus - c_minus) / (2.0 * c_);
 
   std::vector<double> grad(n);

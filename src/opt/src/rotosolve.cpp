@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "qbarren/exec/batched.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 
 namespace qbarren {
@@ -18,42 +17,22 @@ TrainResult train_rotosolve(const CostFunction& cost,
   TrainResult result;
   result.final_params = std::move(initial_params);
 
-  // One lowering serves every sweep; the +/- pair of each 3-point probe
-  // batches through it when batching is on.
-  const auto plan = exec::plan_for(cost.circuit());
+  // One lowering serves every sweep.
+  static_cast<void>(exec::plan_for(cost.circuit()));
 
   double loss = cost.value(result.final_params);
   result.initial_loss = loss;
   result.loss_history.push_back(loss);
 
   constexpr double kHalfPi = M_PI / 2.0;
-  std::vector<double> pair_bindings;
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     for (std::size_t i = 0; i < result.final_params.size(); ++i) {
       const double theta = result.final_params[i];
       const double at = cost.value(result.final_params);
-      double plus = 0.0;
-      double minus = 0.0;
-      if (plan != nullptr && exec::batching_enabled()) {
-        // theta +/- pi/2 as a batch of 2 lanes, byte-identical to the two
-        // serial evaluations below.
-        const std::size_t n = result.final_params.size();
-        pair_bindings.assign(result.final_params.begin(),
-                             result.final_params.end());
-        pair_bindings.insert(pair_bindings.end(), result.final_params.begin(),
-                             result.final_params.end());
-        pair_bindings[i] = theta + kHalfPi;
-        pair_bindings[n + i] = theta - kHalfPi;
-        const std::vector<double> probes =
-            plan->expectation_batch(cost.observable(), pair_bindings, 2);
-        plus = probes[0];
-        minus = probes[1];
-      } else {
-        result.final_params[i] = theta + kHalfPi;
-        plus = cost.value(result.final_params);
-        result.final_params[i] = theta - kHalfPi;
-        minus = cost.value(result.final_params);
-      }
+      result.final_params[i] = theta + kHalfPi;
+      const double plus = cost.value(result.final_params);
+      result.final_params[i] = theta - kHalfPi;
+      const double minus = cost.value(result.final_params);
 
       // Sinusoid through the three samples; jump to its minimum.
       const double phase =

@@ -1,7 +1,14 @@
-// Unit tests for the CLI option parser.
+// Unit tests for the CLI option parser, and (when the build provides the
+// qbarren_cli binary as QBARREN_CLI_BIN) end-to-end checks of its flags.
 #include "qbarren/common/cli.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/exit_codes.hpp"
@@ -126,6 +133,79 @@ TEST(ExitCodes, Distinct) {
   EXPECT_NE(kExitAdmissionRejected, kExitWorkerCrashBudget);
   EXPECT_NE(kExitWorkerCrashBudget, kExitInterrupted);
 }
+
+#ifdef QBARREN_CLI_BIN
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Runs qbarren_cli with `args` (shell words), capturing stdout and stderr.
+CliRun run_cli(const std::string& args) {
+  const std::string base = ::testing::TempDir() + "qbarren_cli_" +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+  const std::string command = std::string("'") + QBARREN_CLI_BIN + "' " +
+                              args + " >'" + base + ".out' 2>'" + base +
+                              ".err'";
+  const int status = std::system(command.c_str());
+  CliRun run;
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.out = slurp(base + ".out");
+  run.err = slurp(base + ".err");
+  return run;
+}
+
+TEST(CliBatchFlag, InvalidValuesStillExitOne) {
+  const std::string landscape = "landscape --qubits 2 --layers 2 --grid 3 ";
+  for (const char* value : {"0", "x", "-1", "2x", ""}) {
+    const CliRun run = run_cli(landscape + "--batch='" + value + "'");
+    EXPECT_EQ(run.exit_code, kExitFailure) << "--batch '" << value << "'";
+    EXPECT_NE(run.err.find("--batch must be a positive lane count"),
+              std::string::npos)
+        << run.err;
+    EXPECT_TRUE(run.out.empty()) << run.out;
+  }
+  const CliRun adjoint = run_cli(
+      "train --qubits 2 --layers 1 --iterations 1 --engine adjoint "
+      "--lint=off --batch 4");
+  EXPECT_EQ(adjoint.exit_code, kExitFailure);
+  EXPECT_NE(adjoint.err.find("makes no sense with --engine adjoint"),
+            std::string::npos)
+      << adjoint.err;
+}
+
+TEST(CliBatchFlag, ValidValueChangesNothingButOneStderrLine) {
+  const std::string landscape = "landscape --qubits 2,3 --layers 4 --grid 5";
+  const CliRun plain = run_cli(landscape);
+  ASSERT_EQ(plain.exit_code, kExitOk) << plain.err;
+  for (const char* value : {"auto", "1", "8"}) {
+    const CliRun batched = run_cli(landscape + " --batch " + value);
+    EXPECT_EQ(batched.exit_code, kExitOk) << batched.err;
+    EXPECT_EQ(batched.out, plain.out) << "--batch " << value;
+    EXPECT_EQ(batched.err, std::string("--batch ") + value +
+                               ": accepted but no longer changes execution "
+                               "(shift-rule gradients always share one "
+                               "prefix walk)\n");
+  }
+  // --batch auto stays valid with the adjoint engine.
+  const CliRun adjoint = run_cli(
+      "train --qubits 2 --layers 1 --iterations 1 --engine adjoint "
+      "--lint=off --batch auto");
+  EXPECT_EQ(adjoint.exit_code, kExitOk) << adjoint.err;
+}
+
+#endif  // QBARREN_CLI_BIN
 
 }  // namespace
 }  // namespace qbarren

@@ -11,7 +11,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,11 +18,10 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
-#include "qbarren/exec/batched_kernels.hpp"
 #include "qbarren/exec/kernels.hpp"
+#include "qbarren/exec/plan_testing.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
-#include "qbarren/qsim/batched_statevector.hpp"
 
 // Internal to qbarren_exec: the table of compiled ISA variants.
 #include "kernel_variant.hpp"
@@ -398,6 +396,179 @@ TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
   }
 }
 
+// --- the shared-prefix shift walk -------------------------------------------
+//
+// shifted_expectations must return, for every spec, exactly (==) what a
+// per-spec PartialEvaluator returns, and what the interpreted path returns
+// for the same shifted binding.
+
+/// Per-spec PartialEvaluator values: the walk's reference.
+std::vector<double> per_spec_partials(
+    const std::shared_ptr<const exec::CompiledCircuit>& plan,
+    const Observable& obs, const std::vector<double>& params,
+    const std::vector<exec::ShiftSpec>& specs) {
+  std::vector<double> out;
+  for (const exec::ShiftSpec& spec : specs) {
+    exec::PartialEvaluator cost(plan, obs, params, spec.param);
+    out.push_back(cost(spec.delta));
+  }
+  return out;
+}
+
+/// Per-spec interpreted values: whole-program simulation of the shifted
+/// binding with plans off (`interpreted` must carry no plan).
+std::vector<double> per_spec_interpreted(
+    const Circuit& interpreted, const Observable& obs,
+    const std::vector<double>& params,
+    const std::vector<exec::ShiftSpec>& specs) {
+  const exec::ScopedExecutionPlans off(false);
+  std::vector<double> out;
+  for (const exec::ShiftSpec& spec : specs) {
+    std::vector<double> shifted = params;
+    shifted[spec.param] += spec.delta;
+    out.push_back(obs.expectation(interpreted.simulate(shifted)));
+  }
+  return out;
+}
+
+TEST(ShiftedExpectations, MatchesPartialEvaluatorAndInterpretedExactly) {
+  for (std::uint64_t seed = 31; seed < 35; ++seed) {
+    Rng rng(seed);
+    Circuit c = random_circuit(rng, 4, 36);
+    c.add_rotation(gates::Axis::kX, 2);  // at least one parameter
+    const Circuit interpreted = c;
+    const auto plan = exec::plan_for(c);
+    ASSERT_NE(plan, nullptr);
+    const GlobalZeroObservable obs(4);
+    const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+
+    // Specs in descending parameter order, some parameters with three
+    // shifts: the walk must return them in spec order, not walk order.
+    std::vector<exec::ShiftSpec> specs;
+    for (std::size_t p = c.num_parameters(); p-- > 0;) {
+      specs.push_back({p, M_PI / 2.0});
+      specs.push_back({p, -M_PI / 2.0});
+      if (p % 3 == 0) specs.push_back({p, 3.0 * M_PI / 2.0});
+    }
+    const std::vector<double> got =
+        exec::shifted_expectations(*plan, obs, params, specs);
+    EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs))
+        << "seed " << seed;
+    EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs))
+        << "seed " << seed;
+  }
+}
+
+TEST(ShiftedExpectations, FusedPairNeverStraddlesTheShiftedOp) {
+  // HEA layers: RX then RY on each qubit, back to back, then a CZ ladder.
+  // The walk runs such pairs as one pass, so a shift on either op of a
+  // pair must still see the other op with its unshifted angle.
+  Circuit c(3);
+  for (std::size_t layer = 0; layer < 3; ++layer) {
+    for (std::size_t q = 0; q < 3; ++q) {
+      c.add_rotation(gates::Axis::kX, q);
+      c.add_rotation(gates::Axis::kY, q);
+    }
+    c.add_cz(0, 1);
+    c.add_cz(1, 2);
+  }
+  const Circuit interpreted = c;
+  const auto plan = exec::plan_for(c);
+  ASSERT_NE(plan, nullptr);
+  const LocalZeroObservable obs(3);
+  Rng rng(7);
+  const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+
+  // Parameter 6 is layer 1's RX on qubit 0 (the first op of a pair),
+  // parameter 7 its RY (the second); 0 and 17 are the stream's ends.
+  for (const std::vector<std::size_t>& shifted :
+       {std::vector<std::size_t>{6}, std::vector<std::size_t>{7},
+        std::vector<std::size_t>{7, 6}, std::vector<std::size_t>{0, 17}}) {
+    std::vector<exec::ShiftSpec> specs;
+    for (const std::size_t p : shifted) {
+      specs.push_back({p, M_PI / 2.0});
+      specs.push_back({p, -M_PI / 2.0});
+    }
+    const std::vector<double> got =
+        exec::shifted_expectations(*plan, obs, params, specs);
+    EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs));
+    EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs));
+  }
+}
+
+TEST(ShiftedExpectations, ControlledRotationTakesAllFourShifts) {
+  Circuit c(3);
+  c.add_hadamard(0);
+  c.add_rotation(gates::Axis::kY, 1);
+  c.add_controlled_rotation(gates::Axis::kZ, 0, 1);
+  c.add_controlled_rotation(gates::Axis::kX, 1, 2);
+  c.add_rotation(gates::Axis::kX, 2);
+  const Circuit interpreted = c;
+  const auto plan = exec::plan_for(c);
+  ASSERT_NE(plan, nullptr);
+  const GlobalZeroObservable obs(3);
+  const std::vector<double> params{0.4, -1.3, 2.2, 0.9};
+  std::vector<exec::ShiftSpec> specs;
+  for (const std::size_t p : {1u, 2u}) {
+    for (const double d : {1.0, -1.0, 3.0, -3.0}) {
+      specs.push_back({p, d * M_PI / 2.0});
+    }
+  }
+  const std::vector<double> got =
+      exec::shifted_expectations(*plan, obs, params, specs);
+  EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs));
+  EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs));
+}
+
+TEST(ShiftedExpectations, SharedAndUnconsumedParametersTakeTheFallback) {
+  // The builders never share a parameter, so corrupt a copy of a plan
+  // the way compile() records one consumed twice: the second rotation
+  // also reads parameter 0, whose binding compile() would clear, and
+  // parameter 1 is left unconsumed. Both must match PartialEvaluator's
+  // whole-program fallback on the same plan.
+  Circuit c(2);
+  c.add_rotation(gates::Axis::kX, 0);
+  c.add_rotation(gates::Axis::kY, 1);
+  c.add_cz(0, 1);
+  c.add_rotation(gates::Axis::kZ, 0);
+  const auto plan = exec::PlanMutationHook::mutable_copy(
+      *exec::CompiledCircuit::compile(c));
+  auto& ops = exec::PlanMutationHook::plan_ops(*plan);
+  ASSERT_EQ(ops[1].param, 1u);
+  ops[1].param = 0;
+  auto& bindings = exec::PlanMutationHook::param_plan_op(*plan);
+  bindings[0] = static_cast<std::uint32_t>(-1);
+  bindings[1] = static_cast<std::uint32_t>(-1);
+  ASSERT_EQ(plan->plan_op_for_parameter(0), ExecutionPlan::kNoOperation);
+  ASSERT_EQ(plan->plan_op_for_parameter(1), ExecutionPlan::kNoOperation);
+
+  const GlobalZeroObservable obs(2);
+  const std::vector<double> params{0.7, -0.2, 1.9};
+  const std::vector<exec::ShiftSpec> specs{
+      {2, 0.5}, {0, M_PI / 2.0}, {1, M_PI / 2.0}, {0, -M_PI / 2.0}};
+  const std::shared_ptr<const exec::CompiledCircuit> view = plan;
+  EXPECT_EQ(exec::shifted_expectations(*plan, obs, params, specs),
+            per_spec_partials(view, obs, params, specs));
+}
+
+TEST(ShiftedExpectations, EmptyAndInvalidSpecLists) {
+  Circuit c(2);
+  c.add_rotation(gates::Axis::kX, 0);
+  c.add_rotation(gates::Axis::kY, 1);
+  const auto plan = exec::plan_for(c);
+  ASSERT_NE(plan, nullptr);
+  const GlobalZeroObservable obs(2);
+  const std::vector<double> params{0.1, 0.2};
+  EXPECT_TRUE(exec::shifted_expectations(*plan, obs, params, {}).empty());
+  const std::vector<exec::ShiftSpec> out_of_range{{0, 0.5}, {2, 0.5}};
+  EXPECT_THROW(
+      (void)exec::shifted_expectations(*plan, obs, params, out_of_range),
+      InvalidArgument);
+  const std::vector<double> short_params{0.1};
+  EXPECT_THROW((void)exec::shifted_expectations(*plan, obs, short_params, {}),
+               InvalidArgument);
+}
+
 // --- kernel equivalence ------------------------------------------------------
 //
 // The axis-specialised rotation kernels (RX/RY in real arithmetic, RZ
@@ -735,10 +906,6 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
   Rng rng(76);
   for (std::size_t q = 1; q <= 6; ++q) {
     const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
-    BatchedStateVector batch(q, inputs.size());
-    for (std::size_t n = 0; n < inputs.size(); ++n) {
-      batch.set_lane(n, inputs[n]);
-    }
     for (const gates::Axis axis : kFolded) {
       for (const double angle : kFoldAngles) {
         for (const bool derivative : {false, true}) {
@@ -751,9 +918,6 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
                 std::to_string(static_cast<int>(axis)) + " angle " +
                 std::to_string(angle) + " target " + std::to_string(t) +
                 (derivative ? " derivative" : " rotation");
-            BatchedStateVector uniform = batch;
-            exec::batched_apply_rotation_mat2(uniform, inputs.size(), axis,
-                                              u, t);
             for (std::size_t n = 0; n < inputs.size(); ++n) {
               StateVector want = inputs[n];
               oracle_apply(want, axis, u, t);
@@ -761,9 +925,6 @@ TEST(Kernels, FoldedRotationBodiesMatchSubtractFormOracle) {
               exec::apply_rotation_mat2(got, axis, u, t);
               expect_bit_identical(got, want,
                                    "serial input " + std::to_string(n) +
-                                       " " + name);
-              expect_bit_identical(uniform.extract_lane(n), want,
-                                   "batched lane " + std::to_string(n) +
                                        " " + name);
 
               // The adjoint sweep applies the body to phi and lambda.
@@ -969,12 +1130,6 @@ TEST(CzLadders, EveryConsumerMatchesTheInterpretedPath) {
     const LocalZeroObservable obs(q);
     Rng rng(q + c.num_operations());
     const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
-    const std::size_t lanes = 3;
-    std::vector<double> bindings;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      const auto row = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
-      bindings.insert(bindings.end(), row.begin(), row.end());
-    }
     const std::vector<std::size_t> partials = {0, c.num_parameters() / 2,
                                                c.num_parameters() - 1};
     const auto partials_of = [&](const Circuit& circuit) {
@@ -989,28 +1144,26 @@ TEST(CzLadders, EveryConsumerMatchesTheInterpretedPath) {
     ASSERT_NE(plan, nullptr);
     ladders += plan->stats().cz_ladders;
     const StateVector got = c.simulate(params);
-    const BatchedStateVector batch = plan->simulate_batch(bindings, lanes);
     // Adjoint: the forward pass and the inverse double sweep both run the
     // ladders. Partials: PartialEvaluator's prefix and suffix cross them.
+    // The parameter-shift gradient's shift walk advances its base across
+    // them and runs them in every suffix.
     const ValueAndGradient got_vg = adjoint.value_and_gradient(c, obs, params);
     const std::vector<double> got_partials = partials_of(c);
+    const std::vector<double> got_shift = shift.gradient(c, obs, params);
 
     const exec::ScopedExecutionPlans off(false);
     const std::string what = "q=" + std::to_string(q) + " ops " +
                              std::to_string(c.num_operations());
     expect_same_amplitudes(got, interpreted.simulate(params),
                            "simulate " + what);
-    for (std::size_t b = 0; b < lanes; ++b) {
-      const std::span<const double> row(
-          bindings.data() + b * c.num_parameters(), c.num_parameters());
-      expect_same_amplitudes(batch.extract_lane(b), interpreted.simulate(row),
-                             "batch lane " + std::to_string(b) + " " + what);
-    }
     const ValueAndGradient want_vg =
         adjoint.value_and_gradient(interpreted, obs, params);
     EXPECT_EQ(got_vg.value, want_vg.value) << "adjoint value " << what;
     EXPECT_EQ(got_vg.gradient, want_vg.gradient) << "adjoint " << what;
     EXPECT_EQ(got_partials, partials_of(interpreted)) << "partials " << what;
+    EXPECT_EQ(got_shift, shift.gradient(interpreted, obs, params))
+        << "shift walk " << what;
   }
   EXPECT_GT(ladders, 0u);  // the fixtures must exercise the ladder kernel
 }

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "qbarren/bp/cost_kind.hpp"
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 
 namespace qbarren {
 namespace {
@@ -153,6 +156,66 @@ TEST(Factory, KnownEnginesConstruct) {
     EXPECT_EQ(engine->name(), name);
   }
   EXPECT_THROW((void)make_gradient_engine("backprop"), NotFound);
+}
+
+// --- the shared-prefix shift walk --------------------------------------------
+//
+// With a plan, ParameterShiftEngine::gradient and FiniteDifferenceEngine::
+// gradient evaluate every shifted binding in one walk of the op stream.
+// Each entry must equal (==) the engine's own per-parameter partial (a
+// PartialEvaluator per parameter) and the interpreted gradient.
+
+/// Eq 3's training ansatz (same-qubit RX/RY pairs and CZ ladders) with a
+/// controlled rotation appended so the four-term rule fires too.
+Circuit walk_circuit(std::size_t qubits, std::size_t layers) {
+  TrainingAnsatzOptions options;
+  options.layers = layers;
+  Circuit c = training_ansatz(qubits, options);
+  c.add_controlled_rotation(gates::Axis::kY, 0, qubits - 1);
+  c.add_rotation(gates::Axis::kZ, 1);
+  return c;
+}
+
+TEST(ShiftWalkGradients, MatchPerParameterPartialsAndInterpretedExactly) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {2, 1}, {4, 3}, {5, 2}};
+  for (const auto& [qubits, layers] : shapes) {
+    Circuit c = walk_circuit(qubits, layers);
+    const Circuit interpreted = c;  // copied before a plan is attached
+    ASSERT_NE(exec::plan_for(c), nullptr);
+    const LocalZeroObservable obs(qubits);
+    Rng rng(qubits * 10 + layers);
+    const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+    for (const char* name : {"parameter-shift", "finite-difference"}) {
+      const auto engine = make_gradient_engine(name);
+      const std::vector<double> walk = engine->gradient(c, obs, params);
+      std::vector<double> partials;
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        partials.push_back(engine->partial(c, obs, params, i));
+      }
+      EXPECT_EQ(walk, partials) << name << " q=" << qubits;
+      const exec::ScopedExecutionPlans off(false);
+      EXPECT_EQ(walk, engine->gradient(interpreted, obs, params))
+          << name << " q=" << qubits;
+    }
+  }
+}
+
+TEST(ShiftWalkGradients, MalformedCustomGateFallsBackToInterpreted) {
+  // compile() refuses the 3x3 "gate", plan_for returns nullptr, and the
+  // engines take their interpreted path, including its error report.
+  Circuit c(2);
+  c.add_rotation(gates::Axis::kX, 0);
+  c.add_custom_gate("bad-dims", ComplexMatrix(3, 3), 1);
+  c.add_rotation(gates::Axis::kY, 1);
+  const GlobalZeroObservable obs(2);
+  const std::vector<double> params{0.3, -1.1};
+  EXPECT_EQ(exec::plan_for(c), nullptr);
+  for (const char* name : {"parameter-shift", "finite-difference"}) {
+    EXPECT_THROW((void)make_gradient_engine(name)->gradient(c, obs, params),
+                 InvalidArgument)
+        << name;
+  }
 }
 
 // Property sweep: the three exact engines agree on random circuits across

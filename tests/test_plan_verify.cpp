@@ -441,7 +441,6 @@ TEST(PlanResources, MatchesTheCostModelExactly) {
   EXPECT_EQ(l.cz_ladder_gates, 2u);
   EXPECT_DOUBLE_EQ(l.flops, 2 * 2.0 * 2 + 2.0 * 2);
   EXPECT_DOUBLE_EQ(l.bytes, 2.0 * 8 * 16 + 2.0 * 2 * 16);
-  EXPECT_DOUBLE_EQ(l.shared_bytes, 0.0);
 }
 
 TEST(PlanResources, ChargesEachKernelItsOwnFlops) {
@@ -481,36 +480,6 @@ TEST(PlanResources, FusionSavesBytesButNotFlops) {
   EXPECT_EQ(with_fusion.fused_runs, 1u);
   EXPECT_EQ(with_fusion.plan_ops, 1u);
   EXPECT_EQ(without.plan_ops, 2u);
-}
-
-TEST(PlanResources, BatchScalesAmplitudeWorkButNotMatrixFetch) {
-  const Circuit circuit = every_kernel_circuit();
-  const auto plan = CompiledCircuit::compile(circuit);
-  const PlanResourceEstimate serial = estimate_plan_resources(*plan);
-  EXPECT_EQ(serial.batch, 1u);
-  const PlanResourceEstimate batched = estimate_plan_resources(*plan, 8);
-  EXPECT_EQ(batched.batch, 8u);
-  // Per-lane amplitude work scales linearly with the batch...
-  EXPECT_DOUBLE_EQ(batched.flops, 8.0 * serial.flops);
-  EXPECT_DOUBLE_EQ(batched.bytes, 8.0 * serial.bytes);
-  // ...while the per-dispatch matrix fetch does not: that amortization is
-  // what batching buys.
-  EXPECT_DOUBLE_EQ(batched.shared_bytes, serial.shared_bytes);
-  EXPECT_GT(serial.shared_bytes, 0.0);
-  EXPECT_EQ(batched.plan_ops, serial.plan_ops);
-  EXPECT_THROW((void)estimate_plan_resources(*plan, 0), InvalidArgument);
-}
-
-TEST(PlanResources, SharedBytesFollowTheMatrixSizes) {
-  // 2x2 entries are 64 bytes, 4x4 entries 256, CZ has no matrix.
-  Circuit circuit(2);
-  circuit.add_hadamard(0);  // 64
-  circuit.add_rotation(gates::Axis::kY, 1);  // 64
-  circuit.add_cz(0, 1);     // 0
-  circuit.add_swap(0, 1);   // 256
-  const auto plan = CompiledCircuit::compile(circuit);
-  const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
-  EXPECT_DOUBLE_EQ(estimate.shared_bytes, 64.0 + 64.0 + 256.0);
 }
 
 // --- CZ ladders (QP105 coverage, QP108 sign tables) --------------------------
@@ -641,7 +610,6 @@ std::shared_ptr<CompiledCircuit> repeated_pair_as_ladder(
   ops[0].matrix = 0;
   ops[0].fused_count = 2;
   ops.pop_back();
-  PlanMutationHook::rotation_slots(*plan).pop_back();
   return plan;
 }
 
@@ -688,60 +656,6 @@ TEST(PlanVerify, CzRunsFixtureKeepsNonLadderCzsAsGates) {
   EXPECT_EQ(plan->stats().cz_ladder_source_ops, 5u);
   EXPECT_EQ(cz_gates, 5u);
   EXPECT_TRUE(verify_plan(circuit, *plan).empty());
-}
-
-// --- QP107: batched-dispatch slot table --------------------------------------
-
-TEST(PlanVerify, QP107FiresWhenAParameterizedOpLosesItsSlot) {
-  const Circuit circuit = every_kernel_circuit();
-  auto plan = corruptible_plan(circuit);
-  auto& slots = PlanMutationHook::rotation_slots(*plan);
-  const auto it = std::find_if(
-      slots.begin(), slots.end(), [](std::uint32_t s) {
-        return s != CompiledCircuit::kNoBatchSlot;
-      });
-  ASSERT_NE(it, slots.end());
-  *it = CompiledCircuit::kNoBatchSlot;  // the op's angles would never apply
-  const Diagnostics diags = verify_plan(circuit, *plan);
-  ASSERT_TRUE(has_code(diags, "QP107"));
-}
-
-TEST(PlanVerify, QP107FiresOnOutOfOrderOrNonDenseSlots) {
-  const Circuit circuit = every_kernel_circuit();
-  {
-    // Swap the two parameterized ops' rows: each lane's angles land on the
-    // wrong gate.
-    auto plan = corruptible_plan(circuit);
-    auto& slots = PlanMutationHook::rotation_slots(*plan);
-    std::vector<std::size_t> assigned;
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k] != CompiledCircuit::kNoBatchSlot) assigned.push_back(k);
-    }
-    ASSERT_GE(assigned.size(), 2u);
-    std::swap(slots[assigned[0]], slots[assigned[1]]);
-    EXPECT_TRUE(has_code(verify_plan(circuit, *plan), "QP107"));
-  }
-  {
-    // A fixed gate claims an angle-table row it has no angle for.
-    auto plan = corruptible_plan(circuit);
-    auto& slots = PlanMutationHook::rotation_slots(*plan);
-    std::size_t fixed = slots.size();
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k] == CompiledCircuit::kNoBatchSlot) {
-        fixed = k;
-        break;
-      }
-    }
-    ASSERT_LT(fixed, slots.size());
-    slots[fixed] = 0;
-    EXPECT_TRUE(has_code(verify_plan(circuit, *plan), "QP107"));
-  }
-  {
-    // A truncated table cannot cover the op stream at all.
-    auto plan = corruptible_plan(circuit);
-    PlanMutationHook::rotation_slots(*plan).pop_back();
-    EXPECT_TRUE(has_code(verify_plan(circuit, *plan), "QP107"));
-  }
 }
 
 }  // namespace
