@@ -169,12 +169,57 @@ void bm_kernel_variant_top_pairs(benchmark::State& state,
                           static_cast<std::int64_t>(s.dimension()));
 }
 
+// One adjoint-sweep step (inverse on phi, <lambda| dR |phi>, inverse on
+// lambda) on every target in turn, through one compiled kernel variant:
+// what adjoint_value_and_gradient does once per rotation parameter.
+// Registered in main() for every variant the CPU can run.
+void bm_adjoint_sweep(benchmark::State& state,
+                      const exec::KernelSet* kernels) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  std::vector<gates::Axis> axes;
+  std::vector<gates::Mat2> inverses;
+  std::vector<gates::Mat2> derivatives;
+  StateVector phi(n);
+  StateVector lambda(n);
+  for (std::size_t q = 0; q < n; ++q) {
+    axes.push_back(static_cast<gates::Axis>(rng.uniform_int(0, 2)));
+    const double angle = rng.uniform(0.0, 2.0 * M_PI);
+    inverses.push_back(gates::rotation_entries(axes.back(), -angle));
+    derivatives.push_back(
+        gates::rotation_derivative_entries(axes.back(), angle));
+    // Dense states, so no amplitude is an exact zero.
+    kernels->apply_rotation_mat2(
+        phi, gates::Axis::kY, gates::rotation_entries(gates::Axis::kY, 0.9),
+        q);
+    kernels->apply_rotation_mat2(
+        lambda, gates::Axis::kX, gates::rotation_entries(gates::Axis::kX, 1.3),
+        q);
+  }
+  Complex sum{0.0, 0.0};
+  for (auto _ : state) {
+    for (std::size_t t = 0; t < n; ++t) {
+      sum += kernels->adjoint_rotation_sweep(phi, lambda, axes[t],
+                                             inverses[t], derivatives[t], t);
+    }
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) *
+                          static_cast<std::int64_t>(phi.dimension()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   for (const qbarren::exec::KernelVariant& variant :
        qbarren::exec::kernel_variants()) {
     if (!variant.supported) continue;
+    benchmark::RegisterBenchmark(
+        (std::string("bm_adjoint_sweep/") + variant.isa).c_str(),
+        bm_adjoint_sweep, variant.kernels)
+        ->Arg(6)
+        ->Arg(10);
     for (const bool one_pass : {false, true}) {
       const std::string suffix =
           std::string("/") + variant.isa + (one_pass ? "/ladder" : "/cz");

@@ -104,16 +104,6 @@ void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
                          const gates::Mat2& u_first, gates::Axis axis_second,
                          const gates::Mat2& u_second, std::size_t target);
 
-/// <lambda | (U on target) | phi> in a single pass. Visits amplitudes in
-/// the same ascending-index order as StateVector::inner_product and forms
-/// each (U phi)[i] with apply_mat2_from's expression, so the result is the
-/// one inner_product would return on a materialized U|phi> — without
-/// writing (or re-reading) the intermediate vector.
-[[nodiscard]] Complex inner_product_mat2(const StateVector& lambda,
-                                         const StateVector& phi,
-                                         const gates::Mat2& u,
-                                         std::size_t target);
-
 /// CZ on (a, b): negates the quarter of the amplitudes with both qubit
 /// bits set, enumerating them as contiguous runs instead of scanning the
 /// whole vector with a branch. Negation is exact, so the result is
@@ -168,8 +158,10 @@ void apply_mat4_from(StateVector& dst, const StateVector& src,
 /// update), and applies `inv` to lambda in place — the three passes the
 /// sweep otherwise makes per parameter, in two loops over the amplitudes.
 /// Per-amplitude expressions and the inner product's ascending-index
-/// accumulation order match the separate kernels exactly. `inv` and `dr`
-/// take the axis body (the derivative has the rotation's shape).
+/// accumulation order match the separate kernels exactly: the loops run
+/// on SIMD vectors, but their terms are added one amplitude at a time,
+/// lowest index first. `inv` and `dr` take the axis body (the derivative
+/// has the rotation's shape).
 [[nodiscard]] Complex adjoint_rotation_sweep(StateVector& phi,
                                              StateVector& lambda,
                                              gates::Axis axis,

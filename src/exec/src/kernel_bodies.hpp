@@ -5,19 +5,20 @@
 // Not a self-contained header: each ISA variant's translation unit
 // (kernel_variant.hpp) includes it inside that variant's namespace and
 // target region, after every header it needs (<algorithm>, <cstddef>,
-// <cstdint>, qbarren/qsim/gates.hpp). Its inline functions and templates
+// <cstdint>, <cstring>, qbarren/qsim/gates.hpp) and after defining the
+// variant's kVectorDoubles. Its inline functions and templates
 // are thereby distinct per variant: no COMDAT copy built for a wider ISA
 // can be shared with a narrower one.
 //
 // Arithmetic contract:
 //
-// * cmul is the naive component formula (ac - bd, ad + bc). For finite
-//   operands it equals the std::complex product exactly: GCC's inlined
-//   multiply computes the same scalar products in the same order and only
-//   diverges through its NaN fixup (__muldc3), which never fires on the
-//   finite amplitudes and gate entries a valid simulation produces. Doing
-//   the products on plain doubles drops that per-product compare-and-branch
-//   from the hot loops.
+// * Complex products use the naive component formula (ac - bd, ad + bc),
+//   sign-folded (cmul below). For finite operands it equals the
+//   std::complex product exactly: GCC's inlined multiply computes the same
+//   scalar products in the same order and only diverges through its NaN
+//   fixup (__muldc3), which never fires on the finite amplitudes and gate
+//   entries a valid simulation produces. Doing the products on plain
+//   doubles drops that per-product compare-and-branch from the hot loops.
 //
 // * The axis-specialised rotation bodies (RX, RY, RZ) skip the products
 //   with the entry components that are exact zeros in every rotation
@@ -46,6 +47,22 @@
 //   product's add/subtract pair into FMADDSUB regardless of that flag. So the
 //   variants agree bit for bit, signed zeros included, and the choice of
 //   variant needs no numerics or fingerprint bump.
+//
+// * The adjoint sweep is written on explicit vectors (the vector bodies
+//   below) instead of leaving its loops to the vectoriser, which keeps them
+//   scalar because of the ordered sum. A vector body takes its values from
+//   the scalar body (RxBody, RyBody, RzBody), so gate entries and sign
+//   folds are defined once, and each lane does that body's products and
+//   sums on one amplitude component: the same IEEE operations on the same
+//   operands, so every amplitude is bit-identical to the scalar body's.
+//   Shuffles only move values. The conjugate product is sign-folded like
+//   cmul(Entry, RawC), and its -l.im is l.im * -1, an exact negation, so
+//   no lane pair subtracts and nothing forms FMADDSUB. The inner product
+//   adds each vector's terms to one packed [re, im] accumulator one
+//   amplitude at a time, lowest index first: the additions and their
+//   order are the scalar loop's, so the sum rounds at the same steps and
+//   returns the same bits. Lanes are never summed in a tree, which would
+//   reassociate.
 
 namespace detail {
 
@@ -59,15 +76,7 @@ inline RawC raw(const Complex& c) { return RawC{c.real(), c.imag()}; }
 
 inline Complex pack(RawC a) { return Complex{a.re, a.im}; }
 
-/// a * b by the naive formula: same scalar products, same summation order
-/// as the inlined finite-path std::complex multiply.
-inline RawC cmul(RawC a, RawC b) {
-  return RawC{a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-}
-
 inline RawC cadd(RawC a, RawC b) { return RawC{a.re + b.re, a.im + b.im}; }
-
-inline RawC conj(RawC a) { return RawC{a.re, -a.im}; }
 
 /// A gate entry, fixed across a pair loop, with its imaginary part also
 /// held negated.
@@ -81,7 +90,9 @@ inline Entry entry(const Complex& c) {
 
 /// u * a by the naive formula, its subtraction sign-folded:
 /// (u.re a.re + (-u.im) a.im, u.re a.im + u.im a.re), bit-identical to
-/// cmul(raw(u), a). Without a subtraction the two components never form
+/// (u.re a.re - u.im a.im, u.re a.im + u.im a.re): the same scalar
+/// products, in the same order, as the inlined finite-path std::complex
+/// multiply. Without a subtraction the two components never form
 /// the add/subtract pair that GCC 12's vectoriser fuses into FMADDSUB,
 /// -ffp-contract=off notwithstanding, once FMA or AVX-512 is enabled.
 inline RawC cmul(const Entry& u, RawC a) {
@@ -215,6 +226,180 @@ inline void with_rotation_body(gates::Axis axis, const gates::Mat2& u,
       return;
   }
 }
+
+// --- vector bodies -----------------------------------------------------------
+//
+// The adjoint sweep (kernels.inc) runs on explicit vectors of W doubles,
+// W a power of two from 2 to kVectorDoubles: W/2 consecutive amplitudes,
+// each as [re, im]. A vector body holds its scalar body's values, each
+// broadcast or placed in the lane it multiplies, and performs the scalar
+// body's products and sums lane by lane.
+
+template <std::size_t W>
+struct VecOf {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+
+/// W doubles: W/2 amplitudes, each as [re, im].
+template <std::size_t W>
+using Vec = typename VecOf<W>::type;
+
+/// One amplitude, [re, im].
+using Vec2 = Vec<2>;
+
+/// `re` in the real lanes and `im` in the imaginary lanes.
+template <std::size_t W>
+inline Vec<W> lanes(double re, double im) {
+  Vec<W> v{};
+  for (std::size_t k = 0; k < W; k += 2) {
+    v[k] = re;
+    v[k + 1] = im;
+  }
+  return v;
+}
+
+template <std::size_t W>
+inline Vec<W> splat(double x) {
+  return lanes<W>(x, x);
+}
+
+/// Each amplitude's [re, im] as [im, re].
+template <std::size_t W>
+inline Vec<W> swap_parts(Vec<W> v) {
+  if constexpr (W == 2) {
+    return __builtin_shufflevector(v, v, 1, 0);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
+  } else {
+    static_assert(W == 8);
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
+  }
+}
+
+/// Each amplitude's real part in both of its lanes.
+template <std::size_t W>
+inline Vec<W> dup_re(Vec<W> v) {
+  if constexpr (W == 2) {
+    return __builtin_shufflevector(v, v, 0, 0);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2);
+  } else {
+    static_assert(W == 8);
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2, 4, 4, 6, 6);
+  }
+}
+
+/// Each amplitude's imaginary part in both of its lanes.
+template <std::size_t W>
+inline Vec<W> dup_im(Vec<W> v) {
+  if constexpr (W == 2) {
+    return __builtin_shufflevector(v, v, 1, 1);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(v, v, 1, 1, 3, 3);
+  } else {
+    static_assert(W == 8);
+    return __builtin_shufflevector(v, v, 1, 1, 3, 3, 5, 5, 7, 7);
+  }
+}
+
+/// The W doubles at `d` (W/2 amplitudes of a state viewed as doubles).
+template <std::size_t W>
+inline Vec<W> load(const double* d) {
+  Vec<W> v{};
+  std::memcpy(&v, d, sizeof v);
+  return v;
+}
+
+template <std::size_t W>
+inline void store(double* d, Vec<W> v) {
+  std::memcpy(d, &v, sizeof v);
+}
+
+/// conj(l) * a per amplitude by the naive formula, sign-folded as
+/// (l.re a.re + l.im a.im, l.re a.im + (-l.im) a.re): its subtraction of
+/// (-l.im) a.im written as the addition of l.im a.im.
+template <std::size_t W>
+inline Vec<W> conj_mul(Vec<W> l, Vec<W> a) {
+  const Vec<W> im = dup_im<W>(l) * lanes<W>(1.0, -1.0);
+  return dup_re<W>(l) * a + im * swap_parts<W>(a);
+}
+
+/// acc + each amplitude of `terms` in turn, lowest index first: the
+/// order in which a scalar loop would add them.
+template <std::size_t W>
+inline Vec2 add_in_order(Vec2 acc, Vec<W> terms) {
+  if constexpr (W == 2) {
+    return acc + terms;
+  } else if constexpr (W == 4) {
+    acc += __builtin_shufflevector(terms, terms, 0, 1);
+    return acc + __builtin_shufflevector(terms, terms, 2, 3);
+  } else {
+    static_assert(W == 8);
+    acc += __builtin_shufflevector(terms, terms, 0, 1);
+    acc += __builtin_shufflevector(terms, terms, 2, 3);
+    acc += __builtin_shufflevector(terms, terms, 4, 5);
+    return acc + __builtin_shufflevector(terms, terms, 6, 7);
+  }
+}
+
+/// The vector body of scalar body `Body`.
+template <std::size_t W, class Body>
+struct VecBody;
+
+/// RxBody lane by lane: a0' = d0 a0 + [n01, o01] swap(a1),
+/// a1' = d1 a1 + [n10, o10] swap(a0).
+template <std::size_t W>
+struct VecBody<W, RxBody> {
+  Vec<W> d0, c01, d1, c10;
+
+  explicit VecBody(const RxBody& b)
+      : d0(splat<W>(b.d0)),
+        c01(lanes<W>(b.n01, b.o01)),
+        d1(splat<W>(b.d1)),
+        c10(lanes<W>(b.n10, b.o10)) {}
+
+  void operator()(Vec<W>& a0, Vec<W>& a1) const {
+    const Vec<W> b0 = d0 * a0 + c01 * swap_parts<W>(a1);
+    a1 = d1 * a1 + c10 * swap_parts<W>(a0);
+    a0 = b0;
+  }
+};
+
+/// RyBody lane by lane: a0' = d0 a0 + o01 a1, a1' = o10 a0 + d1 a1.
+template <std::size_t W>
+struct VecBody<W, RyBody> {
+  Vec<W> d0, o01, o10, d1;
+
+  explicit VecBody(const RyBody& b)
+      : d0(splat<W>(b.d0)),
+        o01(splat<W>(b.o01)),
+        o10(splat<W>(b.o10)),
+        d1(splat<W>(b.d1)) {}
+
+  void operator()(Vec<W>& a0, Vec<W>& a1) const {
+    const Vec<W> b0 = d0 * a0 + o01 * a1;
+    a1 = o10 * a0 + d1 * a1;
+    a0 = b0;
+  }
+};
+
+/// RzBody lane by lane: a0' = u00.re a0 + [n0, u00.im] swap(a0), and a1
+/// with u11.
+template <std::size_t W>
+struct VecBody<W, RzBody> {
+  Vec<W> r0, c0, r1, c1;
+
+  explicit VecBody(const RzBody& b)
+      : r0(splat<W>(b.u00.re)),
+        c0(lanes<W>(b.n0, b.u00.im)),
+        r1(splat<W>(b.u11.re)),
+        c1(lanes<W>(b.n1, b.u11.im)) {}
+
+  void operator()(Vec<W>& a0, Vec<W>& a1) const {
+    a0 = r0 * a0 + c0 * swap_parts<W>(a0);
+    a1 = r1 * a1 + c1 * swap_parts<W>(a1);
+  }
+};
 
 // --- pair loops --------------------------------------------------------------
 

@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "qbarren/exec/kernel_isa.hpp"
@@ -94,10 +95,6 @@
      const gates::Mat2& u_first, gates::Axis axis_second,                    \
      const gates::Mat2& u_second, std::size_t target),                       \
     (state, axis_first, u_first, axis_second, u_second, target))             \
-  X(Complex, inner_product_mat2,                                             \
-    (const StateVector& lambda, const StateVector& phi,                      \
-     const gates::Mat2& u, std::size_t target),                              \
-    (lambda, phi, u, target))                                                \
   X(void, apply_cz,                                                          \
     (StateVector& state, std::size_t qubit_a, std::size_t qubit_b),          \
     (state, qubit_a, qubit_b))                                               \
@@ -122,6 +119,15 @@
     (phi, lambda, axis, inv, dr, target))
 
 namespace qbarren::exec {
+
+/// Doubles per vector register at an ISA level (1: SSE2 or another
+/// 128-bit SIMD, 3: AVX2, 4: AVX-512), the widest vectors of the
+/// vector kernels. Each variant TU sets its kVectorDoubles from it: the
+/// ISA macros cannot tell, since GCC preprocesses a C++ TU before its
+/// target pragmas take effect.
+constexpr std::size_t vector_doubles(int level) {
+  return level >= 4 ? 8 : level == 3 ? 4 : 2;
+}
 
 /// Every kernel entry point of one variant, with the public signatures.
 struct KernelSet {

@@ -3,6 +3,8 @@
 #include "kernel_variant.hpp"
 
 namespace qbarren::exec::isa_baseline {
+inline constexpr std::size_t kVectorDoubles =
+    vector_doubles(QBARREN_BASELINE_LEVEL);
 #include "kernel_bodies.hpp"
 #include "kernels.inc"
 

@@ -7,6 +7,7 @@
 #pragma GCC push_options
 #pragma GCC target("arch=x86-64-v3")
 namespace qbarren::exec::isa_v3 {
+inline constexpr std::size_t kVectorDoubles = vector_doubles(3);
 #include "kernel_bodies.hpp"
 #include "kernels.inc"
 

@@ -7,6 +7,7 @@
 #pragma GCC push_options
 #pragma GCC target("arch=x86-64-v4")
 namespace qbarren::exec::isa_v4 {
+inline constexpr std::size_t kVectorDoubles = vector_doubles(4);
 #include "kernel_bodies.hpp"
 #include "kernels.inc"
 

@@ -1188,9 +1188,9 @@ TEST(CzLadders, NoisySimulatorMatchesInterpreted) {
 // --- ISA variants ------------------------------------------------------------
 //
 // Every compiled kernel variant the host can run (kernel_variant.hpp)
-// against the baseline variant, entry point by entry
-// point: std::bit_cast equality on every component, signed zeros
-// included. q runs to 11, so every target sees whole AVX-512 vectors of
+// against the baseline variant, entry point by entry point, and the
+// adjoint sweep against its scalar loop: std::bit_cast equality on every
+// component, signed zeros included. q runs to 11, so every target sees whole AVX-512 vectors of
 // amplitudes plus a remainder.
 
 constexpr std::size_t kMaxVariantQubits = 11;
@@ -1257,8 +1257,9 @@ TEST(KernelVariants, SelectedVariantIsTheWidestTheCpuSupports) {
 #endif
 }
 
+constexpr double kVariantAngles[] = {0.0, -0.0, 0.37, -2.1, M_PI};
+
 TEST(KernelVariants, SingleQubitKernelsMatchBaselineBitForBit) {
-  constexpr double kVariantAngles[] = {0.0, -0.0, 0.37, -2.1, M_PI};
   const gates::Mat2 dense = gates::entries_of(gates::u3(0.7, 1.9, -0.4));
   const gates::Mat2 pool[] = {gates::entries_of(gates::hadamard()), dense,
                               gates::rotation_entries(gates::Axis::kY, 0.9)};
@@ -1269,7 +1270,6 @@ TEST(KernelVariants, SingleQubitKernelsMatchBaselineBitForBit) {
     for (const exec::KernelVariant& variant : exec::kernel_variants()) {
       if (!variant.supported) continue;
       for (std::size_t n = 0; n < inputs.size(); ++n) {
-        const StateVector& lambda_in = inputs[(n + 1) % inputs.size()];
         for (std::size_t t = 0; t < q; ++t) {
           const std::string at = "q=" + std::to_string(q) + " input " +
                                  std::to_string(n) + " target " +
@@ -1289,13 +1289,6 @@ TEST(KernelVariants, SingleQubitKernelsMatchBaselineBitForBit) {
               k.apply_mat2_run(s, pool, run, 4, reverse, t);
             });
           }
-          const Complex got_inner = variant.kernels->inner_product_mat2(
-              lambda_in, inputs[n], dense, t);
-          const Complex want_inner = baseline_kernels().inner_product_mat2(
-              lambda_in, inputs[n], dense, t);
-          EXPECT_TRUE(same_bits(got_inner, want_inner))
-              << variant.isa << " inner product " << at;
-
           for (const gates::Axis axis : kAxes) {
             for (const double angle : kVariantAngles) {
               const std::string name = "axis " +
@@ -1325,24 +1318,134 @@ TEST(KernelVariants, SingleQubitKernelsMatchBaselineBitForBit) {
                             gates::rotation_entries(second, 1.3), t);
                       });
               }
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
+// The adjoint sweep's scalar loop, kept as the reference for its vector
+// loops in every variant: per block of 2*bit indices, the bit-clear
+// terms, then the bit-set terms, each added to one accumulator in
+// ascending index order. The pair arithmetic is the axis bodies'
+// (kernel_bodies.hpp), written out per component with every subtraction
+// sign-folded, as there; with no add/subtract lane pair, GCC cannot fuse
+// this reference into FMADDSUB under -march=native either.
+
+void oracle_axis_body(gates::Axis axis, const gates::Mat2& u, Complex& a0,
+                      Complex& a1) {
+  const double r0 = a0.real();
+  const double i0 = a0.imag();
+  const double r1 = a1.real();
+  const double i1 = a1.imag();
+  switch (axis) {
+    case gates::Axis::kX: {
+      const double d0 = u.m00.real();
+      const double o01 = u.m01.imag();
+      const double o10 = u.m10.imag();
+      const double d1 = u.m11.real();
+      a0 = Complex(d0 * r0 + (-o01) * i1, d0 * i0 + o01 * r1);
+      a1 = Complex(d1 * r1 + (-o10) * i0, d1 * i1 + o10 * r0);
+      return;
+    }
+    case gates::Axis::kY: {
+      const double d0 = u.m00.real();
+      const double o01 = u.m01.real();
+      const double o10 = u.m10.real();
+      const double d1 = u.m11.real();
+      a0 = Complex(d0 * r0 + o01 * r1, d0 * i0 + o01 * i1);
+      a1 = Complex(o10 * r0 + d1 * r1, o10 * i0 + d1 * i1);
+      return;
+    }
+    case gates::Axis::kZ: {
+      const Complex p0 = u.m00;
+      const Complex p1 = u.m11;
+      a0 = Complex(p0.real() * r0 + (-p0.imag()) * i0,
+                   p0.real() * i0 + p0.imag() * r0);
+      a1 = Complex(p1.real() * r1 + (-p1.imag()) * i1,
+                   p1.real() * i1 + p1.imag() * r1);
+      return;
+    }
+  }
+}
+
+Complex oracle_adjoint_sweep(StateVector& phi, StateVector& lambda,
+                             gates::Axis axis, const gates::Mat2& inv,
+                             const gates::Mat2& dr, std::size_t target) {
+  auto& p = phi.amplitudes();
+  auto& l = lambda.amplitudes();
+  const std::size_t bit = std::size_t{1} << target;
+  double acc_re = 0.0;
+  double acc_im = 0.0;
+  // acc += conj(lv) * a, as (lv.re a.re + lv.im a.im, lv.re a.im +
+  // (-lv.im) a.re).
+  const auto accumulate = [&](Complex lv, Complex a) {
+    acc_re += lv.real() * a.real() + lv.imag() * a.imag();
+    acc_im += lv.real() * a.imag() + (-lv.imag()) * a.real();
+  };
+  for (std::size_t base = 0; base < p.size(); base += 2 * bit) {
+    for (std::size_t i0 = base; i0 < base + bit; ++i0) {
+      Complex a0 = p[i0];
+      Complex a1 = p[i0 + bit];
+      oracle_axis_body(axis, inv, a0, a1);
+      p[i0] = a0;
+      p[i0 + bit] = a1;
+      oracle_axis_body(axis, dr, a0, a1);
+      accumulate(l[i0], a0);
+    }
+    for (std::size_t i0 = base; i0 < base + bit; ++i0) {
+      Complex a0 = p[i0];
+      Complex a1 = p[i0 + bit];
+      oracle_axis_body(axis, dr, a0, a1);
+      accumulate(l[i0 + bit], a1);
+      Complex b0 = l[i0];
+      Complex b1 = l[i0 + bit];
+      oracle_axis_body(axis, inv, b0, b1);
+      l[i0] = b0;
+      l[i0 + bit] = b1;
+    }
+  }
+  return Complex(acc_re, acc_im);
+}
+
+TEST(KernelVariants, AdjointSweepMatchesScalarOracleBitForBit) {
+  Rng rng(79);
+  for (std::size_t q = 1; q <= kMaxVariantQubits; ++q) {
+    const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      const StateVector& lambda_in = inputs[(n + 1) % inputs.size()];
+      for (const gates::Axis axis : kAxes) {
+        for (const double angle : kVariantAngles) {
+          const gates::Mat2 inv = gates::rotation_entries(axis, -angle);
+          const gates::Mat2 dr =
+              gates::rotation_derivative_entries(axis, angle);
+          for (std::size_t t = 0; t < q; ++t) {
+            const std::string name =
+                "q=" + std::to_string(q) + " input " + std::to_string(n) +
+                " axis " + std::to_string(static_cast<int>(axis)) +
+                " angle " + std::to_string(angle) + " target " +
+                std::to_string(t);
+            StateVector want_phi = inputs[n];
+            StateVector want_lambda = lambda_in;
+            const Complex want_acc = oracle_adjoint_sweep(
+                want_phi, want_lambda, axis, inv, dr, t);
+            for (const exec::KernelVariant& variant :
+                 exec::kernel_variants()) {
+              if (!variant.supported) continue;
               StateVector phi = inputs[n];
               StateVector lambda = lambda_in;
               const Complex acc = variant.kernels->adjoint_rotation_sweep(
-                  phi, lambda, axis, r, dr, t);
-              StateVector want_phi = inputs[n];
-              StateVector want_lambda = lambda_in;
-              const Complex want_acc =
-                  baseline_kernels().adjoint_rotation_sweep(
-                      want_phi, want_lambda, axis, r, dr, t);
+                  phi, lambda, axis, inv, dr, t);
               EXPECT_EQ(first_bit_difference(phi, want_phi),
                         want_phi.dimension())
-                  << variant.isa << " sweep phi " << name << " " << at;
+                  << variant.isa << " phi " << name;
               EXPECT_EQ(first_bit_difference(lambda, want_lambda),
                         want_lambda.dimension())
-                  << variant.isa << " sweep lambda " << name << " " << at;
+                  << variant.isa << " lambda " << name;
               EXPECT_TRUE(same_bits(acc, want_acc))
-                  << variant.isa << " sweep value " << name << " " << at;
+                  << variant.isa << " value " << name;
             }
           }
         }
