@@ -13,6 +13,7 @@
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
+#include "qbarren/serve/audit.hpp"
 
 namespace {
 
@@ -287,6 +288,63 @@ void bm_plan_verify(benchmark::State& state) {
 BENCHMARK(bm_plan_verify)
     ->Args({4, 2})->Args({10, 5})->Args({6, 40})
     ->Unit(benchmark::kMicrosecond);
+
+// --- serve request audit -----------------------------------------------------
+//
+// Serve admission runs serve::audit_request on every request before any
+// cell: the RNG stream graph (one leaf per structure and parameter stream),
+// its QD100/QD103 rules, and the fingerprint/wire probes. This bench times
+// the three parts separately on a Fig 5a-shaped request with 200 circuits
+// per qubit count: q = 2,4,6,8 is the serve-roundtrip hit request (5600
+// leaves), q = 2..10 the paper grid (7000 leaves). qd100_seconds also holds
+// QD103's duplicate-cell pass, which walks only the few dozen cell keys.
+
+void bm_audit_request(benchmark::State& state) {
+  serve::RequestSpec spec;
+  spec.id = "bench";
+  spec.kind = serve::SpecKind::kVariance;
+  spec.variance.qubit_counts.clear();
+  for (std::size_t q = 2; q <= static_cast<std::size_t>(state.range(0));
+       q += 2) {
+    spec.variance.qubit_counts.push_back(q);
+  }
+  spec.variance.circuits_per_point = 200;
+  spec.variance.layers = 50;
+  spec.variance.seed = 42;
+  if (!serve::audit_request(spec).empty()) {
+    state.SkipWithError("the paper-shaped request must audit clean");
+    return;
+  }
+  using Clock = std::chrono::steady_clock;
+  double graph_seconds = 0.0;
+  double qd100_seconds = 0.0;
+  double probe_seconds = 0.0;
+  std::size_t leaves = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    const StreamGraph graph = serve::request_stream_graph(spec);
+    const auto t1 = Clock::now();
+    const Diagnostics rules = audit_stream_graph(graph);
+    const auto t2 = Clock::now();
+    const Diagnostics probes = audit_fingerprint_probes(
+        serve::request_fingerprint_probes(spec), "request:" + spec.id);
+    const auto t3 = Clock::now();
+    benchmark::DoNotOptimize(rules.size());
+    benchmark::DoNotOptimize(probes.size());
+    graph_seconds += std::chrono::duration<double>(t1 - t0).count();
+    qd100_seconds += std::chrono::duration<double>(t2 - t1).count();
+    probe_seconds += std::chrono::duration<double>(t3 - t2).count();
+    leaves = graph.leaves.size();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["leaves"] = static_cast<double>(leaves);
+  state.counters["graph_seconds"] = graph_seconds / n;
+  state.counters["qd100_seconds"] = qd100_seconds / n;
+  state.counters["probe_seconds"] = probe_seconds / n;
+  state.SetLabel("serve::audit_request parts, q=2.." +
+                 std::to_string(state.range(0)) + " x 200 circuits");
+}
+BENCHMARK(bm_audit_request)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

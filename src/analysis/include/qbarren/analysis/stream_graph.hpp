@@ -47,7 +47,10 @@
 // below; `qbarren audit --rules` prints the whole family.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,23 +69,33 @@ enum class StreamRole {
 /// "structure" / "param".
 [[nodiscard]] const char* stream_role_name(StreamRole role) noexcept;
 
+/// Longest child-index path any runner derives: variance leaves are
+/// {qi, 2i, k}, training leaves {t}.
+inline constexpr std::size_t kMaxStreamDepth = 3;
+
 /// One leaf of the derivation tree: a stream some code path actually draws
-/// from, identified by the child-index path from the run's root seed.
+/// from, identified by the child-index path from the run's root seed. The
+/// leaf owns no heap memory: its path is stored inline and its cell label
+/// lives in the graph's label table.
 struct StreamLeaf {
   StreamRole role = StreamRole::kParam;
-  /// Cell key the leaf belongs to ("q=8/init=he"); structure streams,
-  /// shared across every initializer of their qubit count by design, carry
-  /// the wildcard form "q=8/init=*".
-  std::string cell;
-  /// Child indices from the root, in derivation order.
-  std::vector<std::uint64_t> path;
-  /// The Rng seed at the end of the path (derive_child_seed folded along
-  /// it) — the identity QD100 checks for collisions.
-  std::uint64_t seed = 0;
   /// True for the variance structure streams: sharing them across
   /// initializers is the experiment's design ("every strategy sees the
   /// same 200 circuits"), not a collision.
   bool shared_by_design = false;
+  /// Number of used entries in `index`.
+  std::uint8_t depth = 0;
+  /// Index of the leaf's cell label in StreamGraph::cell_labels.
+  std::uint32_t cell = 0;
+  /// Child indices from the root, in derivation order (first `depth`).
+  std::array<std::uint64_t, kMaxStreamDepth> index{};
+  /// The Rng seed at the end of the path (derive_child_seed folded along
+  /// it) — the identity QD100 checks for collisions.
+  std::uint64_t seed = 0;
+
+  [[nodiscard]] std::span<const std::uint64_t> path() const noexcept {
+    return {index.data(), depth};
+  }
 };
 
 /// The complete stream derivation of one run, plus the metadata the
@@ -94,6 +107,11 @@ struct StreamGraph {
   /// Cell keys in the runner's deterministic enumeration order,
   /// duplicates preserved (QD103 flags them).
   std::vector<std::string> cells;
+  /// Cell labels the leaves point into (StreamLeaf::cell). A variance
+  /// graph adds, per qubit count, its wildcard label "q=8/init=*" (the
+  /// structure streams, shared across initializers by design) and then its
+  /// cell keys ("q=8/init=he"); a training graph adds its cell keys.
+  std::vector<std::string> cell_labels;
   std::vector<StreamLeaf> leaves;
   /// Gradient engine selected per non-finite retry attempt (attempt 0 =
   /// the configured engine, attempt > 0 = the parameter-shift fallback).
@@ -101,6 +119,11 @@ struct StreamGraph {
   /// never a new derivation, which is exactly why a redispatched cell is
   /// bit-identical.
   std::vector<std::string> engine_ladder;
+
+  /// The cell label of `leaf`; throws std::out_of_range on a bad index.
+  [[nodiscard]] const std::string& cell_of(const StreamLeaf& leaf) const {
+    return cell_labels.at(leaf.cell);
+  }
 };
 
 /// Derivation graph of a variance run: per qubit index qi and sampled
@@ -126,7 +149,9 @@ struct StreamGraph {
 [[nodiscard]] std::vector<StreamGraph> sweep_stream_graphs(
     const TrainingSweepOptions& options);
 
-/// QD100 + QD103 over one run's graph.
+/// QD100 + QD103 over one run's graph. QD100 runs in time linear in the
+/// leaf count: it visits leaves in order and finds each seed's first leaf
+/// through one open-addressed hash table, its only allocation.
 [[nodiscard]] Diagnostics audit_stream_graph(const StreamGraph& graph,
                                              const LintOptions& options = {});
 

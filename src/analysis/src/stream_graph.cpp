@@ -1,7 +1,11 @@
 #include "qbarren/analysis/stream_graph.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <initializer_list>
+#include <limits>
 #include <map>
-#include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "qbarren/common/rng.hpp"
@@ -66,23 +70,19 @@ class RuleSink {
   std::string code_;
 };
 
-std::uint64_t seed_along(std::uint64_t root,
-                         const std::vector<std::uint64_t>& path) {
-  std::uint64_t seed = root;
-  for (const std::uint64_t index : path) {
-    seed = derive_child_seed(seed, index);
-  }
-  return seed;
-}
-
-StreamLeaf make_leaf(StreamRole role, std::string cell, std::uint64_t root,
-                     std::vector<std::uint64_t> path, bool shared) {
+StreamLeaf make_leaf(StreamRole role, std::size_t cell, std::uint64_t root,
+                     std::initializer_list<std::uint64_t> path, bool shared) {
   StreamLeaf leaf;
   leaf.role = role;
-  leaf.cell = std::move(cell);
-  leaf.seed = seed_along(root, path);
-  leaf.path = std::move(path);
   leaf.shared_by_design = shared;
+  leaf.depth = static_cast<std::uint8_t>(path.size());
+  leaf.cell = static_cast<std::uint32_t>(cell);
+  leaf.seed = root;
+  std::size_t d = 0;
+  for (const std::uint64_t index : path) {
+    leaf.index[d++] = index;
+    leaf.seed = derive_child_seed(leaf.seed, index);
+  }
   return leaf;
 }
 
@@ -94,7 +94,7 @@ std::vector<std::string> paper_init_names() {
   return names;
 }
 
-std::string path_string(const std::vector<std::uint64_t>& path) {
+std::string path_string(std::span<const std::uint64_t> path) {
   std::string out = "root";
   for (const std::uint64_t index : path) {
     out += "/" + std::to_string(index);
@@ -115,11 +115,11 @@ StreamGraph training_graph_with_prefix(
   graph.engine_ladder = {options.gradient_engine, "parameter-shift"};
   const std::vector<std::string> names = paper_init_names();
   for (std::size_t t = 0; t < names.size(); ++t) {
-    const std::string cell = cell_prefix + "init=" + names[t];
-    graph.cells.push_back(cell);
+    graph.cells.push_back(cell_prefix + "init=" + names[t]);
+    graph.cell_labels.push_back(graph.cells.back());
     // run_training_cell: param_rng = Rng(options.seed).child(t).
     graph.leaves.push_back(
-        make_leaf(StreamRole::kParam, cell, options.seed, {t}, false));
+        make_leaf(StreamRole::kParam, t, options.seed, {t}, false));
   }
   return graph;
 }
@@ -142,25 +142,34 @@ StreamGraph variance_stream_graph(const VarianceExperimentOptions& options,
   graph.root_seed = options.seed;
   graph.engine_ladder = {options.gradient_engine, "parameter-shift"};
   const std::vector<std::string> names = paper_init_names();
-  for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
-    const std::string q = std::to_string(options.qubit_counts[qi]);
-    for (std::size_t t = 0; t < names.size(); ++t) {
-      graph.cells.push_back("q=" + q + "/init=" + names[t]);
+  const std::size_t points = options.qubit_counts.size();
+  const std::size_t circuits = options.circuits_per_point;
+  graph.cells.reserve(points * names.size());
+  graph.cell_labels.reserve(points * (1 + names.size()));
+  graph.leaves.reserve(points * circuits * (1 + names.size()));
+  for (std::size_t qi = 0; qi < points; ++qi) {
+    const std::string prefix =
+        "q=" + std::to_string(options.qubit_counts[qi]) + "/init=";
+    // Label `wildcard` is the structure streams' "q=<q>/init=*"; label
+    // wildcard + 1 + t is initializer t's cell key.
+    const std::size_t wildcard = graph.cell_labels.size();
+    graph.cell_labels.push_back(prefix + "*");
+    for (const std::string& name : names) {
+      graph.cells.push_back(prefix + name);
+      graph.cell_labels.push_back(graph.cells.back());
     }
     // variance_structure (bp/variance.hpp) owns the structure stream
     // root.child(qi).child(2i).child(0); it is shared across initializers
     // by design (every strategy sees the same circuits, and the runner
     // builds each once per q). The parameter stream of initializer t is
     // root.child(qi).child(2i).child(1 + t).
-    for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
-      graph.leaves.push_back(make_leaf(StreamRole::kStructure,
-                                       "q=" + q + "/init=*", options.seed,
-                                       {qi, 2 * i, 0}, true));
+    for (std::size_t i = 0; i < circuits; ++i) {
+      graph.leaves.push_back(make_leaf(StreamRole::kStructure, wildcard,
+                                       options.seed, {qi, 2 * i, 0}, true));
       for (std::size_t t = 0; t < names.size(); ++t) {
         graph.leaves.push_back(make_leaf(StreamRole::kParam,
-                                         "q=" + q + "/init=" + names[t],
-                                         options.seed, {qi, 2 * i, 1 + t},
-                                         false));
+                                         wildcard + 1 + t, options.seed,
+                                         {qi, 2 * i, 1 + t}, false));
       }
     }
   }
@@ -194,17 +203,39 @@ Diagnostics audit_stream_graph(const StreamGraph& graph,
     // QD100: every leaf seed must be unique — each leaf is one distinct
     // derivation path, and the structure streams' intentional sharing is
     // already folded into a single wildcard leaf per sampled circuit.
+    // Leaves are visited in order and each repeat is reported against its
+    // seed's first leaf, found through an open-addressed table: a power of
+    // two at least twice the leaf count, each slot holding a leaf index + 1
+    // (0 = empty), probed linearly from a multiplicative hash of the seed.
+    // The hash keeps the product's high bits, so forged seeds that share
+    // their low bits do not pile into one run of slots.
     RuleSink qd100(out, options, Severity::kError, "QD100");
-    std::map<std::uint64_t, const StreamLeaf*> first;
-    for (const StreamLeaf& leaf : graph.leaves) {
-      const auto [it, inserted] = first.emplace(leaf.seed, &leaf);
-      if (inserted) continue;
-      const StreamLeaf& other = *it->second;
+    const std::vector<StreamLeaf>& leaves = graph.leaves;
+    if (leaves.size() >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("audit_stream_graph: too many stream leaves");
+    }
+    const std::size_t slots =
+        std::bit_ceil(std::max<std::size_t>(2 * leaves.size(), 2));
+    const int shift = 64 - std::countr_zero(slots);
+    std::vector<std::uint32_t> first(slots, 0);
+    for (std::size_t j = 0; j < leaves.size(); ++j) {
+      const std::uint64_t seed = leaves[j].seed;
+      std::size_t slot =
+          static_cast<std::size_t>((seed * 0x9E3779B97F4A7C15ull) >> shift);
+      while (first[slot] != 0 && leaves[first[slot] - 1].seed != seed) {
+        slot = (slot + 1) & (slots - 1);
+      }
+      if (first[slot] == 0) {
+        first[slot] = static_cast<std::uint32_t>(j + 1);
+        continue;
+      }
+      const StreamLeaf& other = leaves[first[slot] - 1];
+      const StreamLeaf& leaf = leaves[j];
       qd100.add("stream collision: " +
                     std::string(stream_role_name(other.role)) + " stream of " +
-                    other.cell + " (" + path_string(other.path) + ") and " +
-                    stream_role_name(leaf.role) + " stream of " + leaf.cell +
-                    " (" + path_string(leaf.path) +
+                    graph.cell_of(other) + " (" + path_string(other.path()) +
+                    ") and " + stream_role_name(leaf.role) + " stream of " +
+                    graph.cell_of(leaf) + " (" + path_string(leaf.path()) +
                     ") derive the same seed — their \"independent\" samples "
                     "would be identical draws",
                 "run " + graph.label);

@@ -53,11 +53,12 @@ std::vector<FingerprintProbe> request_fingerprint_probes(
   const std::string wire_base =
       wire_encoding(spec.kind, spec.variance, spec.training);
   switch (spec.kind) {
-    case SpecKind::kVariance:
+    case SpecKind::kVariance: {
       probes = variance_fingerprint_probes(spec.variance);
+      const std::vector<VariancePerturbation> perturbations =
+          variance_perturbations(spec.variance);
       for (FingerprintProbe& probe : probes) {
-        for (const VariancePerturbation& p :
-             variance_perturbations(spec.variance)) {
+        for (const VariancePerturbation& p : perturbations) {
           if (p.field != probe.field) continue;
           probe.wire_base = wire_base;
           probe.wire_perturbed =
@@ -68,11 +69,13 @@ std::vector<FingerprintProbe> request_fingerprint_probes(
         }
       }
       break;
-    case SpecKind::kTraining:
+    }
+    case SpecKind::kTraining: {
       probes = training_fingerprint_probes(spec.training);
+      const std::vector<TrainingPerturbation> perturbations =
+          training_perturbations(spec.training);
       for (FingerprintProbe& probe : probes) {
-        for (const TrainingPerturbation& p :
-             training_perturbations(spec.training)) {
+        for (const TrainingPerturbation& p : perturbations) {
           if (p.field != probe.field) continue;
           probe.wire_base = wire_base;
           probe.wire_perturbed =
@@ -83,6 +86,7 @@ std::vector<FingerprintProbe> request_fingerprint_probes(
         }
       }
       break;
+    }
   }
   return probes;
 }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
+#include <span>
 
 #include "qbarren/analysis/stream_graph.hpp"
 #include "qbarren/analysis/preflight.hpp"
@@ -39,9 +41,47 @@ std::vector<std::string> paper_names() {
 const StreamLeaf* find_leaf(const StreamGraph& graph, StreamRole role,
                             const std::vector<std::uint64_t>& path) {
   for (const StreamLeaf& leaf : graph.leaves) {
-    if (leaf.role == role && leaf.path == path) return &leaf;
+    if (leaf.role == role && std::ranges::equal(leaf.path(), path)) {
+      return &leaf;
+    }
   }
   return nullptr;
+}
+
+/// Appends a hand-made leaf, bypassing the runner enumerations, so a test
+/// can plant any seed under any cell label and path.
+void forge_leaf(StreamGraph& graph, StreamRole role, const std::string& cell,
+                std::initializer_list<std::uint64_t> path,
+                std::uint64_t seed) {
+  StreamLeaf leaf;
+  leaf.role = role;
+  leaf.cell = static_cast<std::uint32_t>(graph.cell_labels.size());
+  graph.cell_labels.push_back(cell);
+  leaf.depth = static_cast<std::uint8_t>(path.size());
+  std::copy(path.begin(), path.end(), leaf.index.begin());
+  leaf.seed = seed;
+  graph.leaves.push_back(leaf);
+}
+
+/// Leaves 0, 2 and 5 share seed 11 (a 3-way collision); leaves 1 and 4
+/// share seed 22 (a separate pair); leaf 3 is unique.
+StreamGraph forged_collision_graph() {
+  StreamGraph graph;
+  graph.label = "forged";
+  forge_leaf(graph, StreamRole::kParam, "q=2/init=a", {0, 0, 1}, 11);
+  forge_leaf(graph, StreamRole::kParam, "q=2/init=b", {0, 0, 2}, 22);
+  forge_leaf(graph, StreamRole::kStructure, "q=2/init=*", {0, 2, 0}, 11);
+  forge_leaf(graph, StreamRole::kParam, "init=c", {3}, 33);
+  forge_leaf(graph, StreamRole::kParam, "init=d", {4}, 22);
+  forge_leaf(graph, StreamRole::kParam, "rep=1/init=e", {1, 5}, 11);
+  return graph;
+}
+
+std::string collision_message(const std::string& first,
+                              const std::string& second) {
+  return "stream collision: " + first + " and " + second +
+         " derive the same seed — their \"independent\" samples would be "
+         "identical draws";
 }
 
 // --- derivation fidelity ----------------------------------------------------
@@ -78,14 +118,60 @@ TEST(StreamGraph, VarianceGraphMirrorsRunnerDerivation) {
   ASSERT_NE(structure, nullptr);
   EXPECT_EQ(structure->seed, root.child(1).child(4).child(0).seed());
   EXPECT_TRUE(structure->shared_by_design);
-  EXPECT_EQ(structure->cell, "q=4/init=*");
+  EXPECT_EQ(graph.cell_of(*structure), "q=4/init=*");
 
   const StreamLeaf* param =
       find_leaf(graph, StreamRole::kParam, {0, 2, 1 + 5});
   ASSERT_NE(param, nullptr);
   EXPECT_EQ(param->seed, root.child(0).child(2).child(6).seed());
   EXPECT_FALSE(param->shared_by_design);
-  EXPECT_EQ(param->cell, "q=2/init=" + paper_names()[5]);
+  EXPECT_EQ(graph.cell_of(*param), "q=2/init=" + paper_names()[5]);
+}
+
+TEST(StreamGraph, PaperGridLeavesMatchRngChildChains) {
+  // The full Fig 5a grid (q = 2..10, 200 circuits): 7000 leaves, each
+  // seeded by the Rng::child chain of its path and labelled with the cell
+  // key the runner files it under.
+  serve::RequestSpec spec;
+  spec.id = "fig5a";
+  spec.kind = serve::SpecKind::kVariance;
+  spec.variance.qubit_counts = {2, 4, 6, 8, 10};
+  spec.variance.circuits_per_point = 200;
+  spec.variance.seed = 7;
+  const StreamGraph graph = variance_stream_graph(spec.variance);
+  const std::vector<std::string> names = paper_names();
+  ASSERT_EQ(graph.leaves.size(), 5u * 200u * (1 + names.size()));
+
+  const std::vector<serve::CellJob> cells = serve::enumerate_cells(spec);
+  ASSERT_EQ(graph.cells.size(), cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    EXPECT_EQ(graph.cells[c], cells[c].key);
+  }
+
+  const Rng root(spec.variance.seed);
+  std::size_t mismatches = 0;
+  for (const StreamLeaf& leaf : graph.leaves) {
+    const std::span<const std::uint64_t> path = leaf.path();
+    ASSERT_EQ(path.size(), 3u);
+    const std::size_t qi = path[0];
+    ASSERT_LT(qi, spec.variance.qubit_counts.size());
+    const std::string q = std::to_string(spec.variance.qubit_counts[qi]);
+    const bool structure = path[2] == 0;
+    EXPECT_EQ(leaf.role,
+              structure ? StreamRole::kStructure : StreamRole::kParam);
+    EXPECT_EQ(leaf.shared_by_design, structure);
+    const Rng chain = root.child(path[0]).child(path[1]).child(path[2]);
+    if (leaf.seed != chain.seed()) ++mismatches;
+    if (structure) {
+      EXPECT_EQ(graph.cell_of(leaf), "q=" + q + "/init=*");
+    } else {
+      ASSERT_LE(path[2], names.size());
+      const std::size_t t = path[2] - 1;
+      EXPECT_EQ(graph.cell_of(leaf), cells[qi * names.size() + t].key);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(audit_stream_graph(graph).empty());
 }
 
 TEST(StreamGraph, TrainingGraphMirrorsRunnerDerivation) {
@@ -97,7 +183,7 @@ TEST(StreamGraph, TrainingGraphMirrorsRunnerDerivation) {
   // run_training_cell: param_rng = Rng(seed).child(t).
   for (std::size_t t = 0; t < names.size(); ++t) {
     EXPECT_EQ(graph.leaves[t].seed, Rng(7).child(t).seed());
-    EXPECT_EQ(graph.leaves[t].cell, "init=" + names[t]);
+    EXPECT_EQ(graph.cell_of(graph.leaves[t]), "init=" + names[t]);
   }
 }
 
@@ -156,11 +242,82 @@ TEST(StreamGraphQD100, CleanOnEveryPaperConfiguration) {
 TEST(StreamGraphQD100, FlagsCollidingLeaves) {
   StreamGraph graph;
   graph.label = "forged";
-  graph.leaves.push_back({StreamRole::kParam, "a", {0}, 99, false});
-  graph.leaves.push_back({StreamRole::kParam, "b", {1}, 99, false});
+  forge_leaf(graph, StreamRole::kParam, "a", {0}, 99);
+  forge_leaf(graph, StreamRole::kParam, "b", {1}, 99);
   const Diagnostics diagnostics = audit_stream_graph(graph);
   ASSERT_EQ(count_code(diagnostics, "QD100"), 1u);
   EXPECT_EQ(diagnostics.front().severity, Severity::kError);
+}
+
+TEST(StreamGraphQD100, PinsFindingTextLocationAndLeafOrder) {
+  // Each repeat names the first leaf with its seed, in leaf order.
+  const Diagnostics diagnostics =
+      audit_stream_graph(forged_collision_graph());
+  const std::string first =
+      "param stream of q=2/init=a (root/0/0/1)";
+  const std::vector<std::string> expected = {
+      collision_message(first, "structure stream of q=2/init=* (root/0/2/0)"),
+      collision_message("param stream of q=2/init=b (root/0/0/2)",
+                        "param stream of init=d (root/4)"),
+      collision_message(first, "param stream of rep=1/init=e (root/1/5)"),
+  };
+  ASSERT_EQ(diagnostics.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(diagnostics[i].code, "QD100");
+    EXPECT_EQ(diagnostics[i].severity, Severity::kError);
+    EXPECT_EQ(diagnostics[i].message, expected[i]) << i;
+    EXPECT_EQ(diagnostics[i].location, "run forged") << i;
+  }
+}
+
+TEST(StreamGraphQD100, PinsCappedFindingsAndSummaryLine) {
+  // Three more repeats of the two shared seeds: six findings in all.
+  StreamGraph graph = forged_collision_graph();
+  forge_leaf(graph, StreamRole::kParam, "init=f", {6}, 22);
+  forge_leaf(graph, StreamRole::kParam, "init=g", {7}, 11);
+  forge_leaf(graph, StreamRole::kParam, "init=h", {8}, 22);
+  LintOptions capped;
+  capped.max_findings_per_rule = 4;
+  const Diagnostics diagnostics = audit_stream_graph(graph, capped);
+  const std::string a = "param stream of q=2/init=a (root/0/0/1)";
+  const std::string b = "param stream of q=2/init=b (root/0/0/2)";
+  const std::vector<std::string> expected = {
+      collision_message(a, "structure stream of q=2/init=* (root/0/2/0)"),
+      collision_message(b, "param stream of init=d (root/4)"),
+      collision_message(a, "param stream of rep=1/init=e (root/1/5)"),
+      collision_message(b, "param stream of init=f (root/6)"),
+      "... and 2 more QD100 finding(s) suppressed "
+      "(max_findings_per_rule = 4)",
+  };
+  ASSERT_EQ(diagnostics.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(diagnostics[i].code, "QD100");
+    EXPECT_EQ(diagnostics[i].severity, Severity::kError);
+    EXPECT_EQ(diagnostics[i].message, expected[i]) << i;
+  }
+  EXPECT_EQ(diagnostics[3].location, "run forged");
+  EXPECT_EQ(diagnostics[4].location, "");
+}
+
+TEST(StreamGraphQD100, SeedsSharingLowBitsStayDistinct) {
+  // 4096 distinct seeds whose low 40 bits are all zero: a table indexed by
+  // low seed bits would pile them into one slot, but none is a collision.
+  StreamGraph graph;
+  graph.label = "low-bits";
+  constexpr std::uint64_t kLeaves = 4096;
+  for (std::uint64_t i = 0; i < kLeaves; ++i) {
+    forge_leaf(graph, StreamRole::kParam, "init=x", {i}, i << 40);
+  }
+  EXPECT_TRUE(audit_stream_graph(graph).empty());
+
+  // One planted duplicate deep in the run is reported exactly once.
+  forge_leaf(graph, StreamRole::kParam, "init=y", {kLeaves}, 3001ull << 40);
+  const Diagnostics diagnostics = audit_stream_graph(graph);
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].message,
+            collision_message("param stream of init=x (root/3001)",
+                              "param stream of init=y (root/4096)"));
+  EXPECT_EQ(diagnostics[0].location, "run low-bits");
 }
 
 // --- QD101: cross-run seed aliasing ----------------------------------------
@@ -397,7 +554,7 @@ TEST(StreamGraph, RespectsDisabledRulesAndFindingCaps) {
   for (std::uint64_t i = 0; i < 24; ++i) {
     std::string cell = "c";
     cell += std::to_string(i);
-    graph.leaves.push_back({StreamRole::kParam, cell, {i}, 5, false});
+    forge_leaf(graph, StreamRole::kParam, cell, {i}, 5);
   }
   LintOptions capped;
   capped.max_findings_per_rule = 4;
