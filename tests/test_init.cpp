@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/stats.hpp"
@@ -316,6 +319,59 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Pins every registry initializer's output, bit for bit, on fixed Eq 2
+// circuits at q = 2..10: one FNV-1a digest per initializer over the bit
+// patterns of all its angles. Recorded from the build whose Rng wrapped
+// libstdc++'s distributions, so a sampler that drifts by one ulp, or
+// consumes one engine word more or less, fails here.
+std::uint64_t initialize_digest(const std::string& name) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](std::uint64_t w) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ ((w >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  const auto init = make_initializer(name);
+  for (std::size_t q = 2; q <= 10; ++q) {
+    Rng structure_rng(100 + q);
+    VarianceAnsatzOptions options;
+    options.layers = 12;
+    const Circuit circuit = variance_ansatz(q, structure_rng, options);
+    Rng rng(7000 + q);
+    const auto params = init->initialize(circuit, rng);
+    mix(params.size());
+    for (const double v : params) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  return digest;
+}
+
+TEST(Initializers, OutputIsPinnedBitForBit) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"random", 0x9825d9f190625257ULL},
+      {"xavier-normal", 0xc87672d698be0198ULL},
+      {"xavier-uniform", 0xcd0b02681694951eULL},
+      {"he", 0x5ec5eae5c4c6f1aeULL},
+      {"he-uniform", 0xc1bb06d310eb1fb7ULL},
+      {"lecun", 0x6c6fb97b97fbcf6bULL},
+      {"lecun-uniform", 0x184b4cd3b0d78d36ULL},
+      {"orthogonal", 0xbb293e2f4739275bULL},
+      {"orthogonal-full", 0x6de8e86147d80373ULL},
+      {"beta", 0x90aad40449e3ff59ULL},
+      {"zeros", 0x682e9462ae15a2ddULL},
+      {"small-normal", 0xa928681ec1de5041ULL},
+  };
+  for (const auto& name : initializer_names()) {
+    const auto it = expected.find(name);
+    const std::uint64_t got = initialize_digest(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no pinned digest: {\"" << name << "\", 0x" << std::hex
+                    << got << "ULL},";
+      continue;
+    }
+    EXPECT_EQ(got, it->second) << name << ": got 0x" << std::hex << got;
+  }
+}
 
 }  // namespace
 }  // namespace qbarren

@@ -4,8 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
+#include <numbers>
 #include <set>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/stats.hpp"
@@ -214,6 +225,138 @@ TEST(Rng, VectorHelpersProduceRequestedSizes) {
   EXPECT_EQ(rng.normal_vector(17).size(), 17u);
   EXPECT_EQ(rng.uniform_vector(5, 0.0, 1.0).size(), 5u);
   EXPECT_TRUE(rng.normal_vector(0).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden vectors. fixtures/rng_golden.txt holds the first 64 draws of every
+// sampler for four seeds, one line `<sampler> <seed> <64 hex words>` per
+// pair. They were recorded from the Rng that wrapped std::mt19937_64 and
+// libstdc++ 12's distributions, and pin the stream to it bit for bit:
+// doubles compare through their bit patterns, so a last-ulp change fails.
+
+constexpr std::size_t kGoldenDraws = 64;
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kGoldenSeeds[] = {0, 1, 42, (1ULL << 63) + 5};
+
+using Draws = std::vector<std::uint64_t>;
+
+template <typename T>
+std::uint64_t word(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(value);
+  } else {
+    return static_cast<std::uint64_t>(value);
+  }
+}
+
+struct GoldenSampler {
+  std::string name;
+  std::function<Draws(Rng&)> first_draws;
+};
+
+// A sampler drawn one value per call.
+template <typename Draw>
+GoldenSampler each(std::string name, Draw draw) {
+  return {std::move(name), [draw](Rng& rng) {
+            Draws out(kGoldenDraws);
+            for (auto& w : out) w = word(draw(rng));
+            return out;
+          }};
+}
+
+// A sampler that returns all of its draws from one call.
+GoldenSampler whole(std::string name,
+                    std::function<std::vector<double>(Rng&)> draw) {
+  return {std::move(name), [draw](Rng& rng) {
+            Draws out;
+            for (const double v : draw(rng)) out.push_back(word(v));
+            return out;
+          }};
+}
+
+const std::vector<GoldenSampler>& golden_samplers() {
+  static const std::vector<GoldenSampler> samplers = {
+      each("raw", [](Rng& r) { return r.uniform_int(0, kU64Max); }),
+      each("uniform", [](Rng& r) { return r.uniform(-2.0, 3.0); }),
+      whole("uniform_vector",
+            [](Rng& r) {
+              return r.uniform_vector(kGoldenDraws, -std::numbers::pi,
+                                      std::numbers::pi);
+            }),
+      each("normal", [](Rng& r) { return r.normal(); }),
+      each("normal_1.5_0.25", [](Rng& r) { return r.normal(1.5, 0.25); }),
+      whole("normal_vector",
+            [](Rng& r) { return r.normal_vector(kGoldenDraws); }),
+      each("index_1", [](Rng& r) { return r.index(1); }),
+      each("index_2", [](Rng& r) { return r.index(2); }),
+      each("index_3", [](Rng& r) { return r.index(3); }),
+      each("index_7", [](Rng& r) { return r.index(7); }),
+      each("index_2^40+3", [](Rng& r) { return r.index((1ULL << 40) + 3); }),
+      each("uniform_int_3_5", [](Rng& r) { return r.uniform_int(3, 5); }),
+      each("uniform_int_1000_1000999",
+           [](Rng& r) { return r.uniform_int(1000, 1000999); }),
+      each("uniform_int_2^62_2^63+12345",
+           [](Rng& r) {
+             return r.uniform_int(1ULL << 62, (1ULL << 63) + 12345);
+           }),
+      each("uniform_int_5_max", [](Rng& r) { return r.uniform_int(5, kU64Max); }),
+      each("bernoulli_0.3", [](Rng& r) { return r.bernoulli(0.3); }),
+      each("beta_2_5", [](Rng& r) { return r.beta(2.0, 5.0); }),
+      each("beta_0.5_0.5", [](Rng& r) { return r.beta(0.5, 0.5); }),
+  };
+  return samplers;
+}
+
+std::string golden_line(const std::string& name, std::uint64_t seed,
+                        const Draws& draws) {
+  std::ostringstream line;
+  line << name << ' ' << seed << std::hex;
+  for (const std::uint64_t w : draws) line << ' ' << w;
+  return line.str();
+}
+
+std::map<std::pair<std::string, std::uint64_t>, Draws> load_golden() {
+  std::ifstream in(std::string(QBARREN_FIXTURE_DIR) + "/rng_golden.txt");
+  EXPECT_TRUE(in) << "cannot open fixtures/rng_golden.txt";
+  std::map<std::pair<std::string, std::uint64_t>, Draws> golden;
+  std::string text;
+  while (std::getline(in, text)) {
+    if (text.empty() || text[0] == '#') continue;
+    std::istringstream line(text);
+    std::string name;
+    std::uint64_t seed = 0;
+    line >> name >> seed >> std::hex;
+    Draws draws;
+    for (std::uint64_t w = 0; line >> w;) draws.push_back(w);
+    golden[{name, seed}] = draws;
+  }
+  return golden;
+}
+
+TEST(RngGolden, FirstDrawsMatchTheRecordedStream) {
+  const auto golden = load_golden();
+  EXPECT_EQ(golden.size(), golden_samplers().size() * std::size(kGoldenSeeds));
+  for (const GoldenSampler& sampler : golden_samplers()) {
+    for (const std::uint64_t seed : kGoldenSeeds) {
+      Rng rng(seed);
+      const Draws got = sampler.first_draws(rng);
+      const auto it = golden.find({sampler.name, seed});
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden line; this build draws\n"
+                      << golden_line(sampler.name, seed, got);
+        continue;
+      }
+      ASSERT_EQ(got.size(), it->second.size()) << sampler.name;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i] != it->second[i]) {
+          ADD_FAILURE() << sampler.name << " seed " << seed << " draw " << i
+                        << ": expected 0x" << std::hex << it->second[i]
+                        << ", got 0x" << got[i];
+          break;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
