@@ -1,6 +1,11 @@
 // Micro-benchmarks of the state-vector simulator kernels that dominate the
-// reproduction workload. No reproduction payload — pure google-benchmark.
+// reproduction workload, and of the Rng samplers every circuit structure
+// and initial angle is drawn through. No reproduction payload — pure
+// google-benchmark.
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -208,6 +213,52 @@ void bm_adjoint_sweep(benchmark::State& state,
                           static_cast<std::int64_t>(n) *
                           static_cast<std::int64_t>(phi.dimension()));
 }
+
+// Sampler cost: each iteration makes kSamplerDraws draws from one stream,
+// and the ns_per_draw counter is the time per draw.
+constexpr std::size_t kSamplerDraws = 1024;
+
+template <typename Fill>
+void bm_sampler(benchmark::State& state, Fill fill) {
+  Rng rng(42);
+  std::vector<double> out(kSamplerDraws);
+  for (auto _ : state) {
+    fill(rng, std::span<double>(out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_draw"] = benchmark::Counter(
+      1e-9 * static_cast<double>(state.iterations()) * kSamplerDraws,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+// The raw engine word: uniform_int over the full 64-bit range.
+BENCHMARK_CAPTURE(bm_sampler, engine, [](Rng& rng, std::span<double> out) {
+  for (auto& v : out) {
+    v = std::bit_cast<double>(
+        rng.uniform_int(0, std::numeric_limits<std::uint64_t>::max()));
+  }
+});
+// Random / Xavier-uniform angles.
+BENCHMARK_CAPTURE(bm_sampler, uniform, [](Rng& rng, std::span<double> out) {
+  for (auto& v : out) v = rng.uniform(-3.0, 3.0);
+});
+// One normal-law angle per call, as a caller outside the initializers draws.
+BENCHMARK_CAPTURE(bm_sampler, normal, [](Rng& rng, std::span<double> out) {
+  for (auto& v : out) v = rng.normal(0.0, 0.3);
+});
+// The same draws in one call, as Xavier-normal, He and LeCun make them.
+BENCHMARK_CAPTURE(bm_sampler, normal_fill,
+                  [](Rng& rng, std::span<double> out) {
+                    rng.fill_normal(out, 0.0, 0.3);
+                  });
+// A Fig 5a rotation axis (ansatz.cpp).
+BENCHMARK_CAPTURE(bm_sampler, index3, [](Rng& rng, std::span<double> out) {
+  for (auto& v : out) v = static_cast<double>(rng.index(3));
+});
+// Seeding a stream, once per circuit and per initializer call.
+BENCHMARK_CAPTURE(bm_sampler, construct, [](Rng& rng, std::span<double> out) {
+  for (auto& v : out) v = static_cast<double>(Rng(rng.seed() + 1).seed());
+});
 
 }  // namespace
 

@@ -85,7 +85,7 @@
 //                          (adjoint, parameter-shift, finite-diff, spsa;
 //                          decorators like nan-at:<k>:<engine> inject
 //                          faults for testing the failure paths)
-// Run with no arguments for this help text.
+// Run with no arguments, or any subcommand with --help, for this help text.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -931,8 +931,8 @@ void print_help() {
       "which no longer changes execution (shift-rule gradients always\n"
       "share one prefix walk); an explicit --batch >= 2 is still\n"
       "rejected with --engine adjoint.\n"
-      "see the header of examples/qbarren_cli.cpp for per-command "
-      "options.\n",
+      "<subcommand> --help prints this text. see the header of\n"
+      "examples/qbarren_cli.cpp for per-command options.\n",
       kVersionString);
 }
 
@@ -946,6 +946,12 @@ int main(int argc, char** argv) {
     }
     const std::string command = argv[1];
     const CliArgs args(argc - 1, argv + 1);
+    // `--help`, alone or after any subcommand, prints the usage before any
+    // work starts.
+    if (command == "--help" || args.has("help")) {
+      print_help();
+      return 0;
+    }
     if (command == "variance") return cmd_variance(args);
     if (command == "train") return cmd_train(args);
     if (command == "sweep") return cmd_sweep(args);

@@ -6,10 +6,20 @@
 // a stream index through splitmix64. This makes experiment results
 // independent of evaluation order and trivially reproducible from a single
 // 64-bit seed.
+//
+// The stream contract is in-tree: the engine (MT19937-64) and every sampler
+// below are implemented here, not taken from the standard library, so the
+// figures do not depend on which one a build links. They reproduce, bit for
+// bit, what std::mt19937_64 and libstdc++'s distributions drew before them
+// (tests/fixtures/rng_golden.txt pins the first draws of each). The one
+// exception is `beta`, whose gamma variates still come from
+// std::gamma_distribution, fed by the in-tree engine.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <span>
 #include <vector>
 
 namespace qbarren {
@@ -27,8 +37,10 @@ namespace qbarren {
                                               std::uint64_t stream_index)
     noexcept;
 
-/// Seeded random source wrapping std::mt19937_64 with the convenience
-/// distributions used across the library.
+/// Seeded random source: an MT19937-64 engine, seeded as
+/// std::mt19937_64(splitmix64(seed)), with the distributions used across
+/// the library. Real draws start from canonical(): one engine word w, as
+/// the double nearest w / 2^64, clamped to the largest double below 1.
 class Rng {
  public:
   /// Constructs a generator from a 64-bit seed. Two Rng constructed from
@@ -42,41 +54,69 @@ class Rng {
   /// The seed this generator was constructed from (pre-mixing).
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Uniform real on [lo, hi). Requires lo < hi.
+  /// Uniform real on [lo, hi): one engine word, canonical() * (hi - lo) + lo.
+  /// Requires lo < hi.
   [[nodiscard]] double uniform(double lo, double hi);
 
-  /// Standard normal draw, N(0, 1).
+  /// Standard normal draw, N(0, 1). Same as normal(0.0, 1.0).
   [[nodiscard]] double normal();
 
-  /// Normal draw with the given mean and standard deviation (stddev >= 0).
+  /// Normal draw with the given mean and standard deviation (stddev >= 0),
+  /// by the Marsaglia polar method. Each call keeps one variate of the
+  /// accepted pair and discards the other. stddev == 0 returns `mean`
+  /// without drawing.
   [[nodiscard]] double normal(double mean, double stddev);
+
+  /// Fills `out` with exactly what out.size() calls of normal(mean, stddev)
+  /// would return, and leaves the engine where they would: same values,
+  /// same words consumed. stddev == 0 fills `mean` and draws nothing; a
+  /// negative or NaN stddev throws. Faster than the calls, because it tests
+  /// a run of candidate pairs at once.
+  void fill_normal(std::span<double> out, double mean, double stddev);
 
   /// Beta(alpha, beta) draw on (0, 1) via two gamma variates.
   /// Requires alpha > 0 and beta > 0.
   [[nodiscard]] double beta(double alpha, double beta);
 
-  /// Uniform integer on [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer on [lo, hi] inclusive, by Lemire's multiply-shift
+  /// rejection method. The full 64-bit range returns the raw engine word.
+  /// Requires lo <= hi.
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
 
-  /// Uniform index on [0, n). Requires n > 0.
+  /// Uniform index on [0, n): uniform_int(0, n - 1). Requires n > 0.
   [[nodiscard]] std::size_t index(std::size_t n);
 
-  /// Bernoulli draw with probability p of `true`. Requires p in [0, 1].
+  /// Bernoulli draw: canonical() < p, one engine word even for p = 0 or 1.
+  /// Requires p in [0, 1].
   [[nodiscard]] bool bernoulli(double p);
 
-  /// n i.i.d. standard normal draws.
+  /// n standard normal draws that use both variates of each polar pair:
+  /// element 2k is the pair's kept variate, element 2k + 1 the one
+  /// normal() discards. So this is NOT n calls of normal() (or
+  /// fill_normal): it draws about half the engine words, and its values
+  /// differ after the first.
   [[nodiscard]] std::vector<double> normal_vector(std::size_t n);
 
-  /// n i.i.d. uniform draws on [lo, hi).
+  /// n i.i.d. uniform draws on [lo, hi): n calls of uniform(lo, hi).
   [[nodiscard]] std::vector<double> uniform_vector(std::size_t n, double lo,
                                                    double hi);
 
-  /// Access to the underlying engine for std:: distribution interop.
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
+  static constexpr std::size_t kStateWords = 312;
+  struct Words;
+  struct PolarPair {
+    double kept;   // what normal() returns, before scaling
+    double spare;  // the pair's other variate
+  };
+
+  [[nodiscard]] std::uint64_t next_word() noexcept;
+  [[nodiscard]] double canonical() noexcept;
+  [[nodiscard]] PolarPair polar() noexcept;
+  void twist() noexcept;
+
   std::uint64_t seed_ = 0;
-  std::mt19937_64 engine_;
+  std::array<std::uint64_t, kStateWords> state_{};
+  std::size_t next_ = kStateWords;  // index of the next untempered word
 };
 
 }  // namespace qbarren

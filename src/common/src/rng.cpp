@@ -1,10 +1,72 @@
 #include "qbarren/common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "qbarren/common/error.hpp"
 
 namespace qbarren {
+
+namespace {
+
+// MT19937-64 parameters (Matsumoto & Nishimura 2000; std::mt19937_64).
+constexpr std::size_t kShift = 156;  // m: the twist's far word
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
+// The largest double below 1: libstdc++'s generate_canonical returns it
+// when w / 2^64 rounds up to 1.
+constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+
+__extension__ typedef unsigned __int128 U128;
+
+// One twist step. The matrix is selected by a mask, not by a branch on the
+// low bit, which is random and so mispredicts half the time.
+std::uint64_t twisted(std::uint64_t hi, std::uint64_t lo,
+                      std::uint64_t far) noexcept {
+  const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+std::uint64_t tempered(std::uint64_t z) noexcept {
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71d67fffeda60000ULL;
+  z ^= (z << 37) & 0xfff7eee000000000ULL;
+  return z ^ (z >> 43);
+}
+
+// generate_canonical<double, 53> on one 64-bit word: the double nearest
+// w / 2^64, clamped below 1. The 32-bit halves convert exactly and their
+// sum rounds once, which is the direct conversion's result without its
+// branch on the top bit.
+double canonical_of(std::uint64_t w) noexcept {
+  const double c = (static_cast<double>(static_cast<std::uint32_t>(w >> 32)) *
+                        0x1p32 +
+                    static_cast<double>(static_cast<std::uint32_t>(w))) *
+                   0x1p-64;
+  return std::min(c, kBelowOne);
+}
+
+// The polar method's factor for an accepted pair, in libstdc++'s operation
+// order.
+double polar_factor(double r2) noexcept {
+  return std::sqrt(-2 * std::log(r2) / r2);
+}
+
+}  // namespace
+
+// The stream as a UniformRandomBitGenerator, for std::gamma_distribution.
+struct Rng::Words {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return kU64Max; }
+  result_type operator()() noexcept { return rng.next_word(); }
+  Rng& rng;
+};
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -20,30 +82,115 @@ std::uint64_t derive_child_seed(std::uint64_t parent_seed,
   return splitmix64(splitmix64(parent_seed) ^ (stream_index + 1));
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(splitmix64(seed)) {}
+Rng::Rng(std::uint64_t seed) : seed_(seed) {
+  state_[0] = splitmix64(seed);
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = kInitMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+}
 
 Rng Rng::child(std::uint64_t stream_index) const {
   return Rng(derive_child_seed(seed_, stream_index));
 }
 
-double Rng::uniform(double lo, double hi) {
-  QBARREN_REQUIRE(lo < hi, "uniform: lo must be < hi");
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+void Rng::twist() noexcept {
+  constexpr std::size_t n = kStateWords;
+  std::size_t k = 0;
+  for (; k < n - kShift; ++k) {
+    state_[k] = twisted(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (; k < n - 1; ++k) {
+    state_[k] = twisted(state_[k], state_[k + 1], state_[k + kShift - n]);
+  }
+  state_[n - 1] = twisted(state_[n - 1], state_[0], state_[kShift - 1]);
+  next_ = 0;
 }
 
-double Rng::normal() {
-  std::normal_distribution<double> dist(0.0, 1.0);
-  return dist(engine_);
+std::uint64_t Rng::next_word() noexcept {
+  if (next_ == kStateWords) {
+    twist();
+  }
+  return tempered(state_[next_++]);
 }
+
+double Rng::canonical() noexcept { return canonical_of(next_word()); }
+
+// Draws candidate pairs until one falls in the unit disc, as libstdc++'s
+// normal_distribution does; `kept` is the variate it returns first.
+Rng::PolarPair Rng::polar() noexcept {
+  for (;;) {
+    const double x = 2.0 * canonical() - 1.0;
+    const double y = 2.0 * canonical() - 1.0;
+    const double r2 = x * x + y * y;
+    if (r2 <= 1.0 && r2 != 0.0) {
+      const double factor = polar_factor(r2);
+      return {y * factor, x * factor};
+    }
+  }
+}
+
+double Rng::uniform(double lo, double hi) {
+  QBARREN_REQUIRE(lo < hi, "uniform: lo must be < hi");
+  return canonical() * (hi - lo) + lo;
+}
+
+double Rng::normal() { return normal(0.0, 1.0); }
 
 double Rng::normal(double mean, double stddev) {
   QBARREN_REQUIRE(stddev >= 0.0, "normal: stddev must be non-negative");
   if (stddev == 0.0) {
     return mean;
   }
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  return polar().kept * stddev + mean;
+}
+
+void Rng::fill_normal(std::span<double> out, double mean, double stddev) {
+  QBARREN_REQUIRE(stddev >= 0.0, "fill_normal: stddev must be non-negative");
+  if (stddev == 0.0) {
+    std::fill(out.begin(), out.end(), mean);
+    return;
+  }
+  // Tests up to kPairs candidate pairs of the current state block per pass,
+  // keeping accepted ones without a branch, then stops the engine right
+  // after the pair that completes `out`, as sequential calls would. A pair
+  // is accepted with probability pi/4, so a pass of 1.5 * need + 2 pairs
+  // rarely falls short or tests many pairs past the last one needed.
+  constexpr std::size_t kPairs = 64;
+  double ys[kPairs] = {};
+  double r2s[kPairs] = {};
+  std::size_t ends[kPairs] = {};  // words of the pass used up to this pair
+  std::size_t done = 0;
+  while (done < out.size()) {
+    if (next_ == kStateWords) {
+      twist();
+    }
+    const std::size_t need = out.size() - done;
+    const std::size_t pairs = std::min(
+        {(kStateWords - next_) / 2, kPairs, need + need / 2 + 2});
+    if (pairs == 0) {
+      // One word is left before the twist: this pair straddles it.
+      out[done++] = polar().kept * stddev + mean;
+      continue;
+    }
+    const std::uint64_t* words = state_.data() + next_;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const double x = 2.0 * canonical_of(tempered(words[2 * i])) - 1.0;
+      const double y = 2.0 * canonical_of(tempered(words[2 * i + 1])) - 1.0;
+      const double r2 = x * x + y * y;
+      ys[kept] = y;
+      r2s[kept] = r2;
+      ends[kept] = 2 * i + 2;
+      kept += static_cast<std::size_t>((r2 <= 1.0) & (r2 != 0.0));
+    }
+    const std::size_t take = std::min(kept, need);
+    next_ += take == need ? ends[need - 1] : 2 * pairs;
+    for (std::size_t j = 0; j < take; ++j) {
+      out[done + j] = ys[j] * polar_factor(r2s[j]) * stddev + mean;
+    }
+    done += take;
+  }
 }
 
 double Rng::beta(double alpha, double beta_param) {
@@ -51,8 +198,9 @@ double Rng::beta(double alpha, double beta_param) {
                   "beta: shape parameters must be positive");
   std::gamma_distribution<double> ga(alpha, 1.0);
   std::gamma_distribution<double> gb(beta_param, 1.0);
-  const double x = ga(engine_);
-  const double y = gb(engine_);
+  Words words{*this};
+  const double x = ga(words);
+  const double y = gb(words);
   const double sum = x + y;
   // Both gamma variates can underflow to zero for tiny shapes; fall back to
   // the distribution mean rather than dividing 0/0.
@@ -64,8 +212,22 @@ double Rng::beta(double alpha, double beta_param) {
 
 std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   QBARREN_REQUIRE(lo <= hi, "uniform_int: lo must be <= hi");
-  std::uniform_int_distribution<std::uint64_t> dist(lo, hi);
-  return dist(engine_);
+  if (hi - lo == kU64Max) {
+    return next_word();
+  }
+  // Lemire (2019), as libstdc++ 12's uniform_int_distribution::_S_nd: the
+  // high word of w * range, rejecting the low words below 2^64 mod range.
+  const std::uint64_t range = hi - lo + 1;
+  U128 product = static_cast<U128>(next_word()) * range;
+  auto low = static_cast<std::uint64_t>(product);
+  if (low < range) {
+    const std::uint64_t threshold = (0 - range) % range;
+    while (low < threshold) {
+      product = static_cast<U128>(next_word()) * range;
+      low = static_cast<std::uint64_t>(product);
+    }
+  }
+  return static_cast<std::uint64_t>(product >> 64) + lo;
 }
 
 std::size_t Rng::index(std::size_t n) {
@@ -75,15 +237,19 @@ std::size_t Rng::index(std::size_t n) {
 
 bool Rng::bernoulli(double p) {
   QBARREN_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli: p must be in [0, 1]");
-  std::bernoulli_distribution dist(p);
-  return dist(engine_);
+  return canonical() < p;
 }
 
 std::vector<double> Rng::normal_vector(std::size_t n) {
+  // Scaled by stddev 1 and shifted by mean 0, as libstdc++ does: that turns
+  // a -0.0 into +0.0.
   std::vector<double> out(n);
-  std::normal_distribution<double> dist(0.0, 1.0);
-  for (auto& v : out) {
-    v = dist(engine_);
+  for (std::size_t i = 0; i < n; i += 2) {
+    const PolarPair pair = polar();
+    out[i] = pair.kept * 1.0 + 0.0;
+    if (i + 1 < n) {
+      out[i + 1] = pair.spare * 1.0 + 0.0;
+    }
   }
   return out;
 }
@@ -91,9 +257,8 @@ std::vector<double> Rng::normal_vector(std::size_t n) {
 std::vector<double> Rng::uniform_vector(std::size_t n, double lo, double hi) {
   QBARREN_REQUIRE(lo < hi, "uniform_vector: lo must be < hi");
   std::vector<double> out(n);
-  std::uniform_real_distribution<double> dist(lo, hi);
   for (auto& v : out) {
-    v = dist(engine_);
+    v = canonical() * (hi - lo) + lo;
   }
   return out;
 }

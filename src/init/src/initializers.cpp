@@ -19,11 +19,8 @@ namespace {
 
 std::vector<double> gaussian_with_variance(std::size_t n, double variance,
                                            Rng& rng) {
-  const double sigma = std::sqrt(variance);
   std::vector<double> out(n);
-  for (auto& v : out) {
-    v = rng.normal(0.0, sigma);
-  }
+  rng.fill_normal(out, 0.0, std::sqrt(variance));
   return out;
 }
 
@@ -183,9 +180,7 @@ SmallNormalInitializer::SmallNormalInitializer(double sigma) : sigma_(sigma) {
 std::vector<double> SmallNormalInitializer::initialize(const Circuit& circuit,
                                                        Rng& rng) const {
   std::vector<double> out(circuit.num_parameters());
-  for (auto& v : out) {
-    v = rng.normal(0.0, sigma_);
-  }
+  rng.fill_normal(out, 0.0, sigma_);
   return out;
 }
 

@@ -205,6 +205,20 @@ TEST(CliBatchFlag, ValidValueChangesNothingButOneStderrLine) {
   EXPECT_EQ(adjoint.exit_code, kExitOk) << adjoint.err;
 }
 
+TEST(CliHelp, PrintsUsageAndExitsZeroBeforeAnyWork) {
+  const std::string usage = run_cli("").out;
+  ASSERT_NE(usage.find("subcommands:"), std::string::npos) << usage;
+  for (const char* command :
+       {"--help", "variance --help", "variance --qubits 2,4 --help",
+        "train --help", "sweep --help", "landscape --help", "predict --help",
+        "lint --help", "audit --help", "fsck --help", "submit --help"}) {
+    const CliRun run = run_cli(command);
+    EXPECT_EQ(run.exit_code, kExitOk) << command << ": " << run.err;
+    EXPECT_EQ(run.out, usage) << command;
+    EXPECT_TRUE(run.err.empty()) << command << ": " << run.err;
+  }
+}
+
 #endif  // QBARREN_CLI_BIN
 
 }  // namespace
