@@ -242,15 +242,10 @@ BENCHMARK_CAPTURE(bm_sampler, engine, [](Rng& rng, std::span<double> out) {
 BENCHMARK_CAPTURE(bm_sampler, uniform, [](Rng& rng, std::span<double> out) {
   for (auto& v : out) v = rng.uniform(-3.0, 3.0);
 });
-// One normal-law angle per call, as a caller outside the initializers draws.
+// Xavier-normal, He and LeCun angles.
 BENCHMARK_CAPTURE(bm_sampler, normal, [](Rng& rng, std::span<double> out) {
   for (auto& v : out) v = rng.normal(0.0, 0.3);
 });
-// The same draws in one call, as Xavier-normal, He and LeCun make them.
-BENCHMARK_CAPTURE(bm_sampler, normal_fill,
-                  [](Rng& rng, std::span<double> out) {
-                    rng.fill_normal(out, 0.0, 0.3);
-                  });
 // A Fig 5a rotation axis (ansatz.cpp).
 BENCHMARK_CAPTURE(bm_sampler, index3, [](Rng& rng, std::span<double> out) {
   for (auto& v : out) v = static_cast<double>(rng.index(3));

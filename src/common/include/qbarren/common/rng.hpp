@@ -8,18 +8,18 @@
 // 64-bit seed.
 //
 // The stream contract is in-tree: the engine (MT19937-64) and every sampler
-// below are implemented here, not taken from the standard library, so the
-// figures do not depend on which one a build links. They reproduce, bit for
-// bit, what std::mt19937_64 and libstdc++'s distributions drew before them
-// (tests/fixtures/rng_golden.txt pins the first draws of each). The one
-// exception is `beta`, whose gamma variates still come from
-// std::gamma_distribution, fed by the in-tree engine.
+// below but `beta` are implemented here, not taken from the standard
+// library. They reproduce, bit for bit, what std::mt19937_64 and libstdc++
+// 12's distributions drew before them (tests/fixtures/rng_golden.txt pins
+// the first draws of each). `beta`'s gamma variates still come from
+// std::gamma_distribution, fed by the in-tree engine, so they follow the
+// library a build links. The integer samplers use GCC/Clang's
+// `unsigned __int128`.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace qbarren {
@@ -67,13 +67,6 @@ class Rng {
   /// without drawing.
   [[nodiscard]] double normal(double mean, double stddev);
 
-  /// Fills `out` with exactly what out.size() calls of normal(mean, stddev)
-  /// would return, and leaves the engine where they would: same values,
-  /// same words consumed. stddev == 0 fills `mean` and draws nothing; a
-  /// negative or NaN stddev throws. Faster than the calls, because it tests
-  /// a run of candidate pairs at once.
-  void fill_normal(std::span<double> out, double mean, double stddev);
-
   /// Beta(alpha, beta) draw on (0, 1) via two gamma variates.
   /// Requires alpha > 0 and beta > 0.
   [[nodiscard]] double beta(double alpha, double beta);
@@ -92,9 +85,8 @@ class Rng {
 
   /// n standard normal draws that use both variates of each polar pair:
   /// element 2k is the pair's kept variate, element 2k + 1 the one
-  /// normal() discards. So this is NOT n calls of normal() (or
-  /// fill_normal): it draws about half the engine words, and its values
-  /// differ after the first.
+  /// normal() discards. So this is NOT n calls of normal(): it draws about
+  /// half the engine words, and its values differ after the first.
   [[nodiscard]] std::vector<double> normal_vector(std::size_t n);
 
   /// n i.i.d. uniform draws on [lo, hi): n calls of uniform(lo, hi).

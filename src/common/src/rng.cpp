@@ -39,24 +39,6 @@ std::uint64_t tempered(std::uint64_t z) noexcept {
   return z ^ (z >> 43);
 }
 
-// generate_canonical<double, 53> on one 64-bit word: the double nearest
-// w / 2^64, clamped below 1. The 32-bit halves convert exactly and their
-// sum rounds once, which is the direct conversion's result without its
-// branch on the top bit.
-double canonical_of(std::uint64_t w) noexcept {
-  const double c = (static_cast<double>(static_cast<std::uint32_t>(w >> 32)) *
-                        0x1p32 +
-                    static_cast<double>(static_cast<std::uint32_t>(w))) *
-                   0x1p-64;
-  return std::min(c, kBelowOne);
-}
-
-// The polar method's factor for an accepted pair, in libstdc++'s operation
-// order.
-double polar_factor(double r2) noexcept {
-  return std::sqrt(-2 * std::log(r2) / r2);
-}
-
 }  // namespace
 
 // The stream as a UniformRandomBitGenerator, for std::gamma_distribution.
@@ -114,17 +96,29 @@ std::uint64_t Rng::next_word() noexcept {
   return tempered(state_[next_++]);
 }
 
-double Rng::canonical() noexcept { return canonical_of(next_word()); }
+// generate_canonical<double, 53> on one engine word w: the double nearest
+// w / 2^64, clamped below 1. The 32-bit halves convert exactly and their
+// sum rounds once, which is the direct conversion's result without its
+// branch on the top bit.
+double Rng::canonical() noexcept {
+  const std::uint64_t w = next_word();
+  const double c = (static_cast<double>(static_cast<std::uint32_t>(w >> 32)) *
+                        0x1p32 +
+                    static_cast<double>(static_cast<std::uint32_t>(w))) *
+                   0x1p-64;
+  return std::min(c, kBelowOne);
+}
 
 // Draws candidate pairs until one falls in the unit disc, as libstdc++'s
-// normal_distribution does; `kept` is the variate it returns first.
+// normal_distribution does, and scales them in its operation order; `kept`
+// is the variate it returns first.
 Rng::PolarPair Rng::polar() noexcept {
   for (;;) {
     const double x = 2.0 * canonical() - 1.0;
     const double y = 2.0 * canonical() - 1.0;
     const double r2 = x * x + y * y;
     if (r2 <= 1.0 && r2 != 0.0) {
-      const double factor = polar_factor(r2);
+      const double factor = std::sqrt(-2 * std::log(r2) / r2);
       return {y * factor, x * factor};
     }
   }
@@ -143,54 +137,6 @@ double Rng::normal(double mean, double stddev) {
     return mean;
   }
   return polar().kept * stddev + mean;
-}
-
-void Rng::fill_normal(std::span<double> out, double mean, double stddev) {
-  QBARREN_REQUIRE(stddev >= 0.0, "fill_normal: stddev must be non-negative");
-  if (stddev == 0.0) {
-    std::fill(out.begin(), out.end(), mean);
-    return;
-  }
-  // Tests up to kPairs candidate pairs of the current state block per pass,
-  // keeping accepted ones without a branch, then stops the engine right
-  // after the pair that completes `out`, as sequential calls would. A pair
-  // is accepted with probability pi/4, so a pass of 1.5 * need + 2 pairs
-  // rarely falls short or tests many pairs past the last one needed.
-  constexpr std::size_t kPairs = 64;
-  double ys[kPairs] = {};
-  double r2s[kPairs] = {};
-  std::size_t ends[kPairs] = {};  // words of the pass used up to this pair
-  std::size_t done = 0;
-  while (done < out.size()) {
-    if (next_ == kStateWords) {
-      twist();
-    }
-    const std::size_t need = out.size() - done;
-    const std::size_t pairs = std::min(
-        {(kStateWords - next_) / 2, kPairs, need + need / 2 + 2});
-    if (pairs == 0) {
-      // One word is left before the twist: this pair straddles it.
-      out[done++] = polar().kept * stddev + mean;
-      continue;
-    }
-    const std::uint64_t* words = state_.data() + next_;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const double x = 2.0 * canonical_of(tempered(words[2 * i])) - 1.0;
-      const double y = 2.0 * canonical_of(tempered(words[2 * i + 1])) - 1.0;
-      const double r2 = x * x + y * y;
-      ys[kept] = y;
-      r2s[kept] = r2;
-      ends[kept] = 2 * i + 2;
-      kept += static_cast<std::size_t>((r2 <= 1.0) & (r2 != 0.0));
-    }
-    const std::size_t take = std::min(kept, need);
-    next_ += take == need ? ends[need - 1] : 2 * pairs;
-    for (std::size_t j = 0; j < take; ++j) {
-      out[done + j] = ys[j] * polar_factor(r2s[j]) * stddev + mean;
-    }
-    done += take;
-  }
 }
 
 double Rng::beta(double alpha, double beta_param) {

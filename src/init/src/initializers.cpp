@@ -19,8 +19,11 @@ namespace {
 
 std::vector<double> gaussian_with_variance(std::size_t n, double variance,
                                            Rng& rng) {
+  const double sigma = std::sqrt(variance);
   std::vector<double> out(n);
-  rng.fill_normal(out, 0.0, std::sqrt(variance));
+  for (auto& v : out) {
+    v = rng.normal(0.0, sigma);
+  }
   return out;
 }
 
@@ -180,7 +183,9 @@ SmallNormalInitializer::SmallNormalInitializer(double sigma) : sigma_(sigma) {
 std::vector<double> SmallNormalInitializer::initialize(const Circuit& circuit,
                                                        Rng& rng) const {
   std::vector<double> out(circuit.num_parameters());
-  rng.fill_normal(out, 0.0, sigma_);
+  for (auto& v : out) {
+    v = rng.normal(0.0, sigma_);
+  }
   return out;
 }
 

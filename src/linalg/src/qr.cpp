@@ -89,7 +89,11 @@ RealMatrix random_orthogonal(std::size_t rows, std::size_t cols, Rng& rng) {
                   "random_orthogonal: need rows >= cols for orthonormal "
                   "columns");
   RealMatrix g(rows, cols);
-  rng.fill_normal(g.data(), 0.0, 1.0);  // row-major: normal() per entry
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      g.at_unchecked(r, c) = rng.normal();
+    }
+  }
   return qr_decompose(g).q;
 }
 

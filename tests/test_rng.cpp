@@ -229,61 +229,6 @@ TEST(Rng, VectorHelpersProduceRequestedSizes) {
   EXPECT_TRUE(rng.normal_vector(0).empty());
 }
 
-// fill_normal is defined as out.size() calls of normal(mean, stddev): same
-// values bit for bit, and the engine left on the same word. Starting at an
-// even and an odd word makes some candidate pair straddle the engine's
-// 312-word regeneration.
-TEST(RngFillNormal, EqualsSequentialNormalCallsAndEndsOnTheSameWord) {
-  for (const std::uint64_t skipped_words : {0, 1}) {
-    for (std::size_t n = 0; n <= 700; ++n) {
-      Rng filled(1000 + n);
-      Rng called(1000 + n);
-      for (std::uint64_t i = 0; i < skipped_words; ++i) {
-        (void)filled.uniform_int(0, kU64Max);
-        (void)called.uniform_int(0, kU64Max);
-      }
-      std::vector<double> out(n);
-      filled.fill_normal(out, 0.3, 1.7);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double expected = called.normal(0.3, 1.7);
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
-                  std::bit_cast<std::uint64_t>(expected))
-            << "n=" << n << " i=" << i << " skipped=" << skipped_words;
-      }
-      ASSERT_EQ(filled.uniform_int(0, kU64Max), called.uniform_int(0, kU64Max))
-          << "engine position differs after n=" << n
-          << " skipped=" << skipped_words;
-    }
-  }
-}
-
-TEST(RngFillNormal, StandardFillEqualsNormalCalls) {
-  Rng filled(77);
-  Rng called(77);
-  std::vector<double> out(1000);
-  filled.fill_normal(out, 0.0, 1.0);
-  for (const double v : out) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(v),
-              std::bit_cast<std::uint64_t>(called.normal()));
-  }
-}
-
-TEST(RngFillNormal, ZeroStddevFillsTheMeanWithoutDrawing) {
-  Rng filled(5);
-  Rng untouched(5);
-  std::vector<double> out(10, -1.0);
-  filled.fill_normal(out, 2.5, 0.0);
-  for (const double v : out) EXPECT_EQ(v, 2.5);
-  EXPECT_EQ(filled.uniform_int(0, kU64Max), untouched.uniform_int(0, kU64Max));
-}
-
-TEST(RngFillNormal, RejectsNegativeOrNanStddev) {
-  Rng rng(5);
-  std::vector<double> out(3);
-  EXPECT_THROW(rng.fill_normal(out, 0.0, -1.0), InvalidArgument);
-  EXPECT_THROW(rng.fill_normal(out, 0.0, std::nan("")), InvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
 // Golden vectors. fixtures/rng_golden.txt holds the first 64 draws of every
 // sampler for four seeds, one line `<sampler> <seed> <64 hex words>` per
