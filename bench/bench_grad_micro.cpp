@@ -9,6 +9,8 @@
 
 #include "bench_common.hpp"
 #include "qbarren/analysis/plan_verify.hpp"
+#include "qbarren/analysis/predict.hpp"
+#include "qbarren/analysis/preflight.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
@@ -345,6 +347,55 @@ void bm_audit_request(benchmark::State& state) {
                  std::to_string(state.range(0)) + " x 200 circuits");
 }
 BENCHMARK(bm_audit_request)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond);
+
+// --- preflight lint and the static Fig 5a ------------------------------------
+//
+// Every variance/train run, and every serve request, lints its widest
+// circuit before the first cell: on the paper grid that is the q = 10,
+// depth-50 Eq-2 circuit (950 ops, 500 parameters), and for training the
+// q = 10, 5-layer Eq-3 circuit. The counters split one iteration into its
+// two preflights. bm_predict_grid times `qbarren predict` on the default
+// grid (q = 2..10, six initializers) at 8 and 32 structures per cell.
+
+void bm_lint_preflight(benchmark::State& state) {
+  const VarianceExperimentOptions variance;
+  const TrainingExperimentOptions training;
+  using Clock = std::chrono::steady_clock;
+  double variance_seconds = 0.0;
+  double training_seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    const Diagnostics v = lint_variance_options(variance);
+    const auto t1 = Clock::now();
+    const Diagnostics t = lint_training_options(training);
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(v.size());
+    benchmark::DoNotOptimize(t.size());
+    variance_seconds += std::chrono::duration<double>(t1 - t0).count();
+    training_seconds += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["variance_seconds"] = variance_seconds / n;
+  state.counters["training_seconds"] = training_seconds / n;
+  state.SetLabel("lint_variance_options paper grid + lint_training_options");
+}
+BENCHMARK(bm_lint_preflight)->Unit(benchmark::kMicrosecond);
+
+void bm_predict_grid(benchmark::State& state) {
+  const VarianceExperimentOptions options;
+  const std::vector<std::string> initializers = {
+      "random", "xavier-normal", "xavier-uniform", "he", "lecun",
+      "orthogonal"};
+  const auto structures = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const PredictionGrid grid =
+        predict_variance_grid(options, initializers, {}, structures);
+    benchmark::DoNotOptimize(grid.series.size());
+  }
+  state.SetLabel("predict_variance_grid, paper grid, " +
+                 std::to_string(structures) + " structures per cell");
+}
+BENCHMARK(bm_predict_grid)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -85,7 +85,9 @@
 //                          (adjoint, parameter-shift, finite-diff, spsa;
 //                          decorators like nan-at:<k>:<engine> inject
 //                          faults for testing the failure paths)
-// Run with no arguments, or any subcommand with --help, for this help text.
+// Each subcommand accepts only the options it reads (allowed_options);
+// any other exits 1 with an error naming the option. Run with no
+// arguments, or any subcommand with --help, for this help text.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -613,7 +615,6 @@ int cmd_predict(const CliArgs& args) {
 
   if (args.get_bool("conformance", false)) {
     ResilientRun resilient(args, options_fingerprint(options));
-    check_batch_flag(args, options.gradient_engine);
     const ConformanceReport report =
         predict_conformance(options, initializers, default_conformance_bands(),
                             {}, resilient.control);
@@ -888,6 +889,76 @@ int cmd_fsck(const CliArgs& args) {
   return code;
 }
 
+/// The options each subcommand reads; CliArgs rejects any other, so a
+/// mistyped flag exits 1 instead of silently running the default
+/// configuration. Every list holds "help". An unknown subcommand gets no
+/// list (anything parses) and main reports the subcommand itself.
+std::vector<std::string> allowed_options(const std::string& command) {
+  using List = std::vector<std::string>;
+  const List variance = {"qubits", "circuits", "layers", "seed",
+                         "cost",   "engine",   "param"};
+  const List training = {"optimizer", "qubits", "layers",       "iterations",
+                         "lr",        "seed",   "engine",       "deadline-sec",
+                         "nonfinite"};
+  const List resilient = {"checkpoint",        "resume",      "jobs",
+                          "cell-timeout-sec", "max-cell-failures",
+                          "cell-retries"};
+  const List preflight = {"lint", "verify-plans"};
+  const auto join = [](std::initializer_list<const List*> groups,
+                       List extra) {
+    extra.emplace_back("help");
+    for (const List* group : groups) {
+      extra.insert(extra.end(), group->begin(), group->end());
+    }
+    return extra;
+  };
+  // --batch stays accepted (and ignored) only where it used to apply.
+  if (command == "variance") {
+    return join({&variance, &resilient, &preflight}, {"batch", "json"});
+  }
+  if (command == "train") {
+    return join({&training, &resilient, &preflight}, {"batch", "json"});
+  }
+  if (command == "sweep") {
+    return join({&training, &resilient, &preflight},
+                {"batch", "repetitions"});
+  }
+  if (command == "landscape") {
+    return join({}, {"qubits", "layers", "grid", "seed", "batch",
+                     "verify-plans", "json"});
+  }
+  if (command == "express") {
+    return join({}, {"qubits", "layers", "pairs", "seed"});
+  }
+  if (command == "lightcone") return join({}, {"qubits", "layers", "seed"});
+  if (command == "predict") {
+    return join({&variance, &resilient},
+                {"init", "structures", "conformance", "json"});
+  }
+  if (command == "lint") {
+    return join({}, {"rules", "qasm", "ansatz", "qubits", "layers", "seed",
+                     "cost", "param", "verify-plan", "format"});
+  }
+  if (command == "audit") {
+    return join({&variance, &training},
+                {"rules", "request", "kind", "rep-seeds", "repetitions",
+                 "format"});
+  }
+  if (command == "fsck") {
+    return join({&variance, &training},
+                {"request", "cache", "fingerprint", "kind", "repetitions",
+                 "format"});
+  }
+  if (command == "serve") {
+    return join({}, {"once", "socket", "max-pending", "workers", "cache",
+                     "worker-kill-sec", "crash-attempts",
+                     "max-worker-crashes"});
+  }
+  if (command == "submit") return join({}, {"socket", "request"});
+  if (command == "worker") return join({}, {});
+  return {};
+}
+
 void print_help() {
   std::printf(
       "qbarren %s — barren-plateau experiments\n"
@@ -932,7 +1003,8 @@ void print_help() {
       "share one prefix walk); an explicit --batch >= 2 is still\n"
       "rejected with --engine adjoint.\n"
       "<subcommand> --help prints this text. see the header of\n"
-      "examples/qbarren_cli.cpp for per-command options.\n",
+      "examples/qbarren_cli.cpp for per-command options; an option the\n"
+      "subcommand does not take exits 1.\n",
       kVersionString);
 }
 
@@ -945,7 +1017,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string command = argv[1];
-    const CliArgs args(argc - 1, argv + 1);
+    const CliArgs args(argc - 1, argv + 1, allowed_options(command));
     // `--help`, alone or after any subcommand, prints the usage before any
     // work starts.
     if (command == "--help" || args.has("help")) {

@@ -22,11 +22,16 @@
 //     both of its qubits into it". For a straight-line program one
 //     reverse sweep reaches the fixpoint; the pass iterates until the
 //     per-op supports are stable, so the invariant is checked, not
-//     assumed.
+//     assumed. Each op's support is a packed qubit bitset in one flat
+//     array: one 64-bit word per op up to 64 qubits, ceil(q/64) words
+//     per op above that, so a sweep allocates nothing per op.
 //
 // Rules QB001/QB004/QB008/QB009 run entirely on these structures instead
 // of re-scanning the operation list with rule-specific loops, and tests
 // cross-check the cone against bp/lightcone.hpp's single-pass analysis.
+// One lint_circuit call builds one dataflow and computes one light cone
+// of the declared support: QB001, QB009 and the variance predictor
+// (predict.hpp), which borrows the same dataflow, all read it.
 #pragma once
 
 #include <array>

@@ -55,7 +55,10 @@
 //
 // QB001/QB004/QB008/QB009 run on the shared dataflow framework
 // (dataflow.hpp) rather than rule-private scans; QB002/QB011/QN120 share
-// one VariancePredictor (predict.hpp) per lint pass.
+// one VariancePredictor (predict.hpp) per lint pass. A pass builds each
+// analysis once: one dataflow, one light cone of the declared support
+// (QB001, QB009 and the predictor's baseline) and one compiled plan
+// (QB010 and the predictor's noise floor).
 #pragma once
 
 #include <cstdint>

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,6 +61,10 @@
 #include "qbarren/init/fan.hpp"
 
 namespace qbarren {
+
+namespace exec {
+class CompiledCircuit;
+}  // namespace exec
 
 // --- angle models -----------------------------------------------------------
 
@@ -168,13 +173,23 @@ struct VariancePrediction {
   [[nodiscard]] Table table(std::size_t max_rows = 16) const;
 };
 
-/// The closed-form engine. Construction builds the dataflow graphs and
-/// checks model applicability; predict() walks the light cone per
-/// parameter. Never simulates.
+/// The closed-form engine. Construction takes the circuit's dataflow
+/// graphs and compiled plan and checks model applicability; predict()
+/// walks the light cone per parameter. Never simulates.
 class VariancePredictor {
  public:
+  /// Builds the circuit's dataflow and compiles its plan for the noise
+  /// model.
   explicit VariancePredictor(const Circuit& circuit,
                              PredictorModel model = {});
+
+  /// Reuses a dataflow the caller already built (it must outlive the
+  /// predictor) and the circuit's compiled plan; `plan` is nullptr when
+  /// the circuit could not be lowered, and the noise model then counts
+  /// the raw operations. lint_circuit shares its own with QB010 this way.
+  VariancePredictor(const CircuitDataflow& flow,
+                    const exec::CompiledCircuit* plan,
+                    PredictorModel model = {});
 
   /// Empty when the model applies to this circuit; otherwise info
   /// diagnostics (code QB011) explaining the refusal — e.g. custom gate
@@ -187,6 +202,10 @@ class VariancePredictor {
     return applicability_.empty();
   }
 
+  [[nodiscard]] const CircuitDataflow& flow() const noexcept {
+    return *flow_;
+  }
+
   /// Predicts every parameter's gradient variance under `angles` for an
   /// observable with the given support. Throws InvalidArgument when
   /// !applicable() or the support is empty/out of range.
@@ -195,14 +214,24 @@ class VariancePredictor {
       const std::vector<std::size_t>& observable_qubits,
       PredictedCost cost) const;
 
+  /// The same, on the support's light cone already computed as
+  /// flow().backward_light_cone(observable_qubits): lint and the grid
+  /// evaluate one cone under several rules or angle laws.
+  [[nodiscard]] VariancePrediction predict(
+      const AngleModel& angles,
+      const std::vector<std::size_t>& observable_qubits,
+      const CircuitDataflow::LightCone& cone, PredictedCost cost) const;
+
   [[nodiscard]] const PredictorModel& model() const noexcept {
     return model_;
   }
 
  private:
-  const Circuit* circuit_;
+  void set_noise_floor(const exec::CompiledCircuit* plan);
+
+  std::unique_ptr<const CircuitDataflow> owned_flow_;
+  const CircuitDataflow* flow_;
   PredictorModel model_;
-  CircuitDataflow flow_;
   Diagnostics applicability_;
   double noise_floor_ = 0.0;
   std::size_t plan_ops_ = 0;
@@ -225,8 +254,9 @@ struct CellPrediction {
 
 /// Predicts one cell of the Fig 5a grid. `structures` caps the ensemble
 /// (0 = options.circuits_per_point; prediction is cheap but builds one
-/// dataflow per structure). Throws NotFound for unsupported initializer
-/// families — callers gate on angle_model_supported.
+/// dataflow, plan and light cone per structure). Throws NotFound for
+/// unsupported initializer families — callers gate on
+/// angle_model_supported.
 [[nodiscard]] CellPrediction predict_variance_cell(
     const VarianceExperimentOptions& options, std::size_t qubit_index,
     const std::string& initializer, const PredictorModel& model = {},
@@ -254,6 +284,10 @@ struct PredictionGrid {
       const std::string& initializer) const;
 };
 
+/// Predicts every (qubit count, initializer) cell. Each structure's
+/// circuit, dataflow, plan and light cone are built once and shared by
+/// all initializers; each cell sums its structures in ascending order, as
+/// predict_variance_cell does.
 [[nodiscard]] PredictionGrid predict_variance_grid(
     const VarianceExperimentOptions& options,
     const std::vector<std::string>& initializers,

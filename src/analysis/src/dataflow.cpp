@@ -1,6 +1,8 @@
 #include "qbarren/analysis/dataflow.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "qbarren/common/error.hpp"
 
@@ -8,20 +10,51 @@ namespace qbarren {
 
 namespace {
 
-std::size_t popcount(const std::vector<bool>& bits) {
-  return static_cast<std::size_t>(std::count(bits.begin(), bits.end(), true));
+constexpr std::size_t kWordBits = 64;
+
+bool test_bit(const std::uint64_t* words, std::size_t q) {
+  return ((words[q / kWordBits] >> (q % kWordBits)) & 1U) != 0;
 }
 
-/// Backward transfer function of one operation: conjugating an observable
-/// through a two-qubit gate spreads its support to both qubits whenever it
-/// touches either; single-qubit gates preserve support.
-std::vector<bool> transfer_backward(const Operation& op,
-                                    std::vector<bool> support) {
-  if (is_two_qubit(op.kind) && (support[op.qubit0] || support[op.qubit1])) {
-    support[op.qubit0] = true;
-    support[op.qubit1] = true;
+void set_bit(std::uint64_t* words, std::size_t q) {
+  words[q / kWordBits] |= std::uint64_t{1} << (q % kWordBits);
+}
+
+/// One reverse sweep of seen[k] = transfer(op[k+1], seen[k+1]), seen[last]
+/// = boundary, over supports of `words` words each. The transfer function
+/// of a two-qubit gate merges both of its qubits into the support whenever
+/// it touches either; single-qubit gates preserve it. Returns whether any
+/// support changed.
+bool reverse_sweep(const std::vector<Operation>& ops,
+                   const std::uint64_t* boundary, std::size_t words,
+                   std::uint64_t* seen) {
+  const std::size_t n = ops.size();
+  bool changed = false;
+  for (std::size_t k = n; k-- > 0;) {
+    const std::uint64_t* after =
+        k + 1 == n ? boundary : seen + (k + 1) * words;
+    std::uint64_t* slot = seen + k * words;
+    bool spread = false;
+    std::size_t q0 = 0;
+    std::size_t q1 = 0;
+    if (k + 1 < n) {
+      const Operation& next = ops[k + 1];
+      q0 = next.qubit0;
+      q1 = next.qubit1;
+      spread = is_two_qubit(next.kind) &&
+               (test_bit(after, q0) || test_bit(after, q1));
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t value = after[w];
+      if (spread) {
+        if (q0 / kWordBits == w) value |= std::uint64_t{1} << (q0 % kWordBits);
+        if (q1 / kWordBits == w) value |= std::uint64_t{1} << (q1 % kWordBits);
+      }
+      changed = changed || value != slot[w];
+      slot[w] = value;
+    }
   }
-  return support;
+  return changed;
 }
 
 }  // namespace
@@ -136,51 +169,52 @@ CircuitDataflow::LightCone CircuitDataflow::backward_light_cone(
     const std::vector<std::size_t>& observable_qubits) const {
   QBARREN_REQUIRE(!observable_qubits.empty(),
                   "backward_light_cone: empty observable support");
-  std::vector<bool> boundary(circuit_->num_qubits(), false);
+  // A support is a packed qubit bitset of `words` 64-bit words: one word
+  // per op up to 64 qubits, ceil(q/64) above.
+  const std::size_t words =
+      (circuit_->num_qubits() + kWordBits - 1) / kWordBits;
+  std::vector<std::uint64_t> boundary(words, 0);
   for (const std::size_t q : observable_qubits) {
     QBARREN_REQUIRE(q < circuit_->num_qubits(),
                     "backward_light_cone: observable qubit out of range");
-    boundary[q] = true;
+    set_bit(boundary.data(), q);
   }
 
   const auto& ops = circuit_->operations();
 
-  // seen[k] = support of the observable conjugated through every
-  // operation AFTER k — what operation k "sees" on the backward walk.
-  // Solve seen[k] = transfer(op[k+1], seen[k+1]) (seen[last] = boundary)
-  // by iterating reverse sweeps to a fixpoint. One sweep suffices for a
-  // straight-line program; the extra confirming sweep checks that rather
-  // than assuming it.
-  std::vector<std::vector<bool>> seen(ops_size_);
+  // seen[k] (words [k*words, (k+1)*words)) = support of the observable
+  // conjugated through every operation AFTER k — what operation k "sees"
+  // on the backward walk. Iterate reverse sweeps to a fixpoint: one sweep
+  // suffices for a straight-line program; the extra confirming sweep
+  // checks that rather than assuming it. Every support holds the
+  // boundary's bits, so the all-zero start differs from the first sweep's
+  // value at every op.
+  std::vector<std::uint64_t> seen(ops_size_ * words, 0);
   LightCone cone;
-  cone.support_width.assign(ops_size_, 0);
   bool changed = ops_size_ > 0;
   while (changed) {
-    changed = false;
     ++cone.sweeps;
-    for (std::size_t k = ops_size_; k-- > 0;) {
-      std::vector<bool> value = (k + 1 == ops_size_)
-                                    ? boundary
-                                    : transfer_backward(ops[k + 1], seen[k + 1]);
-      if (value != seen[k]) {
-        seen[k] = std::move(value);
-        changed = true;
-      }
-    }
+    changed = reverse_sweep(ops, boundary.data(), words, seen.data());
   }
 
+  cone.support_width.assign(ops_size_, 0);
   cone.alive.assign(circuit_->num_parameters(), false);
   cone.cone_width.assign(circuit_->num_parameters(), 0);
   for (std::size_t k = 0; k < ops_size_; ++k) {
+    const std::uint64_t* support = seen.data() + k * words;
+    std::size_t width = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      width += static_cast<std::size_t>(std::popcount(support[w]));
+    }
+    cone.support_width[k] = width;
     const Operation& op = ops[k];
-    cone.support_width[k] = popcount(seen[k]);
     if (!is_parameterized(op.kind)) continue;
-    const bool alive = is_two_qubit(op.kind)
-                           ? (seen[k][op.qubit0] || seen[k][op.qubit1])
-                           : seen[k][op.qubit0];
+    const bool alive =
+        test_bit(support, op.qubit0) ||
+        (is_two_qubit(op.kind) && test_bit(support, op.qubit1));
     if (alive && !cone.alive[op.param_index]) {
       cone.alive[op.param_index] = true;
-      cone.cone_width[op.param_index] = cone.support_width[k];
+      cone.cone_width[op.param_index] = width;
     }
   }
   for (const bool alive : cone.alive) {

@@ -79,14 +79,12 @@ class RuleSink {
 
 // --- QB001: structurally dead parameters -----------------------------------
 
-void rule_dead_parameters(const Circuit& circuit, const CircuitDataflow& flow,
+void rule_dead_parameters(const Circuit& circuit,
+                          const std::optional<CircuitDataflow::LightCone>& cone,
                           const CircuitLintContext& context,
                           const LintOptions& options, Diagnostics& out) {
-  if (context.observable_qubits.empty() || circuit.num_parameters() == 0) {
-    return;
-  }
-  const CircuitDataflow::LightCone report =
-      flow.backward_light_cone(context.observable_qubits);
+  if (!cone.has_value()) return;
+  const CircuitDataflow::LightCone& report = *cone;
   if (report.dead_count == 0) return;
 
   // The parameter the experiment actually differentiates being dead is the
@@ -136,9 +134,12 @@ std::vector<std::size_t> model_support(const Circuit& circuit,
 /// evaluated under the random U[0, 2*pi) law — the BP benchmark every
 /// experiment's improvement statistic is measured against. nullopt when
 /// the model refuses (the caller reports applicability() instead).
+/// `cone` is the declared support's light cone, present whenever a support
+/// is declared, so the model reuses it.
 std::optional<VariancePrediction> baseline_prediction(
     const Circuit& circuit, const VariancePredictor& predictor,
-    const CircuitLintContext& context) {
+    const CircuitLintContext& context,
+    const std::optional<CircuitDataflow::LightCone>& cone) {
   if (!predictor.applicable()) return std::nullopt;
   const auto angles = angle_model_for("random", circuit);
   if (!angles.has_value()) return std::nullopt;
@@ -147,7 +148,9 @@ std::optional<VariancePrediction> baseline_prediction(
                                  : (context.observable_qubits.size() <= 2
                                         ? PredictedCost::kPauli
                                         : PredictedCost::kLocalProjector);
-  return predictor.predict(*angles, model_support(circuit, context), cost);
+  const std::vector<std::size_t> support = model_support(circuit, context);
+  if (cone.has_value()) return predictor.predict(*angles, support, *cone, cost);
+  return predictor.predict(*angles, support, cost);
 }
 
 void rule_bp_risk(const Circuit& circuit, const CircuitLintContext& context,
@@ -403,13 +406,11 @@ void rule_cancelling_pairs(const Circuit& circuit, const CircuitDataflow& flow,
 
 // --- QB009: per-parameter light-cone width report ---------------------------
 
-void rule_cone_widths(const Circuit& circuit, const CircuitDataflow& flow,
+void rule_cone_widths(const Circuit& circuit,
+                      const std::optional<CircuitDataflow::LightCone>& report,
                       const CircuitLintContext& context, Diagnostics& out) {
-  if (context.observable_qubits.empty() || circuit.num_parameters() == 0) {
-    return;
-  }
-  const CircuitDataflow::LightCone cone =
-      flow.backward_light_cone(context.observable_qubits);
+  if (!report.has_value()) return;
+  const CircuitDataflow::LightCone& cone = *report;
   std::vector<std::size_t> widths;
   widths.reserve(cone.alive.size());
   for (std::size_t p = 0; p < cone.alive.size(); ++p) {
@@ -444,13 +445,10 @@ void rule_cone_widths(const Circuit& circuit, const CircuitDataflow& flow,
 
 // --- QB010: static plan cost estimate ---------------------------------------
 
-void rule_plan_cost(const Circuit& circuit, Diagnostics& out) {
-  std::shared_ptr<const exec::CompiledCircuit> plan;
-  try {
-    plan = exec::CompiledCircuit::compile(circuit);
-  } catch (const InvalidArgument&) {
-    return;  // unlowerable (malformed custom gate): QB006 reports the cause
-  }
+void rule_plan_cost(const Circuit& circuit,
+                    const exec::CompiledCircuit* plan, Diagnostics& out) {
+  // Unlowerable (malformed custom gate): QB006 reports the cause.
+  if (plan == nullptr) return;
   const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
   std::ostringstream msg;
   msg << "compiled plan: " << estimate.plan_ops << " kernel op(s) ("
@@ -582,26 +580,48 @@ Diagnostics lint_circuit(const Circuit& circuit,
                     "lint_circuit: differentiated_parameter out of range");
   }
   // One dataflow build (wire graph + parameter dependence) shared by every
-  // structural rule.
+  // structural rule and the variance model.
   const CircuitDataflow flow(circuit);
 
-  // One predictor build (its own dataflow + plan-noise model) shared by the
-  // variance-model rules; constructed only when some rule will consume it.
+  // The variance-model rules share one predictor, built only when some
+  // rule will consume it.
   const bool want_model =
       circuit.num_parameters() > 0 &&
       (!context.observable_qubits.empty() || context.global_cost) &&
       (options.rule_enabled("QB002") || options.rule_enabled("QB011") ||
        options.rule_enabled("QN120"));
+
+  // One backward light cone of the declared support, shared by QB001,
+  // QB009 and the model's baseline prediction.
+  std::optional<CircuitDataflow::LightCone> cone;
+  if (!context.observable_qubits.empty() && circuit.num_parameters() > 0 &&
+      (options.rule_enabled("QB001") || options.rule_enabled("QB009") ||
+       want_model)) {
+    cone = flow.backward_light_cone(context.observable_qubits);
+  }
+
+  // One compiled plan, shared by QB010 and the model's noise floor (which
+  // reads it only for circuits without custom gates).
+  std::shared_ptr<const exec::CompiledCircuit> plan;
+  if (options.rule_enabled("QB010") ||
+      (want_model && circuit.custom_gates().empty())) {
+    try {
+      plan = exec::CompiledCircuit::compile(circuit);
+    } catch (const InvalidArgument&) {
+      // QB010 stays silent and the noise floor counts raw operations.
+    }
+  }
+
   std::optional<VariancePredictor> predictor;
   std::optional<VariancePrediction> baseline;
   if (want_model) {
-    predictor.emplace(circuit);
-    baseline = baseline_prediction(circuit, *predictor, context);
+    predictor.emplace(flow, plan.get());
+    baseline = baseline_prediction(circuit, *predictor, context, cone);
   }
 
   Diagnostics out;
   if (options.rule_enabled("QB001")) {
-    rule_dead_parameters(circuit, flow, context, options, out);
+    rule_dead_parameters(circuit, cone, context, options, out);
   }
   if (options.rule_enabled("QB002")) {
     rule_bp_risk(circuit, context, options,
@@ -623,10 +643,10 @@ Diagnostics lint_circuit(const Circuit& circuit,
     rule_cancelling_pairs(circuit, flow, options, out);
   }
   if (options.rule_enabled("QB009")) {
-    rule_cone_widths(circuit, flow, context, out);
+    rule_cone_widths(circuit, cone, context, out);
   }
   if (options.rule_enabled("QB010")) {
-    rule_plan_cost(circuit, out);
+    rule_plan_cost(circuit, plan.get(), out);
   }
   if (options.rule_enabled("QB011") && predictor.has_value()) {
     rule_predicted_variance(context, options, *predictor, baseline, out);

@@ -168,11 +168,12 @@ Table VariancePrediction::table(std::size_t max_rows) const {
 
 // --- VariancePredictor ------------------------------------------------------
 
-VariancePredictor::VariancePredictor(const Circuit& circuit,
-                                     PredictorModel model)
-    : circuit_(&circuit), model_(model), flow_(circuit) {
+namespace {
+
+Diagnostics refusals(const Circuit& circuit) {
+  Diagnostics out;
   if (!circuit.custom_gates().empty()) {
-    applicability_.push_back(Diagnostic{
+    out.push_back(Diagnostic{
         Severity::kInfo, "QB011",
         "variance model refuses: circuit uses " +
             std::to_string(circuit.custom_gates().size()) +
@@ -183,28 +184,53 @@ VariancePredictor::VariancePredictor(const Circuit& circuit,
         "custom gates"});
   }
   if (circuit.num_parameters() == 0) {
-    applicability_.push_back(
+    out.push_back(
         Diagnostic{Severity::kInfo, "QB011",
                    "variance model refuses: circuit has no trainable "
                    "parameters, so there is no gradient to predict",
                    "parameters"});
   }
+  return out;
+}
+
+}  // namespace
+
+VariancePredictor::VariancePredictor(const Circuit& circuit,
+                                     PredictorModel model)
+    : owned_flow_(std::make_unique<const CircuitDataflow>(circuit)),
+      flow_(owned_flow_.get()),
+      model_(model),
+      applicability_(refusals(circuit)) {
+  std::shared_ptr<const exec::CompiledCircuit> plan;
+  if (applicable()) {
+    try {
+      plan = exec::CompiledCircuit::compile(circuit);
+    } catch (const Error&) {
+      // Fall back to the raw op count; the floor is a bound either way.
+    }
+  }
+  set_noise_floor(plan.get());
+}
+
+VariancePredictor::VariancePredictor(const CircuitDataflow& flow,
+                                     const exec::CompiledCircuit* plan,
+                                     PredictorModel model)
+    : flow_(&flow), model_(model), applicability_(refusals(flow.circuit())) {
+  set_noise_floor(plan);
+}
+
+void VariancePredictor::set_noise_floor(const exec::CompiledCircuit* plan) {
   // FP-noise-floor model: each amplitude accumulates ~flops_per_op * eps
   // relative error per plan op, so an expectation value carries an error
   // bound delta ~ k * ops * eps and a parameter-shift gradient (the
   // difference of two such values) has a variance floor ~ delta^2.
-  plan_ops_ = circuit.num_operations();
-  if (applicability_.empty()) {
-    try {
-      const auto plan = exec::CompiledCircuit::compile(circuit);
-      // A CZ ladder counts as the gates it covers, as when each CZ was a
-      // kernel op of its own: the floor is a property of the circuit, not
-      // of how lowering batches its exact sign flips.
-      const PlanResourceEstimate e = estimate_plan_resources(*plan);
-      plan_ops_ = e.plan_ops - e.cz_ladders + e.cz_ladder_gates;
-    } catch (const Error&) {
-      // Fall back to the raw op count; the floor is a bound either way.
-    }
+  plan_ops_ = flow_->circuit().num_operations();
+  if (applicable() && plan != nullptr) {
+    // A CZ ladder counts as the gates it covers, as when each CZ was a
+    // kernel op of its own: the floor is a property of the circuit, not
+    // of how lowering batches its exact sign flips.
+    const PlanResourceEstimate e = estimate_plan_resources(*plan);
+    plan_ops_ = e.plan_ops - e.cz_ladders + e.cz_ladder_gates;
   }
   const double delta = model_.noise_flops_per_op *
                        static_cast<double>(plan_ops_) *
@@ -219,16 +245,30 @@ VariancePrediction VariancePredictor::predict(
   QBARREN_REQUIRE(applicable(),
                   "VariancePredictor::predict: model not applicable to this "
                   "circuit (see applicability())");
-  const Circuit& circuit = *circuit_;
+  return predict(angles, observable_qubits,
+                 flow_->backward_light_cone(observable_qubits), cost);
+}
+
+VariancePrediction VariancePredictor::predict(
+    const AngleModel& angles,
+    const std::vector<std::size_t>& observable_qubits,
+    const CircuitDataflow::LightCone& cone, PredictedCost cost) const {
+  QBARREN_REQUIRE(applicable(),
+                  "VariancePredictor::predict: model not applicable to this "
+                  "circuit (see applicability())");
+  const Circuit& circuit = flow_->circuit();
+  QBARREN_REQUIRE(cone.alive.size() == circuit.num_parameters() &&
+                      cone.support_width.size() == flow_->num_ops(),
+                  "VariancePredictor::predict: light cone of another circuit");
   const std::size_t n = circuit.num_qubits();
-  const auto cone = flow_.backward_light_cone(observable_qubits);
 
   // Scrambling depth D: alive parameterized rotations per qubit — how many
   // random rotations separate a parameter from a product state. For the
   // Eq-2 variance ansatz D equals the layer count.
   std::size_t alive_rotations = 0;
   for (std::size_t p = 0; p < circuit.num_parameters(); ++p) {
-    if (flow_.op_for_parameter(p) != CircuitDataflow::kNoOp && cone.alive[p]) {
+    if (flow_->op_for_parameter(p) != CircuitDataflow::kNoOp &&
+        cone.alive[p]) {
       ++alive_rotations;
     }
   }
@@ -255,7 +295,7 @@ VariancePrediction VariancePredictor::predict(
   for (std::size_t p = 0; p < circuit.num_parameters(); ++p) {
     ParameterPrediction pp;
     pp.parameter = p;
-    const std::size_t op_index = flow_.op_for_parameter(p);
+    const std::size_t op_index = flow_->op_for_parameter(p);
     if (op_index == CircuitDataflow::kNoOp || !cone.alive[p]) {
       out.parameters.push_back(pp);  // dead: variance 0
       continue;
@@ -367,18 +407,24 @@ VariancePrediction VariancePredictor::predict(
 
 // --- experiment-level prediction --------------------------------------------
 
-CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
-                                     std::size_t qubit_index,
-                                     const std::string& initializer,
-                                     const PredictorModel& model,
-                                     std::size_t structures) {
-  QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
-                  "predict_variance_cell: qubit_index out of range");
+namespace {
+
+void require_angle_model(const std::string& initializer) {
   if (!angle_model_supported(initializer)) {
     throw NotFound("predict_variance_cell: no closed-form angle model for "
                    "initializer '" +
                    initializer + "'");
   }
+}
+
+/// The cells of qubit count options.qubit_counts[qubit_index], one per
+/// initializer. Each structure's circuit, dataflow, plan and light cone
+/// are built once and every initializer's angle law is evaluated against
+/// them; each cell sums its structures in ascending order.
+std::vector<CellPrediction> predict_row(
+    const VarianceExperimentOptions& options, std::size_t qubit_index,
+    const std::vector<std::string>& initializers, const PredictorModel& model,
+    std::size_t structures) {
   const std::size_t q = options.qubit_counts[qubit_index];
   const auto observable_qubits = cost_observable_qubits(options.cost, q);
   const PredictedCost cost = predicted_cost_for(options.cost);
@@ -388,44 +434,73 @@ CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
           : std::min(structures, options.circuits_per_point);
   QBARREN_REQUIRE(count > 0, "predict_variance_cell: empty ensemble");
 
-  // The exact structure ensemble compute_variance_cell samples
-  // (variance_structure) — only the simulation is skipped.
-  CellPrediction out;
-  out.qubits = q;
-  out.structures = count;
-  double sum = 0.0;
+  std::vector<CellPrediction> cells(initializers.size());
+  std::vector<double> sums(initializers.size(), 0.0);
+  for (CellPrediction& cell : cells) {
+    cell.qubits = q;
+    cell.structures = count;
+  }
   for (std::size_t i = 0; i < count; ++i) {
+    // The exact structure ensemble compute_variance_cell samples
+    // (variance_structure) — only the simulation is skipped.
     const Circuit circuit = variance_structure(options, qubit_index, i);
-    const auto angles = angle_model_for(initializer, circuit);
-    QBARREN_REQUIRE(angles.has_value(),
-                    "predict_variance_cell: angle model vanished");
     const VariancePredictor predictor(circuit, model);
-    const VariancePrediction prediction =
-        predictor.predict(*angles, observable_qubits, cost);
+    const CircuitDataflow::LightCone cone =
+        predictor.flow().backward_light_cone(observable_qubits);
     const std::size_t which =
         sampled_parameter(circuit, options.which_parameter);
-    const ParameterPrediction& pp = prediction.parameters.at(which);
-    if (!pp.alive) ++out.dead_structures;
-    sum += pp.variance;
-    out.noise_floor = std::max(out.noise_floor, prediction.noise_floor);
+    for (std::size_t j = 0; j < initializers.size(); ++j) {
+      const auto angles = angle_model_for(initializers[j], circuit);
+      QBARREN_REQUIRE(angles.has_value(),
+                      "predict_variance_cell: angle model vanished");
+      const VariancePrediction prediction =
+          predictor.predict(*angles, observable_qubits, cone, cost);
+      const ParameterPrediction& pp = prediction.parameters.at(which);
+      if (!pp.alive) ++cells[j].dead_structures;
+      sums[j] += pp.variance;
+      cells[j].noise_floor =
+          std::max(cells[j].noise_floor, prediction.noise_floor);
+    }
   }
-  out.variance = sum / static_cast<double>(count);
-  return out;
+  for (std::size_t j = 0; j < cells.size(); ++j) {
+    cells[j].variance = sums[j] / static_cast<double>(count);
+  }
+  return cells;
+}
+
+}  // namespace
+
+CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
+                                     std::size_t qubit_index,
+                                     const std::string& initializer,
+                                     const PredictorModel& model,
+                                     std::size_t structures) {
+  QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
+                  "predict_variance_cell: qubit_index out of range");
+  require_angle_model(initializer);
+  return predict_row(options, qubit_index, {initializer}, model, structures)
+      .front();
 }
 
 PredictionGrid predict_variance_grid(const VarianceExperimentOptions& options,
                                      const std::vector<std::string>& initializers,
                                      const PredictorModel& model,
                                      std::size_t structures) {
+  for (const std::string& name : initializers) require_angle_model(name);
   PredictionGrid grid;
   grid.options = options;
-  for (const std::string& name : initializers) {
-    PredictionSeries series;
-    series.initializer = name;
-    for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
-      series.cells.push_back(
-          predict_variance_cell(options, qi, name, model, structures));
+  grid.series.resize(initializers.size());
+  for (std::size_t j = 0; j < initializers.size(); ++j) {
+    grid.series[j].initializer = initializers[j];
+  }
+  for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
+    std::vector<CellPrediction> row =
+        predict_row(options, qi, initializers, model, structures);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      grid.series[j].cells.push_back(row[j]);
     }
+  }
+  for (PredictionSeries& series : grid.series) {
     std::vector<double> xs;
     std::vector<double> ys;
     for (const CellPrediction& cell : series.cells) {
@@ -435,7 +510,6 @@ PredictionGrid predict_variance_grid(const VarianceExperimentOptions& options,
       }
     }
     series.decay_fit = xs.size() >= 2 ? linear_fit(xs, ys) : LinearFit{};
-    grid.series.push_back(std::move(series));
   }
   return grid;
 }

@@ -219,6 +219,89 @@ TEST(CliHelp, PrintsUsageAndExitsZeroBeforeAnyWork) {
   }
 }
 
+TEST(CliUnknownFlag, EverySubcommandRejectsItBeforeAnyWork) {
+  for (const char* command :
+       {"variance", "train", "sweep", "landscape", "express", "lightcone",
+        "predict", "lint", "audit", "fsck", "serve", "submit", "worker"}) {
+    for (const char* flag : {"--no-such-flag", "--no-such-flag=3"}) {
+      const CliRun run =
+          run_cli(std::string(command) + " " + flag + " </dev/null");
+      EXPECT_EQ(run.exit_code, kExitFailure) << command << " " << flag;
+      EXPECT_EQ(run.err, "error: unknown option --no-such-flag\n")
+          << command << " " << flag;
+      EXPECT_TRUE(run.out.empty()) << command << ": " << run.out;
+    }
+  }
+}
+
+TEST(CliUnknownFlag, OptionsOfOtherSubcommandsAreRejected) {
+  // --batch is accepted only by variance, train, sweep and landscape.
+  const std::pair<const char*, const char*> cases[] = {
+      {"predict --batch 4", "--batch"},
+      {"predict --conformance --batch auto", "--batch"},
+      {"lint --ansatz training --batch 4", "--batch"},
+      {"express --batch 1", "--batch"},
+      {"audit --kind variance --batch auto", "--batch"},
+      {"lint --circuits 5", "--circuits"},
+      {"variance --structures 8", "--structures"},
+      {"train --circuits 5", "--circuits"},
+      {"landscape --engine adjoint", "--engine"},
+      {"submit --workers 2", "--workers"}};
+  for (const auto& [command, flag] : cases) {
+    const CliRun run = run_cli(command);
+    EXPECT_EQ(run.exit_code, kExitFailure) << command;
+    EXPECT_EQ(run.err, std::string("error: unknown option ") + flag + "\n")
+        << command;
+    EXPECT_TRUE(run.out.empty()) << command << ": " << run.out;
+  }
+}
+
+TEST(CliUnknownFlag, EveryOptionASubcommandReadsStillParses) {
+  // --help after the options prints the usage once they have all parsed,
+  // so each line proves its subcommand's allow-list holds every option
+  // the subcommand reads.
+  const std::string usage = run_cli("--help").out;
+  const std::string resilient =
+      " --checkpoint c --resume --jobs 1 --cell-timeout-sec 9"
+      " --max-cell-failures 0 --cell-retries 0";
+  const std::string variance =
+      " --qubits 2 --circuits 3 --layers 2 --seed 1 --cost zz"
+      " --engine adjoint --param last";
+  const std::string training =
+      " --optimizer adam --qubits 2 --layers 1 --iterations 1 --lr 0.1"
+      " --seed 1 --engine adjoint --deadline-sec 9 --nonfinite throw";
+  for (const std::string& command : {
+           "variance" + variance + resilient +
+               " --lint=off --verify-plans --batch auto --json v.json",
+           "train" + training + resilient +
+               " --lint off --verify-plans --batch auto --json t.json",
+           "sweep" + training + resilient +
+               " --lint=warn --verify-plans --batch 1 --repetitions 2",
+           std::string("landscape --qubits 2 --layers 2 --grid 3 --seed 1"
+                       " --batch auto --verify-plans --json l.json"),
+           std::string("express --qubits 2 --layers 1 --pairs 3 --seed 1"),
+           std::string("lightcone --qubits 2 --layers 1 --seed 1"),
+           "predict" + variance + resilient +
+               " --init random,he --structures 2 --conformance --json p.json",
+           std::string("lint --rules --qasm q --ansatz training --qubits 2"
+                       " --layers 1 --seed 1 --cost global --param last"
+                       " --verify-plan --format json"),
+           "audit" + variance + training +
+               " --rules --request r --kind sweep --rep-seeds 1,2"
+               " --repetitions 2 --format json",
+           "fsck store" + variance + training +
+               " --request r --cache --fingerprint f --kind variance"
+               " --repetitions 2 --format table",
+           std::string("serve --once r --socket s --max-pending 1 --workers 1"
+                       " --cache c --worker-kill-sec 9 --crash-attempts 1"
+                       " --max-worker-crashes 1"),
+           std::string("submit --socket s --request r")}) {
+    const CliRun run = run_cli(command + " --help");
+    EXPECT_EQ(run.exit_code, kExitOk) << command << ": " << run.err;
+    EXPECT_EQ(run.out, usage) << command;
+  }
+}
+
 #endif  // QBARREN_CLI_BIN
 
 }  // namespace

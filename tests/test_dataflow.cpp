@@ -1,7 +1,8 @@
 // Tests for the circuit dataflow framework (analysis/dataflow.hpp): the
 // wire graph on hand-built circuits, the parameter dependence graph, the
 // backward light-cone fixpoint cross-checked against bp/lightcone.hpp's
-// single-pass analysis on every paper ansatz, and a QB001/QB004
+// single-pass analysis on every paper ansatz and on 63- to 130-qubit
+// registers whose packed supports span several words, and a QB001/QB004
 // regression over the checked-in QASM fixtures proving the dataflow-based
 // lint rules report exactly what the rule-private scans used to.
 #include <gtest/gtest.h>
@@ -101,18 +102,52 @@ TEST(Dataflow, ParameterGraphMatchesBuilderConventions) {
 
 // --- backward light cone -----------------------------------------------------
 
-void expect_cone_matches_bp(const Circuit& circuit,
-                            const std::vector<std::size_t>& observable) {
-  const CircuitDataflow flow(circuit);
-  const CircuitDataflow::LightCone cone =
-      flow.backward_light_cone(observable);
-  const LightConeReport reference = analyze_light_cone(circuit, observable);
-  ASSERT_EQ(cone.alive.size(), reference.alive.size());
-  for (std::size_t p = 0; p < cone.alive.size(); ++p) {
-    EXPECT_EQ(cone.alive[p], reference.alive[p]) << "parameter " << p;
+/// Independent reference for support_width: a reverse walk with one flag
+/// per qubit, recording the support each op sees before applying its own
+/// transfer.
+std::vector<std::size_t> reference_support_widths(
+    const Circuit& circuit, const std::vector<std::size_t>& observable) {
+  std::vector<bool> support(circuit.num_qubits(), false);
+  for (const std::size_t q : observable) support[q] = true;
+  const std::vector<Operation>& ops = circuit.operations();
+  std::vector<std::size_t> widths(ops.size());
+  for (std::size_t k = ops.size(); k-- > 0;) {
+    widths[k] = static_cast<std::size_t>(
+        std::count(support.begin(), support.end(), true));
+    const Operation& op = ops[k];
+    if (is_two_qubit(op.kind) && (support[op.qubit0] || support[op.qubit1])) {
+      support[op.qubit0] = true;
+      support[op.qubit1] = true;
+    }
   }
-  EXPECT_EQ(cone.dead_count, reference.dead_count);
-  EXPECT_GE(cone.sweeps, 1u);  // the fixpoint was reached and re-checked
+  return widths;
+}
+
+/// Checks every LightCone field against bp::analyze_light_cone (alive,
+/// dead_count) and the reference walk (support_width, cone_width); returns
+/// the dead count so callers can require dead parameters.
+std::size_t expect_cone_matches_bp(const Circuit& circuit,
+                                   const std::vector<std::size_t>& observable) {
+  const CircuitDataflow flow(circuit);
+  const CircuitDataflow::LightCone cone = flow.backward_light_cone(observable);
+  const LightConeReport reference = analyze_light_cone(circuit, observable);
+  const std::vector<std::size_t> widths =
+      reference_support_widths(circuit, observable);
+  const std::string where = std::to_string(circuit.num_qubits()) +
+                            " qubits, support of " +
+                            std::to_string(observable.size());
+
+  EXPECT_EQ(cone.support_width, widths) << where;
+  EXPECT_EQ(cone.alive, reference.alive) << where;
+  EXPECT_EQ(cone.dead_count, reference.dead_count) << where;
+  EXPECT_EQ(cone.sweeps, 2u) << where;  // one sweep, one confirming sweep
+  for (std::size_t p = 0; p < circuit.num_parameters(); ++p) {
+    const std::size_t op = flow.op_for_parameter(p);
+    const std::size_t expected =
+        reference.alive[p] ? widths[op] : std::size_t{0};
+    EXPECT_EQ(cone.cone_width[p], expected) << where << ", parameter " << p;
+  }
+  return cone.dead_count;
 }
 
 TEST(DataflowLightCone, MatchesBpAnalysisOnEveryPaperAnsatz) {
@@ -165,6 +200,52 @@ TEST(DataflowLightCone, RejectsEmptyOrOutOfRangeSupport) {
   const CircuitDataflow flow(circuit);
   EXPECT_THROW((void)flow.backward_light_cone({}), InvalidArgument);
   EXPECT_THROW((void)flow.backward_light_cone({5}), InvalidArgument);
+}
+
+// --- wide registers: multi-word supports -------------------------------------
+//
+// Supports are packed qubit bitsets, one 64-bit word per op up to 64
+// qubits and ceil(q/64) words above. These circuits straddle the word
+// boundaries; they are built and analysed, never simulated.
+
+/// Rotations on every qubit around CZs that cross the 64-qubit word
+/// boundaries (62-63-64-65 and 127-128-129): under a support at q[64] the
+/// cone spreads across words, and rotations on the low qubits stay dead.
+Circuit word_boundary_circuit(std::size_t n) {
+  Circuit circuit(n);
+  for (std::size_t q = 0; q < n; ++q) circuit.add_rotation(gates::Axis::kY, q);
+  for (const std::size_t q : {62u, 63u, 64u, 127u, 128u}) {
+    if (q + 1 < n) circuit.add_cz(q, q + 1);
+  }
+  for (std::size_t q = 0; q < n; ++q) circuit.add_rotation(gates::Axis::kX, q);
+  return circuit;
+}
+
+TEST(DataflowLightCone, PackedSupportsMatchReferenceAcrossWordBoundaries) {
+  for (const std::size_t n : {63u, 64u, 65u, 130u}) {
+    Rng rng(11);
+    VarianceAnsatzOptions eq2_options;
+    eq2_options.layers = 3;
+    const Circuit eq2 = variance_ansatz(n, rng, eq2_options);
+    // Supports low in the CZ ladder leave the trailing rotations dead; the
+    // last qubit's support sweeps the whole ladder backward in one layer.
+    EXPECT_GT(expect_cone_matches_bp(eq2, {0, 1}), 0u) << n;
+    EXPECT_GT(expect_cone_matches_bp(eq2, {n / 2}), 0u) << n;
+    EXPECT_EQ(expect_cone_matches_bp(eq2, {n - 1}), 0u) << n;
+    EXPECT_EQ(expect_cone_matches_bp(eq2, all_qubits(n)), 0u) << n;
+
+    TrainingAnsatzOptions eq3_options;
+    eq3_options.layers = 2;
+    const Circuit eq3 = training_ansatz(n, eq3_options);
+    expect_cone_matches_bp(eq3, {0});
+    expect_cone_matches_bp(eq3, {n - 2, n - 1});
+    expect_cone_matches_bp(eq3, all_qubits(n));
+
+    const Circuit boundary = word_boundary_circuit(n);
+    const std::size_t q64 = std::min<std::size_t>(64, n - 1);
+    EXPECT_GT(expect_cone_matches_bp(boundary, {q64}), 0u) << n;
+    expect_cone_matches_bp(boundary, all_qubits(n));
+  }
 }
 
 // --- QASM fixture regression -------------------------------------------------
