@@ -8,14 +8,13 @@
 // structures:
 //
 //   * the **wire graph**: per-qubit def-use chains linking each operation
-//     to its predecessor and successor on every wire it touches. Two
+//     to its successor on every wire it touches. Two
 //     operations adjacent on all shared wires are adjacent *up to
 //     commutation*: everything between them in program order acts on
 //     disjoint qubits and therefore commutes past both.
 //   * the **parameter dependence graph**: which operation consumes each
 //     trainable parameter (the builders produce exactly one consumer;
-//     hand-built circuits may produce zero or several, which the graph
-//     records faithfully).
+//     for hand-built circuits the graph records the first, or none).
 //   * the **backward light cone**: the observable's support propagated
 //     backward through the circuit as a fixpoint of the conservative
 //     transfer function "a two-qubit gate touching the support merges
@@ -57,15 +56,8 @@ class CircuitDataflow {
 
   // --- wire graph ----------------------------------------------------------
 
-  /// Operations touching qubit `q`, in program order.
-  [[nodiscard]] const std::vector<std::size_t>& ops_on_qubit(
-      std::size_t q) const;
-
-  /// The previous / next operation on wire `qubit` before / after
-  /// operation `op`; kNoOp at the ends of the chain. `qubit` must be a
-  /// wire of `op`.
-  [[nodiscard]] std::size_t prev_on_wire(std::size_t op,
-                                         std::size_t qubit) const;
+  /// The next operation on wire `qubit` after operation `op`; kNoOp at
+  /// the end of the chain. `qubit` must be a wire of `op`.
   [[nodiscard]] std::size_t next_on_wire(std::size_t op,
                                          std::size_t qubit) const;
 
@@ -82,10 +74,6 @@ class CircuitDataflow {
 
   /// The first operation consuming parameter `p`; kNoOp when none does.
   [[nodiscard]] std::size_t op_for_parameter(std::size_t p) const;
-
-  /// Number of operations consuming parameter `p` (builders produce
-  /// exactly 1; 0 and >= 2 indicate hand-built inconsistencies).
-  [[nodiscard]] std::size_t parameter_use_count(std::size_t p) const;
 
   // --- backward light cone -------------------------------------------------
 
@@ -117,14 +105,11 @@ class CircuitDataflow {
  private:
   const Circuit* circuit_;
   std::size_t ops_size_ = 0;
-  std::vector<std::vector<std::size_t>> by_qubit_;  ///< ops per wire
-  // prev_/next_ are indexed [wire slot][op]: slot 0 = qubit0, slot 1 =
-  // qubit1 (two-qubit kinds only).
-  std::array<std::vector<std::size_t>, 2> prev_;
+  // next_ is indexed [wire slot][op]: slot 0 = qubit0, slot 1 = qubit1
+  // (two-qubit kinds only).
   std::array<std::vector<std::size_t>, 2> next_;
   std::vector<bool> entangled_;
-  std::vector<std::size_t> param_op_;         ///< first consumer per param
-  std::vector<std::size_t> param_use_count_;  ///< consumers per param
+  std::vector<std::size_t> param_op_;  ///< first consumer per param
 };
 
 }  // namespace qbarren

@@ -62,12 +62,9 @@ bool reverse_sweep(const std::vector<Operation>& ops,
 CircuitDataflow::CircuitDataflow(const Circuit& circuit)
     : circuit_(&circuit), ops_size_(circuit.num_operations()) {
   const auto& ops = circuit.operations();
-  by_qubit_.resize(circuit.num_qubits());
   entangled_.assign(circuit.num_qubits(), false);
-  for (auto& chain : prev_) chain.assign(ops_size_, kNoOp);
   for (auto& chain : next_) chain.assign(ops_size_, kNoOp);
   param_op_.assign(circuit.num_parameters(), kNoOp);
-  param_use_count_.assign(circuit.num_parameters(), 0);
 
   struct WireTail {
     std::size_t op = kNoOp;
@@ -82,12 +79,10 @@ CircuitDataflow::CircuitDataflow(const Circuit& circuit)
       const std::size_t w = s == 0 ? op.qubit0 : op.qubit1;
       QBARREN_REQUIRE(w < circuit.num_qubits(),
                       "CircuitDataflow: operation qubit out of range");
-      prev_[s][k] = tail[w].op;
       if (tail[w].op != kNoOp) {
         next_[tail[w].slot][tail[w].op] = k;
       }
       tail[w] = {k, s};
-      by_qubit_[w].push_back(k);
       if (is_two_qubit(op.kind)) {
         entangled_[w] = true;
       }
@@ -98,16 +93,8 @@ CircuitDataflow::CircuitDataflow(const Circuit& circuit)
       if (param_op_[op.param_index] == kNoOp) {
         param_op_[op.param_index] = k;
       }
-      ++param_use_count_[op.param_index];
     }
   }
-}
-
-const std::vector<std::size_t>& CircuitDataflow::ops_on_qubit(
-    std::size_t q) const {
-  QBARREN_REQUIRE(q < by_qubit_.size(),
-                  "CircuitDataflow::ops_on_qubit: qubit out of range");
-  return by_qubit_[q];
 }
 
 std::array<std::size_t, 2> CircuitDataflow::wires(std::size_t op) const {
@@ -120,18 +107,6 @@ std::size_t CircuitDataflow::wire_count(std::size_t op) const {
   QBARREN_REQUIRE(op < ops_size_,
                   "CircuitDataflow::wire_count: op out of range");
   return is_two_qubit(circuit_->operations()[op].kind) ? 2 : 1;
-}
-
-std::size_t CircuitDataflow::prev_on_wire(std::size_t op,
-                                          std::size_t qubit) const {
-  QBARREN_REQUIRE(op < ops_size_,
-                  "CircuitDataflow::prev_on_wire: op out of range");
-  const auto w = wires(op);
-  for (std::size_t s = 0; s < wire_count(op); ++s) {
-    if (w[s] == qubit) return prev_[s][op];
-  }
-  throw InvalidArgument(
-      "CircuitDataflow::prev_on_wire: qubit is not a wire of op");
 }
 
 std::size_t CircuitDataflow::next_on_wire(std::size_t op,
@@ -156,13 +131,6 @@ std::size_t CircuitDataflow::op_for_parameter(std::size_t p) const {
   QBARREN_REQUIRE(p < param_op_.size(),
                   "CircuitDataflow::op_for_parameter: parameter out of range");
   return param_op_[p];
-}
-
-std::size_t CircuitDataflow::parameter_use_count(std::size_t p) const {
-  QBARREN_REQUIRE(p < param_use_count_.size(),
-                  "CircuitDataflow::parameter_use_count: parameter out of "
-                  "range");
-  return param_use_count_[p];
 }
 
 CircuitDataflow::LightCone CircuitDataflow::backward_light_cone(

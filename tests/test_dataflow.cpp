@@ -51,19 +51,10 @@ TEST(Dataflow, WireGraphLinksPredecessorsAndSuccessorsPerWire) {
   const CircuitDataflow flow(circuit);
 
   ASSERT_EQ(flow.num_ops(), 4u);
-  EXPECT_EQ(flow.prev_on_wire(0, 0), CircuitDataflow::kNoOp);
   EXPECT_EQ(flow.next_on_wire(0, 0), 1u);
-  EXPECT_EQ(flow.prev_on_wire(1, 0), 0u);
   EXPECT_EQ(flow.next_on_wire(1, 0), CircuitDataflow::kNoOp);
-  EXPECT_EQ(flow.prev_on_wire(1, 1), CircuitDataflow::kNoOp);
   EXPECT_EQ(flow.next_on_wire(1, 1), 2u);
-  EXPECT_EQ(flow.prev_on_wire(3, 1), 2u);
-  EXPECT_EQ(flow.prev_on_wire(3, 2), CircuitDataflow::kNoOp);
   EXPECT_EQ(flow.next_on_wire(3, 2), CircuitDataflow::kNoOp);
-
-  EXPECT_EQ(flow.ops_on_qubit(0), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(flow.ops_on_qubit(1), (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(flow.ops_on_qubit(2), (std::vector<std::size_t>{3}));
 
   EXPECT_EQ(flow.wire_count(0), 1u);
   EXPECT_EQ(flow.wire_count(1), 2u);
@@ -81,8 +72,6 @@ TEST(Dataflow, RejectsQueriesOffTheWire) {
   const CircuitDataflow flow(circuit);
   // q[1] is not a wire of op 0: the query is meaningless, not kNoOp.
   EXPECT_THROW((void)flow.next_on_wire(0, 1), InvalidArgument);
-  EXPECT_THROW((void)flow.prev_on_wire(0, 1), InvalidArgument);
-  EXPECT_THROW((void)flow.ops_on_qubit(3), InvalidArgument);
   EXPECT_THROW((void)flow.wires(1), InvalidArgument);
   EXPECT_FALSE(flow.entangled(0));
 }
@@ -93,7 +82,6 @@ TEST(Dataflow, ParameterGraphMatchesBuilderConventions) {
   const Circuit circuit = training_ansatz(4, {});
   const CircuitDataflow flow(circuit);
   for (std::size_t p = 0; p < circuit.num_parameters(); ++p) {
-    EXPECT_EQ(flow.parameter_use_count(p), 1u);
     const std::size_t op = flow.op_for_parameter(p);
     ASSERT_NE(op, CircuitDataflow::kNoOp);
     EXPECT_EQ(circuit.operations()[op].param_index, p);
