@@ -108,6 +108,7 @@
 #include "qbarren/analysis/preflight.hpp"
 #include "qbarren/analysis/store_audit.hpp"
 #include "qbarren/analysis/stream_graph.hpp"
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/bp/expressibility.hpp"
 #include "qbarren/bp/landscape.hpp"
 #include "qbarren/bp/lightcone.hpp"
@@ -313,13 +314,14 @@ VarianceExperimentOptions variance_options_from(const CliArgs& args) {
 
 int cmd_variance(const CliArgs& args) {
   const VarianceExperimentOptions options = variance_options_from(args);
+  // Validates the options before the preflight or a checkpoint is opened.
+  const VarianceExperiment experiment(options);
   preflight(args, lint_variance_options(options), "variance preflight");
   ResilientRun resilient(args, options_fingerprint(options));
   check_batch_flag(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const VarianceResult result =
-      VarianceExperiment(options).run_paper_set(FanMode::kLayerTensor,
-                                                resilient.control);
+      experiment.run_paper_set(FanMode::kLayerTensor, resilient.control);
   report_plan_verification(verification);
   report_failures(result.failures);
   std::printf("%s\n%s", result.variance_table().to_ascii().c_str(),
@@ -783,8 +785,7 @@ std::vector<StreamGraph> hand_rolled_sweep_graphs(
   for (std::size_t rep = 0; rep < seeds.size(); ++rep) {
     TrainingExperimentOptions rep_options = base;
     rep_options.seed = seeds[rep];
-    graphs.push_back(
-        training_stream_graph(rep_options, "rep=" + std::to_string(rep)));
+    graphs.push_back(training_stream_graph(rep_options, repetition_label(rep)));
   }
   return graphs;
 }
@@ -852,32 +853,31 @@ int cmd_fsck(const CliArgs& args) {
     expectations.expected_fingerprint = args.get_string("fingerprint", "");
   } else if (args.has("kind")) {
     // Expectations derived from the same experiment flags the runner
-    // takes: fingerprint + the stream-graph cell enumeration, so fsck and
-    // a --resume of the run agree on what the store may contain.
+    // takes: fingerprint + the runner's cell plan, so fsck and a --resume
+    // of the run agree on what the store may contain.
     const std::string kind = args.get_string("kind", "");
-    std::vector<StreamGraph> graphs;
+    const std::vector<std::string> names = paper_initializer_names();
+    CellPlan plan;
     if (kind == "variance") {
       const VarianceExperimentOptions options = variance_options_from(args);
       expectations.expected_fingerprint = options_fingerprint(options);
-      graphs.push_back(variance_stream_graph(options));
+      plan = variance_cell_plan(options, names);
     } else if (kind == "training") {
       const TrainingExperimentOptions options = training_options_from(args);
       expectations.expected_fingerprint = options_fingerprint(options);
-      graphs.push_back(training_stream_graph(options));
+      plan = training_cell_plan(options, names);
     } else if (kind == "sweep") {
       TrainingSweepOptions options;
       options.base = training_options_from(args);
       options.repetitions =
           static_cast<std::size_t>(args.get_int("repetitions", 5));
       expectations.expected_fingerprint = options_fingerprint(options);
-      graphs = sweep_stream_graphs(options);
+      plan = sweep_cell_plan(options, names);
     } else {
       throw InvalidArgument("--kind must be variance, training, or sweep");
     }
-    for (const StreamGraph& graph : graphs) {
-      expectations.expected_cells.insert(expectations.expected_cells.end(),
-                                         graph.cells.begin(),
-                                         graph.cells.end());
+    for (const PlanCell& cell : plan) {
+      expectations.expected_cells.push_back(cell.key);
     }
   }
 

@@ -10,7 +10,9 @@
 // `Rng::child` derivation the run will perform (root seed → per-cell
 // streams → per-circuit structure/parameter leaves, through
 // derive_child_seed — the exact arithmetic Rng::child uses) and checks the
-// resulting graph against the QD100-series determinism rules:
+// resulting graph against the QD100-series determinism rules. The graphs'
+// cells and leaves come from the cell plan (bp/cell_plan.hpp) the runners
+// execute, so the audit checks the runner's own enumeration:
 //
 //   QD100  error    stream collision: two leaf streams that must be
 //                   independent derive the same seed (same child-index
@@ -55,6 +57,7 @@
 #include <vector>
 
 #include "qbarren/analysis/lint.hpp"
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 
@@ -68,10 +71,6 @@ enum class StreamRole {
 
 /// "structure" / "param".
 [[nodiscard]] const char* stream_role_name(StreamRole role) noexcept;
-
-/// Longest child-index path any runner derives: variance leaves are
-/// {qi, 2i, k}, training leaves {t}.
-inline constexpr std::size_t kMaxStreamDepth = 3;
 
 /// One leaf of the derivation tree: a stream some code path actually draws
 /// from, identified by the child-index path from the run's root seed. The
@@ -104,8 +103,8 @@ struct StreamGraph {
   std::string label;        ///< "variance", "rep=3", a request id, ...
   std::string fingerprint;  ///< canonical options fingerprint of the run
   std::uint64_t root_seed = 0;
-  /// Cell keys in the runner's deterministic enumeration order,
-  /// duplicates preserved (QD103 flags them).
+  /// The keys of the run's cell plan, in its order, duplicates preserved
+  /// (QD103 flags them).
   std::vector<std::string> cells;
   /// Cell labels the leaves point into (StreamLeaf::cell). A variance
   /// graph adds, per qubit count, its wildcard label "q=8/init=*" (the
@@ -126,26 +125,23 @@ struct StreamGraph {
   }
 };
 
-/// Derivation graph of a variance run: per qubit index qi and sampled
-/// circuit i, structure leaf root.child(qi).child(2i).child(0) shared
-/// across initializers, and per initializer t the parameter leaf
-/// root.child(qi).child(2i).child(1 + t) — mirroring
-/// compute_variance_cell. Cells follow run_paper_set's enumeration.
+/// Derivation graph of a variance run over the paper initializers'
+/// variance_cell_plan: per qubit index and sampled circuit, one structure
+/// leaf shared across initializers and one parameter leaf per cell.
 [[nodiscard]] StreamGraph variance_stream_graph(
     const VarianceExperimentOptions& options,
     const std::string& label = "variance");
 
-/// Derivation graph of a training run: per initializer t the parameter
-/// leaf root.child(t), cell "init=<name>" — mirroring run_training_cell.
+/// Derivation graph of a training run's training_cell_plan: one
+/// parameter leaf per cell.
 [[nodiscard]] StreamGraph training_stream_graph(
     const TrainingExperimentOptions& options,
     const std::string& label = "training");
 
-/// One graph per sweep repetition, labelled "rep=<r>", with root seed
-/// splitmix64(base.seed ^ (rep + 1)) — the exact derivation
-/// run_training_sweep uses. This enumerator also backs lint's QB007
-/// preflight, so the sweep runner, the linter, and the auditor can never
-/// disagree about which seeds a sweep draws.
+/// One graph per repetition of the sweep_cell_plan, labelled
+/// repetition_label(r) and rooted at that repetition's seed. This enumerator
+/// also backs lint's QB007 preflight, so the sweep runner, the linter, and
+/// the auditor can never disagree about which seeds a sweep draws.
 [[nodiscard]] std::vector<StreamGraph> sweep_stream_graphs(
     const TrainingSweepOptions& options);
 

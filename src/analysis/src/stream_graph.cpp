@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <initializer_list>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "qbarren/common/rng.hpp"
 #include "qbarren/init/registry.hpp"
 
 namespace qbarren {
@@ -71,27 +69,15 @@ class RuleSink {
 };
 
 StreamLeaf make_leaf(StreamRole role, std::size_t cell, std::uint64_t root,
-                     std::initializer_list<std::uint64_t> path, bool shared) {
+                     const StreamPath& path, bool shared) {
   StreamLeaf leaf;
   leaf.role = role;
   leaf.shared_by_design = shared;
-  leaf.depth = static_cast<std::uint8_t>(path.size());
+  leaf.depth = static_cast<std::uint8_t>(path.depth);
   leaf.cell = static_cast<std::uint32_t>(cell);
-  leaf.seed = root;
-  std::size_t d = 0;
-  for (const std::uint64_t index : path) {
-    leaf.index[d++] = index;
-    leaf.seed = derive_child_seed(leaf.seed, index);
-  }
+  leaf.index = path.index;
+  leaf.seed = path.seed_from(root);
   return leaf;
-}
-
-std::vector<std::string> paper_init_names() {
-  std::vector<std::string> names;
-  for (const auto& init : paper_initializers(FanMode::kLayerTensor)) {
-    names.push_back(init->name());
-  }
-  return names;
 }
 
 std::string path_string(std::span<const std::uint64_t> path) {
@@ -102,24 +88,23 @@ std::string path_string(std::span<const std::uint64_t> path) {
   return out;
 }
 
-/// Training derivation under an arbitrary cell-key prefix; backs both the
-/// plain training graph ("init=<name>") and the sweep's per-repetition
-/// graphs ("rep=<r>/init=<name>").
-StreamGraph training_graph_with_prefix(
-    const TrainingExperimentOptions& options, const std::string& label,
-    const std::string& cell_prefix) {
+/// The graph of training cells [first, last) of a plan, all drawn under
+/// `options.seed`: one parameter leaf per cell.
+StreamGraph training_graph(const TrainingExperimentOptions& options,
+                           const std::string& label,
+                           CellPlan::const_iterator first,
+                           CellPlan::const_iterator last) {
   StreamGraph graph;
   graph.label = label;
   graph.fingerprint = options_fingerprint(options);
   graph.root_seed = options.seed;
   graph.engine_ladder = {options.gradient_engine, "parameter-shift"};
-  const std::vector<std::string> names = paper_init_names();
-  for (std::size_t t = 0; t < names.size(); ++t) {
-    graph.cells.push_back(cell_prefix + "init=" + names[t]);
-    graph.cell_labels.push_back(graph.cells.back());
-    // run_training_cell: param_rng = Rng(options.seed).child(t).
-    graph.leaves.push_back(
-        make_leaf(StreamRole::kParam, t, options.seed, {t}, false));
+  for (; first != last; ++first) {
+    graph.leaves.push_back(make_leaf(
+        StreamRole::kParam, graph.cells.size(), first->seed,
+        training_stream_path(first->initializer_index), false));
+    graph.cells.push_back(first->key);
+    graph.cell_labels.push_back(first->key);
   }
   return graph;
 }
@@ -141,57 +126,65 @@ StreamGraph variance_stream_graph(const VarianceExperimentOptions& options,
   graph.fingerprint = options_fingerprint(options);
   graph.root_seed = options.seed;
   graph.engine_ladder = {options.gradient_engine, "parameter-shift"};
-  const std::vector<std::string> names = paper_init_names();
-  const std::size_t points = options.qubit_counts.size();
+  const CellPlan plan =
+      variance_cell_plan(options, paper_initializer_names());
   const std::size_t circuits = options.circuits_per_point;
-  graph.cells.reserve(points * names.size());
-  graph.cell_labels.reserve(points * (1 + names.size()));
-  graph.leaves.reserve(points * circuits * (1 + names.size()));
-  for (std::size_t qi = 0; qi < points; ++qi) {
-    const std::string prefix =
-        "q=" + std::to_string(options.qubit_counts[qi]) + "/init=";
-    // Label `wildcard` is the structure streams' "q=<q>/init=*"; label
-    // wildcard + 1 + t is initializer t's cell key.
+  graph.cells.reserve(plan.size());
+  graph.cell_labels.reserve(plan.size() + options.qubit_counts.size());
+  graph.leaves.reserve(circuits * (plan.size() + options.qubit_counts.size()));
+  // The cells of one qubit index are contiguous in the plan. Label
+  // `wildcard` is their shared structure streams' "q=<q>/init=*"; label
+  // wildcard + 1 + k is the k-th cell's key.
+  for (auto first = plan.begin(); first != plan.end();) {
+    const std::size_t qi = first->qubit_index;
+    const auto last = std::find_if(first, plan.end(), [qi](const PlanCell& c) {
+      return c.qubit_index != qi;
+    });
     const std::size_t wildcard = graph.cell_labels.size();
-    graph.cell_labels.push_back(prefix + "*");
-    for (const std::string& name : names) {
-      graph.cells.push_back(prefix + name);
-      graph.cell_labels.push_back(graph.cells.back());
+    graph.cell_labels.push_back(variance_key(options.qubit_counts[qi], "*"));
+    for (auto cell = first; cell != last; ++cell) {
+      graph.cells.push_back(cell->key);
+      graph.cell_labels.push_back(cell->key);
     }
-    // variance_structure (bp/variance.hpp) owns the structure stream
-    // root.child(qi).child(2i).child(0); it is shared across initializers
-    // by design (every strategy sees the same circuits, and the runner
-    // builds each once per q). The parameter stream of initializer t is
-    // root.child(qi).child(2i).child(1 + t).
     for (std::size_t i = 0; i < circuits; ++i) {
       graph.leaves.push_back(make_leaf(StreamRole::kStructure, wildcard,
-                                       options.seed, {qi, 2 * i, 0}, true));
-      for (std::size_t t = 0; t < names.size(); ++t) {
-        graph.leaves.push_back(make_leaf(StreamRole::kParam,
-                                         wildcard + 1 + t, options.seed,
-                                         {qi, 2 * i, 1 + t}, false));
+                                       options.seed,
+                                       structure_stream_path(qi, i), true));
+      for (auto cell = first; cell != last; ++cell) {
+        graph.leaves.push_back(make_leaf(
+            StreamRole::kParam,
+            wildcard + 1 + static_cast<std::size_t>(cell - first), cell->seed,
+            parameter_stream_path(qi, i, cell->initializer_index), false));
       }
     }
+    first = last;
   }
   return graph;
 }
 
 StreamGraph training_stream_graph(const TrainingExperimentOptions& options,
                                   const std::string& label) {
-  return training_graph_with_prefix(options, label, "");
+  const CellPlan plan =
+      training_cell_plan(options, paper_initializer_names());
+  return training_graph(options, label, plan.begin(), plan.end());
 }
 
 std::vector<StreamGraph> sweep_stream_graphs(
     const TrainingSweepOptions& options) {
+  const CellPlan plan = sweep_cell_plan(options, paper_initializer_names());
   std::vector<StreamGraph> graphs;
   graphs.reserve(options.repetitions);
-  for (std::size_t rep = 0; rep < options.repetitions; ++rep) {
-    // run_training_sweep: rep_options.seed = splitmix64(base.seed ^ (rep+1)).
+  // One graph per repetition, over its contiguous cells.
+  for (auto first = plan.begin(); first != plan.end();) {
+    const std::size_t rep = first->repetition;
+    const auto last = std::find_if(first, plan.end(), [rep](const PlanCell& c) {
+      return c.repetition != rep;
+    });
     TrainingExperimentOptions rep_options = options.base;
-    rep_options.seed = splitmix64(options.base.seed ^ (rep + 1));
-    const std::string rep_label = "rep=" + std::to_string(rep);
-    graphs.push_back(training_graph_with_prefix(rep_options, rep_label,
-                                                rep_label + "/"));
+    rep_options.seed = first->seed;
+    graphs.push_back(
+        training_graph(rep_options, repetition_label(rep), first, last));
+    first = last;
   }
   return graphs;
 }
@@ -586,7 +579,7 @@ const std::vector<LintRuleInfo>& determinism_rules() {
       {"QD115", Severity::kWarning,
        "orphan cell: a record outside the spec's cell enumeration — "
        "unreachable by the run that owns the store",
-       "enumerate_cells / run_paper_set keys"},
+       "cell plan (bp/cell_plan.hpp) keys"},
   };
   return rules;
 }

@@ -52,10 +52,10 @@ struct TrainingExperimentOptions {
 [[nodiscard]] CostFunction make_training_cost(
     const TrainingExperimentOptions& options);
 
-/// Trains one (options, initializer) cell exactly as
-/// TrainingExperiment::run does for the cell keyed "init=<name>". The
-/// cell's parameter stream is Rng(options.seed).child(initializer_index),
-/// so any process reproduces the in-process series bit-for-bit. On a
+/// Trains one (options, initializer) cell of the training_cell_plan
+/// exactly as TrainingExperiment::run does. The cell's parameter stream
+/// is training_stream_path(initializer_index) from options.seed, so any
+/// process reproduces the in-process series bit-for-bit. On a
 /// retry (ctx.attempt > 0) a kThrow non-finite policy is escalated to
 /// kFallbackEngine with a parameter-shift fallback — a serve worker
 /// redispatched after a non-finite failure passes the attempt through
@@ -107,7 +107,7 @@ class TrainingExperiment {
       const std::vector<const Initializer*>& initializers) const;
 
   /// As above with resilient-run hooks: one checkpoint cell per
-  /// initializer ("init=<name>") holding the full TrainResult, restored
+  /// training_cell_plan cell holding the full TrainResult, restored
   /// instead of retrained on resume; cancellation is polled between
   /// series and between training iterations (completed cells are already
   /// flushed when Cancelled propagates). A resumed run is bit-for-bit
@@ -162,14 +162,15 @@ struct TrainingSweepResult {
 [[nodiscard]] std::string options_fingerprint(
     const TrainingSweepOptions& options);
 
-/// Runs the training experiment `repetitions` times with derived seeds.
+/// Runs the training experiment `repetitions` times, under the
+/// sweep_cell_plan's repetition seeds.
 [[nodiscard]] TrainingSweepResult run_training_sweep(
     const std::vector<const Initializer*>& initializers,
     const TrainingSweepOptions& options);
 
-/// As above with resilient-run hooks: cells are namespaced per repetition
-/// ("rep=<r>/init=<name>"), so an interrupted sweep resumes at the exact
-/// (repetition, initializer) pair it stopped at.
+/// As above with resilient-run hooks: cells are keyed per (repetition,
+/// initializer) by the sweep_cell_plan, so an interrupted sweep resumes at
+/// the exact pair it stopped at.
 [[nodiscard]] TrainingSweepResult run_training_sweep(
     const std::vector<const Initializer*>& initializers,
     const TrainingSweepOptions& options, const RunControl& control);

@@ -77,10 +77,10 @@ struct VarianceExperimentOptions {
     const VarianceExperimentOptions& options);
 
 /// Circuit i of qubit count `qubit_counts[qubit_index]`: the Eq-2 HEA
-/// whose rotation axes are drawn from the structure stream
-/// Rng(seed).child(qubit_index).child(2i).child(0). That stream does not
-/// involve the initializer, so every initializer samples this circuit.
-/// The one place that stream path and the ansatz options are derived.
+/// whose rotation axes are drawn from the cell plan's
+/// structure_stream_path(qubit_index, i) (bp/cell_plan.hpp). That stream
+/// does not involve the initializer, so every initializer samples this
+/// circuit. The one place the ansatz options are derived.
 [[nodiscard]] Circuit variance_structure(
     const VarianceExperimentOptions& options, std::size_t qubit_index,
     std::size_t i);
@@ -89,14 +89,14 @@ struct VarianceExperimentOptions {
 [[nodiscard]] std::size_t sampled_parameter(const Circuit& circuit,
                                             GradientParameter which);
 
-/// Computes the gradient samples of one (qubit count, initializer) cell —
-/// the exact computation VarianceExperiment::run performs for the cell
-/// keyed "q=<qubit_counts[qubit_index]>/init=<name>" (run shares each
-/// circuit and its plan across a qubit count's cells; this function
-/// builds its own, with the same bits). The cell's RNG child streams
-/// depend only on (options.seed, qubit_index, initializer_index), so any
-/// process — an executor worker thread or a serve worker process on
-/// another machine — reproduces the in-process samples bit-for-bit. `ctx`, when non-null, is polled for cancellation
+/// Computes the gradient samples of one (qubit count, initializer) cell of
+/// the variance_cell_plan — the exact computation VarianceExperiment::run
+/// performs for it (run shares each circuit and its plan across a qubit
+/// count's cells; this function builds its own, with the same bits). The
+/// cell's RNG streams depend only on (options.seed, qubit_index,
+/// initializer_index), so any process — an executor worker thread or a
+/// serve worker process on another machine — reproduces the in-process
+/// samples bit-for-bit. `ctx`, when non-null, is polled for cancellation
 /// between circuits. Throws NumericalError on a non-finite sample.
 [[nodiscard]] std::vector<double> compute_variance_cell(
     const VarianceExperimentOptions& options, std::size_t qubit_index,
@@ -205,6 +205,9 @@ struct PositionalVarianceResult {
 
 class VarianceExperiment {
  public:
+  /// Throws InvalidArgument on invalid options, including a qubit count
+  /// that repeats (its cells would share keys), and NotFound on an
+  /// unknown gradient engine.
   explicit VarianceExperiment(VarianceExperimentOptions options);
 
   /// Runs the experiment for the given initializers (non-owning pointers,
@@ -213,7 +216,8 @@ class VarianceExperiment {
       const std::vector<const Initializer*>& initializers) const;
 
   /// As above with resilient-run hooks: cells are checkpointed per
-  /// (qubit count, initializer) as "q=<q>/init=<name>", completed cells
+  /// (qubit count, initializer) under their variance_cell_plan keys,
+  /// completed cells
   /// are restored instead of recomputed on resume, and cancellation is
   /// polled per sampled circuit (completed cells are already flushed when
   /// Cancelled propagates). A resumed run is bit-for-bit identical to an

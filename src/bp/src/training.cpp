@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <limits>
-#include <mutex>
 
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/init/registry.hpp"
@@ -28,29 +27,6 @@ TrainResult failed_train_result() {
   result.initial_loss = std::numeric_limits<double>::quiet_NaN();
   result.final_loss = std::numeric_limits<double>::quiet_NaN();
   return result;
-}
-
-ExecutorOptions executor_options_from(const RunControl& control) {
-  ExecutorOptions options;
-  options.jobs = control.jobs;
-  options.cell_timeout_seconds = control.cell_timeout_seconds;
-  options.max_failures = control.max_cell_failures;
-  options.max_attempts = control.max_cell_attempts;
-  options.cancel = control.cancel;
-  return options;
-}
-
-/// Merges restore-only "not restored" failures into an executor report's
-/// (already sorted) failure list, keeping key order.
-void merge_missing_failures(std::vector<CellFailure>& failures,
-                            std::vector<CellFailure> missing) {
-  if (missing.empty()) return;
-  failures.insert(failures.end(), std::make_move_iterator(missing.begin()),
-                  std::make_move_iterator(missing.end()));
-  std::sort(failures.begin(), failures.end(),
-            [](const CellFailure& a, const CellFailure& b) {
-              return a.cell < b.cell;
-            });
 }
 
 }  // namespace
@@ -128,7 +104,7 @@ TrainResult run_training_cell(const TrainingExperimentOptions& options,
   // the root seed, so cells are order-independent: restoring some from a
   // checkpoint or training them concurrently cannot shift the randomness
   // of the others.
-  Rng param_rng = Rng(options.seed).child(t);
+  Rng param_rng(training_stream_path(t).seed_from(options.seed));
   std::vector<double> params =
       initializer.initialize(cost.circuit(), param_rng);
   const auto optimizer =
@@ -184,7 +160,7 @@ TrainingResult TrainingExperiment::run(
                     "TrainingExperiment::run: null initializer");
   }
   Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
+  if (checkpoint != nullptr &&
       checkpoint->fingerprint() != options_fingerprint(options_)) {
     throw CheckpointError(
         "TrainingExperiment::run: checkpoint fingerprint does not match "
@@ -203,58 +179,19 @@ TrainingResult TrainingExperiment::run(
     result.series[t].result = failed_train_result();
   }
 
-  const std::size_t total_cells = initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;  // guards result/checkpoint/progress deposits
-
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;
-  for (std::size_t t = 0; t < initializers.size(); ++t) {
-    const std::string key =
-        control.cell_prefix + "init=" + initializers[t]->name();
-    if (checkpoint != nullptr) {
-      if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-        result.series[t].result = train_result_from_checkpoint_cell(*cell);
-        if (control.progress) {
-          control.progress(
-              RunProgress{key, ++completed_cells, total_cells, true});
-        }
-        continue;
-      }
-    }
-    if (control.restore_only) {
-      missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                    "cell not restored (restore-only "
-                                    "assembly)",
-                                    0});
-      continue;
-    }
-
-    tasks.push_back(CellTask{
-        key, [this, &control, &cost, &result, &deposit_mu, &completed_cells,
-              total_cells, checkpoint, initializer = initializers[t], t,
-              key](CellContext& ctx) {
-          ctx.throw_if_cancelled("training experiment at " + key);
-          TrainResult trained =
-              run_training_cell(options_, cost, *initializer, t, ctx);
-
-          std::lock_guard<std::mutex> lock(deposit_mu);
-          if (checkpoint != nullptr) {
-            checkpoint->record_cell(key,
-                                    checkpoint_cell_from_train_result(trained));
-          }
-          result.series[t].result = std::move(trained);
-          if (control.progress) {
-            control.progress(
-                RunProgress{key, ++completed_cells, total_cells, false});
-          }
-        }});
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  merge_missing_failures(result.failures, std::move(missing));
+  CellWork work;
+  work.compute = [&](const PlanCell& cell, CellContext& ctx) {
+    ctx.throw_if_cancelled("training experiment at " + cell.key);
+    return checkpoint_cell_from_train_result(run_training_cell(
+        options_, cost, *initializers[cell.initializer_index],
+        cell.initializer_index, ctx));
+  };
+  work.deposit = [&](const PlanCell& cell, const CheckpointCell& payload) {
+    result.series[cell.initializer_index].result =
+        train_result_from_checkpoint_cell(payload);
+  };
+  result.failures = run_cell_plan(
+      training_cell_plan(options_, names_of(initializers)), control, work);
   return result;
 }
 
@@ -343,7 +280,7 @@ TrainingSweepResult run_training_sweep(
                   "run_training_sweep: need >= 2 repetitions for spread");
   QBARREN_REQUIRE(!initializers.empty(),
                   "run_training_sweep: no initializers");
-  if (control.checkpoint != nullptr && control.cell_prefix.empty() &&
+  if (control.checkpoint != nullptr &&
       control.checkpoint->fingerprint() != options_fingerprint(options)) {
     throw CheckpointError(
         "run_training_sweep: checkpoint fingerprint does not match this "
@@ -369,68 +306,24 @@ TrainingSweepResult run_training_sweep(
         options.repetitions, std::numeric_limits<double>::quiet_NaN());
   }
 
-  const std::size_t total_cells = options.repetitions * initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;
-
-  // The whole (repetition x initializer) grid becomes one task list, so
-  // parallelism spans repetitions, not just initializers. Cells are
-  // namespaced per repetition ("rep=<r>/init=<name>"), matching the keys
-  // the serial per-repetition runner wrote.
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;
-  for (std::size_t rep = 0; rep < options.repetitions; ++rep) {
+  // The whole (repetition x initializer) grid is one plan, so parallelism
+  // spans repetitions, not just initializers. Each cell trains under its
+  // repetition's root seed.
+  CellWork work;
+  work.compute = [&](const PlanCell& cell, CellContext& ctx) {
+    ctx.throw_if_cancelled("training sweep at " + cell.key);
     TrainingExperimentOptions rep_options = options.base;
-    rep_options.seed = splitmix64(options.base.seed ^ (rep + 1));
-    for (std::size_t t = 0; t < initializers.size(); ++t) {
-      const std::string key = control.cell_prefix + "rep=" +
-                              std::to_string(rep) +
-                              "/init=" + initializers[t]->name();
-      if (control.checkpoint != nullptr) {
-        if (const CheckpointCell* cell = control.checkpoint->find_cell(key)) {
-          result.series[t].final_losses[rep] =
-              train_result_from_checkpoint_cell(*cell).final_loss;
-          if (control.progress) {
-            control.progress(
-                RunProgress{key, ++completed_cells, total_cells, true});
-          }
-          continue;
-        }
-      }
-      if (control.restore_only) {
-        missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                      "cell not restored (restore-only "
-                                      "assembly)",
-                                      0});
-        continue;
-      }
-
-      tasks.push_back(CellTask{
-          key, [&control, &cost, &result, &deposit_mu, &completed_cells,
-                total_cells, rep_options, initializer = initializers[t], rep,
-                t, key](CellContext& ctx) {
-            ctx.throw_if_cancelled("training sweep at " + key);
-            const TrainResult trained =
-                run_training_cell(rep_options, cost, *initializer, t, ctx);
-
-            std::lock_guard<std::mutex> lock(deposit_mu);
-            if (control.checkpoint != nullptr) {
-              control.checkpoint->record_cell(
-                  key, checkpoint_cell_from_train_result(trained));
-            }
-            result.series[t].final_losses[rep] = trained.final_loss;
-            if (control.progress) {
-              control.progress(
-                  RunProgress{key, ++completed_cells, total_cells, false});
-            }
-          }});
-    }
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  merge_missing_failures(result.failures, std::move(missing));
+    rep_options.seed = cell.seed;
+    return checkpoint_cell_from_train_result(run_training_cell(
+        rep_options, cost, *initializers[cell.initializer_index],
+        cell.initializer_index, ctx));
+  };
+  work.deposit = [&](const PlanCell& cell, const CheckpointCell& payload) {
+    result.series[cell.initializer_index].final_losses[cell.repetition] =
+        train_result_from_checkpoint_cell(payload).final_loss;
+  };
+  result.failures = run_cell_plan(
+      sweep_cell_plan(options, names_of(initializers)), control, work);
 
   for (TrainingSweepSeries& s : result.series) {
     s.final_loss_summary = summarize(s.final_losses);

@@ -4,13 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <initializer_list>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/common/rng.hpp"
@@ -26,31 +25,6 @@ std::string hexfloat_string(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", v);  // exact, locale-independent
   return buf;
-}
-
-std::string variance_cell_key(const RunControl& control, std::size_t qubits,
-                              const std::string& initializer) {
-  return control.cell_prefix + "q=" + std::to_string(qubits) +
-         "/init=" + initializer;
-}
-
-void report_cell(const RunControl& control, std::string cell,
-                 std::size_t completed, std::size_t total,
-                 bool from_checkpoint) {
-  if (control.progress) {
-    control.progress(
-        RunProgress{std::move(cell), completed, total, from_checkpoint});
-  }
-}
-
-ExecutorOptions executor_options_from(const RunControl& control) {
-  ExecutorOptions options;
-  options.jobs = control.jobs;
-  options.cell_timeout_seconds = control.cell_timeout_seconds;
-  options.max_failures = control.max_cell_failures;
-  options.max_attempts = control.max_cell_attempts;
-  options.cancel = control.cancel;
-  return options;
 }
 
 /// NaN-filled summary for a failed cell: serializes as null everywhere
@@ -86,13 +60,6 @@ std::string options_fingerprint(const VarianceExperimentOptions& options) {
 
 namespace {
 
-/// Rng(seed).child(path[0]).child(path[1])..., with one generator seeded
-/// instead of one per level.
-Rng stream_at(std::uint64_t seed, std::initializer_list<std::uint64_t> path) {
-  for (const std::uint64_t index : path) seed = derive_child_seed(seed, index);
-  return Rng(seed);
-}
-
 VarianceAnsatzOptions ansatz_options_of(
     const VarianceExperimentOptions& options) {
   VarianceAnsatzOptions ansatz_options;
@@ -109,7 +76,8 @@ Circuit variance_structure(const VarianceExperimentOptions& options,
                            std::size_t qubit_index, std::size_t i) {
   QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
                   "variance_structure: qubit_index out of range");
-  Rng structure_rng = stream_at(options.seed, {qubit_index, 2 * i, 0});
+  Rng structure_rng(
+      structure_stream_path(qubit_index, i).seed_from(options.seed));
   return variance_ansatz(options.qubit_counts[qubit_index], structure_rng,
                          ansatz_options_of(options));
 }
@@ -215,8 +183,8 @@ std::vector<double> variance_cell_samples(
         row != nullptr && i < row->entries.size()
             ? shared_structure(*row, options, qubit_index, i)
             : own.emplace(variance_structure(options, qubit_index, i));
-    Rng param_rng =
-        stream_at(options.seed, {qubit_index, 2 * i, 1 + initializer_index});
+    Rng param_rng(parameter_stream_path(qubit_index, i, initializer_index)
+                      .seed_from(options.seed));
     const std::vector<double> params =
         initializer.initialize(circuit, param_rng);
     const double g = engine.partial(
@@ -248,8 +216,13 @@ VarianceExperiment::VarianceExperiment(VarianceExperimentOptions options)
     : options_(std::move(options)) {
   QBARREN_REQUIRE(!options_.qubit_counts.empty(),
                   "VarianceExperiment: need at least one qubit count");
-  for (std::size_t q : options_.qubit_counts) {
-    QBARREN_REQUIRE(q >= 1, "VarianceExperiment: qubit counts must be >= 1");
+  const std::vector<std::size_t>& counts = options_.qubit_counts;
+  for (auto q = counts.begin(); q != counts.end(); ++q) {
+    QBARREN_REQUIRE(*q >= 1, "VarianceExperiment: qubit counts must be >= 1");
+    // A repeated count would give two cells of distinct streams one key.
+    QBARREN_REQUIRE(std::find(counts.begin(), q, *q) == q,
+                    "VarianceExperiment: qubit count " + std::to_string(*q) +
+                        " repeats; its cells would share checkpoint keys");
   }
   QBARREN_REQUIRE(options_.circuits_per_point >= 2,
                   "VarianceExperiment: need >= 2 circuits per point to "
@@ -276,7 +249,7 @@ VarianceResult VarianceExperiment::run(
                     "VarianceExperiment::run: null initializer");
   }
   Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
+  if (checkpoint != nullptr &&
       checkpoint->fingerprint() != options_fingerprint(options_)) {
     throw CheckpointError(
         "VarianceExperiment::run: checkpoint fingerprint does not match "
@@ -301,21 +274,6 @@ VarianceResult VarianceExperiment::run(
     }
   }
 
-  const std::size_t total_cells =
-      options_.qubit_counts.size() * initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;  // guards result/checkpoint/progress deposits
-
-  const auto deposit = [&](std::size_t qi, std::size_t t,
-                           const std::vector<double>& samples) {
-    VariancePoint& point = result.series[t].points[qi];
-    point.gradient_summary = summarize(samples);
-    point.variance = point.gradient_summary.variance;
-    if (options_.keep_samples) {
-      point.samples = samples;
-    }
-  };
-
   // Sample gradients. Circuit structure streams depend on (q, i) only so
   // every initializer sees the same 200 random circuits per qubit count;
   // parameter streams additionally depend on the initializer index. The
@@ -326,106 +284,67 @@ VarianceResult VarianceExperiment::run(
   // other cells were computed in this process: restoring some cells from
   // a checkpoint, or computing cells concurrently in any order, reproduces
   // a serial uninterrupted run bit-for-bit.
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;  // restore-only cells not in the store
+  //
   // Rows exist only for qubit counts with cells to compute; a row is
   // freed as soon as its last scheduled cell has finished for good.
   std::vector<std::unique_ptr<StructureRow>> rows(
       options_.qubit_counts.size());
-  std::vector<std::size_t> cells_to_compute(options_.qubit_counts.size(), 0);
   const auto finish_row_cell = [&rows](std::size_t qi) {
     if (rows[qi]->pending_cells.fetch_sub(1) == 1) rows[qi].reset();
   };
-  for (std::size_t qi = 0; qi < options_.qubit_counts.size(); ++qi) {
-    const std::size_t q = options_.qubit_counts[qi];
-    for (std::size_t t = 0; t < initializers.size(); ++t) {
-      const std::string key =
-          variance_cell_key(control, q, initializers[t]->name());
-      if (checkpoint != nullptr) {
-        if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-          const std::vector<double>& stored = cell->vector("samples");
-          if (stored.size() != options_.circuits_per_point) {
-            throw CheckpointError(
-                "VarianceExperiment::run: checkpoint cell for q=" +
-                std::to_string(q) + " has " +
-                std::to_string(stored.size()) + " samples, expected " +
-                std::to_string(options_.circuits_per_point));
-          }
-          deposit(qi, t, stored);
-          report_cell(control, key, ++completed_cells, total_cells, true);
-          continue;
-        }
-      }
-      if (control.restore_only) {
-        missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                      "cell not restored (restore-only "
-                                      "assembly)",
-                                      0});
-        continue;
-      }
-
-      ++cells_to_compute[qi];
-      tasks.push_back(CellTask{
-          key, [this, &control, &deposit, &deposit_mu, &completed_cells,
-                &rows, &finish_row_cell, total_cells, checkpoint,
-                initializer = initializers[t], qi, t, key](CellContext& ctx) {
-            // Retries recompute the whole cell with the parameter-shift
-            // fallback engine — fresh instance per attempt, so stateful
-            // engines (fault injection, SPSA) stay cell-deterministic.
-            const auto cell_engine =
-                ctx.attempt == 0
-                    ? make_gradient_engine(options_.gradient_engine)
-                    : std::unique_ptr<GradientEngine>(
-                          std::make_unique<ParameterShiftEngine>());
-            std::vector<double> samples;
-            try {
-              samples = variance_cell_samples(options_, qi, *initializer, t,
-                                              *cell_engine, &ctx,
-                                              rows[qi].get());
-            } catch (const NumericalError&) {
-              // The executor retries only non-finite failures, and only
-              // while attempts remain: keep the row for the retry.
-              if (ctx.attempt + 1 >= control.max_cell_attempts) {
-                finish_row_cell(qi);
-              }
-              throw;
-            } catch (...) {
-              finish_row_cell(qi);
-              throw;
-            }
-            finish_row_cell(qi);
-
-            std::lock_guard<std::mutex> lock(deposit_mu);
-            if (checkpoint != nullptr) {
-              CheckpointCell cell;
-              cell.vectors["samples"] = samples;
-              checkpoint->record_cell(key, std::move(cell));
-            }
-            deposit(qi, t, samples);
-            report_cell(control, key, ++completed_cells, total_cells, false);
-          }});
+  CellWork work;
+  work.schedule = [&](const PlanCell& cell) {
+    std::unique_ptr<StructureRow>& row = rows[cell.qubit_index];
+    if (!row) {
+      row = std::make_unique<StructureRow>(
+          shared_circuits_per_row(options_, cell.qubit_index), 0);
     }
-  }
-
-  for (std::size_t qi = 0; qi < rows.size(); ++qi) {
-    if (cells_to_compute[qi] != 0) {
-      rows[qi] = std::make_unique<StructureRow>(
-          shared_circuits_per_row(options_, qi), cells_to_compute[qi]);
+    ++row->pending_cells;
+  };
+  work.compute = [&](const PlanCell& cell, CellContext& ctx) {
+    const std::size_t qi = cell.qubit_index;
+    const std::size_t t = cell.initializer_index;
+    // Retries recompute the whole cell with the parameter-shift fallback
+    // engine — fresh instance per attempt, so stateful engines (fault
+    // injection, SPSA) stay cell-deterministic.
+    const auto cell_engine =
+        ctx.attempt == 0 ? make_gradient_engine(options_.gradient_engine)
+                         : std::unique_ptr<GradientEngine>(
+                               std::make_unique<ParameterShiftEngine>());
+    CheckpointCell payload;
+    try {
+      payload.vectors["samples"] =
+          variance_cell_samples(options_, qi, *initializers[t], t,
+                                *cell_engine, &ctx, rows[qi].get());
+    } catch (const NumericalError&) {
+      // The executor retries only non-finite failures, and only while
+      // attempts remain: keep the row for the retry.
+      if (ctx.attempt + 1 >= control.max_cell_attempts) finish_row_cell(qi);
+      throw;
+    } catch (...) {
+      finish_row_cell(qi);
+      throw;
     }
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  if (!missing.empty()) {
-    result.failures.insert(result.failures.end(),
-                           std::make_move_iterator(missing.begin()),
-                           std::make_move_iterator(missing.end()));
-    std::sort(result.failures.begin(), result.failures.end(),
-              [](const CellFailure& a, const CellFailure& b) {
-                return a.cell < b.cell;
-              });
-  }
+    finish_row_cell(qi);
+    return payload;
+  };
+  work.deposit = [&](const PlanCell& cell, const CheckpointCell& payload) {
+    const std::vector<double>& samples = payload.vector("samples");
+    if (samples.size() != options_.circuits_per_point) {
+      throw CheckpointError(
+          "VarianceExperiment::run: checkpoint cell for q=" +
+          std::to_string(options_.qubit_counts[cell.qubit_index]) + " has " +
+          std::to_string(samples.size()) + " samples, expected " +
+          std::to_string(options_.circuits_per_point));
+    }
+    VariancePoint& point =
+        result.series[cell.initializer_index].points[cell.qubit_index];
+    point.gradient_summary = summarize(samples);
+    point.variance = point.gradient_summary.variance;
+    if (options_.keep_samples) point.samples = samples;
+  };
+  result.failures = run_cell_plan(
+      variance_cell_plan(options_, names_of(initializers)), control, work);
 
   // Decay fits: ln Var vs qubit count over the positive-variance points.
   for (VarianceSeries& s : result.series) {
@@ -502,7 +421,7 @@ PositionalVarianceResult positional_variance(
   const VarianceExperiment checked(options);  // validates the options
   (void)checked;
   Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
+  if (checkpoint != nullptr &&
       checkpoint->fingerprint() !=
           positional_fingerprint(options, initializer, fractions)) {
     throw CheckpointError(
@@ -518,87 +437,63 @@ PositionalVarianceResult positional_variance(
       std::vector<double>(options.qubit_counts.size(),
                           std::numeric_limits<double>::quiet_NaN()));
 
-  const std::size_t total_cells = options.qubit_counts.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;
-
-  // One checkpoint cell per qubit count holding every fraction's samples
-  // ("f0", "f1", ...); the qubit counts are independent sub-streams of the
-  // root seed, so per-cell resume — and concurrent execution in any
+  // One checkpoint cell "q=<q>" per qubit count holding every fraction's
+  // samples ("f0", "f1", ...); the qubit counts are independent sub-streams
+  // of the root seed, so per-cell resume — and concurrent execution in any
   // order — is exact.
-  std::vector<CellTask> tasks;
+  CellPlan plan;
   for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
+    plan.push_back({"q=" + std::to_string(options.qubit_counts[qi]), qi, 0,
+                    options.seed, 0});
+  }
+  CellWork work;
+  work.compute = [&](const PlanCell& cell, CellContext& ctx) {
+    const std::size_t qi = cell.qubit_index;
     const std::size_t q = options.qubit_counts[qi];
-    const std::string key =
-        control.cell_prefix + "q=" + std::to_string(q);
+    const AdjointEngine engine;
+    const auto observable = make_cost_observable(options.cost, q);
+    std::vector<std::vector<double>> samples(
+        result.fractions.size(),
+        std::vector<double>(options.circuits_per_point));
+    for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
+      ctx.throw_if_cancelled("positional variance at qubits=" +
+                             std::to_string(q) +
+                             " circuit=" + std::to_string(i));
+      const Circuit circuit = variance_structure(options, qi, i);
+      Rng param_rng(parameter_stream_path(qi, i, 0).seed_from(options.seed));
+      const auto params = initializer.initialize(circuit, param_rng);
+      const auto grad = engine.gradient(circuit, *observable, params);
 
-    if (checkpoint != nullptr) {
-      if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-        for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-          const std::vector<double>& stored =
-              cell->vector(fraction_key(f));
-          if (stored.size() != options.circuits_per_point) {
-            throw CheckpointError(
-                "positional_variance: checkpoint cell " + key +
-                " has the wrong sample count");
-          }
-          result.variances[f][qi] = sample_variance(stored);
+      const std::size_t last = circuit.num_parameters() - 1;
+      for (std::size_t f = 0; f < result.fractions.size(); ++f) {
+        const auto k = static_cast<std::size_t>(std::llround(
+            result.fractions[f] * static_cast<double>(last)));
+        if (!std::isfinite(grad[k])) {
+          throw NumericalError(
+              "positional_variance: non-finite gradient sample at "
+              "qubits=" + std::to_string(q) +
+              " circuit=" + std::to_string(i));
         }
-        report_cell(control, key, ++completed_cells, total_cells, true);
-        continue;
+        samples[f][i] = grad[k];
       }
     }
-
-    tasks.push_back(CellTask{
-        key, [&options, &control, &initializer, &result, &deposit_mu,
-              &completed_cells, total_cells, checkpoint, qi, q,
-              key](CellContext& ctx) {
-          const AdjointEngine engine;
-          const auto observable = make_cost_observable(options.cost, q);
-          std::vector<std::vector<double>> samples(
-              result.fractions.size(),
-              std::vector<double>(options.circuits_per_point));
-          for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
-            ctx.throw_if_cancelled(
-                "positional variance at qubits=" + std::to_string(q) +
-                " circuit=" + std::to_string(i));
-            const Circuit circuit = variance_structure(options, qi, i);
-            Rng param_rng = stream_at(options.seed, {qi, 2 * i, 1});
-            const auto params = initializer.initialize(circuit, param_rng);
-            const auto grad = engine.gradient(circuit, *observable, params);
-
-            const std::size_t last = circuit.num_parameters() - 1;
-            for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-              const auto k = static_cast<std::size_t>(std::llround(
-                  result.fractions[f] * static_cast<double>(last)));
-              if (!std::isfinite(grad[k])) {
-                throw NumericalError(
-                    "positional_variance: non-finite gradient sample at "
-                    "qubits=" + std::to_string(q) +
-                    " circuit=" + std::to_string(i));
-              }
-              samples[f][i] = grad[k];
-            }
-          }
-
-          std::lock_guard<std::mutex> lock(deposit_mu);
-          if (checkpoint != nullptr) {
-            CheckpointCell cell;
-            for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-              cell.vectors[fraction_key(f)] = samples[f];
-            }
-            checkpoint->record_cell(key, std::move(cell));
-          }
-          for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-            result.variances[f][qi] = sample_variance(samples[f]);
-          }
-          report_cell(control, key, ++completed_cells, total_cells, false);
-        }});
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
+    CheckpointCell payload;
+    for (std::size_t f = 0; f < result.fractions.size(); ++f) {
+      payload.vectors[fraction_key(f)] = std::move(samples[f]);
+    }
+    return payload;
+  };
+  work.deposit = [&](const PlanCell& cell, const CheckpointCell& payload) {
+    for (std::size_t f = 0; f < result.fractions.size(); ++f) {
+      const std::vector<double>& stored = payload.vector(fraction_key(f));
+      if (stored.size() != options.circuits_per_point) {
+        throw CheckpointError("positional_variance: checkpoint cell " +
+                              cell.key + " has the wrong sample count");
+      }
+      result.variances[f][cell.qubit_index] = sample_variance(stored);
+    }
+  };
+  result.failures = run_cell_plan(plan, control, work);
   return result;
 }
 

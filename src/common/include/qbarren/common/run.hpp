@@ -103,14 +103,9 @@ struct RunControl {
   /// When set, completed cells are stored (and flushed atomically) as the
   /// run progresses, and cells already present are restored instead of
   /// recomputed. The store's fingerprint must match the experiment's
-  /// options fingerprint (verified by the runner when cell_prefix is
-  /// empty; composite runners such as the training sweep verify their own
-  /// fingerprint and call inner runners with a non-empty prefix).
+  /// options fingerprint (verified by the runner). Cells are keyed as the
+  /// runner's cell plan (bp/cell_plan.hpp) names them.
   Checkpoint* checkpoint = nullptr;
-
-  /// Prepended to every cell key; used by composite runners to namespace
-  /// inner cells ("rep=3/" + "init=random").
-  std::string cell_prefix;
 
   /// When true, the runner only *assembles*: cells present in the
   /// checkpoint are restored as usual, but a cell absent from it is

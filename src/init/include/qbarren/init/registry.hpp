@@ -26,4 +26,7 @@ namespace qbarren {
 [[nodiscard]] std::vector<std::unique_ptr<Initializer>> paper_initializers(
     FanMode mode = FanMode::kLayerTensor);
 
+/// The names of paper_initializers(), in the same order.
+[[nodiscard]] std::vector<std::string> paper_initializer_names();
+
 }  // namespace qbarren

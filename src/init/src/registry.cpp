@@ -45,4 +45,10 @@ std::vector<std::unique_ptr<Initializer>> paper_initializers(FanMode mode) {
   return out;
 }
 
+std::vector<std::string> paper_initializer_names() {
+  std::vector<std::string> names;
+  for (const auto& init : paper_initializers()) names.push_back(init->name());
+  return names;
+}
+
 }  // namespace qbarren

@@ -30,7 +30,8 @@
 namespace qbarren::serve {
 
 /// Stream derivation graph of the request's underlying experiment,
-/// labelled "request:<id>". Cells match enumerate_cells keys exactly.
+/// labelled "request:<id>", built from the request_cell_plan the service
+/// dispatches.
 [[nodiscard]] StreamGraph request_stream_graph(const RequestSpec& spec);
 
 /// Wire-level fingerprint probes: in-process probes augmented with the

@@ -17,8 +17,9 @@
 // per-request run controls (failure budget, non-finite retry attempts,
 // wall-clock deadline). The service always runs the paper initializer set
 // (layer-tensor fan mode) — the same grid `qbarren variance`/`train`
-// run — so every cell key matches the in-process runner's keys and the
-// shared result cache dedupes across the CLI and the service.
+// run — and takes its cells from the same cell plan (bp/cell_plan.hpp),
+// so every cell key matches the in-process runner's keys and the shared
+// result cache dedupes across the CLI and the service.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/json.hpp"
@@ -93,21 +95,9 @@ struct RequestSpec {
 [[nodiscard]] TrainingExperimentOptions training_options_from_json(
     const JsonValue& value);
 
-/// Names of the paper initializer set in run order (layer-tensor mode) —
-/// the serve layer's cell enumeration must match run_paper_set exactly.
-[[nodiscard]] std::vector<std::string> paper_initializer_names();
-
-/// One dispatchable cell of a request, with the indices a worker needs to
-/// reproduce the runner's RNG streams. `key` matches the in-process cell
-/// key ("q=<q>/init=<name>" or "init=<name>").
-struct CellJob {
-  std::string key;
-  std::size_t qubit_index = 0;  ///< variance only
-  std::size_t initializer_index = 0;
-};
-
-/// Every cell of the request, in the runner's deterministic order.
-[[nodiscard]] std::vector<CellJob> enumerate_cells(const RequestSpec& spec);
+/// The cell plan of the request's experiment over the paper initializers:
+/// the cells run_paper_set runs, in its order.
+[[nodiscard]] CellPlan request_cell_plan(const RequestSpec& spec);
 
 // --- service <-> worker messages ----------------------------------------
 
@@ -115,7 +105,9 @@ struct WorkerJob {
   std::uint64_t job_id = 0;  ///< service-global, monotonically increasing
   SpecKind kind = SpecKind::kVariance;
   JsonValue options;  ///< kind-specific options object
-  CellJob cell;
+  /// Only key, qubit_index and initializer_index cross the wire; the
+  /// worker derives the cell's streams from `options`.
+  PlanCell cell;
   /// Non-finite retry attempt this dispatch represents (maps to
   /// CellContext::attempt, selecting the fallback engine when > 0).
   std::size_t engine_attempt = 0;

@@ -122,7 +122,7 @@ Diagnostics audit_requests(const std::vector<RequestSpec>& specs,
 StoreAuditOptions store_expectations(const RequestSpec& spec,
                                      bool cache_store) {
   StoreAuditOptions expectations;
-  for (const CellJob& cell : enumerate_cells(spec)) {
+  for (const PlanCell& cell : request_cell_plan(spec)) {
     expectations.expected_cells.push_back(cell.key);
   }
   if (cache_store) {

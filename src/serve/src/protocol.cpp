@@ -308,35 +308,14 @@ std::string spec_fingerprint(const RequestSpec& spec) {
   return options_fingerprint(spec.variance);
 }
 
-std::vector<std::string> paper_initializer_names() {
-  std::vector<std::string> names;
-  for (const auto& init : paper_initializers(FanMode::kLayerTensor)) {
-    names.push_back(init->name());
-  }
-  return names;
-}
-
-std::vector<CellJob> enumerate_cells(const RequestSpec& spec) {
-  const std::vector<std::string> inits = paper_initializer_names();
-  std::vector<CellJob> cells;
+CellPlan request_cell_plan(const RequestSpec& spec) {
   switch (spec.kind) {
     case SpecKind::kVariance:
-      for (std::size_t qi = 0; qi < spec.variance.qubit_counts.size(); ++qi) {
-        for (std::size_t t = 0; t < inits.size(); ++t) {
-          cells.push_back(CellJob{
-              "q=" + std::to_string(spec.variance.qubit_counts[qi]) +
-                  "/init=" + inits[t],
-              qi, t});
-        }
-      }
-      break;
+      return variance_cell_plan(spec.variance, paper_initializer_names());
     case SpecKind::kTraining:
-      for (std::size_t t = 0; t < inits.size(); ++t) {
-        cells.push_back(CellJob{"init=" + inits[t], 0, t});
-      }
-      break;
+      return training_cell_plan(spec.training, paper_initializer_names());
   }
-  return cells;
+  return variance_cell_plan(spec.variance, paper_initializer_names());
 }
 
 JsonValue to_json(const WorkerJob& job) {

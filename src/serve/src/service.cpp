@@ -42,7 +42,7 @@ std::string cache_key(const std::string& fingerprint, const std::string& key) {
 
 /// A cell awaiting dispatch (or redispatch after a retryable failure).
 struct PendingCell {
-  CellJob cell;
+  PlanCell cell;
   std::size_t engine_attempt = 0;  // non-finite retries advance this
   std::size_t crash_attempts = 0;  // worker deaths while holding this cell
   Clock::time_point not_before{};  // crash-retry backoff gate
@@ -373,7 +373,7 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
   }
 
   const std::string fingerprint = spec_fingerprint(spec);
-  const std::vector<CellJob> cells = enumerate_cells(spec);
+  const CellPlan cells = request_cell_plan(spec);
   outcome.cells = cells.size();
 
   {
@@ -391,7 +391,7 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
 
   // --- 2. cache restore ---------------------------------------------------
   std::deque<PendingCell> pending;
-  for (const CellJob& cell : cells) {
+  for (const PlanCell& cell : cells) {
     if (impl.cache.has_cell(cache_key(fingerprint, cell.key))) {
       ++outcome.cached;
       sink_emit(sink, cell_event(spec.id, cell.key, "cached"));
@@ -684,7 +684,7 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
     outcome.exit_code = kExitOk;
 
     Checkpoint assembly{std::string(), fingerprint};
-    for (const CellJob& cell : cells) {
+    for (const PlanCell& cell : cells) {
       if (const CheckpointCell* stored =
               impl.cache.find_cell(cache_key(fingerprint, cell.key))) {
         assembly.put_cell(cell.key, *stored);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "qbarren/analysis/stream_graph.hpp"
+#include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/checkpoint.hpp"
@@ -50,7 +51,7 @@ void expect_store_holds(const Checkpoint& store,
 
 std::vector<std::string> serve_keys(const serve::RequestSpec& spec) {
   std::vector<std::string> keys;
-  for (const serve::CellJob& cell : serve::enumerate_cells(spec)) {
+  for (const PlanCell& cell : serve::request_cell_plan(spec)) {
     keys.push_back(cell.key);
   }
   return keys;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -300,6 +301,26 @@ TEST(CliUnknownFlag, EveryOptionASubcommandReadsStillParses) {
     EXPECT_EQ(run.exit_code, kExitOk) << command << ": " << run.err;
     EXPECT_EQ(run.out, usage) << command;
   }
+}
+
+TEST(CliVariance, RepeatedQubitCountExitsOneBeforeAnyCell) {
+  const std::string store = ::testing::TempDir() + "qbarren_cli_repeat.ckpt";
+  std::remove(store.c_str());
+  const CliRun run = run_cli(
+      "variance --qubits 2,4,2 --circuits 4 --layers 2 --checkpoint '" +
+      store + "'");
+  EXPECT_EQ(run.exit_code, kExitFailure) << run.err;
+  EXPECT_NE(run.err.find("qubit count 2 repeats"), std::string::npos)
+      << run.err;
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_EQ(run.err.find("[1/"), std::string::npos) << run.err;
+  EXPECT_FALSE(std::ifstream(store).good()) << "a store was written";
+
+  // The auditor still enumerates the duplicate and reports it.
+  const CliRun audit =
+      run_cli("audit --kind variance --qubits 4,4 --circuits 1 --format json");
+  EXPECT_EQ(audit.exit_code, kExitFailure) << audit.err;
+  EXPECT_NE(audit.out.find("\"QD103\""), std::string::npos) << audit.out;
 }
 
 #endif  // QBARREN_CLI_BIN

@@ -109,9 +109,9 @@ TEST(ServeProtocol, UnknownKeysRejected) {
   EXPECT_THROW((void)request_from_json(nested), InvalidArgument);
 }
 
-TEST(ServeProtocol, EnumerateCellsMatchesRunnerKeys) {
+TEST(ServeProtocol, RequestCellPlanMatchesRunnerKeys) {
   const RequestSpec spec = small_variance_spec();
-  const std::vector<CellJob> cells = enumerate_cells(spec);
+  const CellPlan cells = request_cell_plan(spec);
   const std::vector<std::string> inits = paper_initializer_names();
   ASSERT_EQ(cells.size(), 2 * inits.size());
   EXPECT_EQ(cells.front().key, "q=2/init=" + inits.front());
@@ -119,8 +119,7 @@ TEST(ServeProtocol, EnumerateCellsMatchesRunnerKeys) {
   // The runner's checkpoint keys are "q=<q>/init=<name>": restoring a
   // serve-assembled store must hit every one of them (covered end to end
   // in the e2e tests; here we pin the key format).
-  const std::vector<CellJob> training_cells =
-      enumerate_cells(small_training_spec());
+  const CellPlan training_cells = request_cell_plan(small_training_spec());
   ASSERT_EQ(training_cells.size(), inits.size());
   EXPECT_EQ(training_cells.front().key, "init=" + inits.front());
 }
@@ -130,7 +129,8 @@ TEST(ServeProtocol, WorkerMessagesRoundTrip) {
   job.job_id = 42;
   job.kind = SpecKind::kVariance;
   job.options = variance_options_to_json(small_variance_spec().variance);
-  job.cell = CellJob{"q=3/init=random", 1, 0};
+  job.cell.key = "q=3/init=random";
+  job.cell.qubit_index = 1;
   job.engine_attempt = 2;
   const WorkerJob parsed = worker_job_from_json(to_json(job));
   EXPECT_EQ(parsed.job_id, 42u);
@@ -163,7 +163,7 @@ TEST(ServeWorker, ComputesCellOverPipes) {
   job.job_id = 7;
   job.kind = spec.kind;
   job.options = variance_options_to_json(spec.variance);
-  job.cell = enumerate_cells(spec).front();
+  job.cell = request_cell_plan(spec).front();
   const std::string line = ndjson_line(to_json(job));
   ASSERT_EQ(::write(job_pipe[1], line.data(), line.size()),
             static_cast<ssize_t>(line.size()));

@@ -142,7 +142,7 @@ TEST(StreamGraph, PaperGridLeavesMatchRngChildChains) {
   const std::vector<std::string> names = paper_names();
   ASSERT_EQ(graph.leaves.size(), 5u * 200u * (1 + names.size()));
 
-  const std::vector<serve::CellJob> cells = serve::enumerate_cells(spec);
+  const CellPlan cells = serve::request_cell_plan(spec);
   ASSERT_EQ(graph.cells.size(), cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     EXPECT_EQ(graph.cells[c], cells[c].key);
@@ -451,13 +451,13 @@ TEST(ServeAudit, PaperRequestsAuditCleanIncludingWireProbes) {
   }
 }
 
-TEST(ServeAudit, RequestGraphMatchesEnumerateCells) {
+TEST(ServeAudit, RequestGraphMatchesRequestCellPlan) {
   serve::RequestSpec spec;
   spec.id = "x";
   spec.kind = serve::SpecKind::kVariance;
   spec.variance.qubit_counts = {2, 3};
   const StreamGraph graph = serve::request_stream_graph(spec);
-  const std::vector<serve::CellJob> cells = serve::enumerate_cells(spec);
+  const CellPlan cells = serve::request_cell_plan(spec);
   ASSERT_EQ(graph.cells.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(graph.cells[i], cells[i].key);

@@ -45,6 +45,14 @@ TEST(VarianceExperiment, ValidatesOptions) {
   bad = small_options();
   bad.gradient_engine = "no-such-engine";
   EXPECT_THROW(VarianceExperiment{bad}, NotFound);
+
+  // The two q=2 points would draw different streams under one checkpoint
+  // key, so a resume would restore one as the other.
+  bad = small_options();
+  bad.qubit_counts = {2, 4, 2};
+  EXPECT_THROW(VarianceExperiment{bad}, InvalidArgument);
+  const auto random = make_initializer("random");
+  EXPECT_THROW((void)positional_variance(bad, *random), InvalidArgument);
 }
 
 TEST(VarianceExperiment, RejectsEmptyOrNullInitializers) {
