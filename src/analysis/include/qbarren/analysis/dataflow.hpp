@@ -8,10 +8,10 @@
 // structures:
 //
 //   * the **wire graph**: per-qubit def-use chains linking each operation
-//     to its successor on every wire it touches. Two
-//     operations adjacent on all shared wires are adjacent *up to
-//     commutation*: everything between them in program order acts on
-//     disjoint qubits and therefore commutes past both.
+//     to its successor on every wire it touches. Two operations adjacent
+//     on all shared wires are adjacent *up to commutation*: everything
+//     between them in program order acts on disjoint qubits and therefore
+//     commutes past both.
 //   * the **parameter dependence graph**: which operation consumes each
 //     trainable parameter (the builders produce exactly one consumer;
 //     for hand-built circuits the graph records the first, or none).

@@ -217,11 +217,10 @@ class VarianceExperiment {
 
   /// As above with resilient-run hooks: cells are checkpointed per
   /// (qubit count, initializer) under their variance_cell_plan keys,
-  /// completed cells
-  /// are restored instead of recomputed on resume, and cancellation is
-  /// polled per sampled circuit (completed cells are already flushed when
-  /// Cancelled propagates). A resumed run is bit-for-bit identical to an
-  /// uninterrupted one.
+  /// completed cells are restored instead of recomputed on resume, and
+  /// cancellation is polled per sampled circuit (completed cells are
+  /// already flushed when Cancelled propagates). A resumed run is
+  /// bit-for-bit identical to an uninterrupted one.
   [[nodiscard]] VarianceResult run(
       const std::vector<const Initializer*>& initializers,
       const RunControl& control) const;

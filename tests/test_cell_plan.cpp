@@ -115,7 +115,7 @@ TEST(CellPlanAgreement, SweepRunnerFollowsTheStreamGraphs) {
   expect_store_holds(run.store, cells);
 }
 
-// --- pinned leaf digests ------------------------------------------------------
+// --- pinned leaf digests -----------------------------------------------------
 
 /// FNV-1a (64-bit) over everything a graph derives: its label, root seed
 /// and cells, then per leaf its seed, path, role, sharing and cell label.
