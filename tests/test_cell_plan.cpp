@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -20,9 +19,13 @@
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/serve/protocol.hpp"
+#include "fnv1a.hpp"
 
 namespace qbarren {
 namespace {
+
+using test_support::Fnv1a;
+using test_support::hex;
 
 /// An in-memory checkpoint plus the progress order of one runner call,
 /// at one job so the order is the runner's enumeration order.
@@ -117,32 +120,8 @@ TEST(CellPlanAgreement, SweepRunnerFollowsTheStreamGraphs) {
 
 // --- pinned leaf digests -----------------------------------------------------
 
-/// FNV-1a (64-bit) over everything a graph derives: its label, root seed
-/// and cells, then per leaf its seed, path, role, sharing and cell label.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
-    }
-  }
-  void word(std::uint64_t value) {
-    for (int b = 0; b < 8; ++b) {
-      const auto byte = static_cast<unsigned char>(value >> (8 * b));
-      bytes(&byte, 1);
-    }
-  }
-  void text(const std::string& s) {
-    word(s.size());
-    bytes(s.data(), s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
+// FNV-1a over everything a graph derives: its label, root seed and
+// cells, then per leaf its seed, path, role, sharing and cell label.
 void digest_graph(Fnv1a& h, const StreamGraph& graph) {
   h.text(graph.label);
   h.word(graph.root_seed);
@@ -157,13 +136,6 @@ void digest_graph(Fnv1a& h, const StreamGraph& graph) {
     h.word(leaf.shared_by_design ? 1 : 0);
     h.text(graph.cell_of(leaf));
   }
-}
-
-std::string hex(std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
 }
 
 std::map<std::string, std::string> computed_digests() {

@@ -3,10 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <random>
+#include <sstream>
+#include <string>
 
+#include "fnv1a.hpp"
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/init/registry.hpp"
@@ -19,6 +27,13 @@ TEST(Json, Scalars) {
   EXPECT_EQ(JsonValue::boolean(true).dump(), "true");
   EXPECT_EQ(JsonValue::boolean(false).dump(), "false");
   EXPECT_EQ(JsonValue::integer(-42).dump(), "-42");
+  EXPECT_EQ(JsonValue::integer(0).dump(), "0");
+  EXPECT_EQ(
+      JsonValue::integer(std::numeric_limits<std::int64_t>::min()).dump(),
+      "-9223372036854775808");
+  EXPECT_EQ(
+      JsonValue::integer(std::numeric_limits<std::int64_t>::max()).dump(),
+      "9223372036854775807");
   EXPECT_EQ(JsonValue::number(1.5).dump(), "1.5");
   EXPECT_EQ(JsonValue::string("hi").dump(), "\"hi\"");
 }
@@ -76,6 +91,63 @@ TEST(Json, TypeMisuseThrows) {
 TEST(Json, NumberArrayHelper) {
   const JsonValue arr = JsonValue::number_array({0.5, 1.5});
   EXPECT_EQ(arr.dump(), "[0.5,1.5]");
+}
+
+// --- number rendering ---------------------------------------------------------
+//
+// Numbers render as printf's %.17g. Result files, serve events and cache
+// keys are compared byte for byte across versions, so the rendering is
+// pinned for edge doubles (fixtures/json_number_pins.txt) and checked
+// against snprintf on seeded random doubles.
+
+std::string printf_17g(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+TEST(JsonNumberPins, EdgeDoublesMatchTheFixture) {
+  std::ifstream in(std::string(QBARREN_FIXTURE_DIR) +
+                   "/json_number_pins.txt");
+  ASSERT_TRUE(in) << "cannot open fixtures/json_number_pins.txt";
+  std::size_t checked = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields(line);
+    std::string bits;
+    std::string expected;
+    fields >> bits >> expected;
+    const double v = std::bit_cast<double>(std::stoull(bits, nullptr, 16));
+    EXPECT_EQ(JsonValue::number(v).dump(), expected) << bits;
+    EXPECT_EQ(printf_17g(v), expected) << bits;
+    ++checked;
+  }
+  EXPECT_GE(checked, 50u);
+}
+
+TEST(JsonNumberPins, RandomDoublesRenderAsPrintf17g) {
+  std::mt19937_64 engine(24);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (int i = 0; i < 50000; ++i) {
+    const int exponent = static_cast<int>(engine() % 120) - 60;
+    const double values[] = {
+        std::bit_cast<double>(engine()),  // any finite double
+        unit(engine),
+        (unit(engine) - 0.5) * std::ldexp(1.0, exponent),
+        std::round(unit(engine) * 1e18),  // integers stored as doubles
+    };
+    for (const double v : values) {
+      if (!std::isfinite(v)) continue;
+      const std::string expected = printf_17g(v);
+      if (JsonValue::number(v).dump() != expected) {
+        if (mismatches++ == 0) first_mismatch = expected;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first_mismatch;
 }
 
 TEST(Json, WriteFileRoundTrip) {
@@ -158,6 +230,69 @@ TEST(Serialize, LandscapeResultSchema) {
   EXPECT_NE(json.find("\"values_row_major\":["), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"random_background\":true"), std::string::npos);
+}
+
+// --- pinned result bytes -------------------------------------------------------
+//
+// FNV-1a digests of to_json(result).dump() for a small variance, training
+// and landscape run (fixtures/result_json_digests.txt). A change to a
+// computed result or to its rendering changes one of them.
+
+std::map<std::string, std::string> result_digests() {
+  const auto digest = [](const JsonValue& json) {
+    test_support::Fnv1a h;
+    h.text(json.dump());
+    return test_support::hex(h.value());
+  };
+  RunControl control;
+  control.jobs = 1;
+  std::map<std::string, std::string> out;
+  {
+    VarianceExperimentOptions options;
+    options.qubit_counts = {2, 3, 4};
+    options.circuits_per_point = 8;
+    options.layers = 4;
+    options.seed = 11;
+    out["variance"] = digest(to_json(VarianceExperiment(options).run_paper_set(
+        FanMode::kLayerTensor, control)));
+  }
+  {
+    TrainingExperimentOptions options;
+    options.qubits = 3;
+    options.layers = 2;
+    options.iterations = 10;
+    options.seed = 11;
+    out["training"] = digest(to_json(TrainingExperiment(options).run_paper_set(
+        FanMode::kLayerTensor, control)));
+  }
+  {
+    LandscapeOptions options;
+    options.layers = 3;
+    options.grid_points = 5;
+    out["landscape"] = digest(to_json(scan_landscape(options)));
+  }
+  return out;
+}
+
+TEST(Serialize, ResultJsonDigestsArePinned) {
+  std::ifstream in(std::string(QBARREN_FIXTURE_DIR) +
+                   "/result_json_digests.txt");
+  ASSERT_TRUE(in) << "cannot open fixtures/result_json_digests.txt";
+  std::map<std::string, std::string> pinned;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::string digest;
+    fields >> name >> digest;
+    pinned[name] = digest;
+  }
+  const std::map<std::string, std::string> computed = result_digests();
+  for (const auto& [name, value] : computed) {
+    EXPECT_EQ(value, pinned[name]) << name;
+  }
+  EXPECT_EQ(pinned.size(), computed.size());
 }
 
 }  // namespace
