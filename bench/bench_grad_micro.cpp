@@ -11,7 +11,11 @@
 #include "qbarren/analysis/plan_verify.hpp"
 #include "qbarren/analysis/predict.hpp"
 #include "qbarren/analysis/preflight.hpp"
+#include "qbarren/bp/serialize.hpp"
+#include "qbarren/bp/training.hpp"
+#include "qbarren/bp/variance.hpp"
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/common/stats.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
@@ -396,6 +400,80 @@ void bm_predict_grid(benchmark::State& state) {
                  std::to_string(structures) + " structures per cell");
 }
 BENCHMARK(bm_predict_grid)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// --- stored results ----------------------------------------------------------
+//
+// Every `--json` file, finished-checkpoint restore and serve answer renders
+// a result as JSON; serve's hit path also re-summarizes every stored cell.
+// bm_result_render times to_json + dump of the train-fig5bc result (Fig
+// 5b, q = 10, six 50-iteration series), with the time per rendered number.
+// bm_summarize_cells times `summarize` over the 24 stored 200-sample cells
+// of perfbench's serve hit request (q = 2,4,6,8, depth 50, seed 42).
+
+std::size_t count_numbers(const JsonValue& value) {
+  if (value.is_number()) return 1;
+  std::size_t n = 0;
+  if (value.is_array()) {
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      n += count_numbers(value.at(i));
+    }
+  } else if (value.is_object()) {
+    for (const std::string& key : value.keys()) {
+      n += count_numbers(value.at(key));
+    }
+  }
+  return n;
+}
+
+void bm_result_render(benchmark::State& state) {
+  TrainingExperimentOptions options;
+  options.seed = 42;
+  RunControl control;
+  control.jobs = 1;
+  const TrainingResult result =
+      TrainingExperiment(options).run_paper_set(FanMode::kLayerTensor,
+                                                control);
+  const double numbers = static_cast<double>(count_numbers(to_json(result)));
+  for (auto _ : state) {
+    const std::string json = to_json(result).dump();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.counters["numbers"] = numbers;
+  state.counters["ns_per_number"] = benchmark::Counter(
+      numbers * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel("to_json(train-fig5bc result).dump()");
+}
+BENCHMARK(bm_result_render)->Unit(benchmark::kMicrosecond);
+
+void bm_summarize_cells(benchmark::State& state) {
+  VarianceExperimentOptions options;
+  options.qubit_counts = {2, 4, 6, 8};
+  options.circuits_per_point = 200;
+  options.layers = 50;
+  options.seed = 42;
+  options.keep_samples = true;
+  RunControl control;
+  control.jobs = 1;
+  const VarianceResult result =
+      VarianceExperiment(options).run_paper_set(FanMode::kLayerTensor,
+                                                control);
+  std::vector<const std::vector<double>*> cells;
+  for (const VarianceSeries& series : result.series) {
+    for (const VariancePoint& point : series.points) {
+      cells.push_back(&point.samples);
+    }
+  }
+  for (auto _ : state) {
+    for (const std::vector<double>* samples : cells) {
+      const Summary summary = summarize(*samples);
+      benchmark::DoNotOptimize(summary.median);
+    }
+  }
+  state.counters["cells"] = static_cast<double>(cells.size());
+  state.SetLabel("summarize over serve's 24 stored hit-request cells");
+}
+BENCHMARK(bm_summarize_cells)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,9 +3,9 @@
 // Experiment results are exported as JSON for downstream plotting. This is
 // a value-tree builder with a standards-compliant serializer (string
 // escaping, non-finite numbers rendered as null per RFC 8259's exclusion)
-// plus a recursive-descent parser (`parse_json`) used by round-trip tests
-// and tools that consume qbarren's own output (e.g. `qbarren lint
-// --format=json`).
+// plus a recursive-descent parser (`parse_json`) used by round-trip tests,
+// tools that consume qbarren's own output (e.g. `qbarren lint
+// --format=json`) and serve, which parses untrusted NDJSON requests.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +96,8 @@ class JsonValue {
   [[nodiscard]] std::vector<std::string> keys() const;
 
   /// Serializes; `indent` > 0 pretty-prints with that many spaces.
+  /// Doubles render as printf's %.17g (enough digits to read back
+  /// exactly), non-finite ones as null.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
  private:
@@ -121,11 +123,14 @@ void write_json_file(const JsonValue& value, const std::string& path,
 
 /// Parses an RFC 8259 JSON document (objects, arrays, strings with the
 /// standard escapes including \uXXXX surrogate pairs, numbers, booleans,
-/// null). Numbers without a fraction or exponent that fit std::int64_t
-/// parse as integers, everything else as doubles — so dump() output
-/// round-trips kind-exactly (non-finite doubles were dumped as null and
-/// come back as null). Throws InvalidArgument with a byte offset on
-/// malformed input or trailing garbage.
+/// null). Numbers follow RFC 8259's grammar (no '+' sign, leading zero,
+/// or bare '.') and must be finite as a double. Numbers without a fraction
+/// or exponent that fit std::int64_t parse as integers, everything else as
+/// doubles, so a dumped double reads back bit for bit through as_number()
+/// (except -0.0, which dumps as "-0" and reads back as the integer 0;
+/// non-finite doubles were dumped as null and come back as null). Throws
+/// InvalidArgument with a byte offset on malformed input, out-of-range
+/// numbers or trailing garbage.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 }  // namespace qbarren

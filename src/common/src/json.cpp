@@ -1,8 +1,11 @@
 #include "qbarren/common/json.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/run.hpp"
@@ -188,15 +191,27 @@ void escape_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
+// Longest %.17g rendering: sign, 17 digits, point, "e-308" (24 chars).
+constexpr std::size_t kNumberChars = 32;
+
+// printf's %.17g: std::to_chars with a precision is defined as printf
+// with that precision. Result files, serve answers and cache keys are
+// compared byte for byte, so this is not the shortest round-trip form
+// (DESIGN §3).
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";  // RFC 8259 has no NaN/Inf
     return;
   }
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << v;
-  out += oss.str();
+  char buf[kNumberChars];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17).ptr;
+  out.append(buf, end);
+}
+
+void append_integer(std::string& out, std::int64_t v) {
+  char buf[kNumberChars];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -221,7 +236,7 @@ void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
       append_number(out, number_);
       return;
     case Kind::kInteger:
-      out += std::to_string(integer_);
+      append_integer(out, integer_);
       return;
     case Kind::kString:
       escape_string(out, string_);
@@ -476,36 +491,54 @@ class JsonParser {
     }
   }
 
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  std::size_t skip_digits() {
+    const std::size_t first = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - first;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, and finite.
   JsonValue parse_number() {
     const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    const bool leading_zero = at('0');
+    const std::size_t int_digits = skip_digits();
+    bool valid = int_digits == 1 || (int_digits > 1 && !leading_zero);
     bool is_integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
+    if (at('.')) {
+      ++pos_;
+      is_integral = false;
+      valid = skip_digits() > 0 && valid;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
-    errno = 0;
-    char* end = nullptr;
-    if (is_integral) {
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        return JsonValue::integer(static_cast<std::int64_t>(v));
-      }
-      errno = 0;  // out of int64 range: fall through to double
+    if (at('e') || at('E')) {
+      ++pos_;
+      is_integral = false;
+      if (at('+') || at('-')) ++pos_;
+      valid = skip_digits() > 0 && valid;
     }
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (!valid) {
       pos_ = start;
       fail("invalid number");
+    }
+    const std::string token = text_.substr(start, pos_ - start);
+    if (is_integral) {
+      errno = 0;
+      const long long v = std::strtoll(token.c_str(), nullptr, 10);
+      if (errno == 0) {
+        return JsonValue::integer(static_cast<std::int64_t>(v));
+      }
+      // out of int64 range: read it as a double
+    }
+    // No errno test: glibc sets ERANGE for subnormal results, which are
+    // valid numbers.
+    const double d = std::strtod(token.c_str(), nullptr);
+    if (std::isinf(d)) {
+      pos_ = start;
+      fail("number out of range");
     }
     return JsonValue::number(d);
   }

@@ -49,13 +49,35 @@ double sample_stddev(std::span<const double> xs) {
 
 double median(std::span<const double> xs) {
   QBARREN_REQUIRE(!xs.empty(), "median: empty sample");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  if (n % 2 == 1) {
-    return sorted[n / 2];
+  std::vector<double> v(xs.begin(), xs.end());
+  const std::size_t n = v.size();
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  // Selection finds the sorted order's middle values. Equal doubles share
+  // their bits, except +0.0 and -0.0, whose order a sort leaves to its
+  // implementation, and NaN breaks the ordering; samples where that can
+  // matter take the sort of the original order, so the result stays
+  // bit-identical to sorting every sample.
+  const auto sort_median = [&] {
+    v.assign(xs.begin(), xs.end());
+    std::sort(v.begin(), v.end());
+    return n % 2 == 1 ? *mid : 0.5 * (*(mid - 1) + *mid);
+  };
+  if (std::any_of(xs.begin(), xs.end(),
+                  [](double x) { return std::isnan(x); })) {
+    return sort_median();
   }
-  return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  std::nth_element(v.begin(), mid, v.end());
+  const double upper = *mid;
+  const double lower = n % 2 == 1 ? upper : *std::max_element(v.begin(), mid);
+  if (upper == 0.0 || lower == 0.0) {
+    bool positive_zero = false;
+    bool negative_zero = false;
+    for (const double x : v) {
+      if (x == 0.0) (std::signbit(x) ? negative_zero : positive_zero) = true;
+    }
+    if (positive_zero && negative_zero) return sort_median();
+  }
+  return n % 2 == 1 ? upper : 0.5 * (lower + upper);
 }
 
 Summary summarize(std::span<const double> xs) {

@@ -150,6 +150,93 @@ TEST(JsonNumberPins, RandomDoublesRenderAsPrintf17g) {
   EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first_mismatch;
 }
 
+// --- number parsing -----------------------------------------------------------
+
+TEST(JsonParseNumber, RejectsTokensOutsideTheGrammar) {
+  struct Case {
+    const char* token;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"+1", "invalid number"},       {".5", "invalid number"},
+      {"1.", "invalid number"},       {"01", "invalid number"},
+      {"-01", "invalid number"},      {"00", "invalid number"},
+      {"1.e3", "invalid number"},     {"-", "invalid number"},
+      {"1e", "invalid number"},       {"1e+", "invalid number"},
+      {"--1", "invalid number"},      {"-.5", "invalid number"},
+      {"NaN", "invalid number"},      {"-Infinity", "invalid number"},
+      {"1e999", "number out of range"},
+      {"-1e999", "number out of range"},
+      {"1.8e308", "number out of range"},
+  };
+  for (const Case& c : cases) {
+    for (const std::string& text :
+         {std::string(c.token), "{\"learning_rate\": " + std::string(c.token) +
+                                    "}"}) {
+      try {
+        (void)parse_json(text);
+        ADD_FAILURE() << "accepted " << text;
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+            << text << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(JsonParseNumber, AcceptsGrammaticalFiniteNumbers) {
+  struct Case {
+    const char* token;
+    double value;
+    bool integer;
+  };
+  const Case cases[] = {
+      {"0", 0.0, true},
+      {"-0", 0.0, true},  // int64 has no -0
+      {"42", 42.0, true},
+      {"-9223372036854775808", -9223372036854775808.0, true},
+      {"9223372036854775808", 9223372036854775808.0, false},
+      {"1E+2", 100.0, false},
+      {"1e-05", 1e-05, false},
+      {"-0.0", -0.0, false},
+      {"0.5", 0.5, false},
+      {"-2.5e-3", -2.5e-3, false},
+      {"5e-324", std::numeric_limits<double>::denorm_min(), false},
+      {"2.2250738585072009e-308", 2.2250738585072009e-308, false},
+      {"1.7976931348623157e+308", std::numeric_limits<double>::max(), false},
+      {"1e-999", 0.0, false},
+  };
+  for (const Case& c : cases) {
+    const JsonValue v = parse_json(c.token);
+    EXPECT_EQ(v.is_integer(), c.integer) << c.token;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.as_number()),
+              std::bit_cast<std::uint64_t>(c.value))
+        << c.token;
+  }
+}
+
+TEST(JsonParseNumber, DumpedDoublesReadBackBitForBit) {
+  std::mt19937_64 engine(8259);
+  JsonValue arr = JsonValue::array();
+  std::vector<double> values;
+  while (values.size() < 20000) {
+    const double v = std::bit_cast<double>(engine());
+    if (!std::isfinite(v) || (v == 0.0 && std::signbit(v))) continue;
+    values.push_back(v);
+    arr.push_back(JsonValue::number(v));
+  }
+  const JsonValue back = parse_json(arr.dump());
+  ASSERT_EQ(back.size(), values.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(back.at(i).as_number()) !=
+        std::bit_cast<std::uint64_t>(values[i])) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Json, WriteFileRoundTrip) {
   JsonValue obj = JsonValue::object();
   obj.set("k", std::int64_t{7});

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "qbarren/common/error.hpp"
@@ -70,6 +74,48 @@ TEST(Median, DoesNotMutateInput) {
   (void)median(xs);
   EXPECT_EQ(xs[0], 5.0);
   EXPECT_EQ(xs[1], 1.0);
+}
+
+/// Test oracle: the median by a full sort, which `median` must match bit
+/// for bit.
+double sorted_median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
+TEST(Median, BitIdenticalToTheSortedMedian) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(2024);
+  std::vector<std::vector<double>> samples;
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 10u, 199u, 200u, 201u}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<double> normal = rng.normal_vector(n);
+      std::vector<double> duplicates(n);  // few distinct values
+      std::vector<double> gradients(n);   // ~30 % exact +0.0, like Fig 5a
+      std::vector<double> mixed_zeros(n);  // +0.0, -0.0 and a few others
+      for (std::size_t i = 0; i < n; ++i) {
+        duplicates[i] = static_cast<double>(rng.index(4)) - 1.5;
+        gradients[i] = rng.bernoulli(0.3) ? 0.0 : 1e-3 * rng.normal();
+        const std::size_t pick = rng.index(5);
+        mixed_zeros[i] = pick < 2 ? 0.0 : pick < 4 ? -0.0 : rng.normal();
+      }
+      std::vector<double> with_nan = normal;
+      with_nan[rng.index(n)] = nan;
+      samples.insert(samples.end(),
+                     {normal, duplicates, gradients, mixed_zeros, with_nan});
+    }
+  }
+  samples.push_back(std::vector<double>(200, 0.0));
+  samples.push_back({-0.0, 0.0});
+  samples.push_back({0.0, -0.0});
+  samples.push_back({-0.0, -0.0, 1.0});
+  samples.push_back({nan, 1.0, 2.0, nan});
+  for (const std::vector<double>& xs : samples) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(median(xs)),
+              std::bit_cast<std::uint64_t>(sorted_median(xs)))
+        << "n = " << xs.size();
+  }
 }
 
 TEST(Summarize, AllFieldsConsistent) {
