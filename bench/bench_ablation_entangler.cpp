@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/table.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 
 namespace {
@@ -73,8 +74,9 @@ void bm_entangling_layer(benchmark::State& state) {
   StateVector s(10);
   Circuit c(10);
   add_entangling_layer(c, EntanglerGate::kCz, topology);
+  const auto plan = exec::plan_for(c);
   for (auto _ : state) {
-    c.apply(s, {});
+    plan->apply_plan_ops(s, {}, 0, plan->num_plan_ops());
     benchmark::DoNotOptimize(s.amplitudes().data());
   }
   state.SetLabel(topology_name(topology));

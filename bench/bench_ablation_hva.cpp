@@ -12,9 +12,10 @@
 #include "bench_common.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/table.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/obs/hva.hpp"
 #include "qbarren/opt/trainer.hpp"
 
@@ -85,8 +86,9 @@ void bm_hva_simulation(benchmark::State& state) {
   const Circuit c = hva_ansatz(h, options);
   Rng rng(1);
   const auto params = rng.uniform_vector(c.num_parameters(), 0.0, 2.0);
+  const auto plan = exec::plan_for(c);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(c.simulate(params).norm_squared());
+    benchmark::DoNotOptimize(plan->simulate(params).norm_squared());
   }
   state.SetLabel(std::to_string(c.num_operations()) + " gates");
 }

@@ -13,9 +13,9 @@
 #include "bench_common.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/table.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/layerwise.hpp"
 #include "qbarren/opt/natural_gradient.hpp"
 #include "qbarren/opt/rotosolve.hpp"

@@ -15,7 +15,6 @@
 #include "bench_common.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/executor.hpp"
-#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 
 namespace {
@@ -74,7 +73,6 @@ void bm_variance_jobs_scaling(benchmark::State& state) {
   const std::size_t hw = Executor::resolve_jobs(0);
   double serial_seconds = 0.0;
   double parallel_seconds = 0.0;
-  double interpreted_seconds = 0.0;
   for (auto _ : state) {
     RunControl control;
     control.jobs = 1;
@@ -88,17 +86,6 @@ void bm_variance_jobs_scaling(benchmark::State& state) {
     const auto t2 = Clock::now();
     serial_seconds += std::chrono::duration<double>(t1 - t0).count();
     parallel_seconds += std::chrono::duration<double>(t2 - t1).count();
-    // Same single-threaded grid with compiled plans disabled: isolates
-    // what the exec layer buys before any parallelism.
-    {
-      exec::ScopedExecutionPlans off(false);
-      control.jobs = 1;
-      const auto t3 = Clock::now();
-      benchmark::DoNotOptimize(
-          experiment.run({init.get()}, control).series[0].points[0].variance);
-      interpreted_seconds +=
-          std::chrono::duration<double>(Clock::now() - t3).count();
-    }
   }
   const double n = static_cast<double>(state.iterations());
   state.counters["jobs"] = static_cast<double>(hw);
@@ -106,12 +93,8 @@ void bm_variance_jobs_scaling(benchmark::State& state) {
   state.counters["parallel_seconds"] = parallel_seconds / n;
   state.counters["scaling_ratio"] =
       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  state.counters["compiled_seconds"] = serial_seconds / n;
-  state.counters["interpreted_seconds"] = interpreted_seconds / n;
-  state.counters["compiled_speedup"] =
-      serial_seconds > 0.0 ? interpreted_seconds / serial_seconds : 0.0;
   state.SetLabel("q={2,4,6}, 20 circuits, depth 50, jobs 1 vs " +
-                 std::to_string(hw) + ", compiled vs interpreted");
+                 std::to_string(hw));
 }
 BENCHMARK(bm_variance_jobs_scaling)->Unit(benchmark::kMillisecond)
     ->Iterations(1);

@@ -10,9 +10,9 @@
 #include "bench_common.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 namespace {

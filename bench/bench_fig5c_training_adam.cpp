@@ -7,9 +7,9 @@
 // while the classical strategies converge quickly.
 #include "bench_common.hpp"
 #include "qbarren/bp/training.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 namespace {

@@ -91,94 +91,69 @@ void bm_single_partial_parameter_shift(benchmark::State& state) {
 BENCHMARK(bm_single_partial_parameter_shift)->Arg(4)->Arg(10)
     ->Unit(benchmark::kMicrosecond);
 
-// --- compiled vs interpreted -----------------------------------------------
+// --- compiled execution ------------------------------------------------------
 //
-// Times the same single-threaded workload through the compiled execution
-// plan (the default) and through the interpreted op walk (plans disabled),
-// and reports the ratio plus the plan's lowering counters in the JSON
-// output. CI's bench-smoke step uploads these counters.
+// Times a single-threaded workload through the compiled execution plan and
+// reports the wall-clock together with the plan's lowering counters in the
+// JSON output. CI's bench-smoke step uploads these counters.
 
-void time_compiled_vs_interpreted(benchmark::State& state, const Setup& setup,
-                                  const Circuit& interpreted, int reps,
-                                  const std::function<void(const Circuit&)>& work) {
+void time_compiled(benchmark::State& state, const Setup& setup, int reps,
+                   const std::function<void()>& work) {
   using Clock = std::chrono::steady_clock;
   const auto plan = exec::plan_for(setup.circuit);
   double compiled_seconds = 0.0;
-  double interpreted_seconds = 0.0;
-  // Untimed warmup of both paths: the first few repetitions pay cold
-  // caches and lazy gate-matrix statics, which would otherwise be charged
-  // entirely to whichever segment runs first.
+  // Untimed warmup: the first few repetitions pay cold caches and lazy
+  // gate-matrix statics.
   for (int r = 0; r < 3; ++r) {
-    work(setup.circuit);
-    exec::ScopedExecutionPlans off(false);
-    work(interpreted);
+    work();
   }
   for (auto _ : state) {
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
-      work(setup.circuit);
+      work();
     }
-    const auto t1 = Clock::now();
-    {
-      exec::ScopedExecutionPlans off(false);
-      for (int r = 0; r < reps; ++r) {
-        work(interpreted);
-      }
-    }
-    const auto t2 = Clock::now();
-    compiled_seconds += std::chrono::duration<double>(t1 - t0).count();
-    interpreted_seconds += std::chrono::duration<double>(t2 - t1).count();
+    compiled_seconds +=
+        std::chrono::duration<double>(Clock::now() - t0).count();
   }
-  const double n = static_cast<double>(state.iterations());
-  state.counters["compiled_seconds"] = compiled_seconds / n;
-  state.counters["interpreted_seconds"] = interpreted_seconds / n;
-  state.counters["speedup"] = compiled_seconds > 0.0
-                                  ? interpreted_seconds / compiled_seconds
-                                  : 0.0;
-  if (plan != nullptr) {
-    const auto& stats = plan->stats();
-    state.counters["lowered_ops"] = static_cast<double>(stats.plan_ops);
-    state.counters["fused_ops"] = static_cast<double>(stats.fused_source_ops);
-    state.counters["matrices_cached"] =
-        static_cast<double>(stats.cached_matrices);
-    // QB010's static cost model, so each uploaded JSON pairs the measured
-    // times with the plan's predicted work per application.
-    const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
-    state.counters["plan_flops"] = estimate.flops;
-    state.counters["plan_bytes"] = estimate.bytes;
-  }
+  state.counters["compiled_seconds"] =
+      compiled_seconds / static_cast<double>(state.iterations());
+  const auto& stats = plan->stats();
+  state.counters["lowered_ops"] = static_cast<double>(stats.plan_ops);
+  state.counters["fused_ops"] = static_cast<double>(stats.fused_source_ops);
+  state.counters["matrices_cached"] =
+      static_cast<double>(stats.cached_matrices);
+  // QB010's static cost model, so each uploaded JSON pairs the measured
+  // time with the plan's predicted work per application.
+  const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
+  state.counters["plan_flops"] = estimate.flops;
+  state.counters["plan_bytes"] = estimate.bytes;
 }
 
 void bm_compiled_adjoint_deep_hea(benchmark::State& state) {
   // Deep HEA, full adjoint gradient — the Fig 5b/5c training unit of work.
   const Setup setup(6, 40);
-  const Circuit interpreted = setup.circuit;  // copied before lowering
   const AdjointEngine engine;
-  time_compiled_vs_interpreted(
-      state, setup, interpreted, /*reps=*/20, [&](const Circuit& c) {
-        benchmark::DoNotOptimize(
-            engine.gradient(c, setup.observable, setup.params).data());
-      });
-  state.SetLabel("q=6 L=40 adjoint, compiled vs interpreted");
+  time_compiled(state, setup, /*reps=*/20, [&] {
+    benchmark::DoNotOptimize(
+        engine.gradient(setup.circuit, setup.observable, setup.params).data());
+  });
+  state.SetLabel("q=6 L=40 adjoint");
 }
 BENCHMARK(bm_compiled_adjoint_deep_hea)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
 void bm_compiled_parameter_shift_last_param(benchmark::State& state) {
   // The Fig 5a unit of work: parameter-shift partial of the LAST
-  // parameter. The compiled path additionally reuses the prefix state
-  // before the shifted gate across both +-pi/2 evaluations.
+  // parameter, reusing the prefix state before the shifted gate across
+  // both +-pi/2 evaluations.
   const Setup setup(6, 40);
-  const Circuit interpreted = setup.circuit;
   const ParameterShiftEngine engine;
   const std::size_t last = setup.circuit.num_parameters() - 1;
-  time_compiled_vs_interpreted(
-      state, setup, interpreted, /*reps=*/200, [&](const Circuit& c) {
-        benchmark::DoNotOptimize(
-            engine.partial(c, setup.observable, setup.params, last));
-      });
-  state.SetLabel("q=6 L=40 parameter-shift last param, compiled vs "
-                 "interpreted");
+  time_compiled(state, setup, /*reps=*/200, [&] {
+    benchmark::DoNotOptimize(
+        engine.partial(setup.circuit, setup.observable, setup.params, last));
+  });
+  state.SetLabel("q=6 L=40 parameter-shift last param");
 }
 BENCHMARK(bm_compiled_parameter_shift_last_param)
     ->Unit(benchmark::kMillisecond)->Iterations(1);

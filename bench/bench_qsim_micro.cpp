@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/exec/kernels.hpp"
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
@@ -70,8 +71,9 @@ void bm_simulate_training_ansatz(benchmark::State& state) {
   Rng rng(1);
   const auto params =
       rng.uniform_vector(circuit.num_parameters(), 0.0, 2.0 * M_PI);
+  const auto plan = exec::plan_for(circuit);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit.simulate(params).norm_squared());
+    benchmark::DoNotOptimize(plan->simulate(params).norm_squared());
   }
   state.SetLabel(std::to_string(circuit.num_operations()) + " gates");
 }
@@ -87,8 +89,9 @@ void bm_simulate_deep_variance_ansatz(benchmark::State& state) {
   Rng rng(3);
   const auto params =
       rng.uniform_vector(circuit.num_parameters(), 0.0, 2.0 * M_PI);
+  const auto plan = exec::plan_for(circuit);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit.simulate(params).norm_squared());
+    benchmark::DoNotOptimize(plan->simulate(params).norm_squared());
   }
   state.SetLabel(std::to_string(circuit.num_operations()) + " gates");
 }

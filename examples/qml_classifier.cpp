@@ -19,6 +19,7 @@
 #include "qbarren/circuit/circuit.hpp"
 #include "qbarren/common/cli.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/observable.hpp"
@@ -81,7 +82,7 @@ EpochStats evaluate(const std::vector<Sample>& data,
   EpochStats stats;
   for (const Sample& s : data) {
     const Circuit c = build_model(s, qubits, layers);
-    const double prediction = z0.expectation(c.simulate(params));
+    const double prediction = z0.expectation(exec::simulate(c, params));
     const double err = prediction - s.label;
     stats.mse += err * err;
     if ((prediction >= 0.0) == (s.label > 0.0)) {

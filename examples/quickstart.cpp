@@ -10,9 +10,9 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/circuit/printer.hpp"
 #include "qbarren/common/cli.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 int main(int argc, char** argv) {

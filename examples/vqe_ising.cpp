@@ -13,9 +13,9 @@
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/cli.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/obs/hamiltonian.hpp"
 #include "qbarren/opt/trainer.hpp"
 

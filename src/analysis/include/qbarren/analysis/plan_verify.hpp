@@ -1,8 +1,8 @@
 // Static verification of compiled execution plans.
 //
-// PR 4 routed every consumer — simulate, all four gradient engines, the
-// trainer, the landscape scan, the noisy simulator — through
-// `CompiledCircuit`, so a silent miscompile in lowering or fusion would
+// Every consumer — simulate, all four gradient engines, the trainer, the
+// landscape scan, the noisy simulator — executes through
+// `CompiledCircuit`, the only executor, so a silent miscompile in lowering or fusion would
 // corrupt every paper figure at once. The PlanVerifier is the classic
 // graph-compiler answer: check the lowered program against its source IR
 // *statically*, without executing either. All checks are structural or
@@ -14,8 +14,9 @@
 //                   counts disagree with the source circuit
 //   QP101  error    matrix-pool entry is not unitary within tolerance
 //                   (warning when only custom gates reference it — the
-//                   interpreted path applies those verbatim too, QB006
-//                   already reports the modeling problem)
+//                   plan applies those verbatim, as the source circuit
+//                   defines them; QB006 already reports the modeling
+//                   problem)
 //   QP102  error    forward/inverse pool pairing broken: pool sizes
 //                   disagree, or an inverse entry is not the inverse
 //                   (adjoint, for custom gates) of its forward entry
@@ -32,11 +33,10 @@
 //                   claims to lower
 //   QP106  error    a plan exists over a custom gate whose matrix has the
 //                   wrong dimensions — compilation must refuse such
-//                   circuits so execution reaches the interpreted
-//                   fallback's error path
-//                   (info: the circuit cannot be lowered and execution
-//                   will use the interpreted fallback — emitted by
-//                   verify_circuit_lowering, never by verify_plan)
+//                   circuits, so executing them throws the compile error
+//                   (info: the circuit cannot be lowered, so executing it
+//                   throws — emitted by verify_circuit_lowering, never by
+//                   verify_plan)
 //   QP107  retired, not reused: checked the batched-dispatch rotation-slot
 //                   table, which was removed with lane batching
 //   QP108  error    CZ-ladder pool entry broken: one of its 128 sign words
@@ -87,8 +87,8 @@ struct PlanVerifyOptions {
 
 /// Compiles `circuit` (without attaching the plan) and verifies the
 /// result. When the circuit cannot be lowered, returns a single
-/// info-severity QP106 finding naming the interpreted fallback instead —
-/// that is the designed behavior, not a defect.
+/// info-severity QP106 finding carrying the compile error instead: no plan
+/// exists to verify, and executing the circuit throws that error.
 [[nodiscard]] Diagnostics verify_circuit_lowering(
     const Circuit& circuit, const PlanVerifyOptions& options = {});
 

@@ -286,9 +286,9 @@ void check_pool_inverses(const Circuit& circuit, const CompiledCircuit& plan,
     sink.add(msg.str(), "pool4");
   }
 
-  // Custom gates: the interpreted inverse path applies adjoint(m), which
-  // is the inverse only when m is unitary — the pairing contract is
-  // "matches interpretation", so the check is the adjoint itself.
+  // Custom gates invert by adjoint(m), which is the inverse only when m is
+  // unitary — the pairing contract is "the adjoint of the source matrix",
+  // so the check is the adjoint itself.
   // Everything else: forward x inverse must be the identity.
   const ComplexMatrix identity2 = ComplexMatrix::identity(2);
   const std::size_t n2 = std::min(pool.single.size(),
@@ -302,7 +302,7 @@ void check_pool_inverses(const Circuit& circuit, const CompiledCircuit& plan,
       if (max_abs_diff(inv, adjoint(fwd)) > options.match_tolerance) {
         sink.add(
             "inverse entry is not the adjoint of its forward entry "
-            "(custom gates invert by adjoint, as interpretation does)",
+            "(custom gates invert by adjoint)",
             pool_location("pool2", i));
       }
     } else if (max_abs_diff(fwd * inv, identity2) >
@@ -327,7 +327,7 @@ void check_pool_inverses(const Circuit& circuit, const CompiledCircuit& plan,
       if (max_abs_diff(inv, adjoint(fwd)) > options.match_tolerance) {
         sink.add(
             "inverse entry is not the adjoint of its forward entry "
-            "(custom gates invert by adjoint, as interpretation does)",
+            "(custom gates invert by adjoint)",
             pool_location("pool4", i));
       }
     } else if (max_abs_diff(fwd * inv, identity4) >
@@ -765,7 +765,7 @@ void check_coverage(const Circuit& circuit, const CompiledCircuit& plan,
   }
 }
 
-// --- QP106: custom-gate fallback reachability -------------------------------
+// --- QP106: malformed custom gates must not compile --------------------------
 
 void check_custom_fallback(const Circuit& circuit, const CompiledCircuit& plan,
                            const PlanVerifyOptions& options,
@@ -781,8 +781,8 @@ void check_custom_fallback(const Circuit& circuit, const CompiledCircuit& plan,
     msg << "a compiled plan exists although custom gate '" << gate.name
         << "' is " << gate.matrix.rows() << "x" << gate.matrix.cols()
         << " (needs " << dim << "x" << dim
-        << "): compile() must refuse such circuits so execution reaches "
-        << "the interpreted fallback's error path";
+        << "): compile() must refuse such circuits, so executing them "
+        << "throws the compile error";
     sink.add(msg.str(), "op " + std::to_string(i));
   }
 }
@@ -840,7 +840,7 @@ Diagnostics verify_circuit_lowering(const Circuit& circuit,
   } catch (const InvalidArgument& error) {
     std::string message = "circuit cannot be lowered (";
     message += error.what();
-    message += "); execution uses the interpreted fallback path";
+    message += "); executing the circuit throws this error";
     return {{Severity::kInfo, "QP106", std::move(message), ""}};
   }
   return verify_plan(circuit, *plan, options);

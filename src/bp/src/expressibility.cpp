@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/qsim/entanglement.hpp"
 
 namespace qbarren {
@@ -43,6 +44,7 @@ std::vector<ExpressibilityResult> analyze_expressibility(
   TrainingAnsatzOptions ansatz_options;
   ansatz_options.layers = options.layers;
   const Circuit circuit = training_ansatz(options.qubits, ansatz_options);
+  const auto plan = exec::plan_for(circuit);
   const std::size_t dim = std::size_t{1} << options.qubits;
   const Rng root(options.seed);
 
@@ -59,9 +61,9 @@ std::vector<ExpressibilityResult> analyze_expressibility(
       Rng rng_a = init_stream.child(2 * s);
       Rng rng_b = init_stream.child(2 * s + 1);
       const StateVector psi_a =
-          circuit.simulate(init.initialize(circuit, rng_a));
+          plan->simulate(init.initialize(circuit, rng_a));
       const StateVector psi_b =
-          circuit.simulate(init.initialize(circuit, rng_b));
+          plan->simulate(init.initialize(circuit, rng_b));
       const double f = psi_a.fidelity(psi_b);
       fidelity_sum += f;
       fidelity_sq_sum += f * f;

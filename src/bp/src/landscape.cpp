@@ -28,7 +28,7 @@ LandscapeResult scan_landscape(const LandscapeOptions& options) {
                   "scan_landscape: scanned parameter index out of range");
   const auto observable = make_cost_observable(options.cost, options.qubits);
   // One lowering serves all grid_points^2 simulations of the scan.
-  static_cast<void>(exec::plan_for(circuit));
+  const auto plan = exec::plan_for(circuit);
 
   Rng rng(options.seed);
   std::vector<double> params =
@@ -51,7 +51,7 @@ LandscapeResult scan_landscape(const LandscapeOptions& options) {
     for (std::size_t j = 0; j < n; ++j) {
       params[options.param_b] = result.axis[j];
       result.values[i * n + j] =
-          observable->expectation(circuit.simulate(params));
+          observable->expectation(plan->simulate(params));
     }
   }
 

@@ -7,8 +7,8 @@
 #include "qbarren/bp/cell_plan.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 
 namespace qbarren {
 

@@ -2,10 +2,11 @@
 //
 // A `Circuit` is an ordered list of operations on a fixed-width register.
 // Parameterized rotations reference an entry of the external parameter
-// vector by index; executing the circuit binds a caller-supplied parameter
-// vector. This separation (structure vs parameters) is what the paper's
-// experiments need: the same circuit is evaluated at shifted parameters
-// (parameter-shift rule) and re-initialized by different strategies.
+// vector by index; executing the circuit (exec::simulate, which runs its
+// compiled plan) binds a caller-supplied parameter vector. This separation
+// (structure vs parameters) is what the paper's experiments need: the same
+// circuit is evaluated at shifted parameters (parameter-shift rule) and
+// re-initialized by different strategies.
 #pragma once
 
 #include <cstddef>
@@ -31,12 +32,6 @@ class ExecutionPlan {
 
   /// Sentinel for "no operation consumes this parameter".
   static constexpr std::size_t kNoOperation = static_cast<std::size_t>(-1);
-
-  /// Applies the whole lowered program to `state` with `params` bound.
-  /// Must produce bit-identical amplitudes to the interpreted op-by-op
-  /// walk of the source circuit.
-  virtual void apply_to(StateVector& state,
-                        std::span<const double> params) const = 0;
 
   /// Index, into the source circuit's operations(), of the first operation
   /// that consumes `param_index`; kNoOperation when none does.
@@ -122,8 +117,8 @@ struct Operation {
 /// operations. The matrix is stored exactly as given: dimensions and
 /// unitarity are intentionally NOT validated at insertion, so that static
 /// analysis (lint rule QB006) can flag inconsistent definitions before any
-/// simulation runs; execution validates dimensions at apply() time and
-/// throws InvalidArgument there.
+/// simulation runs; compiling the circuit for execution validates the
+/// dimensions and throws InvalidArgument there.
 struct CustomGate {
   std::string name;       ///< label used in listings and diagnostics
   ComplexMatrix matrix;   ///< 2x2 (single) or 4x4 (two-qubit) when valid
@@ -201,8 +196,8 @@ class Circuit {
 
   /// Appends a fixed gate with a caller-supplied matrix on one qubit. The
   /// matrix should be 2x2 unitary; neither is checked here (see CustomGate
-  /// — lint rule QB006 performs the static check, apply() enforces the
-  /// dimensions at execution).
+  /// — lint rule QB006 performs the static check, compilation enforces the
+  /// dimensions).
   void add_custom_gate(std::string name, ComplexMatrix matrix,
                        std::size_t qubit);
 
@@ -224,28 +219,10 @@ class Circuit {
   /// parameter indices to fresh indices of this circuit.
   void append(const Circuit& other);
 
-  // --- execution -------------------------------------------------------------
-
-  /// Applies all operations to `state` using `params` for trainable
-  /// rotations. params.size() must equal num_parameters().
-  void apply(StateVector& state, std::span<const double> params) const;
-
-  /// Applies the single operation at `op_index` (exposed for adjoint-mode
-  /// differentiation which walks the circuit op by op).
-  void apply_operation(std::size_t op_index, StateVector& state,
-                       std::span<const double> params) const;
-
-  /// Applies the inverse (adjoint) of the operation at `op_index`.
-  void apply_operation_inverse(std::size_t op_index, StateVector& state,
-                               std::span<const double> params) const;
-
-  /// Applies the parameter derivative of the (parameterized) operation at
-  /// `op_index`: state <- dU_op/dtheta |state>. Non-unitary.
-  void apply_operation_derivative(std::size_t op_index, StateVector& state,
-                                  std::span<const double> params) const;
-
-  /// Runs from |0...0> and returns the final state.
-  [[nodiscard]] StateVector simulate(std::span<const double> params) const;
+  // --- dense matrices ------------------------------------------------------
+  //
+  // Execution itself lives in the exec layer: exec::simulate(circuit,
+  // params) runs the circuit's compiled plan.
 
   /// Dense 2^n x 2^n unitary of the bound circuit (reference path for
   /// tests; exponential in width).

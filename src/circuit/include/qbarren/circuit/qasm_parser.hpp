@@ -13,7 +13,7 @@
 //
 // Parsed rotations become *trainable* parameters; their literal angles are
 // returned alongside the circuit, so
-//   auto [c, params] = parse_qasm(text);  c.simulate(params);
+//   auto [c, params] = parse_qasm(text);  exec::simulate(c, params);
 // reproduces the dumped circuit exactly and the circuit remains usable
 // with every initializer / gradient engine.
 #pragma once

@@ -255,161 +255,6 @@ void Circuit::append(const Circuit& other) {
   layer_shape_.reset();  // composite circuits have no single tensor shape
 }
 
-void Circuit::apply(StateVector& state,
-                    std::span<const double> params) const {
-  QBARREN_REQUIRE(state.num_qubits() == num_qubits_,
-                  "Circuit::apply: register width mismatch");
-  QBARREN_REQUIRE(params.size() == num_params_,
-                  "Circuit::apply: parameter count mismatch");
-  if (const auto plan = plan_slot_.get()) {
-    plan->apply_to(state, params);
-    return;
-  }
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    apply_operation(i, state, params);
-  }
-}
-
-void Circuit::apply_operation(std::size_t op_index, StateVector& state,
-                              std::span<const double> params) const {
-  QBARREN_REQUIRE(op_index < ops_.size(),
-                  "Circuit::apply_operation: index out of range");
-  const Operation& op = ops_[op_index];
-  switch (op.kind) {
-    case OpKind::kRotation:
-      state.apply_single_qubit(
-          gates::rotation(op.axis, params[op.param_index]), op.qubit0);
-      return;
-    case OpKind::kFixedRotation:
-      state.apply_single_qubit(gates::rotation(op.axis, op.fixed_angle),
-                               op.qubit0);
-      return;
-    case OpKind::kControlledRotation:
-      state.apply_controlled(
-          gates::rotation(op.axis, params[op.param_index]), op.qubit0,
-          op.qubit1);
-      return;
-    case OpKind::kHadamard:
-      state.apply_single_qubit(gates::hadamard(), op.qubit0);
-      return;
-    case OpKind::kPauliX:
-      state.apply_single_qubit(gates::pauli_x(), op.qubit0);
-      return;
-    case OpKind::kPauliY:
-      state.apply_single_qubit(gates::pauli_y(), op.qubit0);
-      return;
-    case OpKind::kPauliZ:
-      state.apply_single_qubit(gates::pauli_z(), op.qubit0);
-      return;
-    case OpKind::kSGate:
-      state.apply_single_qubit(gates::s_gate(), op.qubit0);
-      return;
-    case OpKind::kTGate:
-      state.apply_single_qubit(gates::t_gate(), op.qubit0);
-      return;
-    case OpKind::kCz:
-      state.apply_cz(op.qubit0, op.qubit1);
-      return;
-    case OpKind::kCnot:
-      // apply_controlled treats qubit0 as control.
-      state.apply_controlled(gates::pauli_x(), op.qubit0, op.qubit1);
-      return;
-    case OpKind::kSwap:
-      state.apply_two_qubit(gates::swap(), std::min(op.qubit0, op.qubit1),
-                            std::max(op.qubit0, op.qubit1));
-      return;
-    case OpKind::kCustomSingle:
-      // The generic kernels validate the matrix dimensions and throw
-      // InvalidArgument on a malformed custom gate (lint rule QB006 flags
-      // those statically, before execution).
-      state.apply_single_qubit(custom_gates_[op.custom_index].matrix,
-                               op.qubit0);
-      return;
-    case OpKind::kCustomTwo:
-      // add_custom_two_qubit_gate enforces qubit0 < qubit1 with matrix
-      // bit 0 = qubit0, matching apply_two_qubit's (q_low, q_high) order.
-      state.apply_two_qubit(custom_gates_[op.custom_index].matrix,
-                            op.qubit0, op.qubit1);
-      return;
-  }
-  throw InvalidArgument("Circuit::apply_operation: unknown op kind");
-}
-
-void Circuit::apply_operation_inverse(std::size_t op_index, StateVector& state,
-                                      std::span<const double> params) const {
-  QBARREN_REQUIRE(op_index < ops_.size(),
-                  "Circuit::apply_operation_inverse: index out of range");
-  const Operation& op = ops_[op_index];
-  switch (op.kind) {
-    case OpKind::kRotation:
-      state.apply_single_qubit(
-          gates::rotation(op.axis, -params[op.param_index]), op.qubit0);
-      return;
-    case OpKind::kFixedRotation:
-      state.apply_single_qubit(gates::rotation(op.axis, -op.fixed_angle),
-                               op.qubit0);
-      return;
-    case OpKind::kControlledRotation:
-      state.apply_controlled(
-          gates::rotation(op.axis, -params[op.param_index]), op.qubit0,
-          op.qubit1);
-      return;
-    case OpKind::kSGate:
-      state.apply_single_qubit(adjoint(gates::s_gate()), op.qubit0);
-      return;
-    case OpKind::kTGate:
-      state.apply_single_qubit(adjoint(gates::t_gate()), op.qubit0);
-      return;
-    case OpKind::kCustomSingle:
-      // Inverse = adjoint, valid only for unitary custom matrices (QB006).
-      state.apply_single_qubit(adjoint(custom_gates_[op.custom_index].matrix),
-                               op.qubit0);
-      return;
-    case OpKind::kCustomTwo:
-      state.apply_two_qubit(adjoint(custom_gates_[op.custom_index].matrix),
-                            op.qubit0, op.qubit1);
-      return;
-    default:
-      // Hadamard, Paulis, CZ, CNOT, SWAP are involutions.
-      apply_operation(op_index, state, params);
-      return;
-  }
-}
-
-void Circuit::apply_operation_derivative(
-    std::size_t op_index, StateVector& state,
-    std::span<const double> params) const {
-  QBARREN_REQUIRE(op_index < ops_.size(),
-                  "Circuit::apply_operation_derivative: index out of range");
-  const Operation& op = ops_[op_index];
-  QBARREN_REQUIRE(is_parameterized(op.kind),
-                  "Circuit::apply_operation_derivative: op is not a "
-                  "trainable rotation");
-  if (op.kind == OpKind::kRotation) {
-    state.apply_single_qubit(
-        gates::rotation_derivative(op.axis, params[op.param_index]),
-        op.qubit0);
-    return;
-  }
-  // Controlled rotation: d/dtheta [|0><0| (x) I + |1><1| (x) R(theta)]
-  // = |1><1| (x) dR/dtheta — zero on the control-clear subspace. Build the
-  // 4x4 (matrix bit 0 = control) and apply through the generic kernel.
-  const ComplexMatrix dr =
-      gates::rotation_derivative(op.axis, params[op.param_index]);
-  ComplexMatrix full(4, 4);
-  full(1, 1) = dr.at_unchecked(0, 0);
-  full(1, 3) = dr.at_unchecked(0, 1);
-  full(3, 1) = dr.at_unchecked(1, 0);
-  full(3, 3) = dr.at_unchecked(1, 1);
-  state.apply_two_qubit(full, op.qubit0, op.qubit1);
-}
-
-StateVector Circuit::simulate(std::span<const double> params) const {
-  StateVector state(num_qubits_);
-  apply(state, params);
-  return state;
-}
-
 ComplexMatrix Circuit::op_matrix(const Operation& op,
                                  std::span<const double> params) const {
   switch (op.kind) {

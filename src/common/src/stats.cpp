@@ -19,10 +19,9 @@ double mean(std::span<const double> xs) {
 
 namespace {
 
-// Two-pass variance: numerically stable for the magnitudes we see
-// (gradient samples spanning ~1e-8 .. 1e0).
-double variance_impl(std::span<const double> xs, double denom) {
-  const double mu = mean(xs);
+// Two-pass variance about the sample mean `mu`: numerically stable for the
+// magnitudes we see (gradient samples spanning ~1e-8 .. 1e0).
+double variance_impl(std::span<const double> xs, double mu, double denom) {
   double acc = 0.0;
   for (double x : xs) {
     const double d = x - mu;
@@ -35,12 +34,12 @@ double variance_impl(std::span<const double> xs, double denom) {
 
 double sample_variance(std::span<const double> xs) {
   QBARREN_REQUIRE(xs.size() >= 2, "sample_variance: need at least 2 samples");
-  return variance_impl(xs, static_cast<double>(xs.size() - 1));
+  return variance_impl(xs, mean(xs), static_cast<double>(xs.size() - 1));
 }
 
 double population_variance(std::span<const double> xs) {
   QBARREN_REQUIRE(!xs.empty(), "population_variance: empty sample");
-  return variance_impl(xs, static_cast<double>(xs.size()));
+  return variance_impl(xs, mean(xs), static_cast<double>(xs.size()));
 }
 
 double sample_stddev(std::span<const double> xs) {
@@ -85,7 +84,10 @@ Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();
   s.mean = mean(xs);
-  s.variance = xs.size() >= 2 ? sample_variance(xs) : 0.0;
+  s.variance = xs.size() >= 2
+                   ? variance_impl(xs, s.mean,
+                                   static_cast<double>(xs.size() - 1))
+                   : 0.0;
   s.stddev = std::sqrt(s.variance);
   const auto [mn, mx] = std::minmax_element(xs.begin(), xs.end());
   s.min = *mn;

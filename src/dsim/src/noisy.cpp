@@ -23,7 +23,7 @@ DensityMatrix simulate_noisy(const Circuit& circuit,
   // parameterized rotations are rebuilt per call.
   const auto plan = exec::plan_for(circuit);
   const auto matrix_for = [&](std::size_t i) -> const ComplexMatrix& {
-    if (plan != nullptr && plan->source_op_is_constant(i)) {
+    if (plan->source_op_is_constant(i)) {
       return plan->source_constant_matrix(i);
     }
     thread_local ComplexMatrix scratch;

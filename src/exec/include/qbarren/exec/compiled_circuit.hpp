@@ -22,9 +22,12 @@
 //   * a parameter -> op binding table replaces the linear
 //     operation_for_parameter scan.
 //
-// Results are bit-identical to the interpreted path: same op order, same
-// per-op arithmetic. Cached experiment results and checkpoints written
-// before this layer existed therefore stay valid.
+// The plan is the only executor: `exec::simulate`, every gradient engine,
+// the trainer and the noisy simulator run circuits through it. Its results
+// are bit-identical to an op-by-op walk of the source circuit (same op
+// order, same per-op arithmetic; tests/reference_interpreter.hpp keeps that
+// walk as the oracle), so results and checkpoints written before this layer
+// existed stay valid.
 #pragma once
 
 #include <array>
@@ -46,12 +49,6 @@ class Observable;  // qbarren/obs/observable.hpp
 namespace qbarren::exec {
 
 struct ShiftSpec;
-
-struct CompileOptions {
-  /// Fuse adjacent constant single-qubit gates on the same qubit into one
-  /// single-pass kernel.
-  bool fuse_single_qubit_runs = true;
-};
 
 class CompiledCircuit final : public ExecutionPlan {
  public:
@@ -95,16 +92,13 @@ class CompiledCircuit final : public ExecutionPlan {
   };
 
   /// Lowers `circuit`. Throws InvalidArgument when a custom gate matrix
-  /// has the wrong dimensions for its kind (the interpreted path throws
-  /// the equivalent error at execution time; `plan_for` turns this into a
-  /// fall-back to interpreted execution so behavior is unchanged).
+  /// has the wrong dimensions for its kind, so such a circuit cannot be
+  /// executed at all.
   [[nodiscard]] static std::shared_ptr<const CompiledCircuit> compile(
-      const Circuit& circuit, const CompileOptions& options = {});
+      const Circuit& circuit);
 
   // --- ExecutionPlan -------------------------------------------------------
 
-  void apply_to(StateVector& state,
-                std::span<const double> params) const override;
   [[nodiscard]] std::size_t source_op_for_parameter(
       std::size_t param_index) const noexcept override;
 
@@ -159,7 +153,8 @@ class CompiledCircuit final : public ExecutionPlan {
   /// One parameter's lowering: the source op and plan op consuming it.
   /// Both are ExecutionPlan::kNoOperation when nothing consumes the
   /// parameter; plan_op alone is kNoOperation when the parameter is
-  /// consumed more than once (prefix reuse disabled for it).
+  /// consumed more than once. The circuit builders give every parameter
+  /// exactly one consumer, so either case means a corrupted circuit.
   struct ParamBinding {
     std::size_t source_op = kNoOperation;
     std::size_t plan_op = kNoOperation;
@@ -173,9 +168,9 @@ class CompiledCircuit final : public ExecutionPlan {
   /// (with +=, so callers pass a zeroed span). Each parameterized op's
   /// forward and inverse rotation entries are computed once per call and
   /// shared by the forward pass, the derivative, and both inverse
-  /// applications — the interpreted sweep evaluates that trig four times
-  /// per op. The arithmetic applied to the states is otherwise identical,
-  /// so value and gradient match the interpreted engine exactly.
+  /// applications; an op-by-op sweep evaluates that trig four times per
+  /// op. The arithmetic applied to the states is otherwise identical, so
+  /// value and gradient match the op-by-op sweep exactly.
   double adjoint_value_and_gradient(const Observable& observable,
                                     std::span<const double> params,
                                     std::span<double> gradient) const;
@@ -186,7 +181,8 @@ class CompiledCircuit final : public ExecutionPlan {
     return plan_ops_.size();
   }
 
-  /// Applies plan ops [begin, end) in order.
+  /// Applies plan ops [begin, end) in order. Throws InvalidArgument when
+  /// the register width or the parameter count does not match the plan.
   void apply_plan_ops(StateVector& state, std::span<const double> params,
                       std::size_t begin, std::size_t end) const;
 
@@ -270,24 +266,6 @@ class CompiledCircuit final : public ExecutionPlan {
 
 // --- plan attachment -------------------------------------------------------
 
-/// Process-wide switch (default on). When off, plan_for() returns nullptr
-/// and every consumer falls back to interpreted execution — tests use this
-/// to obtain reference results, benchmarks to time both paths.
-void set_execution_plans_enabled(bool enabled) noexcept;
-[[nodiscard]] bool execution_plans_enabled() noexcept;
-
-/// RAII guard: sets the process-wide switch, restores the prior value.
-class ScopedExecutionPlans {
- public:
-  explicit ScopedExecutionPlans(bool enabled);
-  ~ScopedExecutionPlans();
-  ScopedExecutionPlans(const ScopedExecutionPlans&) = delete;
-  ScopedExecutionPlans& operator=(const ScopedExecutionPlans&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// Debug/verification hook fired by plan_for() right after a freshly
 /// compiled plan is attached (cache hits — circuits that already carry a
 /// plan — do not re-fire). Installed by the analysis layer's
@@ -301,21 +279,26 @@ using PlanAttachHook =
 PlanAttachHook set_plan_attach_hook(PlanAttachHook hook);
 
 /// The plan attached to `circuit`, compiling and attaching one on first
-/// use. Returns nullptr when plans are disabled or the circuit cannot be
-/// lowered (malformed custom gate — execution then takes the interpreted
-/// path and throws its usual InvalidArgument).
+/// use; never nullptr. Throws compile()'s InvalidArgument when the circuit
+/// cannot be lowered (malformed custom gate), attaching nothing.
 [[nodiscard]] std::shared_ptr<const CompiledCircuit> plan_for(
-    const Circuit& circuit, const CompileOptions& options = {});
+    const Circuit& circuit);
+
+/// Runs `circuit` from |0...0> with `params` bound: plan_for(circuit)
+/// ->simulate(params).
+[[nodiscard]] StateVector simulate(const Circuit& circuit,
+                                   std::span<const double> params);
 
 // --- prefix-state reuse for single-parameter partials ----------------------
 
 /// Evaluates the cost at parameter vectors that differ from a base vector
-/// only in one entry. The state before the (unique) op consuming that
+/// only in one entry. The state before the unique op consuming that
 /// parameter is simulated once at construction; each evaluation re-runs
 /// only that op and the suffix. For the Fig 5a hot path — the partial with
 /// respect to the LAST parameter — the suffix is (nearly) empty, so each
 /// of the two shift evaluations costs one gate instead of a full forward
-/// pass.
+/// pass. Throws InvalidArgument when the plan records no unique consuming
+/// op for the parameter (a corrupted plan).
 class PartialEvaluator {
  public:
   PartialEvaluator(std::shared_ptr<const CompiledCircuit> plan,
@@ -330,7 +313,7 @@ class PartialEvaluator {
   const Observable& observable_;
   std::vector<double> params_;
   std::size_t index_;
-  std::size_t plan_op_ = ExecutionPlan::kNoOperation;
+  std::size_t plan_op_;
   StateVector prefix_;
   StateVector work_;
 };
@@ -348,10 +331,8 @@ struct ShiftSpec {
 /// unshifted parameters, and at each spec's consuming op a copy of it
 /// takes the shifted op and runs the suffix. The suffix reads rotation
 /// entries computed once per call instead of once per evaluation.
-/// Parameters without a unique consuming op (shared or unconsumed) are
-/// evaluated on the whole program, as PartialEvaluator's fallback.
 /// Results are returned in spec order. Throws InvalidArgument when a
-/// spec's parameter is out of range.
+/// spec's parameter is out of range or has no unique consuming op.
 [[nodiscard]] std::vector<double> shifted_expectations(
     const CompiledCircuit& plan, const Observable& observable,
     std::span<const double> params, std::span<const ShiftSpec> specs);

@@ -2,7 +2,8 @@
 //
 // `CostFunction` pairs a Circuit with an Observable and evaluates
 // C(theta) = <0| U(theta)^dagger H U(theta) |0>. For the paper's Eq 4 cost
-// use `make_identity_cost`, which binds the global |0...0> projector.
+// use `make_identity_cost`, which binds the global |0...0> projector. It
+// sits in the exec layer because value() runs the circuit's compiled plan.
 #pragma once
 
 #include <memory>

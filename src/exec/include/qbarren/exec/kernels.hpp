@@ -1,11 +1,12 @@
 // Allocation-free state-vector kernels for compiled execution.
 //
-// Each kernel mirrors the corresponding StateVector member
-// (apply_single_qubit / apply_controlled / apply_two_qubit): the same
-// amplitude pairs (independent, so visiting them block by block changes
-// nothing) and per amplitude the same result. That is what makes
-// compiled execution bit-identical to the interpreted path — the
-// differences are that the 2x2 entries live on the stack (no heap-allocated
+// Each kernel mirrors a plain amplitude loop (StateVector's
+// apply_single_qubit / apply_two_qubit, and the controlled 2x2 of the
+// op-by-op oracle in tests/reference_interpreter.hpp): the same amplitude
+// pairs (independent, so visiting them block by block changes nothing) and
+// per amplitude the same result. That is what makes compiled execution
+// bit-identical to an op-by-op walk of the circuit — the differences are
+// that the 2x2 entries live on the stack (no heap-allocated
 // ComplexMatrix per gate application), that fused runs make a single pass
 // over the amplitudes, and that the out-of-place variants avoid the
 // full-vector copy the adjoint sweep otherwise pays per parameter.
@@ -21,7 +22,7 @@
 //    28), RZ as a diagonal phase. The products they skip are with entry
 //    components that are exact zeros, and such a product can only change
 //    the sign of a zero result. Every nonzero amplitude component is
-//    therefore bit-identical to the generic 2x2 (and interpreted) result;
+//    therefore bit-identical to the generic 2x2 (and op-by-op) result;
 //    signed zeros never reach reported values, since expectations and
 //    inner products accumulate from +0. Hence no numerics or fingerprint
 //    bump accompanied the specialisation.
@@ -74,7 +75,7 @@ void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
                     const std::uint32_t* indices, std::size_t count,
                     bool reverse, std::size_t target);
 
-/// Controlled 2x2 (applied where `control` is |1>), as apply_controlled.
+/// Controlled 2x2 (applied where `control` is |1>).
 void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
                            std::size_t control, std::size_t target);
 
@@ -83,8 +84,8 @@ void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
 void apply_rotation(StateVector& state, gates::Axis axis, double theta,
                     std::size_t target);
 
-/// Controlled rotation (control, target), as the interpreted path's
-/// apply_controlled(rotation(axis, theta), control, target).
+/// Controlled rotation (control, target): the controlled 2x2 of
+/// rotation(axis, theta).
 void apply_controlled_rotation(StateVector& state, gates::Axis axis,
                                double theta, std::size_t control,
                                std::size_t target);

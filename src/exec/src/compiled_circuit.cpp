@@ -1,7 +1,6 @@
 #include "qbarren/exec/compiled_circuit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <map>
 #include <mutex>
@@ -16,8 +15,6 @@ namespace qbarren::exec {
 namespace {
 
 constexpr std::uint32_t kNoIndex32 = static_cast<std::uint32_t>(-1);
-
-std::atomic<bool> g_plans_enabled{true};
 
 // Plan-attach hook: shared_ptr so plan_for can invoke a stable copy
 // outside the lock while another thread swaps the hook.
@@ -46,7 +43,7 @@ std::uint32_t u32(std::size_t v) { return static_cast<std::uint32_t>(v); }
 }  // namespace
 
 std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
-    const Circuit& circuit, const CompileOptions& options) {
+    const Circuit& circuit) {
   std::shared_ptr<CompiledCircuit> plan(new CompiledCircuit());
   plan->num_qubits_ = circuit.num_qubits();
   plan->num_params_ = circuit.num_parameters();
@@ -136,7 +133,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
 
   // First consumer wins, matching the linear scan's first-match
   // semantics; a parameter consumed twice (not producible by the
-  // builders, but cheap to defend against) disables prefix reuse for it.
+  // builders) records no plan op, which the shift evaluators refuse.
   auto record_param = [&](std::size_t p, std::size_t source) {
     if (param_seen[p] == 0) {
       param_seen[p] = 1;
@@ -151,16 +148,12 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   // when it targets the same qubit as the previous constant gate.
   auto push_constant1q = [&](const Operation& op, std::size_t i,
                              std::uint32_t matrix) {
-    if (!options.fuse_single_qubit_runs ||
-        (!run.empty() && run_qubit != op.qubit0)) {
-      flush_run();
-    }
+    if (!run.empty() && run_qubit != op.qubit0) flush_run();
     if (run.empty()) {
       run_qubit = op.qubit0;
       run_first = i;
     }
     run.push_back(matrix);
-    if (!options.fuse_single_qubit_runs) flush_run();
   };
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -196,7 +189,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
       case OpKind::kFixedRotation: {
         const gates::Mat2 fwd =
             gates::rotation_entries(op.axis, op.fixed_angle);
-        // Interpreted inverse applies rotation(axis, -angle).
+        // The inverse is rotation(axis, -angle).
         const gates::Mat2 inv =
             gates::rotation_entries(op.axis, -op.fixed_angle);
         push_constant1q(op, i, intern2(op, fwd, inv));
@@ -212,7 +205,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
                                  : op.kind == OpKind::kPauliY ? gates::pauli_y()
                                                               : gates::pauli_z();
         const gates::Mat2 fwd = gates::entries_of(m);
-        // Involutions: the interpreted inverse re-applies the forward gate.
+        // Involutions: the inverse re-applies the forward gate.
         push_constant1q(op, i, intern2(op, fwd, fwd));
         intern_dense(op, i);
         break;
@@ -275,7 +268,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         flush_run();
         PlanOp p;
         p.kernel = Kernel::kCnot;
-        p.qubit0 = u32(op.qubit0);  // control, as in apply_controlled
+        p.qubit0 = u32(op.qubit0);  // control
         p.qubit1 = u32(op.qubit1);
         const gates::Mat2 x = gates::entries_of(gates::pauli_x());
         p.matrix = intern2(op, x, x);
@@ -288,7 +281,7 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         flush_run();
         PlanOp p;
         p.kernel = Kernel::kFixedTwo;
-        // apply_operation passes (min, max) to apply_two_qubit.
+        // Symmetric: lowered on (min, max) for apply_two_qubit.
         p.qubit0 = u32(std::min(op.qubit0, op.qubit1));
         p.qubit1 = u32(std::max(op.qubit0, op.qubit1));
         p.matrix = intern4(op, gates::swap(), gates::swap());
@@ -322,15 +315,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   return plan;
 }
 
-void CompiledCircuit::apply_to(StateVector& state,
-                               std::span<const double> params) const {
-  QBARREN_REQUIRE(state.num_qubits() == num_qubits_,
-                  "CompiledCircuit::apply_to: register width mismatch");
-  QBARREN_REQUIRE(params.size() == num_params_,
-                  "CompiledCircuit::apply_to: parameter count mismatch");
-  apply_plan_ops(state, params, 0, plan_ops_.size());
-}
-
 std::vector<CompiledCircuit::ParamBinding> CompiledCircuit::param_bindings()
     const {
   std::vector<ParamBinding> bindings(num_params_);
@@ -349,7 +333,7 @@ std::size_t CompiledCircuit::source_op_for_parameter(
 
 StateVector CompiledCircuit::simulate(std::span<const double> params) const {
   StateVector state(num_qubits_);
-  apply_to(state, params);
+  apply_plan_ops(state, params, 0, plan_ops_.size());
   return state;
 }
 
@@ -403,7 +387,7 @@ double CompiledCircuit::adjoint_value_and_gradient(
       const gates::Mat2 dr =
           gates::rotation_derivative_entries_from(op.axis, fwd[k]);
       // |1><1| (x) dR/dtheta on the control-set subspace, zero elsewhere
-      // (matrix bit 0 = control = qubit0), as in the interpreted path.
+      // (matrix bit 0 = control = qubit0).
       Complex m[4][4] = {};
       m[1][1] = dr.m00;
       m[1][3] = dr.m01;
@@ -425,6 +409,11 @@ void CompiledCircuit::apply_plan_ops(StateVector& state,
                                      std::size_t end) const {
   QBARREN_REQUIRE(begin <= end && end <= plan_ops_.size(),
                   "CompiledCircuit::apply_plan_ops: range out of bounds");
+  QBARREN_REQUIRE(state.num_qubits() == num_qubits_,
+                  "CompiledCircuit::apply_plan_ops: register width mismatch");
+  QBARREN_REQUIRE(params.size() == num_params_,
+                  "CompiledCircuit::apply_plan_ops: parameter count "
+                  "mismatch");
   for (std::size_t k = begin; k < end; ++k) {
     apply_plan_op(k, state, params);
   }
@@ -584,8 +573,7 @@ void CompiledCircuit::apply_plan_op_derivative(
     return;
   }
   // Controlled rotation: |1><1| (x) dR/dtheta, zero on the control-clear
-  // subspace — the same zero-filled 4x4 the interpreted path applies
-  // (matrix bit 0 = control = qubit0).
+  // subspace, as a zero-filled 4x4 (matrix bit 0 = control = qubit0).
   Complex m[4][4] = {};
   m[1][1] = dr.m00;
   m[1][3] = dr.m01;
@@ -650,23 +638,6 @@ const ComplexMatrix& CompiledCircuit::source_constant_matrix(
 
 // --- plan attachment -------------------------------------------------------
 
-void set_execution_plans_enabled(bool enabled) noexcept {
-  g_plans_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool execution_plans_enabled() noexcept {
-  return g_plans_enabled.load(std::memory_order_relaxed);
-}
-
-ScopedExecutionPlans::ScopedExecutionPlans(bool enabled)
-    : previous_(execution_plans_enabled()) {
-  set_execution_plans_enabled(enabled);
-}
-
-ScopedExecutionPlans::~ScopedExecutionPlans() {
-  set_execution_plans_enabled(previous_);
-}
-
 PlanAttachHook set_plan_attach_hook(PlanAttachHook hook) {
   std::shared_ptr<const PlanAttachHook> next =
       hook ? std::make_shared<const PlanAttachHook>(std::move(hook))
@@ -677,30 +648,26 @@ PlanAttachHook set_plan_attach_hook(PlanAttachHook hook) {
   return previous ? *previous : PlanAttachHook{};
 }
 
-std::shared_ptr<const CompiledCircuit> plan_for(const Circuit& circuit,
-                                                const CompileOptions& options) {
-  if (!execution_plans_enabled()) return nullptr;
+std::shared_ptr<const CompiledCircuit> plan_for(const Circuit& circuit) {
   if (auto attached = std::dynamic_pointer_cast<const CompiledCircuit>(
           circuit.execution_plan())) {
     return attached;
   }
-  std::shared_ptr<const CompiledCircuit> plan;
-  try {
-    plan = CompiledCircuit::compile(circuit, options);
-  } catch (const InvalidArgument&) {
-    // Unlowerable circuit (malformed custom gate): execution falls back to
-    // the interpreted path, which throws its usual error when (and only
-    // when) the op is actually applied.
-    return nullptr;
-  }
+  // An unlowerable circuit (malformed custom gate) throws here, before
+  // anything is attached.
+  std::shared_ptr<const CompiledCircuit> plan =
+      CompiledCircuit::compile(circuit);
   circuit.attach_execution_plan(plan);
   // First attach only: re-requests hit the cache above and do not
-  // re-verify. Hook exceptions propagate past the fallback catch — a
-  // verification failure must not silently degrade to interpretation.
+  // re-verify.
   if (const auto hook = current_attach_hook()) {
     (*hook)(circuit, *plan);
   }
   return plan;
+}
+
+StateVector simulate(const Circuit& circuit, std::span<const double> params) {
+  return plan_for(circuit)->simulate(params);
 }
 
 // --- prefix-state reuse ----------------------------------------------------
@@ -720,34 +687,23 @@ PartialEvaluator::PartialEvaluator(
       observable_(observable),
       params_(params.begin(), params.end()),
       index_(index),
+      plan_op_(plan_->plan_op_for_parameter(index)),
       prefix_(plan_->num_qubits()),
       work_(plan_->num_qubits()) {
   QBARREN_REQUIRE(index_ < params_.size(),
                   "PartialEvaluator: parameter index out of range");
-  plan_op_ = plan_->plan_op_for_parameter(index_);
-  if (plan_op_ != ExecutionPlan::kNoOperation) {
-    // The ops before the consuming one do not read params[index], so this
-    // state is valid for every shifted evaluation.
-    plan_->apply_plan_ops(prefix_, params_, 0, plan_op_);
-  }
+  QBARREN_REQUIRE(plan_op_ != ExecutionPlan::kNoOperation,
+                  "PartialEvaluator: no unique plan op consumes the "
+                  "parameter");
+  // The ops before the consuming one do not read params[index], so this
+  // state is valid for every shifted evaluation.
+  plan_->apply_plan_ops(prefix_, params_, 0, plan_op_);
 }
 
 double PartialEvaluator::operator()(double delta) {
-  if (plan_op_ != ExecutionPlan::kNoOperation) {
-    work_ = prefix_;
-    plan_->apply_plan_op_with_angle(plan_op_, work_,
-                                    params_[index_] + delta);
-    plan_->apply_plan_ops(work_, params_, plan_op_ + 1,
-                          plan_->num_plan_ops());
-  } else {
-    // No unique consuming op recorded (shared parameter, defensive):
-    // evaluate the whole program on a temporarily shifted vector.
-    const double saved = params_[index_];
-    params_[index_] = saved + delta;
-    work_.reset();
-    plan_->apply_plan_ops(work_, params_, 0, plan_->num_plan_ops());
-    params_[index_] = saved;
-  }
+  work_ = prefix_;
+  plan_->apply_plan_op_with_angle(plan_op_, work_, params_[index_] + delta);
+  plan_->apply_plan_ops(work_, params_, plan_op_ + 1, plan_->num_plan_ops());
   return observable_.expectation(work_);
 }
 
@@ -759,19 +715,17 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
                                          std::span<const ShiftSpec> specs) {
   QBARREN_REQUIRE(params.size() == plan.num_parameters(),
                   "shifted_expectations: parameter count mismatch");
-  // (consuming plan op, spec) in walk order; specs whose parameter has no
-  // unique consuming op take PartialEvaluator's whole-program fallback.
+  // (consuming plan op, spec) in walk order.
   std::vector<std::pair<std::size_t, std::size_t>> walk;
-  std::vector<std::size_t> fallback;
+  walk.reserve(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
     QBARREN_REQUIRE(specs[s].param < plan.num_parameters(),
                     "shifted_expectations: parameter index out of range");
     const std::size_t branch = plan.plan_op_for_parameter(specs[s].param);
-    if (branch == ExecutionPlan::kNoOperation) {
-      fallback.push_back(s);
-    } else {
-      walk.emplace_back(branch, s);
-    }
+    QBARREN_REQUIRE(branch != ExecutionPlan::kNoOperation,
+                    "shifted_expectations: no unique plan op consumes the "
+                    "parameter");
+    walk.emplace_back(branch, s);
   }
   std::sort(walk.begin(), walk.end());
 
@@ -799,18 +753,6 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
     plan.apply_plan_ops_with_entries(work, entries, params, branch + 1,
                                      num_ops);
     out[s] = observable.expectation(work);
-  }
-
-  if (!fallback.empty()) {
-    std::vector<double> shifted(params.begin(), params.end());
-    for (const std::size_t s : fallback) {
-      const double saved = shifted[specs[s].param];
-      shifted[specs[s].param] = saved + specs[s].delta;
-      work.reset();
-      plan.apply_plan_ops(work, shifted, 0, num_ops);
-      shifted[specs[s].param] = saved;
-      out[s] = observable.expectation(work);
-    }
   }
   return out;
 }

@@ -1,4 +1,6 @@
-#include "qbarren/obs/cost.hpp"
+#include "qbarren/exec/cost.hpp"
+
+#include "qbarren/exec/compiled_circuit.hpp"
 
 namespace qbarren {
 
@@ -12,8 +14,7 @@ CostFunction::CostFunction(std::shared_ptr<const Circuit> circuit,
 }
 
 double CostFunction::value(std::span<const double> params) const {
-  const StateVector state = circuit_->simulate(params);
-  return observable_->expectation(state);
+  return observable_->expectation(exec::simulate(*circuit_, params));
 }
 
 CostFunction make_identity_cost(std::shared_ptr<const Circuit> circuit) {

@@ -471,7 +471,7 @@ inline void for_each_index_matching(std::size_t dim, std::size_t a,
 }
 
 /// Applies `body` to the `target` pairs whose `control` bit is set, in
-/// ascending index order as StateVector::apply_controlled.
+/// ascending index order.
 template <class Body>
 inline void for_each_controlled_pair(Complex* amps, std::size_t dim,
                                      std::size_t control, std::size_t target,

@@ -23,33 +23,10 @@ ValueAndGradient AdjointEngine::value_and_gradient(
 
   ValueAndGradient out;
   out.gradient.assign(params.size(), 0.0);
-
-  if (const auto plan = exec::plan_for(circuit)) {
-    // Whole pass through the lowered op stream: rotation entries computed
-    // once per op, allocation-free kernels, out-of-place derivative.
-    out.value =
-        plan->adjoint_value_and_gradient(observable, params, out.gradient);
-    return out;
-  }
-
-  StateVector phi = circuit.simulate(params);
-  StateVector lambda = observable.apply(phi);
-  out.value = phi.inner_product(lambda).real();
-
-  StateVector scratch(circuit.num_qubits());
-  const auto& ops = circuit.operations();
-  for (std::size_t k = ops.size(); k-- > 0;) {
-    circuit.apply_operation_inverse(k, phi, params);  // phi = |phi_{k-1}>
-    if (is_parameterized(ops[k].kind)) {
-      scratch = phi;
-      circuit.apply_operation_derivative(k, scratch, params);
-      // Accumulate: circuits built by qbarren use one parameter per gate,
-      // but += keeps shared-parameter circuits correct too.
-      out.gradient[ops[k].param_index] +=
-          2.0 * lambda.inner_product(scratch).real();
-    }
-    circuit.apply_operation_inverse(k, lambda, params);
-  }
+  // Whole pass through the lowered op stream: rotation entries computed
+  // once per op, allocation-free kernels, out-of-place derivative.
+  out.value = exec::plan_for(circuit)->adjoint_value_and_gradient(
+      observable, params, out.gradient);
   return out;
 }
 

@@ -31,10 +31,10 @@ ValueAndGradient GradientEngine::value_and_gradient(
     const Circuit& circuit, const Observable& observable,
     std::span<const double> params) const {
   check_args(circuit, observable, params);
-  // Attach the plan once; simulate and gradient below reuse it.
-  static_cast<void>(exec::plan_for(circuit));
+  // The gradient below reuses the plan attached here.
+  const auto plan = exec::plan_for(circuit);
   ValueAndGradient out;
-  out.value = observable.expectation(circuit.simulate(params));
+  out.value = observable.expectation(plan->simulate(params));
   out.gradient = gradient(circuit, observable, params);
   return out;
 }

@@ -2,13 +2,15 @@
 
 #include <cmath>
 
+#include "qbarren/exec/compiled_circuit.hpp"
+
 namespace qbarren {
 
 namespace {
 
 double eval(const Circuit& circuit, const Observable& observable,
             const std::vector<double>& params) {
-  return observable.expectation(circuit.simulate(params));
+  return observable.expectation(exec::simulate(circuit, params));
 }
 
 void check(const Circuit& circuit, const Observable& observable,

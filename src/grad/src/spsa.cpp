@@ -12,8 +12,8 @@ std::vector<double> SpsaEngine::gradient(const Circuit& circuit,
                                          const Observable& observable,
                                          std::span<const double> params) const {
   check_args(circuit, observable, params);
-  // Attach the plan once; both evaluations below route through it.
-  static_cast<void>(exec::plan_for(circuit));
+  // Both evaluations below run the same plan.
+  const auto plan = exec::plan_for(circuit);
   const std::size_t n = params.size();
   std::vector<double> delta(n);
   for (auto& d : delta) {
@@ -26,8 +26,8 @@ std::vector<double> SpsaEngine::gradient(const Circuit& circuit,
     plus[i] += c_ * delta[i];
     minus[i] -= c_ * delta[i];
   }
-  const double c_plus = observable.expectation(circuit.simulate(plus));
-  const double c_minus = observable.expectation(circuit.simulate(minus));
+  const double c_plus = observable.expectation(plan->simulate(plus));
+  const double c_minus = observable.expectation(plan->simulate(minus));
   const double scale = (c_plus - c_minus) / (2.0 * c_);
 
   std::vector<double> grad(n);

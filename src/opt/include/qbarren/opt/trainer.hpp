@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "qbarren/common/run.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/optimizers.hpp"
 
 namespace qbarren {

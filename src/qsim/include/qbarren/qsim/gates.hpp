@@ -66,8 +66,9 @@ enum class Axis { kX, kY, kZ };
 // A 2x2 matrix by value (no heap), row-major. The entry helpers below are
 // the single arithmetic source for both the heap-matrix builders above and
 // the exec layer's allocation-free kernels: `rotation()` is implemented on
-// top of `rotation_entries()`, so compiled and interpreted execution see
-// exactly the same floating-point values.
+// top of `rotation_entries()`, so compiled execution and the dense
+// matrices (Circuit::unitary, the noisy simulator) see exactly the same
+// floating-point values.
 
 struct Mat2 {
   Complex m00, m01, m10, m11;

@@ -52,10 +52,6 @@ class StateVector {
   /// applies non-unitary derivatives) to `target`.
   void apply_single_qubit(const ComplexMatrix& u, std::size_t target);
 
-  /// Applies a 2x2 matrix to `target` controlled on `control` being |1>.
-  void apply_controlled(const ComplexMatrix& u, std::size_t control,
-                        std::size_t target);
-
   /// Controlled-Z between two qubits (order irrelevant): flips the sign of
   /// every amplitude whose both qubit bits are 1. Specialized fast path.
   void apply_cz(std::size_t a, std::size_t b);

@@ -190,7 +190,7 @@ Mat2 rotation_derivative_entries_from(Axis axis, const Mat2& r) {
   // Mirrors rotation_derivative() term by term: (-i/2) * (P * R) with the
   // dense matmul's accumulation semantics (zero Pauli entries skipped, the
   // accumulator starting from Complex{}), so the values are exactly the
-  // ones the interpreted path computes.
+  // ones rotation_derivative() computes.
   const Complex k{0.0, -0.5};
   const Complex zero{};
   switch (axis) {

@@ -69,32 +69,6 @@ void StateVector::apply_single_qubit(const ComplexMatrix& u,
   }
 }
 
-void StateVector::apply_controlled(const ComplexMatrix& u, std::size_t control,
-                                   std::size_t target) {
-  check_qubit(control, "apply_controlled");
-  check_qubit(target, "apply_controlled");
-  QBARREN_REQUIRE(control != target,
-                  "apply_controlled: control and target must differ");
-  QBARREN_REQUIRE(u.rows() == 2 && u.cols() == 2,
-                  "apply_controlled: matrix must be 2x2");
-  const Complex u00 = u.at_unchecked(0, 0);
-  const Complex u01 = u.at_unchecked(0, 1);
-  const Complex u10 = u.at_unchecked(1, 0);
-  const Complex u11 = u.at_unchecked(1, 1);
-
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  for (std::size_t i0 = 0; i0 < dim; ++i0) {
-    if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-    const std::size_t i1 = i0 | tbit;
-    const Complex a0 = amps_[i0];
-    const Complex a1 = amps_[i1];
-    amps_[i0] = u00 * a0 + u01 * a1;
-    amps_[i1] = u10 * a0 + u11 * a1;
-  }
-}
-
 void StateVector::apply_cz(std::size_t a, std::size_t b) {
   check_qubit(a, "apply_cz");
   check_qubit(b, "apply_cz");

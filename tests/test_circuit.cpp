@@ -1,5 +1,6 @@
-// Unit and property tests for the Circuit IR: building, execution,
-// inverses, derivatives, and the dense unitary reference path.
+// Unit and property tests for the Circuit IR: building, execution through
+// its compiled plan (per-op inverses and derivatives included), and the
+// dense unitary reference path.
 #include "qbarren/circuit/circuit.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/circuit/printer.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/linalg/checks.hpp"
 
 namespace qbarren {
@@ -59,13 +61,16 @@ TEST(Circuit, TwoQubitGateCount) {
 TEST(Circuit, ApplyValidatesSizes) {
   Circuit c(2);
   c.add_rotation(gates::Axis::kX, 0);
+  const auto plan = exec::plan_for(c);
+  const std::size_t n = plan->num_plan_ops();
   StateVector narrow(1);
   StateVector ok(2);
   const std::vector<double> params{0.1};
   const std::vector<double> wrong{0.1, 0.2};
-  EXPECT_THROW(c.apply(narrow, params), InvalidArgument);
-  EXPECT_THROW(c.apply(ok, wrong), InvalidArgument);
-  EXPECT_NO_THROW(c.apply(ok, params));
+  EXPECT_THROW(plan->apply_plan_ops(narrow, params, 0, n), InvalidArgument);
+  EXPECT_THROW(plan->apply_plan_ops(ok, wrong, 0, n), InvalidArgument);
+  EXPECT_THROW((void)exec::simulate(c, wrong), InvalidArgument);
+  EXPECT_NO_THROW(plan->apply_plan_ops(ok, params, 0, n));
 }
 
 TEST(Circuit, SimulateSingleRotationMatchesAnalytic) {
@@ -74,7 +79,7 @@ TEST(Circuit, SimulateSingleRotationMatchesAnalytic) {
   c.add_rotation(gates::Axis::kY, 0);
   const double theta = 0.9;
   const std::vector<double> params{theta};
-  const StateVector s = c.simulate(params);
+  const StateVector s = exec::simulate(c, params);
   EXPECT_NEAR(s.amplitude(0).real(), std::cos(theta / 2.0), kTol);
   EXPECT_NEAR(s.amplitude(1).real(), std::sin(theta / 2.0), kTol);
 }
@@ -93,7 +98,7 @@ TEST(Circuit, EveryOpKindExecutes) {
   c.add_cnot(1, 2);
   c.add_swap(0, 2);
   const std::vector<double> params{0.4};
-  const StateVector s = c.simulate(params);
+  const StateVector s = exec::simulate(c, params);
   EXPECT_NEAR(s.norm_squared(), 1.0, kTol);
 }
 
@@ -112,7 +117,7 @@ TEST(Circuit, UnitaryReferenceMatchesSimulation) {
   EXPECT_TRUE(is_unitary(u, 1e-10));
 
   // Column 0 of U is U|000>.
-  const StateVector s = c.simulate(params);
+  const StateVector s = exec::simulate(c, params);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_NEAR(std::abs(u(i, 0) - s.amplitude(i)), 0.0, 1e-10);
   }
@@ -123,7 +128,7 @@ TEST(Circuit, CnotConventionConsistentBetweenFastAndDensePaths) {
   Circuit c(2);
   c.add_pauli_x(0);
   c.add_cnot(0, 1);
-  const StateVector s = c.simulate({});
+  const StateVector s = exec::simulate(c, {});
   EXPECT_NEAR(s.probability(0b11), 1.0, kTol);
 
   const ComplexMatrix u = c.unitary({});
@@ -142,6 +147,7 @@ TEST(Circuit, InverseOpsUndoForward) {
   c.add_swap(1, 2);
   c.add_fixed_rotation(gates::Axis::kY, 1, 0.77);
   const std::vector<double> params{1.3};
+  const auto plan = exec::plan_for(c);
 
   StateVector s(3);
   // Scramble the start state so the test is not trivially about |0...0>.
@@ -149,9 +155,9 @@ TEST(Circuit, InverseOpsUndoForward) {
   s.apply_single_qubit(gates::u3(1.5, -0.2, 0.4), 2);
   const StateVector initial = s;
 
-  c.apply(s, params);
-  for (std::size_t k = c.num_operations(); k-- > 0;) {
-    c.apply_operation_inverse(k, s, params);
+  plan->apply_plan_ops(s, params, 0, plan->num_plan_ops());
+  for (std::size_t k = plan->num_plan_ops(); k-- > 0;) {
+    plan->apply_plan_op_inverse(k, s, params);
   }
   EXPECT_NEAR(s.fidelity(initial), 1.0, 1e-10);
 }
@@ -160,19 +166,28 @@ TEST(Circuit, DerivativeRequiresTrainableRotation) {
   Circuit c(1);
   c.add_hadamard(0);
   c.add_rotation(gates::Axis::kY, 0);
-  StateVector s(1);
+  const auto plan = exec::plan_for(c);
+  const StateVector s(1);
+  StateVector d(1);
   const std::vector<double> params{0.1};
-  EXPECT_THROW(c.apply_operation_derivative(0, s, params), InvalidArgument);
-  EXPECT_NO_THROW(c.apply_operation_derivative(1, s, params));
+  EXPECT_THROW(plan->apply_plan_op_derivative(0, s, d, params),
+               InvalidArgument);
+  EXPECT_NO_THROW(plan->apply_plan_op_derivative(1, s, d, params));
 }
 
 TEST(Circuit, OperationIndexValidated) {
   Circuit c(1);
   c.add_hadamard(0);
+  c.add_rotation(gates::Axis::kY, 0);
+  const auto plan = exec::plan_for(c);
   StateVector s(1);
-  EXPECT_THROW(c.apply_operation(1, s, {}), InvalidArgument);
-  EXPECT_THROW(c.apply_operation_inverse(1, s, {}), InvalidArgument);
-  EXPECT_THROW(c.apply_operation_derivative(1, s, {}), InvalidArgument);
+  StateVector d(1);
+  const std::vector<double> params{0.1};
+  EXPECT_THROW(plan->apply_plan_op(2, s, params), InvalidArgument);
+  EXPECT_THROW(plan->apply_plan_op_inverse(2, s, params), InvalidArgument);
+  EXPECT_THROW(plan->apply_plan_op_derivative(2, s, d, params),
+               InvalidArgument);
+  EXPECT_THROW(plan->apply_plan_ops(s, params, 1, 3), InvalidArgument);
 }
 
 TEST(Circuit, AppendRemapsParameters) {
@@ -206,10 +221,14 @@ TEST(Circuit, AppendEqualsSequentialExecution) {
   combined.append(b);
   const std::vector<double> params{0.4, 1.2};
 
-  const StateVector via_combined = combined.simulate(params);
+  const StateVector via_combined = exec::simulate(combined, params);
   StateVector via_sequence(2);
-  a.apply(via_sequence, std::vector<double>{0.4});
-  b.apply(via_sequence, std::vector<double>{1.2});
+  for (const auto& [part, part_params] :
+       {std::pair{&a, std::vector<double>{0.4}},
+        std::pair{&b, std::vector<double>{1.2}}}) {
+    const auto plan = exec::plan_for(*part);
+    plan->apply_plan_ops(via_sequence, part_params, 0, plan->num_plan_ops());
+  }
   EXPECT_NEAR(via_combined.fidelity(via_sequence), 1.0, kTol);
 }
 
@@ -342,7 +361,7 @@ TEST_P(CircuitReference, FastPathMatchesDenseUnitary) {
         break;
     }
   }
-  const StateVector fast = c.simulate(params);
+  const StateVector fast = exec::simulate(c, params);
   const ComplexMatrix u = c.unitary(params);
   EXPECT_TRUE(is_unitary(u, 1e-9));
   for (std::size_t i = 0; i < fast.dimension(); ++i) {

@@ -10,9 +10,10 @@
 #include "qbarren/circuit/optimize.hpp"
 #include "qbarren/circuit/printer.hpp"
 #include "qbarren/circuit/qasm_parser.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/linalg/checks.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 namespace qbarren {
@@ -33,7 +34,7 @@ TEST(ControlledRotation, ActsOnlyWhenControlSet) {
   // Control |0>: identity on the target.
   Circuit c(2);
   (void)c.add_controlled_rotation(gates::Axis::kY, 0, 1);
-  const StateVector untouched = c.simulate(std::vector<double>{1.3});
+  const StateVector untouched = exec::simulate(c, std::vector<double>{1.3});
   EXPECT_NEAR(untouched.probability(0b00), 1.0, 1e-12);
 
   // Control |1>: RY rotates the target.
@@ -41,7 +42,7 @@ TEST(ControlledRotation, ActsOnlyWhenControlSet) {
   c2.add_pauli_x(0);
   (void)c2.add_controlled_rotation(gates::Axis::kY, 0, 1);
   const double theta = 1.3;
-  const StateVector rotated = c2.simulate(std::vector<double>{theta});
+  const StateVector rotated = exec::simulate(c2, std::vector<double>{theta});
   EXPECT_NEAR(rotated.probability(0b01),
               std::cos(theta / 2.0) * std::cos(theta / 2.0), 1e-12);
   EXPECT_NEAR(rotated.probability(0b11),
@@ -67,11 +68,12 @@ TEST(ControlledRotation, InverseUndoesForward) {
   (void)c.add_controlled_rotation(gates::Axis::kX, 0, 2);
   (void)c.add_controlled_rotation(gates::Axis::kZ, 2, 1);
   const std::vector<double> params{0.9, -1.7};
+  const auto plan = exec::plan_for(c);
 
   StateVector s(3);
-  c.apply(s, params);
-  for (std::size_t k = c.num_operations(); k-- > 0;) {
-    c.apply_operation_inverse(k, s, params);
+  plan->apply_plan_ops(s, params, 0, plan->num_plan_ops());
+  for (std::size_t k = plan->num_plan_ops(); k-- > 0;) {
+    plan->apply_plan_op_inverse(k, s, params);
   }
   EXPECT_NEAR(s.probability(0), 1.0, 1e-11);
 }
@@ -124,7 +126,7 @@ TEST(ControlledRotation, FourTermShiftRuleIsExact) {
   auto cost_at = [&](double shift_amount) {
     std::vector<double> p = params;
     p[1] += shift_amount;
-    return obs.expectation(c.simulate(p));
+    return obs.expectation(exec::simulate(c, p));
   };
   const double naive =
       0.5 * (cost_at(M_PI / 2.0) - cost_at(-M_PI / 2.0));
@@ -168,8 +170,8 @@ TEST(ControlledRotation, PrinterAndQasmRoundTrip) {
   const ParsedQasm parsed = parse_qasm(qasm);
   EXPECT_EQ(parsed.circuit.num_parameters(), 1u);
   EXPECT_NEAR(parsed.parameters[0], 0.5, 1e-12);
-  EXPECT_NEAR(parsed.circuit.simulate(parsed.parameters)
-                  .fidelity(c.simulate(params)),
+  EXPECT_NEAR(exec::simulate(parsed.circuit, parsed.parameters)
+                  .fidelity(exec::simulate(c, params)),
               1.0, 1e-12);
 
   // CRX/CRY have no qelib1 equivalent: export must refuse loudly.

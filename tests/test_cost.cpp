@@ -1,5 +1,5 @@
 // Tests for CostFunction and the cost-kind factory.
-#include "qbarren/obs/cost.hpp"
+#include "qbarren/exec/cost.hpp"
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,7 @@
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/channels.hpp"
 #include "qbarren/qsim/gates.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -67,7 +68,7 @@ TEST(DensityMatrix, UnitaryEvolutionMatchesStateVector) {
       case 2: {
         std::size_t p = (q + 1) % 3;
         const auto u = gates::cnot();
-        psi.apply_controlled(gates::pauli_x(), q, p);
+        reference::apply_controlled(psi, gates::pauli_x(), q, p);
         rho.apply_unitary_2q(u, q, p);
         break;
       }
@@ -89,7 +90,7 @@ TEST(DensityMatrix, UnitaryEvolutionMatchesStateVector) {
 TEST(DensityMatrix, ExpectationMatchesStateVectorOnPureStates) {
   StateVector psi(2);
   psi.apply_single_qubit(gates::u3(0.9, 0.4, -0.2), 0);
-  psi.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(psi, gates::pauli_x(), 0, 1);
   const DensityMatrix rho = DensityMatrix::pure(psi);
 
   const GlobalZeroObservable global(2);
@@ -197,7 +198,7 @@ TEST(Channels, PhaseDampingPreservesPopulations) {
 TEST(Channels, TwoQubitDepolarizingTraceAndMixing) {
   StateVector bell(2);
   bell.apply_single_qubit(gates::hadamard(), 0);
-  bell.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(bell, gates::pauli_x(), 0, 1);
   DensityMatrix rho = DensityMatrix::pure(bell);
   rho.apply_channel_2q(channels::depolarizing_2q(0.5), 0, 1);
   EXPECT_NEAR(rho.trace(), 1.0, 1e-10);
@@ -227,7 +228,7 @@ TEST_P(ChannelProperties, TracePreservingAndHermitian) {
   const double p = GetParam();
   StateVector psi(2);
   psi.apply_single_qubit(gates::u3(0.8, 1.1, -0.3), 0);
-  psi.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(psi, gates::pauli_x(), 0, 1);
 
   for (const auto& channel :
        {channels::depolarizing(p), channels::bit_flip(p),

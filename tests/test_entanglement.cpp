@@ -6,8 +6,10 @@
 #include <cmath>
 
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/qsim/gates.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -29,7 +31,7 @@ TEST(ReducedDensity, ProductStateIsPure) {
 TEST(ReducedDensity, BellStateIsMaximallyMixed) {
   StateVector bell(2);
   bell.apply_single_qubit(gates::hadamard(), 0);
-  bell.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(bell, gates::pauli_x(), 0, 1);
   for (std::size_t q = 0; q < 2; ++q) {
     const ComplexMatrix rho = reduced_density_matrix_1q(bell, q);
     EXPECT_NEAR(std::abs(rho(0, 0) - Complex{0.5, 0.0}), 0.0, kTol);
@@ -67,7 +69,7 @@ TEST(MeyerWallach, ZeroForProductStates) {
 TEST(MeyerWallach, OneForBellState) {
   StateVector bell(2);
   bell.apply_single_qubit(gates::hadamard(), 0);
-  bell.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(bell, gates::pauli_x(), 0, 1);
   EXPECT_NEAR(meyer_wallach(bell), 1.0, kTol);
 }
 
@@ -75,8 +77,8 @@ TEST(MeyerWallach, GhzValue) {
   // GHZ_n: every single-qubit marginal is I/2 -> Q = 1.
   StateVector ghz(3);
   ghz.apply_single_qubit(gates::hadamard(), 0);
-  ghz.apply_controlled(gates::pauli_x(), 0, 1);
-  ghz.apply_controlled(gates::pauli_x(), 1, 2);
+  reference::apply_controlled(ghz, gates::pauli_x(), 0, 1);
+  reference::apply_controlled(ghz, gates::pauli_x(), 1, 2);
   EXPECT_NEAR(meyer_wallach(ghz), 1.0, kTol);
 }
 
@@ -99,7 +101,7 @@ TEST(MeyerWallach, BoundedOnRandomCircuits) {
   const auto init = make_initializer("random");
   Rng prng(5);
   const auto params = init->initialize(c, prng);
-  const double q = meyer_wallach(c.simulate(params));
+  const double q = meyer_wallach(exec::simulate(c, params));
   EXPECT_GE(q, 0.0);
   EXPECT_LE(q, 1.0 + kTol);
   EXPECT_GT(q, 0.1);  // deep random circuits entangle heavily
@@ -118,11 +120,11 @@ TEST(MeyerWallach, NearIdentityInitializationStartsNearZero) {
   Rng rng_b(6);
   Rng rng_c(6);
   const double q_xavier =
-      meyer_wallach(c.simulate(xavier->initialize(c, rng_a)));
+      meyer_wallach(exec::simulate(c, xavier->initialize(c, rng_a)));
   const double q_small =
-      meyer_wallach(c.simulate(small->initialize(c, rng_b)));
+      meyer_wallach(exec::simulate(c, small->initialize(c, rng_b)));
   const double q_random =
-      meyer_wallach(c.simulate(random->initialize(c, rng_c)));
+      meyer_wallach(exec::simulate(c, random->initialize(c, rng_c)));
   EXPECT_LT(q_xavier, q_random);
   EXPECT_LT(q_small, 0.2 * q_random);
 }

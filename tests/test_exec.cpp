@@ -1,8 +1,8 @@
 // Tests for the compiled execution-plan layer: lowering stats, fusion,
 // plan attachment/invalidation, and — most importantly — bit-identity of
-// the compiled path against the interpreted path for simulate, unitary,
-// all four gradient engines, and the noisy density-matrix simulator, on
-// randomized circuits mixing every op kind.
+// the compiled path against the op-by-op oracle (reference_interpreter.hpp)
+// for simulate, all four gradient engines, and the noisy density-matrix
+// simulator, on randomized circuits mixing every op kind.
 #include "qbarren/exec/compiled_circuit.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "qbarren/exec/plan_testing.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
+#include "reference_interpreter.hpp"
 
 // Internal to qbarren_exec: the table of compiled ISA variants.
 #include "kernel_variant.hpp"
@@ -29,9 +30,7 @@
 namespace qbarren {
 namespace {
 
-// Random circuit mixing every op kind the builders expose. Interpreted
-// references must be copied from the returned circuit BEFORE a plan is
-// attached (copies share an already-attached plan).
+// Random circuit mixing every op kind the builders expose.
 Circuit random_circuit(Rng& rng, std::size_t qubits, std::size_t num_ops) {
   Circuit c(qubits);
   const auto axis = [&] {
@@ -147,17 +146,10 @@ TEST(CompiledCircuit, LoweringStatsAndFusion) {
     }
   }
 
-  // Without fusion every source op lowers to its own kernel op.
-  exec::CompileOptions no_fuse;
-  no_fuse.fuse_single_qubit_runs = false;
-  const auto flat = exec::CompiledCircuit::compile(c, no_fuse);
-  EXPECT_EQ(flat->stats().fused_runs, 0u);
-  EXPECT_EQ(flat->stats().plan_ops, 9u);
-
-  // Fused and unfused programs agree exactly.
+  // The fused program agrees exactly with the op-by-op walk.
   Rng rng(7);
   const auto params = rng.uniform_vector(c.num_parameters(), 0.0, 2.0 * M_PI);
-  expect_states_equal(plan->simulate(params), flat->simulate(params));
+  expect_states_equal(plan->simulate(params), reference::simulate(c, params));
 }
 
 TEST(CompiledCircuit, PlanAttachShareAndInvalidate) {
@@ -185,44 +177,27 @@ TEST(CompiledCircuit, PlanAttachShareAndInvalidate) {
   EXPECT_EQ(replan->stats().source_ops, 3u);
 }
 
-TEST(CompiledCircuit, ScopedToggleDisablesPlanFor) {
-  Circuit c(1);
-  c.add_rotation(gates::Axis::kY, 0);
-  ASSERT_TRUE(exec::execution_plans_enabled());
-  {
-    exec::ScopedExecutionPlans off(false);
-    EXPECT_FALSE(exec::execution_plans_enabled());
-    EXPECT_EQ(exec::plan_for(c), nullptr);
-    EXPECT_EQ(c.execution_plan(), nullptr);  // nothing was attached
-  }
-  EXPECT_TRUE(exec::execution_plans_enabled());
-  EXPECT_NE(exec::plan_for(c), nullptr);
-}
-
 TEST(CompiledCircuit, SimulateMatchesInterpretedOnRandomCircuits) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed);
-    Circuit c = random_circuit(rng, 4, 40);
-    const Circuit interpreted = c;  // copied before any plan is attached
+    const Circuit c = random_circuit(rng, 4, 40);
     const auto params =
         rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
-
-    ASSERT_NE(exec::plan_for(c), nullptr);
-    const StateVector compiled = c.simulate(params);
-    const StateVector reference = interpreted.simulate(params);
-    expect_states_equal(compiled, reference);
+    expect_states_equal(exec::simulate(c, params),
+                        reference::simulate(c, params));
   }
 }
 
 TEST(CompiledCircuit, UnitaryMatchesInterpreted) {
   Rng rng(11);
   Circuit c = random_circuit(rng, 3, 25);
-  const Circuit interpreted = c;
+  const Circuit planless = c;  // copied before a plan is attached
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
-  ASSERT_NE(exec::plan_for(c), nullptr);
+  (void)exec::plan_for(c);
+  // The dense reference never reads the attached plan.
   const ComplexMatrix got = c.unitary(params);
-  const ComplexMatrix want = interpreted.unitary(params);
+  const ComplexMatrix want = planless.unitary(params);
   ASSERT_EQ(got.rows(), want.rows());
   for (std::size_t r = 0; r < got.rows(); ++r) {
     for (std::size_t col = 0; col < got.cols(); ++col) {
@@ -239,22 +214,16 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
 
   for (std::uint64_t seed = 20; seed < 26; ++seed) {
     Rng rng(seed);
-    Circuit c = random_circuit(rng, 4, 35);
-    const Circuit interpreted = c;
+    const Circuit c = random_circuit(rng, 4, 35);
     const auto params =
         rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
-    ASSERT_NE(exec::plan_for(c), nullptr);
-    for (const GradientEngine* engine :
-         {static_cast<const GradientEngine*>(&ps),
-          static_cast<const GradientEngine*>(&fd),
-          static_cast<const GradientEngine*>(&adj)}) {
+    const std::pair<const GradientEngine*, std::vector<double>> cases[] = {
+        {&ps, reference::parameter_shift_gradient(c, obs, params)},
+        {&fd, reference::finite_difference_gradient(c, obs, params)},
+        {&adj, reference::adjoint_value_and_gradient(c, obs, params).gradient}};
+    for (const auto& [engine, reference] : cases) {
       const auto compiled = engine->gradient(c, obs, params);
-      std::vector<double> reference;
-      {
-        exec::ScopedExecutionPlans off(false);
-        reference = engine->gradient(interpreted, obs, params);
-      }
       ASSERT_EQ(compiled.size(), reference.size());
       for (std::size_t i = 0; i < compiled.size(); ++i) {
         EXPECT_EQ(compiled[i], reference[i])
@@ -264,11 +233,8 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
 
     // value_and_gradient carries the same bit-identity guarantee.
     const ValueAndGradient compiled_vg = adj.value_and_gradient(c, obs, params);
-    ValueAndGradient reference_vg;
-    {
-      exec::ScopedExecutionPlans off(false);
-      reference_vg = adj.value_and_gradient(interpreted, obs, params);
-    }
+    const ValueAndGradient reference_vg =
+        reference::adjoint_value_and_gradient(c, obs, params);
     EXPECT_EQ(compiled_vg.value, reference_vg.value);
     for (std::size_t i = 0; i < compiled_vg.gradient.size(); ++i) {
       EXPECT_EQ(compiled_vg.gradient[i], reference_vg.gradient[i]) << i;
@@ -278,19 +244,31 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
 
 TEST(CompiledCircuit, SpsaSameSeedMatchesInterpreted) {
   Rng rng(31);
-  Circuit c = random_circuit(rng, 4, 30);
-  const Circuit interpreted = c;
+  const Circuit c = random_circuit(rng, 4, 30);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
   const GlobalZeroObservable obs(4);
 
-  ASSERT_NE(exec::plan_for(c), nullptr);
   const SpsaEngine compiled_engine(123);
   const auto compiled = compiled_engine.gradient(c, obs, params);
-  std::vector<double> reference;
-  {
-    exec::ScopedExecutionPlans off(false);
-    const SpsaEngine interpreted_engine(123);
-    reference = interpreted_engine.gradient(interpreted, obs, params);
+  // SPSA's estimate from the same +-1 draws, both sides simulated by the
+  // oracle.
+  constexpr double kPerturbation = 0.01;  // SpsaEngine's default c
+  Rng draws(123);
+  std::vector<double> delta(params.size());
+  for (double& d : delta) d = draws.bernoulli(0.5) ? 1.0 : -1.0;
+  std::vector<double> plus = params;
+  std::vector<double> minus = params;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    plus[i] += kPerturbation * delta[i];
+    minus[i] -= kPerturbation * delta[i];
+  }
+  const double scale =
+      (obs.expectation(reference::simulate(c, plus)) -
+       obs.expectation(reference::simulate(c, minus))) /
+      (2.0 * kPerturbation);
+  std::vector<double> reference(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    reference[i] = scale / delta[i];
   }
   ASSERT_EQ(compiled.size(), reference.size());
   for (std::size_t i = 0; i < compiled.size(); ++i) {
@@ -299,9 +277,9 @@ TEST(CompiledCircuit, SpsaSameSeedMatchesInterpreted) {
 }
 
 TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
-  // partial() takes the prefix-reuse path; gradient() loops partial. Both
-  // must agree with each other and with the interpreted partial — exactly,
-  // including the controlled-rotation four-term rule.
+  // partial() takes the prefix-reuse path; gradient() takes the shift walk.
+  // Both must agree with each other and with the oracle's partial —
+  // exactly, including the controlled-rotation four-term rule.
   Circuit c(3);
   c.add_hadamard(0);
   c.add_rotation(gates::Axis::kY, 0);
@@ -309,7 +287,6 @@ TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
   c.add_cnot(1, 2);
   c.add_rotation(gates::Axis::kX, 2);
   c.add_rotation(gates::Axis::kZ, 1);
-  const Circuit interpreted = c;
 
   Rng rng(5);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
@@ -317,20 +294,14 @@ TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
   const ParameterShiftEngine ps;
   const FiniteDifferenceEngine fd;
 
-  ASSERT_NE(exec::plan_for(c), nullptr);
   const auto grad = ps.gradient(c, obs, params);
   for (std::size_t i = 0; i < params.size(); ++i) {
     EXPECT_EQ(ps.partial(c, obs, params, i), grad[i]) << i;
     EXPECT_EQ(fd.partial(c, obs, params, i),
-              [&] {
-                exec::ScopedExecutionPlans off(false);
-                return fd.partial(interpreted, obs, params, i);
-              }())
+              reference::finite_difference_partial(c, obs, params, i))
         << i;
-    {
-      exec::ScopedExecutionPlans off(false);
-      EXPECT_EQ(ps.partial(interpreted, obs, params, i), grad[i]) << i;
-    }
+    EXPECT_EQ(reference::parameter_shift_partial(c, obs, params, i), grad[i])
+        << i;
   }
 }
 
@@ -351,34 +322,38 @@ TEST(CompiledCircuit, OperationForParameterTableMatchesScan) {
   }
 }
 
-TEST(CompiledCircuit, MalformedCustomGateFallsBackToInterpreted) {
+TEST(CompiledCircuit, MalformedCustomGateThrowsAndAttachesNothing) {
   Circuit c(2);
   c.add_rotation(gates::Axis::kY, 0);
   c.add_custom_gate("bad-dims", ComplexMatrix(3, 3), 1);
 
-  // Lowering fails, so plan_for declines to attach anything...
-  EXPECT_EQ(exec::plan_for(c), nullptr);
+  // Lowering fails, so plan_for throws compile()'s error and attaches
+  // nothing; executing the circuit reports the same error.
+  EXPECT_THROW((void)exec::plan_for(c), InvalidArgument);
   EXPECT_EQ(c.execution_plan(), nullptr);
-  // ...and execution still reports the malformed gate the usual way.
-  EXPECT_THROW((void)c.simulate(std::vector<double>{0.3}), InvalidArgument);
+  EXPECT_THROW((void)exec::simulate(c, std::vector<double>{0.3}),
+               InvalidArgument);
+  EXPECT_EQ(c.execution_plan(), nullptr);
+  // So do the gradient engines, which execute through plan_for.
+  const GlobalZeroObservable obs(2);
+  for (const char* name : {"parameter-shift", "finite-difference", "adjoint",
+                           "spsa"}) {
+    EXPECT_THROW((void)make_gradient_engine(name)->gradient(
+                     c, obs, std::vector<double>{0.3}),
+                 InvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(c.execution_plan(), nullptr);
 }
 
 TEST(CompiledCircuit, NoisySimulatorMatchesInterpreted) {
   Rng rng(51);
-  Circuit c = random_circuit(rng, 3, 20);
-  const Circuit interpreted = c;
+  const Circuit c = random_circuit(rng, 3, 20);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
   const GlobalZeroObservable obs(3);
   const NoiseModel noise = make_depolarizing_model(0.01, 0.02);
-
-  ASSERT_NE(exec::plan_for(c), nullptr);
-  const double compiled = noisy_expectation(c, params, obs, noise);
-  double reference = 0.0;
-  {
-    exec::ScopedExecutionPlans off(false);
-    reference = noisy_expectation(interpreted, params, obs, noise);
-  }
-  EXPECT_EQ(compiled, reference);
+  EXPECT_EQ(noisy_expectation(c, params, obs, noise),
+            reference::noisy_expectation(c, params, obs, noise));
 }
 
 TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
@@ -399,8 +374,8 @@ TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
 // --- the shared-prefix shift walk -------------------------------------------
 //
 // shifted_expectations must return, for every spec, exactly (==) what a
-// per-spec PartialEvaluator returns, and what the interpreted path returns
-// for the same shifted binding.
+// per-spec PartialEvaluator returns, and what the oracle returns for the
+// same shifted binding.
 
 /// Per-spec PartialEvaluator values: the walk's reference.
 std::vector<double> per_spec_partials(
@@ -415,18 +390,16 @@ std::vector<double> per_spec_partials(
   return out;
 }
 
-/// Per-spec interpreted values: whole-program simulation of the shifted
-/// binding with plans off (`interpreted` must carry no plan).
-std::vector<double> per_spec_interpreted(
-    const Circuit& interpreted, const Observable& obs,
+/// Per-spec oracle values: whole-program simulation of the shifted
+/// binding.
+std::vector<double> per_spec_oracle(
+    const Circuit& circuit, const Observable& obs,
     const std::vector<double>& params,
     const std::vector<exec::ShiftSpec>& specs) {
-  const exec::ScopedExecutionPlans off(false);
   std::vector<double> out;
   for (const exec::ShiftSpec& spec : specs) {
-    std::vector<double> shifted = params;
-    shifted[spec.param] += spec.delta;
-    out.push_back(obs.expectation(interpreted.simulate(shifted)));
+    out.push_back(reference::shifted_expectation(circuit, obs, params,
+                                                 spec.param, spec.delta));
   }
   return out;
 }
@@ -436,9 +409,7 @@ TEST(ShiftedExpectations, MatchesPartialEvaluatorAndInterpretedExactly) {
     Rng rng(seed);
     Circuit c = random_circuit(rng, 4, 36);
     c.add_rotation(gates::Axis::kX, 2);  // at least one parameter
-    const Circuit interpreted = c;
     const auto plan = exec::plan_for(c);
-    ASSERT_NE(plan, nullptr);
     const GlobalZeroObservable obs(4);
     const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
@@ -454,7 +425,7 @@ TEST(ShiftedExpectations, MatchesPartialEvaluatorAndInterpretedExactly) {
         exec::shifted_expectations(*plan, obs, params, specs);
     EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs))
         << "seed " << seed;
-    EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs))
+    EXPECT_EQ(got, per_spec_oracle(c, obs, params, specs))
         << "seed " << seed;
   }
 }
@@ -472,9 +443,7 @@ TEST(ShiftedExpectations, FusedPairNeverStraddlesTheShiftedOp) {
     c.add_cz(0, 1);
     c.add_cz(1, 2);
   }
-  const Circuit interpreted = c;
   const auto plan = exec::plan_for(c);
-  ASSERT_NE(plan, nullptr);
   const LocalZeroObservable obs(3);
   Rng rng(7);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
@@ -492,7 +461,7 @@ TEST(ShiftedExpectations, FusedPairNeverStraddlesTheShiftedOp) {
     const std::vector<double> got =
         exec::shifted_expectations(*plan, obs, params, specs);
     EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs));
-    EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs));
+    EXPECT_EQ(got, per_spec_oracle(c, obs, params, specs));
   }
 }
 
@@ -503,9 +472,7 @@ TEST(ShiftedExpectations, ControlledRotationTakesAllFourShifts) {
   c.add_controlled_rotation(gates::Axis::kZ, 0, 1);
   c.add_controlled_rotation(gates::Axis::kX, 1, 2);
   c.add_rotation(gates::Axis::kX, 2);
-  const Circuit interpreted = c;
   const auto plan = exec::plan_for(c);
-  ASSERT_NE(plan, nullptr);
   const GlobalZeroObservable obs(3);
   const std::vector<double> params{0.4, -1.3, 2.2, 0.9};
   std::vector<exec::ShiftSpec> specs;
@@ -517,15 +484,15 @@ TEST(ShiftedExpectations, ControlledRotationTakesAllFourShifts) {
   const std::vector<double> got =
       exec::shifted_expectations(*plan, obs, params, specs);
   EXPECT_EQ(got, per_spec_partials(plan, obs, params, specs));
-  EXPECT_EQ(got, per_spec_interpreted(interpreted, obs, params, specs));
+  EXPECT_EQ(got, per_spec_oracle(c, obs, params, specs));
 }
 
-TEST(ShiftedExpectations, SharedAndUnconsumedParametersTakeTheFallback) {
+TEST(ShiftedExpectations, SharedAndUnconsumedParametersAreRefused) {
   // The builders never share a parameter, so corrupt a copy of a plan
   // the way compile() records one consumed twice: the second rotation
   // also reads parameter 0, whose binding compile() would clear, and
-  // parameter 1 is left unconsumed. Both must match PartialEvaluator's
-  // whole-program fallback on the same plan.
+  // parameter 1 is left unconsumed. Shifting either has no unique
+  // consuming op, so both evaluators refuse it.
   Circuit c(2);
   c.add_rotation(gates::Axis::kX, 0);
   c.add_rotation(gates::Axis::kY, 1);
@@ -544,11 +511,19 @@ TEST(ShiftedExpectations, SharedAndUnconsumedParametersTakeTheFallback) {
 
   const GlobalZeroObservable obs(2);
   const std::vector<double> params{0.7, -0.2, 1.9};
-  const std::vector<exec::ShiftSpec> specs{
-      {2, 0.5}, {0, M_PI / 2.0}, {1, M_PI / 2.0}, {0, -M_PI / 2.0}};
   const std::shared_ptr<const exec::CompiledCircuit> view = plan;
-  EXPECT_EQ(exec::shifted_expectations(*plan, obs, params, specs),
-            per_spec_partials(view, obs, params, specs));
+  for (const std::size_t p : {0u, 1u}) {
+    const std::vector<exec::ShiftSpec> specs{{2, 0.5}, {p, M_PI / 2.0}};
+    EXPECT_THROW((void)exec::shifted_expectations(*plan, obs, params, specs),
+                 InvalidArgument)
+        << p;
+    EXPECT_THROW(exec::PartialEvaluator(view, obs, params, p), InvalidArgument)
+        << p;
+  }
+  // The intact parameter still shifts.
+  const std::vector<exec::ShiftSpec> intact{{2, 0.5}};
+  EXPECT_EQ(exec::shifted_expectations(*plan, obs, params, intact),
+            per_spec_partials(view, obs, params, intact));
 }
 
 TEST(ShiftedExpectations, EmptyAndInvalidSpecLists) {
@@ -556,7 +531,6 @@ TEST(ShiftedExpectations, EmptyAndInvalidSpecLists) {
   c.add_rotation(gates::Axis::kX, 0);
   c.add_rotation(gates::Axis::kY, 1);
   const auto plan = exec::plan_for(c);
-  ASSERT_NE(plan, nullptr);
   const GlobalZeroObservable obs(2);
   const std::vector<double> params{0.1, 0.2};
   EXPECT_TRUE(exec::shifted_expectations(*plan, obs, params, {}).empty());
@@ -573,8 +547,8 @@ TEST(ShiftedExpectations, EmptyAndInvalidSpecLists) {
 //
 // The axis-specialised rotation kernels (RX/RY in real arithmetic, RZ
 // diagonal) and the branch-free generic 2x2 kernel against StateVector's
-// interpreted apply: equal under == on every component, and bit-identical
-// wherever the interpreted component is nonzero (a skipped product with an
+// plain apply loop: equal under == on every component, and bit-identical
+// wherever the loop's component is nonzero (a skipped product with an
 // exact-zero entry component may only change the sign of a zero).
 
 void expect_same_amplitudes(const StateVector& got, const StateVector& want,
@@ -775,7 +749,7 @@ std::vector<StateVector> signed_zero_inputs(std::size_t qubits, Rng& rng) {
 //
 // CZ, the controlled 2x2 and the 4-group kernels enumerate the indices
 // whose two qubit bits match a pattern as contiguous runs, where the
-// interpreted kernels scan every index and skip. Every ordered pair,
+// StateVector loops and the oracle scan every index and skip. Every ordered pair,
 // adjacent or not, with a > b as well as a < b.
 
 TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
@@ -815,7 +789,7 @@ TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
           expect_bit_identical(second, want_other, "cz pair second " + name);
 
           StateVector want_controlled = inputs[n];
-          want_controlled.apply_controlled(u, a, b);
+          reference::apply_controlled(want_controlled, u, a, b);
           StateVector controlled = inputs[n];
           exec::apply_controlled_mat2(controlled, gates::entries_of(u), a, b);
           expect_bit_identical(controlled, want_controlled,
@@ -1119,50 +1093,43 @@ std::vector<Circuit> ladder_circuits() {
 }
 
 TEST(CzLadders, EveryConsumerMatchesTheInterpretedPath) {
-  // The interpreted path's contract (see the kernel tests above): equal
-  // under ==, bit-identical on every nonzero component.
+  // The oracle's contract (see the kernel tests above): equal under ==,
+  // bit-identical on every nonzero component.
   const AdjointEngine adjoint;
   const ParameterShiftEngine shift;
   std::size_t ladders = 0;
-  for (Circuit& c : ladder_circuits()) {
-    const Circuit interpreted = c;  // copied before a plan is attached
+  for (const Circuit& c : ladder_circuits()) {
     const std::size_t q = c.num_qubits();
     const LocalZeroObservable obs(q);
     Rng rng(q + c.num_operations());
     const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
     const std::vector<std::size_t> partials = {0, c.num_parameters() / 2,
                                                c.num_parameters() - 1};
-    const auto partials_of = [&](const Circuit& circuit) {
-      std::vector<double> out;
-      for (const std::size_t p : partials) {
-        out.push_back(shift.partial(circuit, obs, params, p));
-      }
-      return out;
-    };
+    std::vector<double> got_partials;
+    std::vector<double> want_partials;
+    for (const std::size_t p : partials) {
+      got_partials.push_back(shift.partial(c, obs, params, p));
+      want_partials.push_back(
+          reference::parameter_shift_partial(c, obs, params, p));
+    }
 
-    const auto plan = exec::plan_for(c);
-    ASSERT_NE(plan, nullptr);
-    ladders += plan->stats().cz_ladders;
-    const StateVector got = c.simulate(params);
+    ladders += exec::plan_for(c)->stats().cz_ladders;
+    const std::string what = "q=" + std::to_string(q) + " ops " +
+                             std::to_string(c.num_operations());
+    expect_same_amplitudes(exec::simulate(c, params),
+                           reference::simulate(c, params), "simulate " + what);
     // Adjoint: the forward pass and the inverse double sweep both run the
     // ladders. Partials: PartialEvaluator's prefix and suffix cross them.
     // The parameter-shift gradient's shift walk advances its base across
     // them and runs them in every suffix.
     const ValueAndGradient got_vg = adjoint.value_and_gradient(c, obs, params);
-    const std::vector<double> got_partials = partials_of(c);
-    const std::vector<double> got_shift = shift.gradient(c, obs, params);
-
-    const exec::ScopedExecutionPlans off(false);
-    const std::string what = "q=" + std::to_string(q) + " ops " +
-                             std::to_string(c.num_operations());
-    expect_same_amplitudes(got, interpreted.simulate(params),
-                           "simulate " + what);
     const ValueAndGradient want_vg =
-        adjoint.value_and_gradient(interpreted, obs, params);
+        reference::adjoint_value_and_gradient(c, obs, params);
     EXPECT_EQ(got_vg.value, want_vg.value) << "adjoint value " << what;
     EXPECT_EQ(got_vg.gradient, want_vg.gradient) << "adjoint " << what;
-    EXPECT_EQ(got_partials, partials_of(interpreted)) << "partials " << what;
-    EXPECT_EQ(got_shift, shift.gradient(interpreted, obs, params))
+    EXPECT_EQ(got_partials, want_partials) << "partials " << what;
+    EXPECT_EQ(shift.gradient(c, obs, params),
+              reference::parameter_shift_gradient(c, obs, params))
         << "shift walk " << what;
   }
   EXPECT_GT(ladders, 0u);  // the fixtures must exercise the ladder kernel
@@ -1170,18 +1137,15 @@ TEST(CzLadders, EveryConsumerMatchesTheInterpretedPath) {
 
 TEST(CzLadders, NoisySimulatorMatchesInterpreted) {
   const NoiseModel noise = make_depolarizing_model(0.01, 0.02);
-  for (Circuit& c : ladder_circuits()) {
+  for (const Circuit& c : ladder_circuits()) {
     if (c.num_qubits() > 5) continue;  // density matrices grow as 4^q
-    const Circuit interpreted = c;
     const GlobalZeroObservable obs(c.num_qubits());
     Rng rng(c.num_operations());
     const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
-    ASSERT_NE(exec::plan_for(c), nullptr);
-    const double compiled = noisy_expectation(c, params, obs, noise);
-    exec::ScopedExecutionPlans off(false);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(compiled),
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  noisy_expectation(c, params, obs, noise)),
               std::bit_cast<std::uint64_t>(
-                  noisy_expectation(interpreted, params, obs, noise)));
+                  reference::noisy_expectation(c, params, obs, noise)));
   }
 }
 

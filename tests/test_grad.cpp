@@ -12,6 +12,7 @@
 #include "qbarren/bp/cost_kind.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -87,7 +88,7 @@ TEST(Adjoint, ValueAndGradientValueMatchesForward) {
   const auto params = rng.uniform_vector(c.num_parameters(), -1.0, 1.0);
 
   const ValueAndGradient vg = engine.value_and_gradient(c, obs, params);
-  EXPECT_NEAR(vg.value, obs.expectation(c.simulate(params)), 1e-12);
+  EXPECT_NEAR(vg.value, obs.expectation(exec::simulate(c, params)), 1e-12);
   EXPECT_EQ(vg.gradient.size(), c.num_parameters());
 }
 
@@ -163,7 +164,7 @@ TEST(Factory, KnownEnginesConstruct) {
 // With a plan, ParameterShiftEngine::gradient and FiniteDifferenceEngine::
 // gradient evaluate every shifted binding in one walk of the op stream.
 // Each entry must equal (==) the engine's own per-parameter partial (a
-// PartialEvaluator per parameter) and the interpreted gradient.
+// PartialEvaluator per parameter) and the op-by-op oracle's gradient.
 
 /// Eq 3's training ansatz (same-qubit RX/RY pairs and CZ ladders) with a
 /// controlled rotation appended so the four-term rule fires too.
@@ -180,13 +181,16 @@ TEST(ShiftWalkGradients, MatchPerParameterPartialsAndInterpretedExactly) {
   const std::vector<std::pair<std::size_t, std::size_t>> shapes{
       {2, 1}, {4, 3}, {5, 2}};
   for (const auto& [qubits, layers] : shapes) {
-    Circuit c = walk_circuit(qubits, layers);
-    const Circuit interpreted = c;  // copied before a plan is attached
-    ASSERT_NE(exec::plan_for(c), nullptr);
+    const Circuit c = walk_circuit(qubits, layers);
     const LocalZeroObservable obs(qubits);
     Rng rng(qubits * 10 + layers);
     const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
-    for (const char* name : {"parameter-shift", "finite-difference"}) {
+    const std::pair<const char*, std::vector<double>> cases[] = {
+        {"parameter-shift",
+         reference::parameter_shift_gradient(c, obs, params)},
+        {"finite-difference",
+         reference::finite_difference_gradient(c, obs, params)}};
+    for (const auto& [name, oracle] : cases) {
       const auto engine = make_gradient_engine(name);
       const std::vector<double> walk = engine->gradient(c, obs, params);
       std::vector<double> partials;
@@ -194,26 +198,26 @@ TEST(ShiftWalkGradients, MatchPerParameterPartialsAndInterpretedExactly) {
         partials.push_back(engine->partial(c, obs, params, i));
       }
       EXPECT_EQ(walk, partials) << name << " q=" << qubits;
-      const exec::ScopedExecutionPlans off(false);
-      EXPECT_EQ(walk, engine->gradient(interpreted, obs, params))
-          << name << " q=" << qubits;
+      EXPECT_EQ(walk, oracle) << name << " q=" << qubits;
     }
   }
 }
 
-TEST(ShiftWalkGradients, MalformedCustomGateFallsBackToInterpreted) {
-  // compile() refuses the 3x3 "gate", plan_for returns nullptr, and the
-  // engines take their interpreted path, including its error report.
+TEST(ShiftWalkGradients, MalformedCustomGateThrowsInvalidArgument) {
+  // compile() refuses the 3x3 "gate", so plan_for throws its error and
+  // the engines, full gradients and single partials alike, pass it on.
   Circuit c(2);
   c.add_rotation(gates::Axis::kX, 0);
   c.add_custom_gate("bad-dims", ComplexMatrix(3, 3), 1);
   c.add_rotation(gates::Axis::kY, 1);
   const GlobalZeroObservable obs(2);
   const std::vector<double> params{0.3, -1.1};
-  EXPECT_EQ(exec::plan_for(c), nullptr);
+  EXPECT_THROW((void)exec::plan_for(c), InvalidArgument);
   for (const char* name : {"parameter-shift", "finite-difference"}) {
-    EXPECT_THROW((void)make_gradient_engine(name)->gradient(c, obs, params),
-                 InvalidArgument)
+    const auto engine = make_gradient_engine(name);
+    EXPECT_THROW((void)engine->gradient(c, obs, params), InvalidArgument)
+        << name;
+    EXPECT_THROW((void)engine->partial(c, obs, params, 1), InvalidArgument)
         << name;
   }
 }

@@ -9,6 +9,7 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/qsim/gates.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -51,7 +52,7 @@ TEST(PauliSum, ExpectationBoundedByOneNorm) {
   const PauliSumObservable h({{0.5, "ZZ"}, {0.25, "XX"}});
   StateVector s(2);
   s.apply_single_qubit(gates::hadamard(), 0);
-  s.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(s, gates::pauli_x(), 0, 1);
   EXPECT_LE(std::abs(h.expectation(s)), h.one_norm() + 1e-12);
 }
 

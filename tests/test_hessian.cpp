@@ -8,6 +8,7 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/common/stats.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/linalg/checks.hpp"
 
@@ -37,7 +38,7 @@ TEST(Hessian, MatchesFiniteDifferences) {
 
   const double step = 1e-4;
   auto cost_at = [&](std::vector<double> p) {
-    return obs.expectation(c.simulate(p));
+    return obs.expectation(exec::simulate(c, p));
   };
   for (std::size_t i = 0; i < params.size(); ++i) {
     for (std::size_t j = 0; j < params.size(); ++j) {

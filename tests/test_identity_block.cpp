@@ -5,6 +5,7 @@
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/stats.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/observable.hpp"
@@ -53,7 +54,7 @@ TEST(IdentityBlocks, InitialStateIsExactlyZero) {
     Rng param_rng(seed + 100);
     const auto params = initialize_identity_blocks(ansatz, param_rng);
 
-    const StateVector state = ansatz.circuit.simulate(params);
+    const StateVector state = exec::simulate(ansatz.circuit, params);
     EXPECT_NEAR(state.probability(0), 1.0, 1e-10) << "seed " << seed;
   }
 }
@@ -126,7 +127,7 @@ TEST(IdentityBlocks, TrainableFromIdentityStart) {
   auto params = initialize_identity_blocks(ansatz, param_rng);
   const GlobalZeroObservable obs(3);
   params[0] += 0.3;  // break one mirror pair
-  const StateVector state = ansatz.circuit.simulate(params);
+  const StateVector state = exec::simulate(ansatz.circuit, params);
   EXPECT_GT(obs.expectation(state), 1e-4);
 }
 

@@ -9,9 +9,9 @@
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/circuit/printer.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 namespace qbarren {

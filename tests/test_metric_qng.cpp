@@ -2,12 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "qbarren/circuit/ansatz.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/metric.hpp"
 #include "qbarren/linalg/checks.hpp"
 #include "qbarren/linalg/solve.hpp"
 #include "qbarren/opt/natural_gradient.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -26,14 +31,119 @@ TEST(DerivativeStates, MatchFiniteDifferencesOfTheState) {
   for (std::size_t i = 0; i < params.size(); i += 3) {
     std::vector<double> shifted(params);
     shifted[i] += h;
-    const StateVector plus = c.simulate(shifted);
+    const StateVector plus = exec::simulate(c, shifted);
     shifted[i] = params[i] - h;
-    const StateVector minus = c.simulate(shifted);
+    const StateVector minus = exec::simulate(c, shifted);
     for (std::size_t k = 0; k < plus.dimension(); ++k) {
       const Complex fd =
           (plus.amplitude(k) - minus.amplitude(k)) / (2.0 * h);
       EXPECT_NEAR(std::abs(derivatives[i].amplitude(k) - fd), 0.0, 1e-6)
           << "param " << i << " amp " << k;
+    }
+  }
+}
+
+/// Every op kind the builders expose, each added three times in a random
+/// order on random wires.
+Circuit every_op_kind_circuit(Rng& rng, std::size_t qubits) {
+  Circuit c(qubits);
+  const auto axis = [&] { return static_cast<gates::Axis>(rng.index(3)); };
+  const auto q = [&] { return rng.index(qubits); };
+  const auto pair = [&] {
+    const std::size_t a = rng.index(qubits);
+    std::size_t b = rng.index(qubits - 1);
+    if (b >= a) ++b;
+    return std::pair{a, b};
+  };
+  const std::vector<std::function<void()>> builders = {
+      [&] { c.add_rotation(axis(), q()); },
+      [&] { c.add_fixed_rotation(axis(), q(), rng.uniform(-M_PI, M_PI)); },
+      [&] {
+        const auto [a, b] = pair();
+        c.add_controlled_rotation(axis(), a, b);
+      },
+      [&] { c.add_hadamard(q()); },
+      [&] { c.add_pauli_x(q()); },
+      [&] { c.add_pauli_y(q()); },
+      [&] { c.add_pauli_z(q()); },
+      [&] { c.add_s(q()); },
+      [&] { c.add_t(q()); },
+      [&] {
+        const auto [a, b] = pair();
+        c.add_cz(a, b);
+      },
+      [&] {
+        const auto [a, b] = pair();
+        c.add_cnot(a, b);
+      },
+      [&] {
+        const auto [a, b] = pair();
+        c.add_swap(a, b);
+      },
+      [&] { c.add_custom_gate("u3", gates::u3(0.7, 1.9, -0.4), q()); },
+      [&] {
+        const auto [a, b] = pair();
+        c.add_custom_two_qubit_gate("crz", gates::crz(0.6), std::min(a, b),
+                                    std::max(a, b));
+      },
+  };
+  std::vector<std::size_t> order;
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < builders.size(); ++k) order.push_back(k);
+  }
+  for (std::size_t i = order.size(); i-- > 1;) {
+    std::swap(order[i], order[rng.index(i + 1)]);
+  }
+  for (const std::size_t k : order) builders[k]();
+  return c;
+}
+
+TEST(DerivativeStates, MatchTheOpByOpOracleExactly) {
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    Rng rng(seed);
+    const Circuit c = every_op_kind_circuit(rng, 3);
+    const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+
+    // Oracle: for each parameter, the source ops before its consumer, the
+    // consumer's derivative, then the rest — each op applied on its own.
+    std::vector<StateVector> want(params.size(), StateVector(3));
+    const auto& ops = c.operations();
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      if (!is_parameterized(ops[k].kind)) continue;
+      StateVector d(3);
+      for (std::size_t j = 0; j < k; ++j) {
+        reference::apply_operation(c, j, d, params);
+      }
+      reference::apply_operation_derivative(c, k, d, params);
+      for (std::size_t j = k + 1; j < ops.size(); ++j) {
+        reference::apply_operation(c, j, d, params);
+      }
+      want[ops[k].param_index] = d;
+    }
+    const StateVector psi = reference::simulate(c, params);
+    RealMatrix want_f(params.size(), params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const Complex ai = psi.inner_product(want[i]);
+      for (std::size_t j = i; j < params.size(); ++j) {
+        const Complex aj = psi.inner_product(want[j]);
+        want_f(i, j) = (want[i].inner_product(want[j]) - std::conj(ai) * aj)
+                           .real();
+        want_f(j, i) = want_f(i, j);
+      }
+    }
+
+    const std::vector<StateVector> got = derivative_states(c, params);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      EXPECT_EQ(got[p].amplitudes(), want[p].amplitudes())
+          << "seed " << seed << " param " << p;
+    }
+    const RealMatrix f = fubini_study_metric(c, params);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      for (std::size_t j = 0; j < params.size(); ++j) {
+        EXPECT_EQ(f(i, j), want_f(i, j)) << "seed " << seed << " " << i << ","
+                                         << j;
+      }
     }
   }
 }

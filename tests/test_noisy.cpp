@@ -7,6 +7,7 @@
 
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/stats.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 
@@ -32,7 +33,7 @@ TEST(SimulateNoisy, NoiselessMatchesStateVector) {
 
   const NoiseModel none;
   const DensityMatrix rho = simulate_noisy(c, params, none);
-  const StateVector psi = c.simulate(params);
+  const StateVector psi = exec::simulate(c, params);
   EXPECT_NEAR(rho.purity(), 1.0, 1e-9);
   for (std::size_t i = 0; i < psi.dimension(); ++i) {
     EXPECT_NEAR(rho.probability(i), psi.probability(i), 1e-9);

@@ -8,6 +8,7 @@
 
 #include "qbarren/common/rng.hpp"
 #include "qbarren/qsim/gates.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -153,7 +154,7 @@ TEST(PauliString, ZzOnBellState) {
   // (|00> + |11>)/sqrt(2) has <ZZ> = +1, <Z on either qubit> = 0.
   StateVector bell(2);
   bell.apply_single_qubit(gates::hadamard(), 0);
-  bell.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(bell, gates::pauli_x(), 0, 1);
   EXPECT_NEAR(PauliStringObservable("ZZ").expectation(bell), 1.0, kTol);
   EXPECT_NEAR(PauliStringObservable("ZI").expectation(bell), 0.0, kTol);
   EXPECT_NEAR(PauliStringObservable("IZ").expectation(bell), 0.0, kTol);

@@ -5,9 +5,9 @@
 
 #include <cmath>
 
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/linalg/checks.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/obs/hva.hpp"
 #include "qbarren/opt/trainer.hpp"
 

@@ -85,15 +85,6 @@ TEST(PlanVerify, EveryKernelFamilyVerifiesClean) {
   EXPECT_TRUE(verify_plan(circuit, *plan).empty());
 }
 
-TEST(PlanVerify, UnfusedCompilationVerifiesClean) {
-  const Circuit circuit = every_kernel_circuit();
-  exec::CompileOptions options;
-  options.fuse_single_qubit_runs = false;
-  const auto plan = CompiledCircuit::compile(circuit, options);
-  EXPECT_EQ(plan->stats().fused_runs, 0u);
-  EXPECT_TRUE(verify_plan(circuit, *plan).empty());
-}
-
 // --- QP100: shape mismatches -------------------------------------------------
 
 TEST(PlanVerify, QP100FiresOnEveryShapeMismatch) {
@@ -293,7 +284,7 @@ TEST(PlanVerify, QP106InfoWhenLoweringIsRefused) {
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags.front().code, "QP106");
   EXPECT_EQ(diags.front().severity, Severity::kInfo);
-  EXPECT_NE(diags.front().message.find("interpreted fallback"),
+  EXPECT_NE(diags.front().message.find("executing the circuit throws"),
             std::string::npos);
   EXPECT_FALSE(has_errors(diags));
 }
@@ -301,12 +292,12 @@ TEST(PlanVerify, QP106InfoWhenLoweringIsRefused) {
 // --- finding cap -------------------------------------------------------------
 
 TEST(PlanVerify, PerCodeCapFoldsOverflowIntoASummary) {
-  Circuit circuit(1);
-  for (int i = 0; i < 12; ++i) circuit.add_hadamard(0);
-  exec::CompileOptions no_fuse;
-  no_fuse.fuse_single_qubit_runs = false;
+  // Hadamards alternating between two wires never fuse: 12 plan ops.
+  Circuit circuit(2);
+  for (int i = 0; i < 12; ++i) circuit.add_hadamard(i % 2);
   const auto plan = PlanMutationHook::mutable_copy(
-      *CompiledCircuit::compile(circuit, no_fuse));
+      *CompiledCircuit::compile(circuit));
+  ASSERT_EQ(plan->num_plan_ops(), 12u);
   for (auto& op : PlanMutationHook::plan_ops(*plan)) {
     op.qubit0 = 9;  // every op rotates a nonexistent wire
   }
@@ -399,11 +390,11 @@ TEST(ScopedPlanVerificationTest, VerifiedExecutionIsByteIdentical) {
   const Circuit circuit = every_kernel_circuit();
   const std::vector<double> params(circuit.num_parameters(), 0.3);
   (void)exec::plan_for(circuit);  // unverified compiled path
-  const StateVector reference = circuit.simulate(params);
+  const StateVector reference = exec::simulate(circuit, params);
   const Circuit fresh = every_kernel_circuit();
   ScopedPlanVerification guard;
   (void)exec::plan_for(fresh);  // verified on attach
-  const StateVector verified = fresh.simulate(params);
+  const StateVector verified = exec::simulate(fresh, params);
   EXPECT_GE(guard.plans_verified(), 1u);
   ASSERT_EQ(verified.amplitudes().size(), reference.amplitudes().size());
   for (std::size_t i = 0; i < reference.amplitudes().size(); ++i) {
@@ -466,20 +457,23 @@ TEST(PlanResources, ChargesEachKernelItsOwnFlops) {
 }
 
 TEST(PlanResources, FusionSavesBytesButNotFlops) {
-  Circuit circuit(1);  // amps = 2, pairs = 1
+  // amps = 2, pairs = 1. H then S on one wire fuse into one pass; a lone H
+  // is one kFixedSingle: 28 flops, 2*2*16 bytes.
+  Circuit circuit(1);
   circuit.add_hadamard(0);
   circuit.add_s(0);
-  const auto fused = CompiledCircuit::compile(circuit);
-  const PlanResourceEstimate with_fusion = estimate_plan_resources(*fused);
-  exec::CompileOptions no_fuse;
-  no_fuse.fuse_single_qubit_runs = false;
-  const auto unfused = CompiledCircuit::compile(circuit, no_fuse);
-  const PlanResourceEstimate without = estimate_plan_resources(*unfused);
-  EXPECT_DOUBLE_EQ(with_fusion.flops, without.flops);  // same arithmetic
-  EXPECT_LT(with_fusion.bytes, without.bytes);  // one pass, not two
-  EXPECT_EQ(with_fusion.fused_runs, 1u);
-  EXPECT_EQ(with_fusion.plan_ops, 1u);
-  EXPECT_EQ(without.plan_ops, 2u);
+  Circuit lone(1);
+  lone.add_hadamard(0);
+  const PlanResourceEstimate fused =
+      estimate_plan_resources(*CompiledCircuit::compile(circuit));
+  const PlanResourceEstimate single =
+      estimate_plan_resources(*CompiledCircuit::compile(lone));
+  EXPECT_DOUBLE_EQ(single.flops, 28.0);
+  EXPECT_DOUBLE_EQ(single.bytes, 2.0 * 2 * 16);
+  EXPECT_DOUBLE_EQ(fused.flops, 2 * single.flops);  // both gates' arithmetic
+  EXPECT_DOUBLE_EQ(fused.bytes, single.bytes);      // in one pass
+  EXPECT_EQ(fused.fused_runs, 1u);
+  EXPECT_EQ(fused.plan_ops, 1u);
 }
 
 // --- CZ ladders (QP105 coverage, QP108 sign tables) --------------------------

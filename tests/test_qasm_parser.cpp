@@ -9,6 +9,7 @@
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/circuit/printer.hpp"
 #include "qbarren/common/rng.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 
 namespace qbarren {
 namespace {
@@ -142,8 +143,8 @@ TEST(QasmParser, RoundTripWithPrinter) {
   ASSERT_EQ(parsed.circuit.num_qubits(), original.num_qubits());
   ASSERT_EQ(parsed.circuit.num_parameters(), original.num_parameters());
 
-  const StateVector a = original.simulate(params);
-  const StateVector b = parsed.circuit.simulate(parsed.parameters);
+  const StateVector a = exec::simulate(original, params);
+  const StateVector b = exec::simulate(parsed.circuit, parsed.parameters);
   EXPECT_NEAR(a.fidelity(b), 1.0, 1e-9);
 }
 

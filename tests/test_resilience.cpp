@@ -17,9 +17,9 @@
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/common/run.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
+#include "qbarren/exec/cost.hpp"
 #include "qbarren/grad/guard.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/obs/cost.hpp"
 #include "qbarren/opt/trainer.hpp"
 
 namespace qbarren {

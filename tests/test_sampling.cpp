@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "qbarren/qsim/gates.hpp"
+#include "reference_interpreter.hpp"
 
 namespace qbarren {
 namespace {
@@ -100,7 +101,7 @@ TEST_P(SamplingFidelity, TotalVariationSmall) {
   const double theta = GetParam();
   StateVector s(2);
   s.apply_single_qubit(gates::ry(theta), 0);
-  s.apply_controlled(gates::pauli_x(), 0, 1);
+  reference::apply_controlled(s, gates::pauli_x(), 0, 1);
   Rng rng(static_cast<std::uint64_t>(theta * 1000) + 1);
   const std::size_t shots = 40000;
   const auto counts = sample_counts(s, shots, rng);

@@ -8,6 +8,7 @@
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/stats.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/hamiltonian.hpp"
 
@@ -118,7 +119,7 @@ TEST(Entangler, CnotAnsatzBuildsAndSimulates) {
   options.topology = EntanglerTopology::kRing;
   const Circuit c = training_ansatz(3, options);
   const std::vector<double> params(c.num_parameters(), 0.2);
-  EXPECT_NEAR(c.simulate(params).norm_squared(), 1.0, 1e-12);
+  EXPECT_NEAR(exec::simulate(c, params).norm_squared(), 1.0, 1e-12);
   for (const Operation& op : c.operations()) {
     EXPECT_NE(op.kind, OpKind::kCz);
   }
