@@ -112,6 +112,7 @@
 #include "qbarren/bp/expressibility.hpp"
 #include "qbarren/bp/landscape.hpp"
 #include "qbarren/bp/lightcone.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
@@ -286,6 +287,14 @@ void check_batch_flag(const CliArgs& args, const std::string& engine_name) {
                text.c_str());
 }
 
+/// --param: which parameter's derivative a variance run samples.
+GradientParameter param_flag(const CliArgs& args) {
+  const std::optional<GradientParameter> which =
+      kGradientParameterNames.find(args.get_string("param", "last"));
+  if (!which) throw InvalidArgument("--param must be last, middle, or first");
+  return *which;
+}
+
 VarianceExperimentOptions variance_options_from(const CliArgs& args) {
   VarianceExperimentOptions options;
   options.qubit_counts.clear();
@@ -299,16 +308,7 @@ VarianceExperimentOptions variance_options_from(const CliArgs& args) {
   options.cost = cost_kind_from_name(args.get_string("cost", "global"));
   options.gradient_engine =
       args.get_string("engine", options.gradient_engine);
-  const std::string which = args.get_string("param", "last");
-  if (which == "last") {
-    options.which_parameter = GradientParameter::kLast;
-  } else if (which == "middle") {
-    options.which_parameter = GradientParameter::kMiddle;
-  } else if (which == "first") {
-    options.which_parameter = GradientParameter::kFirst;
-  } else {
-    throw InvalidArgument("--param must be last, middle, or first");
-  }
+  options.which_parameter = param_flag(args);
   return options;
 }
 
@@ -347,16 +347,12 @@ TrainingExperimentOptions training_options_from(const CliArgs& args) {
       args.get_string("engine", options.gradient_engine);
   options.deadline_seconds = args.get_double(
       "deadline-sec", std::numeric_limits<double>::infinity());
-  const std::string policy = args.get_string("nonfinite", "throw");
-  if (policy == "throw") {
-    options.non_finite_policy = NonFinitePolicy::kThrow;
-  } else if (policy == "abort") {
-    options.non_finite_policy = NonFinitePolicy::kAbortSeries;
-  } else if (policy == "fallback") {
-    options.non_finite_policy = NonFinitePolicy::kFallbackEngine;
-  } else {
+  const std::optional<NonFinitePolicy> policy =
+      kNonFinitePolicyNames.find(args.get_string("nonfinite", "throw"));
+  if (!policy) {
     throw InvalidArgument("--nonfinite must be throw, abort, or fallback");
   }
+  options.non_finite_policy = *policy;
   return options;
 }
 
@@ -694,16 +690,8 @@ int cmd_lint(const CliArgs& args) {
         cost_observable_qubits(cost, circuit.num_qubits());
     context.global_cost = is_global_cost(cost);
     if (args.has("param") && circuit.num_parameters() > 0) {
-      const std::string which = args.get_string("param", "last");
-      if (which == "last") {
-        context.differentiated_parameter = circuit.num_parameters() - 1;
-      } else if (which == "middle") {
-        context.differentiated_parameter = circuit.num_parameters() / 2;
-      } else if (which == "first") {
-        context.differentiated_parameter = 0;
-      } else {
-        throw InvalidArgument("--param must be last, middle, or first");
-      }
+      context.differentiated_parameter =
+          sampled_parameter(circuit, param_flag(args));
     }
   }
 

@@ -58,6 +58,7 @@
 
 #include "qbarren/analysis/lint.hpp"
 #include "qbarren/bp/cell_plan.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 
@@ -158,33 +159,11 @@ struct StreamGraph {
 
 // --- fingerprint soundness (QD102/QD103 probes) --------------------------
 
-/// One perturbed copy of an options object: `field` names the option that
-/// differs from the baseline, `result_affecting` says whether the
-/// experiment's samples depend on it (false for keep_samples /
-/// deadline_seconds, which fingerprints deliberately exclude).
-struct VariancePerturbation {
-  std::string field;
-  bool result_affecting = true;
-  VarianceExperimentOptions options;
-};
-struct TrainingPerturbation {
-  std::string field;
-  bool result_affecting = true;
-  TrainingExperimentOptions options;
-};
-
-/// Every single-field perturbation of the options, one per field.
-[[nodiscard]] std::vector<VariancePerturbation> variance_perturbations(
-    const VarianceExperimentOptions& options);
-[[nodiscard]] std::vector<TrainingPerturbation> training_perturbations(
-    const TrainingExperimentOptions& options);
-
 /// One fingerprint-soundness probe: the canonical fingerprint before and
-/// after a single-field perturbation, plus (serve only) the worker-visible
-/// options encoding before/after and the fingerprint recovered by encoding
-/// the perturbed options to the wire and parsing them back. The wire
-/// fields stay empty for in-process runs, where cells never cross an
-/// options re-encoding.
+/// after a single-field perturbation, plus the worker-visible options
+/// encoding before/after and the fingerprint recovered by encoding the
+/// perturbed options to the wire and parsing them back. The wire fields
+/// stay empty where cells never cross an options re-encoding (sweeps).
 struct FingerprintProbe {
   std::string field;
   bool expect_move = true;  ///< result-affecting fields must move the print
@@ -201,18 +180,24 @@ struct FingerprintProbe {
     const std::vector<FingerprintProbe>& probes, const std::string& label,
     const LintOptions& options = {});
 
-/// Probe sets for the in-process fingerprints (no wire fields).
-[[nodiscard]] std::vector<FingerprintProbe> variance_fingerprint_probes(
-    const VarianceExperimentOptions& options);
-[[nodiscard]] std::vector<FingerprintProbe> training_fingerprint_probes(
-    const TrainingExperimentOptions& options);
+/// One probe per field of an options table (bp/options_table.hpp): the
+/// field perturbed from `base`, fingerprinted, encoded, and decoded back.
+/// The fingerprint and the codec are generated from the table, so the
+/// verdicts depend on the table alone, not on `base`; the audits below
+/// probe the defaults.
+template <typename Options>
+[[nodiscard]] std::vector<FingerprintProbe> options_table_probes(
+    const OptionsTable<Options>& table, const Options& base = {});
+
+/// The sweep fingerprint's probes: every training field under "base."
+/// plus the repetition count (sweeps never cross the wire).
 [[nodiscard]] std::vector<FingerprintProbe> sweep_fingerprint_probes(
-    const TrainingSweepOptions& options);
+    const TrainingSweepOptions& options = {});
 
 // --- one-stop audits ------------------------------------------------------
 
-/// Stream-graph rules + fingerprint soundness for one experiment. These
-/// are what `qbarren audit --kind ...` and serve admission run.
+/// Stream-graph rules for one experiment plus its options table's
+/// fingerprint soundness: what `qbarren audit --kind ...` runs.
 [[nodiscard]] Diagnostics audit_variance_options(
     const VarianceExperimentOptions& options, const LintOptions& lint = {});
 [[nodiscard]] Diagnostics audit_training_options(

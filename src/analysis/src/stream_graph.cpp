@@ -86,7 +86,10 @@ void add_leaf(StreamGraph& graph, StreamRole role, std::size_t cell,
 std::string path_string(std::span<const std::uint64_t> path) {
   std::string out = "root";
   for (const std::uint64_t index : path) {
-    out += "/" + std::to_string(index);
+    // Appended in two steps: GCC 12 flags "/" + std::to_string(...) with
+    // a spurious -Wrestrict (GCC bug 105651).
+    out += '/';
+    out += std::to_string(index);
   }
   return out;
 }
@@ -299,101 +302,6 @@ Diagnostics audit_stream_graphs(const std::vector<StreamGraph>& graphs,
 
 // --- fingerprint soundness probes ----------------------------------------
 
-std::vector<VariancePerturbation> variance_perturbations(
-    const VarianceExperimentOptions& base) {
-  std::vector<VariancePerturbation> out;
-  const auto add = [&](const char* field, bool affecting,
-                       auto&& mutate) {
-    VariancePerturbation p;
-    p.field = field;
-    p.result_affecting = affecting;
-    p.options = base;
-    mutate(p.options);
-    out.push_back(std::move(p));
-  };
-  add("qubit_counts", true, [](VarianceExperimentOptions& o) {
-    o.qubit_counts.push_back(o.qubit_counts.empty()
-                                 ? 2
-                                 : o.qubit_counts.back() + 1);
-  });
-  add("circuits_per_point", true,
-      [](VarianceExperimentOptions& o) { ++o.circuits_per_point; });
-  add("layers", true, [](VarianceExperimentOptions& o) { ++o.layers; });
-  add("cost", true, [](VarianceExperimentOptions& o) {
-    o.cost = o.cost == CostKind::kGlobalZero ? CostKind::kLocalZero
-                                             : CostKind::kGlobalZero;
-  });
-  add("seed", true, [](VarianceExperimentOptions& o) { ++o.seed; });
-  add("entangle", true,
-      [](VarianceExperimentOptions& o) { o.entangle = !o.entangle; });
-  add("gradient_engine", true, [](VarianceExperimentOptions& o) {
-    o.gradient_engine =
-        o.gradient_engine == "adjoint" ? "parameter-shift" : "adjoint";
-  });
-  add("which_parameter", true, [](VarianceExperimentOptions& o) {
-    o.which_parameter = o.which_parameter == GradientParameter::kFirst
-                            ? GradientParameter::kLast
-                            : GradientParameter::kFirst;
-  });
-  add("entangler", true, [](VarianceExperimentOptions& o) {
-    o.entangler = o.entangler == EntanglerGate::kCz ? EntanglerGate::kCnot
-                                                    : EntanglerGate::kCz;
-  });
-  add("topology", true, [](VarianceExperimentOptions& o) {
-    o.topology = o.topology == EntanglerTopology::kLinear
-                     ? EntanglerTopology::kRing
-                     : EntanglerTopology::kLinear;
-  });
-  // keep_samples selects what the result retains, not what is sampled;
-  // the fingerprint deliberately excludes it so checkpoints stay valid
-  // across the flag.
-  add("keep_samples", false,
-      [](VarianceExperimentOptions& o) { o.keep_samples = !o.keep_samples; });
-  return out;
-}
-
-std::vector<TrainingPerturbation> training_perturbations(
-    const TrainingExperimentOptions& base) {
-  std::vector<TrainingPerturbation> out;
-  const auto add = [&](const char* field, bool affecting, auto&& mutate) {
-    TrainingPerturbation p;
-    p.field = field;
-    p.result_affecting = affecting;
-    p.options = base;
-    mutate(p.options);
-    out.push_back(std::move(p));
-  };
-  add("qubits", true, [](TrainingExperimentOptions& o) { ++o.qubits; });
-  add("layers", true, [](TrainingExperimentOptions& o) { ++o.layers; });
-  add("iterations", true,
-      [](TrainingExperimentOptions& o) { ++o.iterations; });
-  add("learning_rate", true,
-      [](TrainingExperimentOptions& o) { o.learning_rate += 0.125; });
-  add("optimizer", true, [](TrainingExperimentOptions& o) {
-    o.optimizer = o.optimizer == "adam" ? "gradient-descent" : "adam";
-  });
-  add("gradient_engine", true, [](TrainingExperimentOptions& o) {
-    o.gradient_engine =
-        o.gradient_engine == "adjoint" ? "parameter-shift" : "adjoint";
-  });
-  add("cost", true, [](TrainingExperimentOptions& o) {
-    o.cost = o.cost == CostKind::kGlobalZero ? CostKind::kLocalZero
-                                             : CostKind::kGlobalZero;
-  });
-  add("seed", true, [](TrainingExperimentOptions& o) { ++o.seed; });
-  add("non_finite_policy", true, [](TrainingExperimentOptions& o) {
-    o.non_finite_policy = o.non_finite_policy == NonFinitePolicy::kThrow
-                              ? NonFinitePolicy::kAbortSeries
-                              : NonFinitePolicy::kThrow;
-  });
-  // The deadline bounds wall-clock, not results: an undisturbed run under
-  // any deadline computes the same series, so the fingerprint excludes it.
-  add("deadline_seconds", false, [](TrainingExperimentOptions& o) {
-    o.deadline_seconds = 123.0;
-  });
-  return out;
-}
-
 Diagnostics audit_fingerprint_probes(
     const std::vector<FingerprintProbe>& probes, const std::string& label,
     const LintOptions& options) {
@@ -444,59 +352,59 @@ Diagnostics audit_fingerprint_probes(
   return out;
 }
 
-std::vector<FingerprintProbe> variance_fingerprint_probes(
-    const VarianceExperimentOptions& options) {
-  const std::string base = options_fingerprint(options);
+template <typename Options>
+std::vector<FingerprintProbe> options_table_probes(
+    const OptionsTable<Options>& table, const Options& base) {
+  const std::string fingerprint = options_fingerprint(table, base);
+  const std::string wire = options_to_json(table, base).dump(0);
   std::vector<FingerprintProbe> probes;
-  for (const VariancePerturbation& p : variance_perturbations(options)) {
+  for (const OptionField<Options>& field : table.fields) {
+    Options perturbed = base;
+    field.perturb(perturbed);
     FingerprintProbe probe;
-    probe.field = p.field;
-    probe.expect_move = p.result_affecting;
-    probe.base = base;
-    probe.perturbed = options_fingerprint(p.options);
+    probe.field = field.key;
+    probe.expect_move = field.fingerprint_key != nullptr;
+    probe.base = fingerprint;
+    probe.perturbed = options_fingerprint(table, perturbed);
+    probe.wire_base = wire;
+    probe.wire_perturbed = options_to_json(table, perturbed).dump(0);
+    probe.wire_roundtrip = options_fingerprint(
+        table, options_from_json(table, parse_json(probe.wire_perturbed)));
     probes.push_back(std::move(probe));
   }
   return probes;
 }
 
-std::vector<FingerprintProbe> training_fingerprint_probes(
-    const TrainingExperimentOptions& options) {
-  const std::string base = options_fingerprint(options);
-  std::vector<FingerprintProbe> probes;
-  for (const TrainingPerturbation& p : training_perturbations(options)) {
-    FingerprintProbe probe;
-    probe.field = p.field;
-    probe.expect_move = p.result_affecting;
-    probe.base = base;
-    probe.perturbed = options_fingerprint(p.options);
-    probes.push_back(std::move(probe));
-  }
-  return probes;
-}
+template std::vector<FingerprintProbe> options_table_probes(
+    const OptionsTable<VarianceExperimentOptions>&,
+    const VarianceExperimentOptions&);
+template std::vector<FingerprintProbe> options_table_probes(
+    const OptionsTable<TrainingExperimentOptions>&,
+    const TrainingExperimentOptions&);
 
 std::vector<FingerprintProbe> sweep_fingerprint_probes(
     const TrainingSweepOptions& options) {
-  const std::string base = options_fingerprint(options);
+  const std::string fingerprint = options_fingerprint(options);
   std::vector<FingerprintProbe> probes;
-  for (const TrainingPerturbation& p : training_perturbations(options.base)) {
-    TrainingSweepOptions perturbed = options;
-    perturbed.base = p.options;
+  const auto add = [&](std::string field, bool expect_move,
+                       const TrainingSweepOptions& perturbed) {
     FingerprintProbe probe;
-    probe.field = "base." + p.field;
-    probe.expect_move = p.result_affecting;
-    probe.base = base;
+    probe.field = std::move(field);
+    probe.expect_move = expect_move;
+    probe.base = fingerprint;
     probe.perturbed = options_fingerprint(perturbed);
     probes.push_back(std::move(probe));
-  }
-  {
+  };
+  for (const OptionField<TrainingExperimentOptions>& field :
+       kTrainingOptionsTable.fields) {
     TrainingSweepOptions perturbed = options;
-    ++perturbed.repetitions;
-    FingerprintProbe probe;
-    probe.field = "repetitions";
-    probe.base = base;
-    probe.perturbed = options_fingerprint(perturbed);
-    probes.push_back(std::move(probe));
+    field.perturb(perturbed.base);
+    add(std::string("base.") + field.key, field.fingerprint_key != nullptr,
+        perturbed);
   }
+  TrainingSweepOptions perturbed = options;
+  ++perturbed.repetitions;
+  add("repetitions", true, perturbed);
   return probes;
 }
 
@@ -514,24 +422,26 @@ void append(Diagnostics& out, Diagnostics more) {
 Diagnostics audit_variance_options(const VarianceExperimentOptions& options,
                                    const LintOptions& lint) {
   Diagnostics out = audit_stream_graph(variance_stream_graph(options), lint);
-  append(out, audit_fingerprint_probes(variance_fingerprint_probes(options),
-                                       "variance", lint));
+  append(out, audit_fingerprint_probes(
+                   options_table_probes(kVarianceOptionsTable), "variance",
+                   lint));
   return out;
 }
 
 Diagnostics audit_training_options(const TrainingExperimentOptions& options,
                                    const LintOptions& lint) {
   Diagnostics out = audit_stream_graph(training_stream_graph(options), lint);
-  append(out, audit_fingerprint_probes(training_fingerprint_probes(options),
-                                       "training", lint));
+  append(out, audit_fingerprint_probes(
+                   options_table_probes(kTrainingOptionsTable), "training",
+                   lint));
   return out;
 }
 
 Diagnostics audit_sweep_options(const TrainingSweepOptions& options,
                                 const LintOptions& lint) {
   Diagnostics out = audit_stream_graphs(sweep_stream_graphs(options), lint);
-  append(out, audit_fingerprint_probes(sweep_fingerprint_probes(options),
-                                       "sweep", lint));
+  append(out,
+         audit_fingerprint_probes(sweep_fingerprint_probes(), "sweep", lint));
   return out;
 }
 

@@ -95,6 +95,8 @@ struct StreamPath {
 
 /// What a runner does per cell of its plan.
 struct CellWork {
+  /// The options fingerprint a checkpoint must carry to be restored from.
+  std::string fingerprint;
   /// Computes a cell's payload, on an executor worker.
   std::function<CheckpointCell(const PlanCell&, CellContext&)> compute;
   /// Files a payload, restored from the checkpoint or just computed, into
@@ -109,6 +111,9 @@ struct CellWork {
 /// cell a restore-only run lacks is recorded as a kCancelled failure, and
 /// the rest are computed on the executor, then checkpointed and deposited.
 /// Progress is reported per cell. Returns the failures sorted by key.
+/// Throws CheckpointError, before any cell, when the checkpoint's
+/// fingerprint is not `work.fingerprint`, and InvalidArgument when a
+/// restore-only run has no checkpoint.
 [[nodiscard]] std::vector<CellFailure> run_cell_plan(const CellPlan& plan,
                                                      const RunControl& control,
                                                      const CellWork& work);

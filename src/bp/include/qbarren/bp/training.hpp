@@ -43,7 +43,8 @@ struct TrainingExperimentOptions {
 };
 
 /// Canonical single-line encoding of every option that shapes the
-/// experiment's results (checkpoint staleness key).
+/// experiment's results (checkpoint staleness key), generated from
+/// kTrainingOptionsTable (bp/options_table.hpp).
 [[nodiscard]] std::string options_fingerprint(
     const TrainingExperimentOptions& options);
 

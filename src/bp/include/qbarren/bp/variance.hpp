@@ -71,7 +71,8 @@ struct VarianceExperimentOptions {
 };
 
 /// Canonical single-line encoding of every option that shapes the
-/// experiment's results. Checkpoints are keyed by this string, so a
+/// experiment's results, generated from kVarianceOptionsTable
+/// (bp/options_table.hpp). Checkpoints are keyed by this string, so a
 /// checkpoint written under different options is rejected on resume.
 [[nodiscard]] std::string options_fingerprint(
     const VarianceExperimentOptions& options);

@@ -5,6 +5,7 @@
 
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
+#include "qbarren/common/error.hpp"
 #include "qbarren/common/rng.hpp"
 
 namespace qbarren {
@@ -101,6 +102,13 @@ std::vector<CellFailure> run_cell_plan(const CellPlan& plan,
                                        const RunControl& control,
                                        const CellWork& work) {
   Checkpoint* checkpoint = control.checkpoint;
+  if (checkpoint != nullptr && checkpoint->fingerprint() != work.fingerprint) {
+    throw CheckpointError(
+        "run_cell_plan: checkpoint fingerprint does not match this run's "
+        "options");
+  }
+  QBARREN_REQUIRE(!control.restore_only || checkpoint != nullptr,
+                  "run_cell_plan: restore_only needs a checkpoint");
   std::size_t completed = 0;
   std::mutex deposit_mu;  // guards result/checkpoint/progress deposits
   const auto report = [&](const std::string& key, bool restored) {

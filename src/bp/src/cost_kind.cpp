@@ -1,5 +1,7 @@
 #include "qbarren/bp/cost_kind.hpp"
 
+#include "qbarren/bp/options_table.hpp"
+
 namespace qbarren {
 
 std::shared_ptr<Observable> make_cost_observable(CostKind kind,
@@ -21,17 +23,7 @@ std::shared_ptr<Observable> make_cost_observable(CostKind kind,
   throw InvalidArgument("make_cost_observable: unknown cost kind");
 }
 
-std::string cost_kind_name(CostKind kind) {
-  switch (kind) {
-    case CostKind::kGlobalZero:
-      return "global";
-    case CostKind::kLocalZero:
-      return "local";
-    case CostKind::kPauliZZ:
-      return "zz";
-  }
-  return "?";
-}
+std::string cost_kind_name(CostKind kind) { return kCostKindNames.name(kind); }
 
 std::vector<std::size_t> cost_observable_qubits(CostKind kind,
                                                 std::size_t num_qubits) {
@@ -54,10 +46,7 @@ bool is_global_cost(CostKind kind) noexcept {
 }
 
 CostKind cost_kind_from_name(const std::string& name) {
-  if (name == "global") return CostKind::kGlobalZero;
-  if (name == "local") return CostKind::kLocalZero;
-  if (name == "zz") return CostKind::kPauliZZ;
-  throw NotFound("cost_kind_from_name: unknown cost kind '" + name + "'");
+  return kCostKindNames.parse(name);
 }
 
 }  // namespace qbarren

@@ -1,10 +1,10 @@
 #include "qbarren/bp/training.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "qbarren/bp/cell_plan.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/exec/cost.hpp"
@@ -13,12 +13,6 @@
 namespace qbarren {
 
 namespace {
-
-std::string hexfloat_string(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
 
 /// Placeholder for a cell that failed within the failure budget: the
 /// initializer keeps its series slot with NaN losses and no history.
@@ -113,20 +107,7 @@ TrainResult run_training_cell(const TrainingExperimentOptions& options,
 }
 
 std::string options_fingerprint(const TrainingExperimentOptions& options) {
-  std::string fp = "training/v1";
-  fp += ";qubits=" + std::to_string(options.qubits);
-  fp += ";layers=" + std::to_string(options.layers);
-  fp += ";iterations=" + std::to_string(options.iterations);
-  fp += ";lr=" + hexfloat_string(options.learning_rate);
-  fp += ";optimizer=" + options.optimizer;
-  fp += ";engine=" + options.gradient_engine;
-  fp += ";cost=" + cost_kind_name(options.cost);
-  fp += ";seed=" + std::to_string(options.seed);
-  fp += ";policy=" + std::to_string(static_cast<int>(options.non_finite_policy));
-  // deadline_seconds is deliberately excluded: it bounds wall-clock time
-  // but (when not hit) does not change what is computed, so a checkpoint
-  // stays resumable under a different budget.
-  return fp;
+  return options_fingerprint(kTrainingOptionsTable, options);
 }
 
 TrainingExperiment::TrainingExperiment(TrainingExperimentOptions options)
@@ -159,16 +140,6 @@ TrainingResult TrainingExperiment::run(
     QBARREN_REQUIRE(init != nullptr,
                     "TrainingExperiment::run: null initializer");
   }
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr &&
-      checkpoint->fingerprint() != options_fingerprint(options_)) {
-    throw CheckpointError(
-        "TrainingExperiment::run: checkpoint fingerprint does not match "
-        "this experiment's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || checkpoint != nullptr,
-                  "TrainingExperiment::run: restore_only needs a checkpoint");
-
   const CostFunction cost = make_training_cost(options_);
 
   TrainingResult result;
@@ -180,6 +151,7 @@ TrainingResult TrainingExperiment::run(
   }
 
   CellWork work;
+  work.fingerprint = options_fingerprint(options_);
   work.compute = [&](const PlanCell& cell, CellContext& ctx) {
     ctx.throw_if_cancelled("training experiment at " + cell.key);
     return checkpoint_cell_from_train_result(run_training_cell(
@@ -280,15 +252,6 @@ TrainingSweepResult run_training_sweep(
                   "run_training_sweep: need >= 2 repetitions for spread");
   QBARREN_REQUIRE(!initializers.empty(),
                   "run_training_sweep: no initializers");
-  if (control.checkpoint != nullptr &&
-      control.checkpoint->fingerprint() != options_fingerprint(options)) {
-    throw CheckpointError(
-        "run_training_sweep: checkpoint fingerprint does not match this "
-        "sweep's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || control.checkpoint != nullptr,
-                  "run_training_sweep: restore_only needs a checkpoint");
-
   // Validate the base options once (throws exactly what per-repetition
   // construction used to).
   (void)TrainingExperiment(options.base);
@@ -310,6 +273,7 @@ TrainingSweepResult run_training_sweep(
   // spans repetitions, not just initializers. Each cell trains under its
   // repetition's root seed.
   CellWork work;
+  work.fingerprint = options_fingerprint(options);
   work.compute = [&](const PlanCell& cell, CellContext& ctx) {
     ctx.throw_if_cancelled("training sweep at " + cell.key);
     TrainingExperimentOptions rep_options = options.base;

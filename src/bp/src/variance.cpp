@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "qbarren/bp/cell_plan.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/common/rng.hpp"
@@ -39,23 +40,7 @@ Summary nan_summary() {
 }  // namespace
 
 std::string options_fingerprint(const VarianceExperimentOptions& options) {
-  std::string fp = "variance/v1;qubits=";
-  for (std::size_t i = 0; i < options.qubit_counts.size(); ++i) {
-    if (i != 0) fp += ',';
-    fp += std::to_string(options.qubit_counts[i]);
-  }
-  fp += ";circuits=" + std::to_string(options.circuits_per_point);
-  fp += ";layers=" + std::to_string(options.layers);
-  fp += ";cost=" + cost_kind_name(options.cost);
-  fp += ";seed=" + std::to_string(options.seed);
-  fp += options.entangle ? ";entangle=1" : ";entangle=0";
-  fp += ";engine=" + options.gradient_engine;
-  fp += ";param=" + std::to_string(static_cast<int>(options.which_parameter));
-  fp += ";entangler=" + std::to_string(static_cast<int>(options.entangler));
-  fp += ";topology=" + std::to_string(static_cast<int>(options.topology));
-  // keep_samples is deliberately excluded: it selects what the result
-  // retains, not what is sampled, so checkpoints stay valid across it.
-  return fp;
+  return options_fingerprint(kVarianceOptionsTable, options);
 }
 
 namespace {
@@ -248,16 +233,6 @@ VarianceResult VarianceExperiment::run(
     QBARREN_REQUIRE(init != nullptr,
                     "VarianceExperiment::run: null initializer");
   }
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr &&
-      checkpoint->fingerprint() != options_fingerprint(options_)) {
-    throw CheckpointError(
-        "VarianceExperiment::run: checkpoint fingerprint does not match "
-        "this experiment's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || checkpoint != nullptr,
-                  "VarianceExperiment::run: restore_only needs a checkpoint");
-
   VarianceResult result;
   result.options = options_;
   result.series.resize(initializers.size());
@@ -293,6 +268,7 @@ VarianceResult VarianceExperiment::run(
     if (rows[qi]->pending_cells.fetch_sub(1) == 1) rows[qi].reset();
   };
   CellWork work;
+  work.fingerprint = options_fingerprint(options_);
   work.schedule = [&](const PlanCell& cell) {
     std::unique_ptr<StructureRow>& row = rows[cell.qubit_index];
     if (!row) {
@@ -420,15 +396,6 @@ PositionalVarianceResult positional_variance(
   }
   const VarianceExperiment checked(options);  // validates the options
   (void)checked;
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr &&
-      checkpoint->fingerprint() !=
-          positional_fingerprint(options, initializer, fractions)) {
-    throw CheckpointError(
-        "positional_variance: checkpoint fingerprint does not match this "
-        "run's options");
-  }
-
   PositionalVarianceResult result;
   result.fractions = std::move(fractions);
   result.qubit_counts = options.qubit_counts;
@@ -447,6 +414,8 @@ PositionalVarianceResult positional_variance(
                     options.seed, 0});
   }
   CellWork work;
+  work.fingerprint = positional_fingerprint(options, initializer,
+                                            result.fractions);
   work.compute = [&](const PlanCell& cell, CellContext& ctx) {
     const std::size_t qi = cell.qubit_index;
     const std::size_t q = options.qubit_counts[qi];

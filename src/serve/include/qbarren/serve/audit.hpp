@@ -3,7 +3,7 @@
 // The serve layer's core claim is "byte-identical to the serial runner at
 // any shard count and crash schedule". That claim has three static
 // preconditions the stream-graph auditor (analysis/stream_graph.hpp) can
-// verify per request before any worker is forked:
+// verify before any worker is forked:
 //
 //   1. the request's RNG stream graph is collision-free (QD100) and its
 //      cell enumeration is key-unique (QD103) — otherwise resume/cache
@@ -11,16 +11,17 @@
 //   2. the options fingerprint moves under every result-affecting field
 //      (QD102) — otherwise the shared result cache serves stale cells
 //      across requests;
-//   3. the worker-visible options encoding (variance/training
-//      options_to_json) carries every fingerprinted field and round-trips
-//      it exactly (QD103 wire probes) — otherwise a worker computes under
-//      defaults while the cache files the result under the perturbed
-//      fingerprint: cache poisoning.
+//   3. the worker-visible options encoding carries every fingerprinted
+//      field and round-trips it exactly (QD103 wire probes) — otherwise a
+//      worker computes under defaults while the cache files the result
+//      under the perturbed fingerprint: cache poisoning.
 //
-// audit_request runs all three; the service merges its findings into
-// admission control (errors reject the request, exit code 3, same as the
-// physical-feasibility admission_check), and `qbarren audit --request`
-// runs it offline.
+// 2 and 3 hold or fail for the options tables (bp/options_table.hpp) as a
+// whole, whatever the request's values, so the service checks them once
+// per process (options_table_findings) and audits only each request's
+// stream graph. Findings merge into admission control (errors reject the
+// request, exit code 3, same as the physical-feasibility admission_check).
+// audit_request runs all three for `qbarren audit --request`.
 #pragma once
 
 #include "qbarren/analysis/store_audit.hpp"
@@ -34,12 +35,9 @@ namespace qbarren::serve {
 /// dispatches.
 [[nodiscard]] StreamGraph request_stream_graph(const RequestSpec& spec);
 
-/// Wire-level fingerprint probes: in-process probes augmented with the
-/// worker-visible options encoding before/after each perturbation and the
-/// fingerprint recovered by round-tripping the perturbed options through
-/// the wire (encode → decode → fingerprint).
-[[nodiscard]] std::vector<FingerprintProbe> request_fingerprint_probes(
-    const RequestSpec& spec);
+/// QD102/QD103 over the options table of `kind`, computed once per
+/// process; locations name the table ("variance option layers").
+[[nodiscard]] const Diagnostics& options_table_findings(SpecKind kind);
 
 /// The full static determinism audit of one request: stream-graph rules
 /// (QD100/QD103), fingerprint soundness (QD102), and wire coverage

@@ -72,7 +72,9 @@ struct RequestSpec {
 /// Parses a request object:
 ///   {"id": "...", "kind": "variance"|"training",
 ///    "options": {...},                           // kind-specific, all
-///                                                // fields optional
+///                                                // fields optional (the
+///                                                // bp/options_table.hpp
+///                                                // JSON codec)
 ///    "control": {"max_cell_failures": 0, "max_cell_attempts": 1,
 ///                "deadline_seconds": 60.0}}      // optional
 /// Unknown keys anywhere are rejected (InvalidArgument) — a typo'd option
@@ -84,16 +86,6 @@ struct RequestSpec {
 /// namespace for this request's cells. Two requests whose options
 /// fingerprint identically share cells regardless of id or run controls.
 [[nodiscard]] std::string spec_fingerprint(const RequestSpec& spec);
-
-/// Kind-specific options as JSON (inverse of the "options" member parse).
-[[nodiscard]] JsonValue variance_options_to_json(
-    const VarianceExperimentOptions& options);
-[[nodiscard]] VarianceExperimentOptions variance_options_from_json(
-    const JsonValue& value);
-[[nodiscard]] JsonValue training_options_to_json(
-    const TrainingExperimentOptions& options);
-[[nodiscard]] TrainingExperimentOptions training_options_from_json(
-    const JsonValue& value);
 
 /// The cell plan of the request's experiment over the paper initializers:
 /// the cells run_paper_set runs, in its order.

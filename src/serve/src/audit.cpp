@@ -1,5 +1,6 @@
 #include "qbarren/serve/audit.hpp"
 
+#include <array>
 #include <utility>
 
 #include "qbarren/serve/service.hpp"
@@ -8,30 +9,17 @@ namespace qbarren::serve {
 
 namespace {
 
-std::string wire_encoding(SpecKind kind,
-                          const VarianceExperimentOptions& variance,
-                          const TrainingExperimentOptions& training) {
-  switch (kind) {
-    case SpecKind::kVariance: return variance_options_to_json(variance).dump(0);
-    case SpecKind::kTraining: return training_options_to_json(training).dump(0);
-  }
-  return variance_options_to_json(variance).dump(0);
-}
-
-/// Fingerprint of the options after a full wire round-trip (encode →
-/// parse → decode) — what a worker process would actually compute under.
-std::string roundtrip_fingerprint(SpecKind kind,
-                                  const VarianceExperimentOptions& variance,
-                                  const TrainingExperimentOptions& training) {
+Diagnostics audit_options_table(SpecKind kind, const std::string& label,
+                                const LintOptions& lint) {
   switch (kind) {
     case SpecKind::kVariance:
-      return options_fingerprint(variance_options_from_json(
-          parse_json(variance_options_to_json(variance).dump(0))));
+      return audit_fingerprint_probes(
+          options_table_probes(kVarianceOptionsTable), label, lint);
     case SpecKind::kTraining:
-      return options_fingerprint(training_options_from_json(
-          parse_json(training_options_to_json(training).dump(0))));
+      return audit_fingerprint_probes(
+          options_table_probes(kTrainingOptionsTable), label, lint);
   }
-  return options_fingerprint(variance);
+  return {};
 }
 
 }  // namespace
@@ -47,63 +35,26 @@ StreamGraph request_stream_graph(const RequestSpec& spec) {
   return variance_stream_graph(spec.variance, label);
 }
 
-std::vector<FingerprintProbe> request_fingerprint_probes(
-    const RequestSpec& spec) {
-  std::vector<FingerprintProbe> probes;
-  const std::string wire_base =
-      wire_encoding(spec.kind, spec.variance, spec.training);
-  switch (spec.kind) {
-    case SpecKind::kVariance: {
-      probes = variance_fingerprint_probes(spec.variance);
-      const std::vector<VariancePerturbation> perturbations =
-          variance_perturbations(spec.variance);
-      for (FingerprintProbe& probe : probes) {
-        for (const VariancePerturbation& p : perturbations) {
-          if (p.field != probe.field) continue;
-          probe.wire_base = wire_base;
-          probe.wire_perturbed =
-              wire_encoding(spec.kind, p.options, spec.training);
-          probe.wire_roundtrip =
-              roundtrip_fingerprint(spec.kind, p.options, spec.training);
-          break;
-        }
-      }
-      break;
-    }
-    case SpecKind::kTraining: {
-      probes = training_fingerprint_probes(spec.training);
-      const std::vector<TrainingPerturbation> perturbations =
-          training_perturbations(spec.training);
-      for (FingerprintProbe& probe : probes) {
-        for (const TrainingPerturbation& p : perturbations) {
-          if (p.field != probe.field) continue;
-          probe.wire_base = wire_base;
-          probe.wire_perturbed =
-              wire_encoding(spec.kind, spec.variance, p.options);
-          probe.wire_roundtrip =
-              roundtrip_fingerprint(spec.kind, spec.variance, p.options);
-          break;
-        }
-      }
-      break;
-    }
-  }
-  return probes;
+const Diagnostics& options_table_findings(SpecKind kind) {
+  static const std::array<Diagnostics, 2> findings = {
+      audit_options_table(SpecKind::kVariance, "variance", {}),
+      audit_options_table(SpecKind::kTraining, "training", {})};
+  return findings[kind == SpecKind::kVariance ? 0 : 1];
 }
 
 Diagnostics audit_request(const RequestSpec& spec, const LintOptions& lint) {
   Diagnostics out = audit_stream_graph(request_stream_graph(spec), lint);
-  Diagnostics probes = audit_fingerprint_probes(
-      request_fingerprint_probes(spec), "request:" + spec.id, lint);
-  out.insert(out.end(), std::make_move_iterator(probes.begin()),
-             std::make_move_iterator(probes.end()));
+  Diagnostics table =
+      audit_options_table(spec.kind, "request:" + spec.id, lint);
+  out.insert(out.end(), std::make_move_iterator(table.begin()),
+             std::make_move_iterator(table.end()));
   return out;
 }
 
 Diagnostics audit_requests(const std::vector<RequestSpec>& specs,
                            const LintOptions& lint) {
   // QD100/QD103 per graph plus QD101 across requests comes from the graph
-  // collection; the per-request fingerprint probes are appended after.
+  // collection; each request's options-table findings are appended after.
   std::vector<StreamGraph> graphs;
   graphs.reserve(specs.size());
   for (const RequestSpec& spec : specs) {
@@ -111,10 +62,10 @@ Diagnostics audit_requests(const std::vector<RequestSpec>& specs,
   }
   Diagnostics out = audit_stream_graphs(graphs, lint);
   for (const RequestSpec& spec : specs) {
-    Diagnostics probes = audit_fingerprint_probes(
-        request_fingerprint_probes(spec), "request:" + spec.id, lint);
-    out.insert(out.end(), std::make_move_iterator(probes.begin()),
-               std::make_move_iterator(probes.end()));
+    Diagnostics table =
+        audit_options_table(spec.kind, "request:" + spec.id, lint);
+    out.insert(out.end(), std::make_move_iterator(table.begin()),
+               std::make_move_iterator(table.end()));
   }
   return out;
 }

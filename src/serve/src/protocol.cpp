@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/init/registry.hpp"
 
@@ -37,20 +38,9 @@ std::size_t get_size(const JsonValue& object, const char* key,
   return static_cast<std::size_t>(v);
 }
 
-std::uint64_t get_u64(const JsonValue& object, const char* key,
-                      std::uint64_t fallback) {
-  if (!object.contains(key)) return fallback;
-  return static_cast<std::uint64_t>(object.at(key).as_integer());
-}
-
 double get_double(const JsonValue& object, const char* key, double fallback) {
   if (!object.contains(key)) return fallback;
   return object.at(key).as_number();
-}
-
-bool get_bool(const JsonValue& object, const char* key, bool fallback) {
-  if (!object.contains(key)) return fallback;
-  return object.at(key).as_bool();
 }
 
 std::string get_string(const JsonValue& object, const char* key,
@@ -59,189 +49,17 @@ std::string get_string(const JsonValue& object, const char* key,
   return object.at(key).as_string();
 }
 
-const char* gradient_parameter_name(GradientParameter p) noexcept {
-  switch (p) {
-    case GradientParameter::kLast: return "last";
-    case GradientParameter::kMiddle: return "middle";
-    case GradientParameter::kFirst: return "first";
-  }
-  return "last";
-}
-
-GradientParameter gradient_parameter_from_name(const std::string& name) {
-  if (name == "last") return GradientParameter::kLast;
-  if (name == "middle") return GradientParameter::kMiddle;
-  if (name == "first") return GradientParameter::kFirst;
-  throw NotFound("request: unknown which_parameter '" + name + "'");
-}
-
-const char* non_finite_policy_name(NonFinitePolicy p) noexcept {
-  switch (p) {
-    case NonFinitePolicy::kThrow: return "throw";
-    case NonFinitePolicy::kAbortSeries: return "abort";
-    case NonFinitePolicy::kFallbackEngine: return "fallback";
-  }
-  return "throw";
-}
-
-NonFinitePolicy non_finite_policy_from_name(const std::string& name) {
-  if (name == "throw") return NonFinitePolicy::kThrow;
-  if (name == "abort") return NonFinitePolicy::kAbortSeries;
-  if (name == "fallback") return NonFinitePolicy::kFallbackEngine;
-  throw NotFound("request: unknown non_finite_policy '" + name + "'");
-}
-
-const char* entangler_gate_name(EntanglerGate gate) noexcept {
-  switch (gate) {
-    case EntanglerGate::kCz: return "cz";
-    case EntanglerGate::kCnot: return "cnot";
-  }
-  return "cz";
-}
-
-EntanglerGate entangler_gate_from_name(const std::string& name) {
-  if (name == "cz") return EntanglerGate::kCz;
-  if (name == "cnot") return EntanglerGate::kCnot;
-  throw NotFound("request: unknown entangler '" + name + "'");
-}
-
-const char* entangler_topology_name(EntanglerTopology topology) noexcept {
-  switch (topology) {
-    case EntanglerTopology::kLinear: return "linear";
-    case EntanglerTopology::kRing: return "ring";
-    case EntanglerTopology::kAllToAll: return "all-to-all";
-  }
-  return "linear";
-}
-
-EntanglerTopology entangler_topology_from_name(const std::string& name) {
-  if (name == "linear") return EntanglerTopology::kLinear;
-  if (name == "ring") return EntanglerTopology::kRing;
-  if (name == "all-to-all") return EntanglerTopology::kAllToAll;
-  throw NotFound("request: unknown topology '" + name + "'");
-}
-
 }  // namespace
 
+constexpr EnumNames<SpecKind, 2> kSpecKindNames{{"variance", "training"},
+                                                 "request: unknown kind"};
+
 const char* spec_kind_name(SpecKind kind) noexcept {
-  switch (kind) {
-    case SpecKind::kVariance: return "variance";
-    case SpecKind::kTraining: return "training";
-  }
-  return "variance";
+  return kSpecKindNames.name(kind);
 }
 
 SpecKind spec_kind_from_name(const std::string& name) {
-  if (name == "variance") return SpecKind::kVariance;
-  if (name == "training") return SpecKind::kTraining;
-  throw NotFound("request: unknown kind '" + name + "'");
-}
-
-JsonValue variance_options_to_json(const VarianceExperimentOptions& options) {
-  JsonValue out = JsonValue::object();
-  JsonValue counts = JsonValue::array();
-  for (const std::size_t q : options.qubit_counts) {
-    counts.push_back(JsonValue::integer(static_cast<std::int64_t>(q)));
-  }
-  out.set("qubit_counts", std::move(counts));
-  out.set("circuits_per_point", options.circuits_per_point);
-  out.set("layers", options.layers);
-  out.set("cost", cost_kind_name(options.cost));
-  out.set("seed", static_cast<std::int64_t>(options.seed));
-  out.set("entangle", options.entangle);
-  out.set("gradient_engine", options.gradient_engine);
-  out.set("which_parameter",
-          gradient_parameter_name(options.which_parameter));
-  // entangler/topology are part of the options fingerprint, so they MUST
-  // cross the wire: a worker blind to them would compute under the default
-  // gate/topology while the cache files the result under the perturbed
-  // fingerprint (the QD103 poisoning scenario qbarren audit checks for).
-  out.set("entangler", entangler_gate_name(options.entangler));
-  out.set("topology", entangler_topology_name(options.topology));
-  out.set("keep_samples", options.keep_samples);
-  return out;
-}
-
-VarianceExperimentOptions variance_options_from_json(const JsonValue& value) {
-  check_keys(value,
-             {"qubit_counts", "circuits_per_point", "layers", "cost", "seed",
-              "entangle", "gradient_engine", "which_parameter", "entangler",
-              "topology", "keep_samples"},
-             "variance options");
-  VarianceExperimentOptions options;
-  if (value.contains("qubit_counts")) {
-    const JsonValue& counts = value.at("qubit_counts");
-    options.qubit_counts.clear();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const std::int64_t q = counts.at(i).as_integer();
-      if (q < 1) {
-        throw InvalidArgument("request: qubit_counts entries must be >= 1");
-      }
-      options.qubit_counts.push_back(static_cast<std::size_t>(q));
-    }
-  }
-  options.circuits_per_point =
-      get_size(value, "circuits_per_point", options.circuits_per_point);
-  options.layers = get_size(value, "layers", options.layers);
-  options.cost =
-      cost_kind_from_name(get_string(value, "cost", cost_kind_name(options.cost)));
-  options.seed = get_u64(value, "seed", options.seed);
-  options.entangle = get_bool(value, "entangle", options.entangle);
-  options.gradient_engine =
-      get_string(value, "gradient_engine", options.gradient_engine);
-  options.which_parameter = gradient_parameter_from_name(get_string(
-      value, "which_parameter",
-      gradient_parameter_name(options.which_parameter)));
-  options.entangler = entangler_gate_from_name(
-      get_string(value, "entangler", entangler_gate_name(options.entangler)));
-  options.topology = entangler_topology_from_name(get_string(
-      value, "topology", entangler_topology_name(options.topology)));
-  options.keep_samples = get_bool(value, "keep_samples", options.keep_samples);
-  return options;
-}
-
-JsonValue training_options_to_json(const TrainingExperimentOptions& options) {
-  JsonValue out = JsonValue::object();
-  out.set("qubits", options.qubits);
-  out.set("layers", options.layers);
-  out.set("iterations", options.iterations);
-  out.set("learning_rate", options.learning_rate);
-  out.set("optimizer", options.optimizer);
-  out.set("gradient_engine", options.gradient_engine);
-  out.set("cost", cost_kind_name(options.cost));
-  out.set("seed", static_cast<std::int64_t>(options.seed));
-  out.set("non_finite_policy",
-          non_finite_policy_name(options.non_finite_policy));
-  if (std::isfinite(options.deadline_seconds)) {
-    out.set("deadline_seconds", options.deadline_seconds);
-  }
-  return out;
-}
-
-TrainingExperimentOptions training_options_from_json(const JsonValue& value) {
-  check_keys(value,
-             {"qubits", "layers", "iterations", "learning_rate", "optimizer",
-              "gradient_engine", "cost", "seed", "non_finite_policy",
-              "deadline_seconds"},
-             "training options");
-  TrainingExperimentOptions options;
-  options.qubits = get_size(value, "qubits", options.qubits);
-  options.layers = get_size(value, "layers", options.layers);
-  options.iterations = get_size(value, "iterations", options.iterations);
-  options.learning_rate =
-      get_double(value, "learning_rate", options.learning_rate);
-  options.optimizer = get_string(value, "optimizer", options.optimizer);
-  options.gradient_engine =
-      get_string(value, "gradient_engine", options.gradient_engine);
-  options.cost =
-      cost_kind_from_name(get_string(value, "cost", cost_kind_name(options.cost)));
-  options.seed = get_u64(value, "seed", options.seed);
-  options.non_finite_policy = non_finite_policy_from_name(get_string(
-      value, "non_finite_policy",
-      non_finite_policy_name(options.non_finite_policy)));
-  options.deadline_seconds =
-      get_double(value, "deadline_seconds", options.deadline_seconds);
-  return options;
+  return kSpecKindNames.parse(name);
 }
 
 RequestSpec request_from_json(const JsonValue& value) {
@@ -255,10 +73,12 @@ RequestSpec request_from_json(const JsonValue& value) {
   if (value.contains("options")) {
     switch (spec.kind) {
       case SpecKind::kVariance:
-        spec.variance = variance_options_from_json(value.at("options"));
+        spec.variance =
+            options_from_json(kVarianceOptionsTable, value.at("options"));
         break;
       case SpecKind::kTraining:
-        spec.training = training_options_from_json(value.at("options"));
+        spec.training =
+            options_from_json(kTrainingOptionsTable, value.at("options"));
         break;
     }
   }
@@ -287,9 +107,10 @@ JsonValue to_json(const RequestSpec& spec) {
   JsonValue out = JsonValue::object();
   out.set("id", spec.id);
   out.set("kind", spec_kind_name(spec.kind));
-  out.set("options", spec.kind == SpecKind::kVariance
-                         ? variance_options_to_json(spec.variance)
-                         : training_options_to_json(spec.training));
+  out.set("options",
+          spec.kind == SpecKind::kVariance
+              ? options_to_json(kVarianceOptionsTable, spec.variance)
+              : options_to_json(kTrainingOptionsTable, spec.training));
   JsonValue control = JsonValue::object();
   control.set("max_cell_failures", spec.max_cell_failures);
   control.set("max_cell_attempts", spec.max_cell_attempts);
@@ -350,27 +171,14 @@ WorkerJob worker_job_from_json(const JsonValue& value) {
 
 namespace {
 
-const char* reply_type_name(WorkerReply::Type type) noexcept {
-  switch (type) {
-    case WorkerReply::Type::kStart: return "start";
-    case WorkerReply::Type::kOk: return "ok";
-    case WorkerReply::Type::kFail: return "fail";
-  }
-  return "start";
-}
-
-WorkerReply::Type reply_type_from_name(const std::string& name) {
-  if (name == "start") return WorkerReply::Type::kStart;
-  if (name == "ok") return WorkerReply::Type::kOk;
-  if (name == "fail") return WorkerReply::Type::kFail;
-  throw NotFound("worker reply: unknown type '" + name + "'");
-}
+constexpr EnumNames<WorkerReply::Type, 3> kReplyTypeNames{
+    {"start", "ok", "fail"}, "worker reply: unknown type"};
 
 }  // namespace
 
 JsonValue to_json(const WorkerReply& reply) {
   JsonValue out = JsonValue::object();
-  out.set("reply", reply_type_name(reply.type));
+  out.set("reply", kReplyTypeNames.name(reply.type));
   out.set("job", static_cast<std::int64_t>(reply.job_id));
   out.set("cell", reply.cell_key);
   switch (reply.type) {
@@ -389,7 +197,7 @@ JsonValue to_json(const WorkerReply& reply) {
 
 WorkerReply worker_reply_from_json(const JsonValue& value) {
   WorkerReply reply;
-  reply.type = reply_type_from_name(value.at("reply").as_string());
+  reply.type = kReplyTypeNames.parse(value.at("reply").as_string());
   reply.job_id = static_cast<std::uint64_t>(value.at("job").as_integer());
   reply.cell_key = value.at("cell").as_string();
   switch (reply.type) {

@@ -21,6 +21,7 @@
 
 #include "qbarren/analysis/admission.hpp"
 #include "qbarren/serve/audit.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/exit_codes.hpp"
@@ -300,7 +301,12 @@ struct ExperimentService::Impl {
 };
 
 ExperimentService::ExperimentService(ServiceOptions options)
-    : impl_(std::make_unique<Impl>(std::move(options))) {}
+    : impl_(std::make_unique<Impl>(std::move(options))) {
+  // The options tables' QD102/QD103 verdicts hold for every request, so
+  // they are computed once per process, here rather than on the first
+  // request.
+  (void)options_table_findings(SpecKind::kVariance);
+}
 
 ExperimentService::~ExperimentService() { shutdown(); }
 
@@ -351,10 +357,13 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
                                        : admission_check(spec.training);
   {
     // Physical feasibility (QB/QP, above) and static determinism (QD) gate
-    // together: a request whose stream graph collides or whose wire
-    // encoding drops a fingerprinted field would poison the shared result
+    // together: a request whose stream graph collides or whose options
+    // table drops a fingerprinted field would poison the shared result
     // cache, which is strictly worse than wasting one worker pool.
-    Diagnostics determinism = audit_request(spec);
+    Diagnostics determinism =
+        audit_stream_graph(request_stream_graph(spec));
+    const Diagnostics& table = options_table_findings(spec.kind);
+    determinism.insert(determinism.end(), table.begin(), table.end());
     if (has_errors(determinism)) admission.admitted = false;
     admission.findings.insert(admission.findings.end(),
                               std::make_move_iterator(determinism.begin()),
@@ -408,9 +417,10 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
                    : Clock::time_point::max();
   const bool has_watchdog = std::isfinite(impl.options.worker_kill_seconds);
 
-  const JsonValue options_json = spec.kind == SpecKind::kVariance
-                                     ? variance_options_to_json(spec.variance)
-                                     : training_options_to_json(spec.training);
+  const JsonValue options_json =
+      spec.kind == SpecKind::kVariance
+          ? options_to_json(kVarianceOptionsTable, spec.variance)
+          : options_to_json(kTrainingOptionsTable, spec.training);
 
   std::map<std::uint64_t, PendingCell> inflight;
   // Jobs whose worker was deliberately SIGKILLed by the kill_on_cell_start

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/checkpoint.hpp"
@@ -53,7 +54,7 @@ struct WorkerState {
     switch (job.kind) {
       case SpecKind::kVariance: {
         const VarianceExperimentOptions options =
-            variance_options_from_json(job.options);
+            options_from_json(kVarianceOptionsTable, job.options);
         // Attempt > 0 retries with the parameter-shift reference engine —
         // the same fallback the in-process executor path uses.
         GradientEngine& engine =
@@ -66,7 +67,7 @@ struct WorkerState {
       }
       case SpecKind::kTraining: {
         const TrainingExperimentOptions options =
-            training_options_from_json(job.options);
+            options_from_json(kTrainingOptionsTable, job.options);
         const CostFunction cost = make_training_cost(options);
         CellContext ctx;
         ctx.attempt = job.engine_attempt;

@@ -570,6 +570,40 @@ TEST(ResumePositionalVariance, InterruptedRunMatchesReference) {
   }
 }
 
+TEST(ResumePositionalVariance, StaleCheckpointRefused) {
+  const auto init = make_initializer("random");
+  Checkpoint stale("", "positional/v1;different");
+  RunControl control;
+  control.checkpoint = &stale;
+  EXPECT_THROW((void)positional_variance(small_variance_options(), *init,
+                                         {0.0, 1.0}, control),
+               CheckpointError);
+}
+
+TEST(RestoreOnly, EveryRunnerRefusesWithoutACheckpoint) {
+  // A restore-only run assembles stored cells; with no store it has nothing
+  // to assemble from and must say so rather than report every cell as
+  // cancelled.
+  const auto init = make_initializer("random");
+  RunControl control;
+  control.restore_only = true;
+  EXPECT_THROW((void)VarianceExperiment(small_variance_options())
+                   .run({init.get()}, control),
+               InvalidArgument);
+  EXPECT_THROW((void)positional_variance(small_variance_options(), *init,
+                                         {0.0, 1.0}, control),
+               InvalidArgument);
+  TrainingSweepOptions sweep;
+  sweep.base.qubits = 3;
+  sweep.base.layers = 2;
+  sweep.base.iterations = 2;
+  sweep.repetitions = 2;
+  EXPECT_THROW((void)TrainingExperiment(sweep.base).run({init.get()}, control),
+               InvalidArgument);
+  EXPECT_THROW((void)run_training_sweep({init.get()}, sweep, control),
+               InvalidArgument);
+}
+
 // --- parallel execution ------------------------------------------------------
 
 TEST(ParallelVariance, JobCountNeverChangesTheBytes) {

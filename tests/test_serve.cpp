@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/exit_codes.hpp"
@@ -128,7 +129,8 @@ TEST(ServeProtocol, WorkerMessagesRoundTrip) {
   WorkerJob job;
   job.job_id = 42;
   job.kind = SpecKind::kVariance;
-  job.options = variance_options_to_json(small_variance_spec().variance);
+  job.options =
+      options_to_json(kVarianceOptionsTable, small_variance_spec().variance);
   job.cell.key = "q=3/init=random";
   job.cell.qubit_index = 1;
   job.engine_attempt = 2;
@@ -162,7 +164,7 @@ TEST(ServeWorker, ComputesCellOverPipes) {
   WorkerJob job;
   job.job_id = 7;
   job.kind = spec.kind;
-  job.options = variance_options_to_json(spec.variance);
+  job.options = options_to_json(kVarianceOptionsTable, spec.variance);
   job.cell = request_cell_plan(spec).front();
   const std::string line = ndjson_line(to_json(job));
   ASSERT_EQ(::write(job_pipe[1], line.data(), line.size()),

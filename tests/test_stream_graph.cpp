@@ -351,12 +351,10 @@ TEST(StreamGraphQD102, PaperOptionFingerprintsAreSound) {
   // Every result-affecting field moves the fingerprint; keep_samples and
   // deadline_seconds deliberately do not.
   EXPECT_TRUE(audit_fingerprint_probes(
-                  variance_fingerprint_probes(VarianceExperimentOptions{}),
-                  "variance")
+                  options_table_probes(kVarianceOptionsTable), "variance")
                   .empty());
   EXPECT_TRUE(audit_fingerprint_probes(
-                  training_fingerprint_probes(TrainingExperimentOptions{}),
-                  "training")
+                  options_table_probes(kTrainingOptionsTable), "training")
                   .empty());
   EXPECT_TRUE(audit_fingerprint_probes(
                   sweep_fingerprint_probes(TrainingSweepOptions{}), "sweep")
@@ -443,7 +441,7 @@ TEST(ServeAudit, PaperRequestsAuditCleanIncludingWireProbes) {
   // The wire probes must actually be wired: every result-affecting probe
   // carries the worker-visible encoding.
   for (const FingerprintProbe& probe :
-       serve::request_fingerprint_probes(variance)) {
+       options_table_probes(kVarianceOptionsTable)) {
     if (probe.expect_move) {
       EXPECT_FALSE(probe.wire_base.empty()) << probe.field;
       EXPECT_FALSE(probe.wire_roundtrip.empty()) << probe.field;
@@ -482,8 +480,8 @@ TEST(ServeProtocol, EntanglerAndTopologySurviveTheWire) {
   VarianceExperimentOptions options;
   options.entangler = EntanglerGate::kCnot;
   options.topology = EntanglerTopology::kRing;
-  const VarianceExperimentOptions decoded = serve::variance_options_from_json(
-      serve::variance_options_to_json(options));
+  const VarianceExperimentOptions decoded = options_from_json(
+      kVarianceOptionsTable, options_to_json(kVarianceOptionsTable, options));
   EXPECT_EQ(decoded.entangler, EntanglerGate::kCnot);
   EXPECT_EQ(decoded.topology, EntanglerTopology::kRing);
   EXPECT_EQ(options_fingerprint(decoded), options_fingerprint(options));
