@@ -1,28 +1,8 @@
 #include "qbarren/bp/serialize.hpp"
 
-#include <algorithm>
-#include <initializer_list>
-#include <string_view>
-
-#include "qbarren/bp/options_table.hpp"
-
 namespace qbarren {
 
 namespace {
-
-/// The fields `keys` of `options` in their JSON form: what a result
-/// records of the options it was computed under.
-template <typename Options>
-JsonValue recorded(const OptionsTable<Options>& table, const Options& options,
-                   std::initializer_list<std::string_view> keys) {
-  JsonValue out = JsonValue::object();
-  for (const OptionField<Options>& field : table.fields) {
-    if (std::find(keys.begin(), keys.end(), field.key) != keys.end()) {
-      field.encode(options, out, field.key);
-    }
-  }
-  return out;
-}
 
 JsonValue fit_to_json(const LinearFit& fit) {
   JsonValue j = JsonValue::object();
@@ -40,10 +20,18 @@ JsonValue to_json(const VarianceResult& result) {
   JsonValue root = JsonValue::object();
   root.set("schema", "qbarren.variance.v1");
 
-  root.set("options",
-           recorded(kVarianceOptionsTable, result.options,
-                    {"qubit_counts", "circuits_per_point", "layers", "cost",
-                     "seed", "gradient_engine"}));
+  JsonValue options = JsonValue::object();
+  JsonValue qubits = JsonValue::array();
+  for (const std::size_t q : result.options.qubit_counts) {
+    qubits.push_back(JsonValue::integer(static_cast<std::int64_t>(q)));
+  }
+  options.set("qubit_counts", std::move(qubits));
+  options.set("circuits_per_point", result.options.circuits_per_point);
+  options.set("layers", result.options.layers);
+  options.set("cost", cost_kind_name(result.options.cost));
+  options.set("seed", static_cast<std::int64_t>(result.options.seed));
+  options.set("gradient_engine", result.options.gradient_engine);
+  root.set("options", std::move(options));
 
   // The improvement field is emitted whenever a "random" series exists,
   // keeping the schema stable; when its baseline fit is degenerate
@@ -90,10 +78,16 @@ JsonValue to_json(const TrainingResult& result) {
   JsonValue root = JsonValue::object();
   root.set("schema", "qbarren.training.v1");
 
-  root.set("options",
-           recorded(kTrainingOptionsTable, result.options,
-                    {"qubits", "layers", "iterations", "learning_rate",
-                     "optimizer", "gradient_engine", "cost", "seed"}));
+  JsonValue options = JsonValue::object();
+  options.set("qubits", result.options.qubits);
+  options.set("layers", result.options.layers);
+  options.set("iterations", result.options.iterations);
+  options.set("learning_rate", result.options.learning_rate);
+  options.set("optimizer", result.options.optimizer);
+  options.set("gradient_engine", result.options.gradient_engine);
+  options.set("cost", cost_kind_name(result.options.cost));
+  options.set("seed", static_cast<std::int64_t>(result.options.seed));
+  root.set("options", std::move(options));
 
   JsonValue series = JsonValue::array();
   for (const TrainingSeries& s : result.series) {

@@ -17,11 +17,12 @@
 //      under the perturbed fingerprint: cache poisoning.
 //
 // 2 and 3 hold or fail for the options tables (bp/options_table.hpp) as a
-// whole, whatever the request's values, so the service checks them once
-// per process (options_table_findings) and audits only each request's
-// stream graph. Findings merge into admission control (errors reject the
-// request, exit code 3, same as the physical-feasibility admission_check).
-// audit_request runs all three for `qbarren audit --request`.
+// whole, whatever the request's values, so they are checked once per
+// process (options_table_findings) and each request adds only its own
+// stream-graph audit. audit_request runs all three; the service merges its
+// findings into admission control (errors reject the request, exit code 3,
+// same as the physical-feasibility admission_check), and
+// `qbarren audit --request` runs it offline.
 #pragma once
 
 #include "qbarren/analysis/store_audit.hpp"
@@ -40,8 +41,9 @@ namespace qbarren::serve {
 [[nodiscard]] const Diagnostics& options_table_findings(SpecKind kind);
 
 /// The full static determinism audit of one request: stream-graph rules
-/// (QD100/QD103), fingerprint soundness (QD102), and wire coverage
-/// (QD103). Error findings mean the request must not run.
+/// (QD100/QD103) under `lint`, then options_table_findings(spec.kind)
+/// (QD102, QD103 wire coverage) minus the codes `lint` disables. Error
+/// findings mean the request must not run.
 [[nodiscard]] Diagnostics audit_request(const RequestSpec& spec,
                                         const LintOptions& lint = {});
 

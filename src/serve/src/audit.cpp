@@ -1,7 +1,6 @@
 #include "qbarren/serve/audit.hpp"
 
-#include <array>
-#include <utility>
+#include <algorithm>
 
 #include "qbarren/serve/service.hpp"
 
@@ -9,17 +8,16 @@ namespace qbarren::serve {
 
 namespace {
 
-Diagnostics audit_options_table(SpecKind kind, const std::string& label,
-                                const LintOptions& lint) {
-  switch (kind) {
-    case SpecKind::kVariance:
-      return audit_fingerprint_probes(
-          options_table_probes(kVarianceOptionsTable), label, lint);
-    case SpecKind::kTraining:
-      return audit_fingerprint_probes(
-          options_table_probes(kTrainingOptionsTable), label, lint);
+/// Appends the process-wide options-table findings for `kind`, minus any
+/// rule `lint` disables.
+void append_table_findings(Diagnostics& out, SpecKind kind,
+                           const LintOptions& lint) {
+  for (const Diagnostic& finding : options_table_findings(kind)) {
+    if (std::ranges::find(lint.disabled_codes, finding.code) ==
+        lint.disabled_codes.end()) {
+      out.push_back(finding);
+    }
   }
-  return {};
 }
 
 }  // namespace
@@ -36,18 +34,16 @@ StreamGraph request_stream_graph(const RequestSpec& spec) {
 }
 
 const Diagnostics& options_table_findings(SpecKind kind) {
-  static const std::array<Diagnostics, 2> findings = {
-      audit_options_table(SpecKind::kVariance, "variance", {}),
-      audit_options_table(SpecKind::kTraining, "training", {})};
-  return findings[kind == SpecKind::kVariance ? 0 : 1];
+  static const Diagnostics variance = audit_fingerprint_probes(
+      options_table_probes(kVarianceOptionsTable), "variance");
+  static const Diagnostics training = audit_fingerprint_probes(
+      options_table_probes(kTrainingOptionsTable), "training");
+  return kind == SpecKind::kVariance ? variance : training;
 }
 
 Diagnostics audit_request(const RequestSpec& spec, const LintOptions& lint) {
   Diagnostics out = audit_stream_graph(request_stream_graph(spec), lint);
-  Diagnostics table =
-      audit_options_table(spec.kind, "request:" + spec.id, lint);
-  out.insert(out.end(), std::make_move_iterator(table.begin()),
-             std::make_move_iterator(table.end()));
+  append_table_findings(out, spec.kind, lint);
   return out;
 }
 
@@ -62,10 +58,7 @@ Diagnostics audit_requests(const std::vector<RequestSpec>& specs,
   }
   Diagnostics out = audit_stream_graphs(graphs, lint);
   for (const RequestSpec& spec : specs) {
-    Diagnostics table =
-        audit_options_table(spec.kind, "request:" + spec.id, lint);
-    out.insert(out.end(), std::make_move_iterator(table.begin()),
-               std::make_move_iterator(table.end()));
+    append_table_findings(out, spec.kind, lint);
   }
   return out;
 }

@@ -360,10 +360,7 @@ RequestOutcome ExperimentService::run_request(const RequestSpec& spec,
     // together: a request whose stream graph collides or whose options
     // table drops a fingerprinted field would poison the shared result
     // cache, which is strictly worse than wasting one worker pool.
-    Diagnostics determinism =
-        audit_stream_graph(request_stream_graph(spec));
-    const Diagnostics& table = options_table_findings(spec.kind);
-    determinism.insert(determinism.end(), table.begin(), table.end());
+    Diagnostics determinism = audit_request(spec);
     if (has_errors(determinism)) admission.admitted = false;
     admission.findings.insert(admission.findings.end(),
                               std::make_move_iterator(determinism.begin()),

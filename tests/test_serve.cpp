@@ -20,12 +20,14 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "qbarren/analysis/admission.hpp"
 #include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/serialize.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/exit_codes.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
+#include "qbarren/serve/audit.hpp"
 #include "qbarren/serve/protocol.hpp"
 #include "qbarren/serve/server.hpp"
 #include "qbarren/serve/service.hpp"
@@ -303,6 +305,32 @@ TEST(ServeService, AdmissionRejectsBrokenSpecWithDiagnostics) {
   ASSERT_TRUE(rejection.is_object());
   EXPECT_TRUE(rejection.at("findings").contains("diagnostics"));
   // Nothing was dispatched: the pool never started.
+  EXPECT_TRUE(service.worker_pids().empty());
+}
+
+TEST(ServeService, AdmissionFindingsAreFeasibilityThenTheRequestAudit) {
+  // QD103 (error): qubit_counts {2, 2} gives two cells one checkpoint key.
+  // The rejection carries admission_check's findings followed by exactly
+  // what audit_request reports, options-table findings included.
+  RequestSpec spec = small_variance_spec();
+  spec.variance.qubit_counts = {2, 2};
+  Diagnostics expected = admission_check(spec.variance).findings;
+  const Diagnostics audit = audit_request(spec);
+  expected.insert(expected.end(), audit.begin(), audit.end());
+  ExperimentService service(cli_service_options());
+  JsonValue rejection;
+  const RequestOutcome outcome = service.run_request(
+      spec, [&rejection](const JsonValue& event) {
+        if (event.at("event").as_string() == "rejected") rejection = event;
+      });
+  EXPECT_EQ(outcome.status, RequestOutcome::Status::kRejected);
+  ASSERT_TRUE(rejection.is_object());
+  EXPECT_EQ(rejection.at("findings").dump(), to_json(expected).dump());
+  bool saw_qd103 = false;
+  for (const Diagnostic& finding : audit) {
+    saw_qd103 = saw_qd103 || finding.code == "QD103";
+  }
+  EXPECT_TRUE(saw_qd103);
   EXPECT_TRUE(service.worker_pids().empty());
 }
 

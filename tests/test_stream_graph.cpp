@@ -449,6 +449,49 @@ TEST(ServeAudit, PaperRequestsAuditCleanIncludingWireProbes) {
   }
 }
 
+TEST(ServeAudit, RequestAuditIsItsGraphThenItsKindsTableFindings) {
+  // The process-wide findings of each kind are the audit of that kind's
+  // options table...
+  EXPECT_EQ(to_json(serve::options_table_findings(serve::SpecKind::kVariance))
+                .dump(),
+            to_json(audit_fingerprint_probes(
+                        options_table_probes(kVarianceOptionsTable),
+                        "variance"))
+                .dump());
+  EXPECT_EQ(to_json(serve::options_table_findings(serve::SpecKind::kTraining))
+                .dump(),
+            to_json(audit_fingerprint_probes(
+                        options_table_probes(kTrainingOptionsTable),
+                        "training"))
+                .dump());
+  EXPECT_NE(&serve::options_table_findings(serve::SpecKind::kVariance),
+            &serve::options_table_findings(serve::SpecKind::kTraining));
+
+  // ...and a request's audit is its stream graph's findings followed by
+  // those of its kind. {4, 4} gives the graph a QD103 finding.
+  serve::RequestSpec variance;
+  variance.id = "dup";
+  variance.kind = serve::SpecKind::kVariance;
+  variance.variance.qubit_counts = {4, 4};
+  variance.variance.circuits_per_point = 1;
+  serve::RequestSpec training;
+  training.id = "fig5b";
+  training.kind = serve::SpecKind::kTraining;
+  for (const serve::RequestSpec& spec : {variance, training}) {
+    Diagnostics expected =
+        audit_stream_graph(serve::request_stream_graph(spec));
+    const Diagnostics& table = serve::options_table_findings(spec.kind);
+    expected.insert(expected.end(), table.begin(), table.end());
+    EXPECT_EQ(to_json(serve::audit_request(spec)).dump(),
+              to_json(expected).dump())
+        << spec.id;
+  }
+  EXPECT_TRUE(has_code(serve::audit_request(variance), "QD103"));
+  LintOptions lint;
+  lint.disabled_codes = {"QD103"};
+  EXPECT_TRUE(serve::audit_request(variance, lint).empty());
+}
+
 TEST(ServeAudit, RequestGraphMatchesRequestCellPlan) {
   serve::RequestSpec spec;
   spec.id = "x";
