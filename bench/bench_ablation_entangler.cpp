@@ -7,6 +7,7 @@
 // equivalent) but steepens with connectivity, since denser entangling
 // layers scramble to a 2-design at smaller depth.
 #include "bench_common.hpp"
+#include "qbarren/bp/options_table.hpp"
 #include "qbarren/bp/variance.hpp"
 #include "qbarren/common/table.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
@@ -18,18 +19,6 @@ using namespace qbarren;
 
 const char* gate_name(EntanglerGate gate) {
   return gate == EntanglerGate::kCz ? "CZ" : "CNOT";
-}
-
-const char* topology_name(EntanglerTopology topology) {
-  switch (topology) {
-    case EntanglerTopology::kLinear:
-      return "linear";
-    case EntanglerTopology::kRing:
-      return "ring";
-    case EntanglerTopology::kAllToAll:
-      return "all-to-all";
-  }
-  return "?";
 }
 
 void reproduce() {
@@ -58,7 +47,7 @@ void reproduce() {
     const VarianceSeries& s = result.series[0];
     table.begin_row();
     table.push(std::string(gate_name(gate)));
-    table.push(std::string(topology_name(topology)));
+    table.push(std::string(kEntanglerTopologyNames.name(topology)));
     table.push(s.decay_fit.slope, 4);
     table.push(s.decay_fit.r_squared, 4);
     table.push(format_sci(s.points.back().variance, 3));
@@ -79,7 +68,7 @@ void bm_entangling_layer(benchmark::State& state) {
     plan->apply_plan_ops(s, {}, 0, plan->num_plan_ops());
     benchmark::DoNotOptimize(s.amplitudes().data());
   }
-  state.SetLabel(topology_name(topology));
+  state.SetLabel(kEntanglerTopologyNames.name(topology));
 }
 BENCHMARK(bm_entangling_layer)
     ->Arg(static_cast<int>(qbarren::EntanglerTopology::kLinear))

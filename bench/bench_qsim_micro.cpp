@@ -43,7 +43,7 @@ void bm_cz_gate(benchmark::State& state) {
   StateVector s(n);
   std::size_t q = 0;
   for (auto _ : state) {
-    s.apply_cz(q, q + 1);
+    exec::apply_cz(s, q, q + 1);
     q = (q + 1) % (n - 1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

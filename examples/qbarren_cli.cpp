@@ -2,15 +2,13 @@
 //
 // Usage:
 //   qbarren_cli variance   [--qubits 2,4,6,8,10] [--circuits 200]
-//                          [--layers 50] [--seed 42] [--batch B|auto]
-//                          [--json out.json]
+//                          [--layers 50] [--seed 42] [--json out.json]
 //   qbarren_cli train      [--optimizer adam] [--qubits 10] [--layers 5]
 //                          [--iterations 50] [--deadline-sec 3600]
 //                          [--nonfinite throw|abort|fallback]
-//                          [--batch B|auto] [--json out.json]
+//                          [--json out.json]
 //   qbarren_cli sweep      [--repetitions 5] [--optimizer adam] ...
 //   qbarren_cli landscape  [--qubits 2,5,10] [--layers 100] [--grid 21]
-//                          [--batch B|auto]
 //   qbarren_cli express    [--qubits 4] [--layers 5] [--pairs 300]
 //   qbarren_cli lightcone  [--qubits 6] [--layers 10]
 //   qbarren_cli serve      --socket <path> [--workers 2] [--cache <file>]
@@ -223,70 +221,6 @@ void report_plan_verification(
                guard->plans_verified(), guard->warnings());
 }
 
-/// Engine name with the fault/guard decorators peeled off ("guarded:",
-/// "nan-at:<k>:", "crash-at:<k>:", "hang-at:<k>:"), so --batch validation
-/// sees the engine that will actually run.
-std::string strip_engine_decorators(std::string name) {
-  bool stripped = true;
-  while (stripped) {
-    stripped = false;
-    const std::string guarded = "guarded:";
-    if (name.starts_with(guarded)) {
-      name = name.substr(guarded.size());
-      stripped = true;
-      continue;
-    }
-    for (const char* prefix : {"nan-at:", "crash-at:", "hang-at:"}) {
-      if (!name.starts_with(prefix)) continue;
-      const std::size_t colon = name.find(':', std::strlen(prefix));
-      if (colon == std::string::npos) return name;  // malformed; registry errors
-      name = name.substr(colon + 1);
-      stripped = true;
-      break;
-    }
-  }
-  return name;
-}
-
-/// --batch=<B>|auto is accepted for compatibility but no longer changes
-/// execution: shift-rule gradients always share one prefix walk. The
-/// value is still validated as before, so scripts that passed a bad value
-/// keep failing the same way: it must be a positive lane count or 'auto',
-/// and an explicit count >= 2 is rejected with the adjoint engine
-/// (`engine_name`, empty when the subcommand has no gradient engine).
-void check_batch_flag(const CliArgs& args, const std::string& engine_name) {
-  if (!args.has("batch")) return;
-  const std::string text = args.get_string("batch", "");
-  if (text != "auto") {
-    std::size_t parsed = 0;
-    unsigned long long value = 0;
-    if (!text.empty() && text.find_first_not_of("0123456789") ==
-                             std::string::npos) {
-      try {
-        value = std::stoull(text, &parsed);
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-    }
-    QBARREN_REQUIRE(parsed == text.size() && !text.empty() && value >= 1,
-                    "--batch must be a positive lane count or 'auto', got '" +
-                        text + "'");
-    if (value >= 2 && strip_engine_decorators(engine_name) == "adjoint") {
-      throw InvalidArgument(
-          "--batch " + text +
-          " makes no sense with --engine adjoint: the adjoint engine "
-          "computes the whole gradient in one forward/backward pass and "
-          "has no shifted bindings to batch; drop --batch, use "
-          "--batch=auto (runs serial), or pick a shift-rule engine "
-          "(parameter-shift, finite-diff, spsa)");
-    }
-  }
-  std::fprintf(stderr,
-               "--batch %s: accepted but no longer changes execution "
-               "(shift-rule gradients always share one prefix walk)\n",
-               text.c_str());
-}
-
 /// --param: which parameter's derivative a variance run samples.
 GradientParameter param_flag(const CliArgs& args) {
   const std::optional<GradientParameter> which =
@@ -318,7 +252,6 @@ int cmd_variance(const CliArgs& args) {
   const VarianceExperiment experiment(options);
   preflight(args, lint_variance_options(options), "variance preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  check_batch_flag(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const VarianceResult result =
       experiment.run_paper_set(FanMode::kLayerTensor, resilient.control);
@@ -360,7 +293,6 @@ int cmd_train(const CliArgs& args) {
   const TrainingExperimentOptions options = training_options_from(args);
   preflight(args, lint_training_options(options), "train preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  check_batch_flag(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const TrainingResult result =
       TrainingExperiment(options).run_paper_set(FanMode::kLayerTensor,
@@ -384,7 +316,6 @@ int cmd_sweep(const CliArgs& args) {
       static_cast<std::size_t>(args.get_int("repetitions", 5));
   preflight(args, lint_sweep_options(options), "sweep preflight");
   ResilientRun resilient(args, options_fingerprint(options));
-  check_batch_flag(args, options.base.gradient_engine);
   const auto verification = plan_verification(args);
   const auto owned = paper_initializers();
   const TrainingSweepResult result =
@@ -404,8 +335,6 @@ int cmd_landscape(const CliArgs& args) {
   for (int q : args.get_int_list("qubits", {2, 5, 10})) {
     widths.push_back(static_cast<std::size_t>(q));
   }
-  // No gradient engine here; any valid --batch value is accepted.
-  check_batch_flag(args, "");
   const auto verification = plan_verification(args);
   std::printf("%s", landscape_flatness_table(widths, base).to_ascii().c_str());
   report_plan_verification(verification);
@@ -900,20 +829,18 @@ std::vector<std::string> allowed_options(const std::string& command) {
     }
     return extra;
   };
-  // --batch stays accepted (and ignored) only where it used to apply.
   if (command == "variance") {
-    return join({&variance, &resilient, &preflight}, {"batch", "json"});
+    return join({&variance, &resilient, &preflight}, {"json"});
   }
   if (command == "train") {
-    return join({&training, &resilient, &preflight}, {"batch", "json"});
+    return join({&training, &resilient, &preflight}, {"json"});
   }
   if (command == "sweep") {
-    return join({&training, &resilient, &preflight},
-                {"batch", "repetitions"});
+    return join({&training, &resilient, &preflight}, {"repetitions"});
   }
   if (command == "landscape") {
-    return join({}, {"qubits", "layers", "grid", "seed", "batch",
-                     "verify-plans", "json"});
+    return join({}, {"qubits", "layers", "grid", "seed", "verify-plans",
+                     "json"});
   }
   if (command == "express") {
     return join({}, {"qubits", "layers", "pairs", "seed"});
@@ -986,10 +913,6 @@ void print_help() {
       "variance/train/sweep run cells in parallel: --jobs <n> (0 = all\n"
       "cores), --cell-timeout-sec <s>, --max-cell-failures <k>,\n"
       "--cell-retries <r>; results are identical at any --jobs value.\n"
-      "variance/train/sweep/landscape still accept --batch <B>|auto,\n"
-      "which no longer changes execution (shift-rule gradients always\n"
-      "share one prefix walk); an explicit --batch >= 2 is still\n"
-      "rejected with --engine adjoint.\n"
       "<subcommand> --help prints this text. see the header of\n"
       "examples/qbarren_cli.cpp for per-command options; an option the\n"
       "subcommand does not take exits 1.\n",

@@ -33,7 +33,4 @@ struct AdmissionDecision {
     const TrainingExperimentOptions& options,
     const LintOptions& lint_options = {});
 
-[[nodiscard]] AdmissionDecision admission_check(
-    const TrainingSweepOptions& options, const LintOptions& lint_options = {});
-
 }  // namespace qbarren

@@ -164,13 +164,6 @@ struct VariancePrediction {
   std::size_t plan_ops = 0;
   /// The modeling assumptions the numbers rest on, for reports.
   std::vector<std::string> assumptions;
-
-  /// Smallest predicted variance over alive parameters; 0 when none are
-  /// alive.
-  [[nodiscard]] double min_alive_variance() const;
-  /// Per-parameter report table (parameter, width, regime, variance);
-  /// capped at max_rows with an overflow summary row.
-  [[nodiscard]] Table table(std::size_t max_rows = 16) const;
 };
 
 /// The closed-form engine. Construction takes the circuit's dataflow
@@ -252,16 +245,6 @@ struct CellPrediction {
                                     ///< parameter is structurally dead
 };
 
-/// Predicts one cell of the Fig 5a grid. `structures` caps the ensemble
-/// (0 = options.circuits_per_point; prediction is cheap but builds one
-/// dataflow, plan and light cone per structure). Throws NotFound for
-/// unsupported initializer families — callers gate on
-/// angle_model_supported.
-[[nodiscard]] CellPrediction predict_variance_cell(
-    const VarianceExperimentOptions& options, std::size_t qubit_index,
-    const std::string& initializer, const PredictorModel& model = {},
-    std::size_t structures = 0);
-
 /// One initializer's predicted curve across the qubit grid.
 struct PredictionSeries {
   std::string initializer;
@@ -284,10 +267,12 @@ struct PredictionGrid {
       const std::string& initializer) const;
 };
 
-/// Predicts every (qubit count, initializer) cell. Each structure's
+/// Predicts every (qubit count, initializer) cell. `structures` caps each
+/// cell's ensemble (0 = options.circuits_per_point). Each structure's
 /// circuit, dataflow, plan and light cone are built once and shared by
-/// all initializers; each cell sums its structures in ascending order, as
-/// predict_variance_cell does.
+/// all initializers; each cell sums its structures in ascending order.
+/// Throws NotFound for unsupported initializer families — callers gate on
+/// angle_model_supported.
 [[nodiscard]] PredictionGrid predict_variance_grid(
     const VarianceExperimentOptions& options,
     const std::vector<std::string>& initializers,

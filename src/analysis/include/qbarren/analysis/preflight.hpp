@@ -29,8 +29,6 @@ enum class LintMode {
 /// Parses "off" / "warn" / "error"; throws NotFound otherwise.
 [[nodiscard]] LintMode lint_mode_from_name(const std::string& name);
 
-[[nodiscard]] std::string lint_mode_name(LintMode mode);
-
 /// Thrown by enforce_preflight when LintMode::kError meets error-severity
 /// findings. Carries the findings so callers can render them once more.
 class LintError : public Error {

@@ -23,9 +23,4 @@ AdmissionDecision admission_check(const TrainingExperimentOptions& options,
   return decide(lint_training_options(options, lint_options));
 }
 
-AdmissionDecision admission_check(const TrainingSweepOptions& options,
-                                  const LintOptions& lint_options) {
-  return decide(lint_sweep_options(options, lint_options));
-}
-
 }  // namespace qbarren

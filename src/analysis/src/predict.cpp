@@ -128,44 +128,6 @@ std::string variance_regime_name(VarianceRegime regime) {
   throw InvalidArgument("variance_regime_name: unknown regime");
 }
 
-// --- VariancePrediction -----------------------------------------------------
-
-double VariancePrediction::min_alive_variance() const {
-  double min_v = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (const ParameterPrediction& p : parameters) {
-    if (!p.alive) continue;
-    any = true;
-    min_v = std::min(min_v, p.variance);
-  }
-  return any ? min_v : 0.0;
-}
-
-Table VariancePrediction::table(std::size_t max_rows) const {
-  Table table({"param", "width", "regime", "mixing", "Var[dC/dtheta]"});
-  std::size_t shown = 0;
-  for (const ParameterPrediction& p : parameters) {
-    if (shown == max_rows) break;
-    table.begin_row();
-    table.push(p.parameter);
-    table.push(p.cone_width);
-    table.push(variance_regime_name(p.regime));
-    table.push(p.mixing, 3);
-    table.push_sci(p.variance);
-    ++shown;
-  }
-  if (parameters.size() > shown) {
-    table.begin_row();
-    table.push("...");
-    table.push(std::string());
-    table.push(std::string());
-    table.push(std::string());
-    table.push("(+" + std::to_string(parameters.size() - shown) +
-               " more parameters)");
-  }
-  return table;
-}
-
 // --- VariancePredictor ------------------------------------------------------
 
 namespace {
@@ -411,7 +373,7 @@ namespace {
 
 void require_angle_model(const std::string& initializer) {
   if (!angle_model_supported(initializer)) {
-    throw NotFound("predict_variance_cell: no closed-form angle model for "
+    throw NotFound("predict_variance_grid: no closed-form angle model for "
                    "initializer '" +
                    initializer + "'");
   }
@@ -432,7 +394,7 @@ std::vector<CellPrediction> predict_row(
       structures == 0
           ? options.circuits_per_point
           : std::min(structures, options.circuits_per_point);
-  QBARREN_REQUIRE(count > 0, "predict_variance_cell: empty ensemble");
+  QBARREN_REQUIRE(count > 0, "predict_variance_grid: empty ensemble");
 
   std::vector<CellPrediction> cells(initializers.size());
   std::vector<double> sums(initializers.size(), 0.0);
@@ -452,7 +414,7 @@ std::vector<CellPrediction> predict_row(
     for (std::size_t j = 0; j < initializers.size(); ++j) {
       const auto angles = angle_model_for(initializers[j], circuit);
       QBARREN_REQUIRE(angles.has_value(),
-                      "predict_variance_cell: angle model vanished");
+                      "predict_variance_grid: angle model vanished");
       const VariancePrediction prediction =
           predictor.predict(*angles, observable_qubits, cone, cost);
       const ParameterPrediction& pp = prediction.parameters.at(which);
@@ -469,18 +431,6 @@ std::vector<CellPrediction> predict_row(
 }
 
 }  // namespace
-
-CellPrediction predict_variance_cell(const VarianceExperimentOptions& options,
-                                     std::size_t qubit_index,
-                                     const std::string& initializer,
-                                     const PredictorModel& model,
-                                     std::size_t structures) {
-  QBARREN_REQUIRE(qubit_index < options.qubit_counts.size(),
-                  "predict_variance_cell: qubit_index out of range");
-  require_angle_model(initializer);
-  return predict_row(options, qubit_index, {initializer}, model, structures)
-      .front();
-}
 
 PredictionGrid predict_variance_grid(const VarianceExperimentOptions& options,
                                      const std::vector<std::string>& initializers,

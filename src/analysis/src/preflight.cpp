@@ -17,18 +17,6 @@ LintMode lint_mode_from_name(const std::string& name) {
                  "' (expected off, warn, or error)");
 }
 
-std::string lint_mode_name(LintMode mode) {
-  switch (mode) {
-    case LintMode::kOff:
-      return "off";
-    case LintMode::kWarn:
-      return "warn";
-    case LintMode::kError:
-      return "error";
-  }
-  return "?";
-}
-
 LintError::LintError(std::string context, Diagnostics diagnostics)
     : Error(std::move(context) + ": " +
             std::to_string(count_severity(diagnostics, Severity::kError)) +

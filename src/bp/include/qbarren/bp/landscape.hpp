@@ -44,12 +44,6 @@ struct LandscapeResult {
   double mean = 0.0;
 
   [[nodiscard]] double value_at(std::size_t i, std::size_t j) const;
-
-  /// Metric row for cross-width comparisons.
-  [[nodiscard]] Table metrics_table() const;
-
-  /// The full grid as a table (axis value columns), for CSV export.
-  [[nodiscard]] Table grid_table() const;
 };
 
 /// Runs the scan. Requires grid_points >= 2, param indices distinct and

@@ -64,36 +64,6 @@ LandscapeResult scan_landscape(const LandscapeOptions& options) {
   return result;
 }
 
-Table LandscapeResult::metrics_table() const {
-  Table table({"qubits", "layers", "grid", "min", "max", "range", "stddev"});
-  table.begin_row();
-  table.push(options.qubits);
-  table.push(options.layers);
-  table.push(options.grid_points);
-  table.push(min_value, 6);
-  table.push(max_value, 6);
-  table.push(range, 6);
-  table.push(stddev, 6);
-  return table;
-}
-
-Table LandscapeResult::grid_table() const {
-  std::vector<std::string> headers{"theta_a \\ theta_b"};
-  for (double v : axis) {
-    headers.push_back(format_fixed(v, 3));
-  }
-  Table table(std::move(headers));
-  const std::size_t n = options.grid_points;
-  for (std::size_t i = 0; i < n; ++i) {
-    table.begin_row();
-    table.push(format_fixed(axis[i], 3));
-    for (std::size_t j = 0; j < n; ++j) {
-      table.push(values[i * n + j], 4);
-    }
-  }
-  return table;
-}
-
 Table landscape_flatness_table(const std::vector<std::size_t>& qubit_counts,
                                const LandscapeOptions& base_options) {
   QBARREN_REQUIRE(!qubit_counts.empty(),

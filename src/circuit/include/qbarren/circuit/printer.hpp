@@ -1,6 +1,5 @@
-// Textual circuit rendering: a one-op-per-line listing and an
-// OpenQASM-2.0-compatible dump (useful for eyeballing circuits or feeding
-// them to external tools).
+// Textual circuit rendering: an OpenQASM-2.0-compatible dump (useful for
+// eyeballing circuits or feeding them to external tools).
 #pragma once
 
 #include <string>
@@ -8,9 +7,6 @@
 #include "qbarren/circuit/circuit.hpp"
 
 namespace qbarren {
-
-/// One line per operation, e.g. "RY(theta[3]) q[1]" / "CZ q[0], q[1]".
-[[nodiscard]] std::string to_text(const Circuit& circuit);
 
 /// OpenQASM 2.0 program for the circuit bound to `params`.
 [[nodiscard]] std::string to_qasm(const Circuit& circuit,

@@ -6,31 +6,6 @@ namespace qbarren {
 
 namespace {
 
-std::string fixed_gate_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::kHadamard:
-      return "H";
-    case OpKind::kPauliX:
-      return "X";
-    case OpKind::kPauliY:
-      return "Y";
-    case OpKind::kPauliZ:
-      return "Z";
-    case OpKind::kSGate:
-      return "S";
-    case OpKind::kTGate:
-      return "T";
-    case OpKind::kCz:
-      return "CZ";
-    case OpKind::kCnot:
-      return "CX";
-    case OpKind::kSwap:
-      return "SWAP";
-    default:
-      return "?";
-  }
-}
-
 std::string qasm_rotation_name(gates::Axis axis) {
   switch (axis) {
     case gates::Axis::kX:
@@ -44,48 +19,6 @@ std::string qasm_rotation_name(gates::Axis axis) {
 }
 
 }  // namespace
-
-std::string to_text(const Circuit& circuit) {
-  std::ostringstream oss;
-  oss << "circuit: " << circuit.num_qubits() << " qubits, "
-      << circuit.num_operations() << " ops, " << circuit.num_parameters()
-      << " parameters\n";
-  for (const Operation& op : circuit.operations()) {
-    switch (op.kind) {
-      case OpKind::kRotation:
-        oss << gates::axis_name(op.axis) << "(theta[" << op.param_index
-            << "]) q[" << op.qubit0 << "]\n";
-        break;
-      case OpKind::kFixedRotation:
-        oss << gates::axis_name(op.axis) << "(" << op.fixed_angle << ") q["
-            << op.qubit0 << "]\n";
-        break;
-      case OpKind::kControlledRotation:
-        oss << "C" << gates::axis_name(op.axis) << "(theta["
-            << op.param_index << "]) q[" << op.qubit0 << "], q["
-            << op.qubit1 << "]\n";
-        break;
-      case OpKind::kCz:
-      case OpKind::kCnot:
-      case OpKind::kSwap:
-        oss << fixed_gate_name(op.kind) << " q[" << op.qubit0 << "], q["
-            << op.qubit1 << "]\n";
-        break;
-      case OpKind::kCustomSingle:
-        oss << "CUSTOM(" << circuit.custom_gate(op).name << ") q["
-            << op.qubit0 << "]\n";
-        break;
-      case OpKind::kCustomTwo:
-        oss << "CUSTOM(" << circuit.custom_gate(op).name << ") q["
-            << op.qubit0 << "], q[" << op.qubit1 << "]\n";
-        break;
-      default:
-        oss << fixed_gate_name(op.kind) << " q[" << op.qubit0 << "]\n";
-        break;
-    }
-  }
-  return oss.str();
-}
 
 std::string to_qasm(const Circuit& circuit, std::span<const double> params) {
   QBARREN_REQUIRE(params.size() == circuit.num_parameters(),

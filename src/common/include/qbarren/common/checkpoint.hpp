@@ -167,11 +167,6 @@ struct CheckpointScan {
   bool saw_end = false;         ///< "end <n>" marker reached
   std::size_t declared_cells = 0;  ///< <n> from the end marker
   std::vector<CheckpointScanIssue> issues;
-
-  /// True exactly when Checkpoint::load would accept the file given the
-  /// stored fingerprint: structure intact, version current, every record
-  /// complete, end count consistent with the distinct keys.
-  [[nodiscard]] bool structurally_clean() const;
 };
 
 /// Scans the file at `path`. Never throws on file content; a missing file

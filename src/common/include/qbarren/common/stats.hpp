@@ -18,9 +18,6 @@ namespace qbarren {
 /// Unbiased sample variance (divides by n-1). Requires n >= 2.
 [[nodiscard]] double sample_variance(std::span<const double> xs);
 
-/// Population variance (divides by n). Requires n >= 1.
-[[nodiscard]] double population_variance(std::span<const double> xs);
-
 /// Sample standard deviation, sqrt(sample_variance). Requires n >= 2.
 [[nodiscard]] double sample_stddev(std::span<const double> xs);
 
@@ -59,19 +56,5 @@ struct LinearFit {
 /// Element-wise natural log. Requires every element > 0 (throws
 /// NumericalError otherwise) — used to linearize exponential decay.
 [[nodiscard]] std::vector<double> log_transform(std::span<const double> xs);
-
-/// Pearson correlation coefficient. Requires n >= 2 and non-constant inputs.
-[[nodiscard]] double pearson_correlation(std::span<const double> xs,
-                                         std::span<const double> ys);
-
-/// Sample skewness m3 / m2^{3/2} (population moments). Requires n >= 2
-/// and a non-constant sample.
-[[nodiscard]] double sample_skewness(std::span<const double> xs);
-
-/// Excess kurtosis m4 / m2^2 - 3 (population moments): 0 for a Gaussian,
-/// -1.2 for a uniform distribution; heavy tails push it positive. Barren
-/// plateau gradient samples are strongly leptokurtic. Requires n >= 2 and
-/// a non-constant sample.
-[[nodiscard]] double sample_excess_kurtosis(std::span<const double> xs);
 
 }  // namespace qbarren

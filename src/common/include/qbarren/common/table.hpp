@@ -33,7 +33,6 @@ class Table {
   void push(std::string cell);
   void push(double value, int precision = 6);
   void push(std::size_t value);
-  void push(long long value);
   /// Scientific notation, e.g. for variances spanning many decades.
   void push_sci(double value, int precision = 3);
 

@@ -359,17 +359,6 @@ void Checkpoint::flush() const {
   write_file_atomic(path_, serialize_locked());
 }
 
-bool CheckpointScan::structurally_clean() const {
-  if (!exists || !header_ok || !version_ok || !has_fingerprint ||
-      !saw_end || !issues.empty()) {
-    return false;
-  }
-  for (const Record& record : records) {
-    if (!record.complete) return false;
-  }
-  return true;
-}
-
 CheckpointScan scan_checkpoint_file(const std::string& path) {
   CheckpointScan scan;
   std::ifstream in(path, std::ios::binary);

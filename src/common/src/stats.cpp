@@ -37,11 +37,6 @@ double sample_variance(std::span<const double> xs) {
   return variance_impl(xs, mean(xs), static_cast<double>(xs.size() - 1));
 }
 
-double population_variance(std::span<const double> xs) {
-  QBARREN_REQUIRE(!xs.empty(), "population_variance: empty sample");
-  return variance_impl(xs, mean(xs), static_cast<double>(xs.size()));
-}
-
 double sample_stddev(std::span<const double> xs) {
   return std::sqrt(sample_variance(xs));
 }
@@ -147,61 +142,6 @@ std::vector<double> log_transform(std::span<const double> xs) {
     out.push_back(std::log(x));
   }
   return out;
-}
-
-double pearson_correlation(std::span<const double> xs,
-                           std::span<const double> ys) {
-  QBARREN_REQUIRE(xs.size() == ys.size(), "pearson: size mismatch");
-  QBARREN_REQUIRE(xs.size() >= 2, "pearson: need at least 2 points");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxx = 0.0;
-  double syy = 0.0;
-  double sxy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    syy += dy * dy;
-    sxy += dx * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) {
-    throw NumericalError("pearson: constant input");
-  }
-  return sxy / std::sqrt(sxx * syy);
-}
-
-namespace {
-
-// Central moment of order k (population normalization).
-double central_moment(std::span<const double> xs, int order) {
-  const double mu = mean(xs);
-  double acc = 0.0;
-  for (const double x : xs) {
-    acc += std::pow(x - mu, order);
-  }
-  return acc / static_cast<double>(xs.size());
-}
-
-}  // namespace
-
-double sample_skewness(std::span<const double> xs) {
-  QBARREN_REQUIRE(xs.size() >= 2, "sample_skewness: need >= 2 samples");
-  const double m2 = central_moment(xs, 2);
-  if (m2 <= 0.0) {
-    throw NumericalError("sample_skewness: constant sample");
-  }
-  return central_moment(xs, 3) / std::pow(m2, 1.5);
-}
-
-double sample_excess_kurtosis(std::span<const double> xs) {
-  QBARREN_REQUIRE(xs.size() >= 2,
-                  "sample_excess_kurtosis: need >= 2 samples");
-  const double m2 = central_moment(xs, 2);
-  if (m2 <= 0.0) {
-    throw NumericalError("sample_excess_kurtosis: constant sample");
-  }
-  return central_moment(xs, 4) / (m2 * m2) - 3.0;
 }
 
 }  // namespace qbarren

@@ -63,8 +63,6 @@ void Table::push(double value, int precision) {
 
 void Table::push(std::size_t value) { push(std::to_string(value)); }
 
-void Table::push(long long value) { push(std::to_string(value)); }
-
 void Table::push_sci(double value, int precision) {
   push(format_sci(value, precision));
 }

@@ -3,10 +3,6 @@
 // All channels are CPTP maps in Kraus form, validated at construction.
 // Parameters follow the usual conventions:
 //   depolarizing(p):      rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
-//   bit_flip(p):          rho -> (1-p) rho + p X rho X
-//   phase_flip(p):        rho -> (1-p) rho + p Z rho Z
-//   amplitude_damping(g): T1 decay with damping probability g
-//   phase_damping(l):     pure dephasing with probability l
 //   depolarizing_2q(p):   rho -> (1-p) rho + (p/15) sum_{P != II} P rho P
 #pragma once
 
@@ -15,10 +11,6 @@
 namespace qbarren::channels {
 
 [[nodiscard]] KrausChannel depolarizing(double p);
-[[nodiscard]] KrausChannel bit_flip(double p);
-[[nodiscard]] KrausChannel phase_flip(double p);
-[[nodiscard]] KrausChannel amplitude_damping(double gamma);
-[[nodiscard]] KrausChannel phase_damping(double lambda);
 [[nodiscard]] KrausChannel depolarizing_2q(double p);
 
 }  // namespace qbarren::channels

@@ -43,9 +43,6 @@ class DensityMatrix {
   /// rho = |psi><psi|.
   [[nodiscard]] static DensityMatrix pure(const StateVector& state);
 
-  /// rho = I / 2^n.
-  [[nodiscard]] static DensityMatrix maximally_mixed(std::size_t num_qubits);
-
   [[nodiscard]] std::size_t num_qubits() const noexcept { return num_qubits_; }
   [[nodiscard]] std::size_t dimension() const noexcept { return dim_; }
 

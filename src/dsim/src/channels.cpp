@@ -33,45 +33,6 @@ KrausChannel depolarizing(double p) {
                                           ")");
 }
 
-KrausChannel bit_flip(double p) {
-  check_probability(p, "bit_flip");
-  std::vector<ComplexMatrix> ops;
-  ops.push_back(scaled(std::sqrt(1.0 - p), gates::identity2()));
-  ops.push_back(scaled(std::sqrt(p), gates::pauli_x()));
-  return KrausChannel(std::move(ops), "bit-flip(" + std::to_string(p) + ")");
-}
-
-KrausChannel phase_flip(double p) {
-  check_probability(p, "phase_flip");
-  std::vector<ComplexMatrix> ops;
-  ops.push_back(scaled(std::sqrt(1.0 - p), gates::identity2()));
-  ops.push_back(scaled(std::sqrt(p), gates::pauli_z()));
-  return KrausChannel(std::move(ops), "phase-flip(" + std::to_string(p) +
-                                          ")");
-}
-
-KrausChannel amplitude_damping(double gamma) {
-  check_probability(gamma, "amplitude_damping");
-  ComplexMatrix k0(2, 2);
-  k0(0, 0) = 1.0;
-  k0(1, 1) = std::sqrt(1.0 - gamma);
-  ComplexMatrix k1(2, 2);
-  k1(0, 1) = std::sqrt(gamma);
-  return KrausChannel({k0, k1},
-                      "amplitude-damping(" + std::to_string(gamma) + ")");
-}
-
-KrausChannel phase_damping(double lambda) {
-  check_probability(lambda, "phase_damping");
-  ComplexMatrix k0(2, 2);
-  k0(0, 0) = 1.0;
-  k0(1, 1) = std::sqrt(1.0 - lambda);
-  ComplexMatrix k1(2, 2);
-  k1(1, 1) = std::sqrt(lambda);
-  return KrausChannel({k0, k1},
-                      "phase-damping(" + std::to_string(lambda) + ")");
-}
-
 KrausChannel depolarizing_2q(double p) {
   check_probability(p, "depolarizing_2q");
   const ComplexMatrix paulis[4] = {gates::identity2(), gates::pauli_x(),

@@ -49,16 +49,6 @@ DensityMatrix DensityMatrix::pure(const StateVector& state) {
   return rho;
 }
 
-DensityMatrix DensityMatrix::maximally_mixed(std::size_t num_qubits) {
-  DensityMatrix rho(num_qubits);
-  std::fill(rho.data_.begin(), rho.data_.end(), Complex{0.0, 0.0});
-  const double p = 1.0 / static_cast<double>(rho.dim_);
-  for (std::size_t i = 0; i < rho.dim_; ++i) {
-    rho.data_[i * rho.dim_ + i] = Complex{p, 0.0};
-  }
-  return rho;
-}
-
 Complex DensityMatrix::element(std::size_t row, std::size_t col) const {
   QBARREN_REQUIRE(row < dim_ && col < dim_,
                   "DensityMatrix::element: index out of range");

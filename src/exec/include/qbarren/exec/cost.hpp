@@ -48,8 +48,4 @@ class CostFunction {
 [[nodiscard]] CostFunction make_identity_cost(
     std::shared_ptr<const Circuit> circuit);
 
-/// Local variant (Cerezo-style) for the cost-locality ablation.
-[[nodiscard]] CostFunction make_local_identity_cost(
-    std::shared_ptr<const Circuit> circuit);
-
 }  // namespace qbarren

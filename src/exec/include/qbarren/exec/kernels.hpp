@@ -108,7 +108,7 @@ void apply_rotation_pair(StateVector& state, gates::Axis axis_first,
 /// CZ on (a, b): negates the quarter of the amplitudes with both qubit
 /// bits set, enumerating them as contiguous runs instead of scanning the
 /// whole vector with a branch. Negation is exact, so the result is
-/// bit-identical to StateVector::apply_cz.
+/// bit-identical to a scan that negates every matching amplitude.
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b);
 
 /// CZ applied to both states (the adjoint sweep un-applies every constant

@@ -23,12 +23,4 @@ CostFunction make_identity_cost(std::shared_ptr<const Circuit> circuit) {
   return CostFunction(std::move(circuit), std::move(obs));
 }
 
-CostFunction make_local_identity_cost(
-    std::shared_ptr<const Circuit> circuit) {
-  QBARREN_REQUIRE(circuit != nullptr,
-                  "make_local_identity_cost: null circuit");
-  auto obs = std::make_shared<LocalZeroObservable>(circuit->num_qubits());
-  return CostFunction(std::move(circuit), std::move(obs));
-}
-
 }  // namespace qbarren

@@ -1,20 +1,18 @@
 // Exact second derivatives via the parameter-shift rule.
 //
 // For Pauli-rotation parameters the cost is a sinusoid in each angle, so
-// second derivatives also have exact shift formulas:
-//   d2C/dtheta_i^2       = [C(t + pi e_i) - 2 C(t) + C(t - pi e_i)] / 4
-//   d2C/dtheta_i dtheta_j = [C(++) - C(+-) - C(-+) + C(--)] / 4,
-// with +- denoting +-pi/2 shifts on i and j. Barren plateaus flatten the
-// whole Taylor expansion — the Hessian's entries vanish exponentially with
-// width alongside the gradient (Cerezo & Coles 2021), which
-// bench_ablation_curvature demonstrates and which rules out second-order
-// optimizers as a plateau escape.
+// second derivatives also have an exact shift formula:
+//   d2C/dtheta_i^2 = [C(t + pi e_i) - 2 C(t) + C(t - pi e_i)] / 4.
+// Barren plateaus flatten the whole Taylor expansion — the Hessian's
+// entries vanish exponentially with width alongside the gradient (Cerezo &
+// Coles 2021), which bench_ablation_curvature demonstrates and which rules
+// out second-order optimizers as a plateau escape.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "qbarren/circuit/circuit.hpp"
-#include "qbarren/linalg/matrix.hpp"
 #include "qbarren/obs/observable.hpp"
 
 namespace qbarren {
@@ -24,18 +22,6 @@ namespace qbarren {
                                     const Observable& observable,
                                     std::span<const double> params,
                                     std::size_t index);
-
-/// Mixed partial d2C/dtheta_i dtheta_j (i == j delegates to
-/// second_partial).
-[[nodiscard]] double mixed_partial(const Circuit& circuit,
-                                   const Observable& observable,
-                                   std::span<const double> params,
-                                   std::size_t i, std::size_t j);
-
-/// Full symmetric P x P Hessian; O(P^2) circuit evaluations.
-[[nodiscard]] RealMatrix hessian(const Circuit& circuit,
-                                 const Observable& observable,
-                                 std::span<const double> params);
 
 /// Diagonal only; O(P) evaluations.
 [[nodiscard]] std::vector<double> hessian_diagonal(

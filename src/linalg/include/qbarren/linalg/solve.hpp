@@ -26,9 +26,4 @@ namespace qbarren {
 [[nodiscard]] std::vector<double> solve_regularized(
     const RealMatrix& a, const std::vector<double>& b, double lambda);
 
-/// Solves A x = b for general square A by LU with partial pivoting.
-/// Throws NumericalError for (numerically) singular A.
-[[nodiscard]] std::vector<double> solve_lu(const RealMatrix& a,
-                                           const std::vector<double>& b);
-
 }  // namespace qbarren

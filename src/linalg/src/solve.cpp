@@ -68,64 +68,4 @@ std::vector<double> solve_regularized(const RealMatrix& a,
   return solve_spd(reg, b);
 }
 
-std::vector<double> solve_lu(const RealMatrix& a,
-                             const std::vector<double>& b) {
-  QBARREN_REQUIRE(a.is_square(), "solve_lu: matrix must be square");
-  QBARREN_REQUIRE(a.rows() == b.size(), "solve_lu: dimension mismatch");
-  const std::size_t n = a.rows();
-  RealMatrix lu = a;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    perm[i] = i;
-  }
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    std::size_t pivot = col;
-    double best = std::abs(lu.at_unchecked(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::abs(lu.at_unchecked(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) {
-      throw NumericalError("solve_lu: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu.at_unchecked(col, c), lu.at_unchecked(pivot, c));
-      }
-      std::swap(perm[col], perm[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = lu.at_unchecked(r, col) / lu.at_unchecked(col, col);
-      lu.at_unchecked(r, col) = f;
-      for (std::size_t c = col + 1; c < n; ++c) {
-        lu.at_unchecked(r, c) -= f * lu.at_unchecked(col, c);
-      }
-    }
-  }
-
-  // Apply permutation to b, then forward/back substitution.
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[perm[i]];
-    for (std::size_t k = 0; k < i; ++k) {
-      sum -= lu.at_unchecked(i, k) * y[k];
-    }
-    y[i] = sum;
-  }
-  std::vector<double> x(n);
-  for (std::size_t i = n; i-- > 0;) {
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) {
-      sum -= lu.at_unchecked(i, k) * x[k];
-    }
-    x[i] = sum / lu.at_unchecked(i, i);
-  }
-  return x;
-}
-
 }  // namespace qbarren

@@ -50,14 +50,6 @@ class PauliSumObservable final : public Observable {
                                                         double coupling_j,
                                                         double field_h);
 
-/// XXZ Heisenberg chain with open boundaries and a longitudinal field:
-///   H = J_xy sum_i (X_i X_{i+1} + Y_i Y_{i+1}) + J_z sum_i Z_i Z_{i+1}
-///       + h sum_i Z_i.
-[[nodiscard]] PauliSumObservable heisenberg_xxz(std::size_t num_qubits,
-                                                double coupling_jxy,
-                                                double coupling_jz,
-                                                double field_h = 0.0);
-
 /// Smallest eigenvalue of H by inverse-shifted power iteration on
 /// (one_norm * I - H), exact up to `tolerance` (spectral gap permitting).
 /// Dense in the state dimension — intended for num_qubits <= 12.

@@ -78,34 +78,6 @@ PauliSumObservable transverse_field_ising(std::size_t num_qubits,
   return PauliSumObservable(std::move(terms));
 }
 
-PauliSumObservable heisenberg_xxz(std::size_t num_qubits, double coupling_jxy,
-                                  double coupling_jz, double field_h) {
-  QBARREN_REQUIRE(num_qubits >= 2, "heisenberg_xxz: need >= 2 qubits");
-  std::vector<PauliTerm> terms;
-  for (std::size_t i = 0; i + 1 < num_qubits; ++i) {
-    std::string xx(num_qubits, 'I');
-    xx[i] = 'X';
-    xx[i + 1] = 'X';
-    terms.push_back(PauliTerm{coupling_jxy, std::move(xx)});
-    std::string yy(num_qubits, 'I');
-    yy[i] = 'Y';
-    yy[i + 1] = 'Y';
-    terms.push_back(PauliTerm{coupling_jxy, std::move(yy)});
-    std::string zz(num_qubits, 'I');
-    zz[i] = 'Z';
-    zz[i + 1] = 'Z';
-    terms.push_back(PauliTerm{coupling_jz, std::move(zz)});
-  }
-  if (field_h != 0.0) {
-    for (std::size_t i = 0; i < num_qubits; ++i) {
-      std::string z(num_qubits, 'I');
-      z[i] = 'Z';
-      terms.push_back(PauliTerm{field_h, std::move(z)});
-    }
-  }
-  return PauliSumObservable(std::move(terms));
-}
-
 double ground_state_energy(const PauliSumObservable& hamiltonian,
                            std::size_t max_iterations, double tolerance) {
   // Power iteration on M = shift*I - H: M's dominant eigenvector is H's

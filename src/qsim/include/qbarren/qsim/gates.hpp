@@ -88,9 +88,6 @@ struct Mat2 {
 /// Entries of a 2x2 ComplexMatrix; throws InvalidArgument otherwise.
 [[nodiscard]] Mat2 entries_of(const ComplexMatrix& m);
 
-/// Conjugate transpose of a Mat2.
-[[nodiscard]] Mat2 adjoint_entries(const Mat2& m);
-
 /// Human-readable axis name ("RX"/"RY"/"RZ").
 [[nodiscard]] std::string axis_name(Axis axis);
 

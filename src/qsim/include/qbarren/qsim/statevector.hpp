@@ -52,10 +52,6 @@ class StateVector {
   /// applies non-unitary derivatives) to `target`.
   void apply_single_qubit(const ComplexMatrix& u, std::size_t target);
 
-  /// Controlled-Z between two qubits (order irrelevant): flips the sign of
-  /// every amplitude whose both qubit bits are 1. Specialized fast path.
-  void apply_cz(std::size_t a, std::size_t b);
-
   /// Applies a 4x4 matrix to the qubit pair (low, high basis bits =
   /// q_low, q_high respectively). `q_low` and `q_high` must differ.
   void apply_two_qubit(const ComplexMatrix& u, std::size_t q_low,

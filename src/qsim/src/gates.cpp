@@ -221,11 +221,6 @@ Mat2 entries_of(const ComplexMatrix& m) {
   return {m(0, 0), m(0, 1), m(1, 0), m(1, 1)};
 }
 
-Mat2 adjoint_entries(const Mat2& m) {
-  return {std::conj(m.m00), std::conj(m.m10), std::conj(m.m01),
-          std::conj(m.m11)};
-}
-
 std::string axis_name(Axis axis) {
   switch (axis) {
     case Axis::kX:

@@ -69,19 +69,6 @@ void StateVector::apply_single_qubit(const ComplexMatrix& u,
   }
 }
 
-void StateVector::apply_cz(std::size_t a, std::size_t b) {
-  check_qubit(a, "apply_cz");
-  check_qubit(b, "apply_cz");
-  QBARREN_REQUIRE(a != b, "apply_cz: qubits must differ");
-  const std::size_t mask = (std::size_t{1} << a) | (std::size_t{1} << b);
-  const std::size_t dim = amps_.size();
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & mask) == mask) {
-      amps_[i] = -amps_[i];
-    }
-  }
-}
-
 void StateVector::apply_two_qubit(const ComplexMatrix& u, std::size_t q_low,
                                   std::size_t q_high) {
   check_qubit(q_low, "apply_two_qubit");

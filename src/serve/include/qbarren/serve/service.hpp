@@ -135,10 +135,6 @@ class ExperimentService {
                              const EventSink& sink = nullptr,
                              const CancellationToken* drain = nullptr);
 
-  /// The shared result cache (fingerprint kCacheFingerprint, cell keys
-  /// "<options-fingerprint>|<cell-key>").
-  [[nodiscard]] Checkpoint& cache() noexcept;
-
   /// What open_salvaging found in the cache file at construction.
   [[nodiscard]] const CheckpointSalvage& cache_salvage() const noexcept;
 

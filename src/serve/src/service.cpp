@@ -310,8 +310,6 @@ ExperimentService::ExperimentService(ServiceOptions options)
 
 ExperimentService::~ExperimentService() { shutdown(); }
 
-Checkpoint& ExperimentService::cache() noexcept { return impl_->cache; }
-
 const CheckpointSalvage& ExperimentService::cache_salvage() const noexcept {
   return impl_->salvage;
 }

@@ -51,6 +51,19 @@ inline void apply_controlled(StateVector& state, const ComplexMatrix& u,
   }
 }
 
+/// Controlled-Z between two qubits (order irrelevant): negates every
+/// amplitude whose both qubit bits are 1, scanning every index.
+inline void apply_cz(StateVector& state, std::size_t a, std::size_t b) {
+  QBARREN_REQUIRE(a < state.num_qubits() && b < state.num_qubits(),
+                  "apply_cz: qubit index out of range");
+  QBARREN_REQUIRE(a != b, "apply_cz: qubits must differ");
+  const std::size_t mask = (std::size_t{1} << a) | (std::size_t{1} << b);
+  std::vector<Complex>& amps = state.amplitudes();
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    if ((i & mask) == mask) amps[i] = -amps[i];
+  }
+}
+
 /// Applies the source op at `op_index`.
 inline void apply_operation(const Circuit& circuit, std::size_t op_index,
                             StateVector& state,
@@ -90,7 +103,7 @@ inline void apply_operation(const Circuit& circuit, std::size_t op_index,
       state.apply_single_qubit(gates::t_gate(), op.qubit0);
       return;
     case OpKind::kCz:
-      state.apply_cz(op.qubit0, op.qubit1);
+      apply_cz(state, op.qubit0, op.qubit1);
       return;
     case OpKind::kCnot:
       apply_controlled(state, gates::pauli_x(), op.qubit0, op.qubit1);

@@ -294,16 +294,6 @@ TEST(Circuit, UnitaryRefusesWideRegisters) {
   EXPECT_THROW((void)c.unitary({}), InvalidArgument);
 }
 
-TEST(Printer, TextListingContainsOps) {
-  Circuit c(2);
-  c.add_rotation(gates::Axis::kY, 1);
-  c.add_cz(0, 1);
-  const std::string text = to_text(c);
-  EXPECT_NE(text.find("RY(theta[0]) q[1]"), std::string::npos);
-  EXPECT_NE(text.find("CZ q[0], q[1]"), std::string::npos);
-  EXPECT_NE(text.find("2 qubits"), std::string::npos);
-}
-
 TEST(Printer, QasmDumpIsWellFormed) {
   Circuit c(2);
   c.add_rotation(gates::Axis::kX, 0);

@@ -167,45 +167,6 @@ CliRun run_cli(const std::string& args) {
   return run;
 }
 
-TEST(CliBatchFlag, InvalidValuesStillExitOne) {
-  const std::string landscape = "landscape --qubits 2 --layers 2 --grid 3 ";
-  for (const char* value : {"0", "x", "-1", "2x", ""}) {
-    const CliRun run = run_cli(landscape + "--batch='" + value + "'");
-    EXPECT_EQ(run.exit_code, kExitFailure) << "--batch '" << value << "'";
-    EXPECT_NE(run.err.find("--batch must be a positive lane count"),
-              std::string::npos)
-        << run.err;
-    EXPECT_TRUE(run.out.empty()) << run.out;
-  }
-  const CliRun adjoint = run_cli(
-      "train --qubits 2 --layers 1 --iterations 1 --engine adjoint "
-      "--lint=off --batch 4");
-  EXPECT_EQ(adjoint.exit_code, kExitFailure);
-  EXPECT_NE(adjoint.err.find("makes no sense with --engine adjoint"),
-            std::string::npos)
-      << adjoint.err;
-}
-
-TEST(CliBatchFlag, ValidValueChangesNothingButOneStderrLine) {
-  const std::string landscape = "landscape --qubits 2,3 --layers 4 --grid 5";
-  const CliRun plain = run_cli(landscape);
-  ASSERT_EQ(plain.exit_code, kExitOk) << plain.err;
-  for (const char* value : {"auto", "1", "8"}) {
-    const CliRun batched = run_cli(landscape + " --batch " + value);
-    EXPECT_EQ(batched.exit_code, kExitOk) << batched.err;
-    EXPECT_EQ(batched.out, plain.out) << "--batch " << value;
-    EXPECT_EQ(batched.err, std::string("--batch ") + value +
-                               ": accepted but no longer changes execution "
-                               "(shift-rule gradients always share one "
-                               "prefix walk)\n");
-  }
-  // --batch auto stays valid with the adjoint engine.
-  const CliRun adjoint = run_cli(
-      "train --qubits 2 --layers 1 --iterations 1 --engine adjoint "
-      "--lint=off --batch auto");
-  EXPECT_EQ(adjoint.exit_code, kExitOk) << adjoint.err;
-}
-
 TEST(CliHelp, PrintsUsageAndExitsZeroBeforeAnyWork) {
   const std::string usage = run_cli("").out;
   ASSERT_NE(usage.find("subcommands:"), std::string::npos) << usage;
@@ -236,13 +197,12 @@ TEST(CliUnknownFlag, EverySubcommandRejectsItBeforeAnyWork) {
 }
 
 TEST(CliUnknownFlag, OptionsOfOtherSubcommandsAreRejected) {
-  // --batch is accepted only by variance, train, sweep and landscape.
+  // --batch is taken by no subcommand.
   const std::pair<const char*, const char*> cases[] = {
-      {"predict --batch 4", "--batch"},
-      {"predict --conformance --batch auto", "--batch"},
-      {"lint --ansatz training --batch 4", "--batch"},
-      {"express --batch 1", "--batch"},
-      {"audit --kind variance --batch auto", "--batch"},
+      {"variance --batch 4", "--batch"},
+      {"train --engine adjoint --batch auto", "--batch"},
+      {"sweep --batch 1", "--batch"},
+      {"landscape --batch auto", "--batch"},
       {"lint --circuits 5", "--circuits"},
       {"variance --structures 8", "--structures"},
       {"train --circuits 5", "--circuits"},
@@ -273,13 +233,13 @@ TEST(CliUnknownFlag, EveryOptionASubcommandReadsStillParses) {
       " --seed 1 --engine adjoint --deadline-sec 9 --nonfinite throw";
   for (const std::string& command : {
            "variance" + variance + resilient +
-               " --lint=off --verify-plans --batch auto --json v.json",
+               " --lint=off --verify-plans --json v.json",
            "train" + training + resilient +
-               " --lint off --verify-plans --batch auto --json t.json",
+               " --lint off --verify-plans --json t.json",
            "sweep" + training + resilient +
-               " --lint=warn --verify-plans --batch 1 --repetitions 2",
+               " --lint=warn --verify-plans --repetitions 2",
            std::string("landscape --qubits 2 --layers 2 --grid 3 --seed 1"
-                       " --batch auto --verify-plans --json l.json"),
+                       " --verify-plans --json l.json"),
            std::string("express --qubits 2 --layers 1 --pairs 3 --seed 1"),
            std::string("lightcone --qubits 2 --layers 1 --seed 1"),
            "predict" + variance + resilient +

@@ -47,16 +47,6 @@ TEST(CostFunction, ZeroParametersGiveZeroIdentityCost) {
   EXPECT_NEAR(cost.value(zeros), 0.0, kTol);
 }
 
-TEST(CostFunction, LocalIdentityCostZeroAtZero) {
-  TrainingAnsatzOptions options;
-  options.layers = 2;
-  auto circuit =
-      std::make_shared<const Circuit>(training_ansatz(3, options));
-  const CostFunction cost = make_local_identity_cost(circuit);
-  const std::vector<double> zeros(circuit->num_parameters(), 0.0);
-  EXPECT_NEAR(cost.value(zeros), 0.0, kTol);
-}
-
 TEST(CostFunction, AccessorsWiredThrough) {
   auto circuit = one_qubit_ry();
   const CostFunction cost = make_identity_cost(circuit);

@@ -775,13 +775,13 @@ TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
                                    std::to_string(a) + "," +
                                    std::to_string(b) + ")";
           StateVector want_cz = inputs[n];
-          want_cz.apply_cz(a, b);
+          reference::apply_cz(want_cz, a, b);
           StateVector cz = inputs[n];
           exec::apply_cz(cz, a, b);
           expect_bit_identical(cz, want_cz, "cz " + name);
 
           StateVector want_other = other;
-          want_other.apply_cz(a, b);
+          reference::apply_cz(want_other, a, b);
           StateVector first = inputs[n];
           StateVector second = other;
           exec::apply_cz_pair(first, second, a, b);

@@ -39,7 +39,7 @@ TEST(PauliSum, ApplyConsistentWithExpectation) {
   StateVector s(2);
   s.apply_single_qubit(gates::u3(0.8, 0.2, 1.1), 0);
   s.apply_single_qubit(gates::u3(1.9, -0.5, 0.3), 1);
-  s.apply_cz(0, 1);
+  reference::apply_cz(s, 0, 1);
   EXPECT_NEAR(h.expectation(s), s.inner_product(h.apply(s)).real(), 1e-11);
 }
 

@@ -10,7 +10,6 @@
 #include "qbarren/common/stats.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/init/registry.hpp"
-#include "qbarren/linalg/checks.hpp"
 
 namespace qbarren {
 namespace {
@@ -34,58 +33,20 @@ TEST(Hessian, MatchesFiniteDifferences) {
   const GlobalZeroObservable obs(2);
   Rng rng(3);
   const auto params = rng.uniform_vector(c.num_parameters(), 0.0, 6.0);
-  const RealMatrix h = hessian(c, obs, params);
+  const auto diag = hessian_diagonal(c, obs, params);
 
   const double step = 1e-4;
   auto cost_at = [&](std::vector<double> p) {
     return obs.expectation(exec::simulate(c, p));
   };
   for (std::size_t i = 0; i < params.size(); ++i) {
-    for (std::size_t j = 0; j < params.size(); ++j) {
-      std::vector<double> p = params;
-      p[i] += step;
-      p[j] += step;
-      const double pp = cost_at(p);
-      p = params;
-      p[i] += step;
-      p[j] -= step;
-      const double pm = cost_at(p);
-      p = params;
-      p[i] -= step;
-      p[j] += step;
-      const double mp = cost_at(p);
-      p = params;
-      p[i] -= step;
-      p[j] -= step;
-      const double mm = cost_at(p);
-      const double fd = (pp - pm - mp + mm) / (4.0 * step * step);
-      EXPECT_NEAR(h(i, j), fd, 1e-4) << i << "," << j;
-    }
-  }
-}
-
-TEST(Hessian, IsSymmetric) {
-  TrainingAnsatzOptions options;
-  options.layers = 2;
-  const Circuit c = training_ansatz(3, options);
-  const GlobalZeroObservable obs(3);
-  Rng rng(5);
-  const auto params = rng.uniform_vector(c.num_parameters(), 0.0, 6.0);
-  const RealMatrix h = hessian(c, obs, params);
-  EXPECT_LT(max_abs_diff(h, h.transpose()), 1e-12);
-}
-
-TEST(Hessian, DiagonalMatchesFullMatrix) {
-  TrainingAnsatzOptions options;
-  options.layers = 1;
-  const Circuit c = training_ansatz(3, options);
-  const GlobalZeroObservable obs(3);
-  Rng rng(7);
-  const auto params = rng.uniform_vector(c.num_parameters(), 0.0, 6.0);
-  const RealMatrix h = hessian(c, obs, params);
-  const auto diag = hessian_diagonal(c, obs, params);
-  for (std::size_t i = 0; i < diag.size(); ++i) {
-    EXPECT_NEAR(diag[i], h(i, i), 1e-12);
+    std::vector<double> p = params;
+    p[i] += 2.0 * step;
+    const double pp = cost_at(p);
+    p[i] = params[i] - 2.0 * step;
+    const double mm = cost_at(p);
+    const double fd = (pp - 2.0 * cost_at(params) + mm) / (4.0 * step * step);
+    EXPECT_NEAR(diag[i], fd, 1e-4) << i;
   }
 }
 
@@ -110,10 +71,6 @@ TEST(Hessian, Validation) {
   const std::vector<double> params{0.1};
   EXPECT_THROW((void)second_partial(c, obs, params, 1), InvalidArgument);
   EXPECT_THROW((void)second_partial(c, wide, params, 0), InvalidArgument);
-  EXPECT_THROW((void)mixed_partial(c, obs, std::vector<double>{}, 0, 0),
-               InvalidArgument);
-  const Circuit empty(1);
-  EXPECT_THROW((void)hessian(empty, obs, {}), InvalidArgument);
 }
 
 TEST(Hessian, CurvatureVanishesOnPlateau) {

@@ -115,20 +115,6 @@ TEST(Landscape, FlattensWithMoreQubits) {
   EXPECT_GT(ranges[1], ranges[2]);
 }
 
-TEST(Landscape, MetricsTableShape) {
-  const LandscapeResult result = scan_landscape(small_options());
-  const Table metrics = result.metrics_table();
-  EXPECT_EQ(metrics.rows(), 1u);
-  EXPECT_EQ(metrics.columns(), 7u);
-}
-
-TEST(Landscape, GridTableShape) {
-  const LandscapeResult result = scan_landscape(small_options());
-  const Table grid = result.grid_table();
-  EXPECT_EQ(grid.rows(), 7u);
-  EXPECT_EQ(grid.columns(), 8u);  // axis label + 7 value columns
-}
-
 TEST(Landscape, FlatnessTableCoversAllWidths) {
   LandscapeOptions options = small_options();
   options.grid_points = 5;

@@ -564,10 +564,9 @@ TEST(Preflight, EnforceModesGateOnErrors) {
 }
 
 TEST(Preflight, ModeNamesRoundTrip) {
-  for (const LintMode mode :
-       {LintMode::kOff, LintMode::kWarn, LintMode::kError}) {
-    EXPECT_EQ(lint_mode_from_name(lint_mode_name(mode)), mode);
-  }
+  EXPECT_EQ(lint_mode_from_name("off"), LintMode::kOff);
+  EXPECT_EQ(lint_mode_from_name("warn"), LintMode::kWarn);
+  EXPECT_EQ(lint_mode_from_name("error"), LintMode::kError);
   EXPECT_THROW((void)lint_mode_from_name("loud"), NotFound);
 }
 

@@ -10,6 +10,7 @@
 // static verdict through QB011/QN120 or `qbarren predict`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -44,6 +45,19 @@ VarianceExperimentOptions reduced_grid() {
   VarianceExperimentOptions options;  // paper defaults: q = 2..10, L = 50
   options.circuits_per_point = 50;
   return options;
+}
+
+/// Smallest predicted variance over alive parameters; 0 when none are
+/// alive.
+double min_alive_variance(const VariancePrediction& prediction) {
+  double min_v = 0.0;
+  bool any = false;
+  for (const ParameterPrediction& p : prediction.parameters) {
+    if (!p.alive) continue;
+    min_v = any ? std::min(min_v, p.variance) : p.variance;
+    any = true;
+  }
+  return min_v;
 }
 
 Circuit paper_circuit(std::size_t qubits, std::size_t layers = 50) {
@@ -123,7 +137,7 @@ TEST(Predictor, DeadParameterPredictsExactlyZero) {
   EXPECT_EQ(last.regime, VarianceRegime::kDead);
   EXPECT_EQ(last.variance, 0.0);
   // Alive parameters still predict nonzero.
-  EXPECT_GT(prediction.min_alive_variance(), 0.0);
+  EXPECT_GT(min_alive_variance(prediction), 0.0);
 }
 
 TEST(Predictor, GlobalCostDecaysExponentiallyInWidth) {
@@ -164,7 +178,7 @@ TEST(Predictor, NoiseFloorFlagsWidthsMonteCarloCannotMeasure) {
     // Every gate counts, each CZ of a ladder included, though lowering
     // runs each ladder as one kernel op.
     EXPECT_EQ(p.plan_ops, circuit.num_operations());
-    return p.min_alive_variance() - p.noise_floor;
+    return min_alive_variance(p) - p.noise_floor;
   };
   EXPECT_GT(floor_gap(10), 0.0);
   EXPECT_LT(floor_gap(44), 0.0);
@@ -198,11 +212,16 @@ TEST(PredictGrid, ReproducesFig5aOrderingWithZeroSimulation) {
 
 TEST(PredictGrid, CellsAreDeterministicAndStructureCapped) {
   const VarianceExperimentOptions options = reduced_grid();
-  const CellPrediction a = predict_variance_cell(options, 2, "he", {}, 8);
-  const CellPrediction b = predict_variance_cell(options, 2, "he", {}, 8);
+  const auto he_cell = [&options] {
+    return predict_variance_grid(options, {"he"}, {}, 8)
+        .series.front()
+        .cells.at(2);
+  };
+  const CellPrediction a = he_cell();
+  const CellPrediction b = he_cell();
   EXPECT_EQ(a.variance, b.variance);
   EXPECT_EQ(a.structures, 8u);
-  EXPECT_THROW((void)predict_variance_cell(options, 0, "beta"), NotFound);
+  EXPECT_THROW((void)predict_variance_grid(options, {"beta"}), NotFound);
 }
 
 // --- Monte-Carlo conformance (the committed calibration contract) ------------

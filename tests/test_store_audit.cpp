@@ -62,10 +62,13 @@ TEST(StoreAudit, FreshlyFlushedStoreAuditsClean) {
   make_store(path);
 
   const CheckpointScan scan = scan_checkpoint_file(path);
-  EXPECT_TRUE(scan.structurally_clean());
+  EXPECT_TRUE(scan.exists && scan.header_ok && scan.version_ok &&
+              scan.has_fingerprint && scan.saw_end);
+  EXPECT_TRUE(scan.issues.empty());
   EXPECT_EQ(scan.fingerprint, "fp");
   ASSERT_EQ(scan.records.size(), 2u);
   EXPECT_TRUE(scan.records[0].complete);
+  EXPECT_TRUE(scan.records[1].complete);
   EXPECT_EQ(scan.declared_cells, 2u);
 
   StoreAuditOptions expectations;

@@ -60,12 +60,10 @@ TEST(Table, PushSciFormatsScientific) {
 }
 
 TEST(Table, PushIntegerTypes) {
-  Table t({"a", "b"});
+  Table t({"a"});
   t.begin_row();
   t.push(std::size_t{42});
-  t.push(static_cast<long long>(-7));
   EXPECT_EQ(t.data()[0][0], "42");
-  EXPECT_EQ(t.data()[0][1], "-7");
 }
 
 TEST(Table, AsciiAlignsColumns) {
