@@ -5,6 +5,13 @@
 // exact (no-trajectory) companion to qsim::StateVector: unitaries act as
 // rho -> U rho U^dag, noise as Kraus channels rho -> sum_k K rho K^dag.
 // Memory is O(4^n) — intended for n <= 10 (16 MiB of amplitudes).
+//
+// Storage: rho is held row-major as the amplitudes of a 2n-qubit
+// StateVector, element (r, c) at flat index r * 2^n + c. Row bit q is then
+// flat bit q + n and column bit q is flat bit q, so U rho U^dag is the exec
+// kernel of U on qubit q + n followed by the kernel of conj(U) on qubit q
+// (qbarren/exec/kernels.hpp): the density matrix has no gate loops of its
+// own.
 #pragma once
 
 #include <vector>
@@ -86,18 +93,10 @@ class DensityMatrix {
 
  private:
   void check_qubit(std::size_t q, const char* who) const;
-  /// v <- M v over the row index (for each fixed column).
-  void transform_rows_1q(const ComplexMatrix& m, std::size_t target);
-  /// v <- M v over the column index (for each fixed row).
-  void transform_cols_1q(const ComplexMatrix& m, std::size_t target);
-  void transform_rows_2q(const ComplexMatrix& m, std::size_t q_low,
-                         std::size_t q_high);
-  void transform_cols_2q(const ComplexMatrix& m, std::size_t q_low,
-                         std::size_t q_high);
 
   std::size_t num_qubits_ = 0;
   std::size_t dim_ = 0;
-  std::vector<Complex> data_;  ///< row-major dim x dim
+  StateVector data_;  ///< row-major dim x dim, on 2 * num_qubits_ qubits
 };
 
 }  // namespace qbarren

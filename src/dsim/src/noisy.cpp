@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "qbarren/exec/compiled_circuit.hpp"
-
 namespace qbarren {
 
 NoiseModel make_depolarizing_model(double p1, double p2) {
@@ -19,17 +17,6 @@ DensityMatrix simulate_noisy(const Circuit& circuit,
   QBARREN_REQUIRE(params.size() == circuit.num_parameters(),
                   "simulate_noisy: parameter count mismatch");
   DensityMatrix rho(circuit.num_qubits());
-  // Constant-gate matrices come from the compiled plan's dedup cache; only
-  // parameterized rotations are rebuilt per call.
-  const auto plan = exec::plan_for(circuit);
-  const auto matrix_for = [&](std::size_t i) -> const ComplexMatrix& {
-    if (plan->source_op_is_constant(i)) {
-      return plan->source_constant_matrix(i);
-    }
-    thread_local ComplexMatrix scratch;
-    scratch = circuit.operation_matrix(i, params);
-    return scratch;
-  };
   const auto& ops = circuit.operations();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Operation& op = ops[i];
@@ -39,7 +26,8 @@ DensityMatrix simulate_noisy(const Circuit& circuit,
       } else {
         // Matrix convention: op.qubit0 maps to matrix bit 0 (e.g. CNOT
         // control), matching Circuit::unitary's embedding.
-        rho.apply_unitary_2q(matrix_for(i), op.qubit0, op.qubit1);
+        rho.apply_unitary_2q(circuit.operation_matrix(i, params), op.qubit0,
+                             op.qubit1);
       }
       if (noise.two_qubit.has_value()) {
         rho.apply_channel_2q(*noise.two_qubit, op.qubit0, op.qubit1);
@@ -48,7 +36,7 @@ DensityMatrix simulate_noisy(const Circuit& circuit,
         rho.apply_channel_1q(*noise.single_qubit, op.qubit1);
       }
     } else {
-      rho.apply_unitary_1q(matrix_for(i), op.qubit0);
+      rho.apply_unitary_1q(circuit.operation_matrix(i, params), op.qubit0);
       if (noise.single_qubit.has_value()) {
         rho.apply_channel_1q(*noise.single_qubit, op.qubit0);
       }

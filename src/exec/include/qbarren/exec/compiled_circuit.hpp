@@ -22,8 +22,10 @@
 //   * a parameter -> op binding table replaces the linear
 //     operation_for_parameter scan.
 //
-// The plan is the only executor: `exec::simulate`, every gradient engine,
-// the trainer and the noisy simulator run circuits through it. Its results
+// The plan is the only state-vector executor: `exec::simulate`, every
+// gradient engine and the trainer run circuits through it (the noisy
+// density-matrix simulator, qbarren/dsim, applies each op's matrix through
+// the same kernels without a plan). Its results
 // are bit-identical to an op-by-op walk of the source circuit (same op
 // order, same per-op arithmetic; tests/reference_interpreter.hpp keeps that
 // walk as the oracle), so results and checkpoints written before this layer
@@ -218,17 +220,6 @@ class CompiledCircuit final : public ExecutionPlan {
   [[nodiscard]] std::size_t plan_op_for_parameter(
       std::size_t param_index) const noexcept;
 
-  // --- per-source-op constant matrices (density-matrix simulator) ----------
-
-  /// True when the source op at `source_index` is constant (its dense
-  /// matrix does not depend on the parameter vector).
-  [[nodiscard]] bool source_op_is_constant(std::size_t source_index) const;
-
-  /// Cached dense matrix of a constant source op (same values
-  /// Circuit::operation_matrix builds, computed once and shared).
-  [[nodiscard]] const ComplexMatrix& source_constant_matrix(
-      std::size_t source_index) const;
-
  private:
   CompiledCircuit() = default;
 
@@ -257,8 +248,6 @@ class CompiledCircuit final : public ExecutionPlan {
   std::vector<ComplexMatrix> pool4_inv_;
   std::vector<std::uint32_t> fused_;  ///< pool2 indices of fused runs
   std::vector<CzLadder> cz_ladders_;  ///< kCzLadder pool, one per mask
-  std::vector<ComplexMatrix> const_matrices_;  ///< dense matrices, deduped
-  std::vector<std::uint32_t> source_matrix_;   ///< source op -> dense index
   std::vector<std::size_t> param_source_op_;   ///< param -> source op
   std::vector<std::uint32_t> param_plan_op_;   ///< param -> plan op
   Stats stats_;

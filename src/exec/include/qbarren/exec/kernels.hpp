@@ -11,6 +11,11 @@
 // over the amplitudes, and that the out-of-place variants avoid the
 // full-vector copy the adjoint sweep otherwise pays per parameter.
 //
+// They are the library's only gate-application code: compiled plans run on
+// them, and so does the density-matrix simulator (qbarren/dsim), which
+// holds rho as a 2n-qubit state vector and conjugates it by a gate as two
+// kernel calls, one on the row bits and one on the column bits.
+//
 // Arithmetic contract:
 //  * Complex products use the naive component formula on plain doubles.
 //    For finite operands it equals the std::complex product exactly; the
@@ -58,6 +63,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 
 #include "qbarren/qsim/gates.hpp"
 #include "qbarren/qsim/statevector.hpp"
@@ -148,10 +154,13 @@ void apply_cz_ladder(StateVector& state, std::uint64_t mask,
 void apply_mat2_from(StateVector& dst, const StateVector& src,
                      const gates::Mat2& u, std::size_t target);
 
-/// Out-of-place 4x4 apply mirroring apply_two_qubit's accumulation order
-/// (matrix bit 0 = q_low). Dimensions must match.
+/// dst <- (m on q_low, q_high) src, mirroring apply_two_qubit's
+/// accumulation order; `m` holds the 4x4 matrix's 16 entries row-major
+/// (matrix bit 0 = q_low). Each group of four amplitudes is read in full
+/// before it is written, so dst may be src (in place). Dimensions must
+/// match.
 void apply_mat4_from(StateVector& dst, const StateVector& src,
-                     const Complex (&m)[4][4], std::size_t q_low,
+                     std::span<const Complex, 16> m, std::size_t q_low,
                      std::size_t q_high);
 
 /// One combined adjoint-sweep step for a rotation op: applies `inv` to phi

@@ -1,6 +1,7 @@
 #include "qbarren/exec/compiled_circuit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
 #include <mutex>
@@ -40,6 +41,25 @@ PoolKey key_for(const Operation& op) {
 
 std::uint32_t u32(std::size_t v) { return static_cast<std::uint32_t>(v); }
 
+/// The 16 row-major entries of a 4x4 pool matrix, as apply_mat4_from reads
+/// them.
+std::span<const Complex, 16> entries4(const ComplexMatrix& m) {
+  QBARREN_REQUIRE(m.rows() == 4 && m.cols() == 4,
+                  "CompiledCircuit: two-qubit matrix must be 4x4");
+  return std::span<const Complex, 16>(m.data().data(), 16);
+}
+
+/// |1><1| (x) dR/dtheta, zero on the control-clear subspace: the derivative
+/// of a controlled rotation as a 4x4, row-major (matrix bit 0 = control).
+std::array<Complex, 16> controlled_derivative(const gates::Mat2& dr) {
+  std::array<Complex, 16> m{};
+  m[4 * 1 + 1] = dr.m00;
+  m[4 * 1 + 3] = dr.m01;
+  m[4 * 3 + 1] = dr.m10;
+  m[4 * 3 + 3] = dr.m11;
+  return m;
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
@@ -51,12 +71,10 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
   plan->stats_.source_ops = ops.size();
   plan->param_source_op_.assign(plan->num_params_, kNoOperation);
   plan->param_plan_op_.assign(plan->num_params_, kNoIndex32);
-  plan->source_matrix_.assign(ops.size(), kNoIndex32);
   plan->plan_ops_.reserve(ops.size());  // lowering never adds ops
 
   std::map<PoolKey, std::uint32_t> pool2_index;
   std::map<PoolKey, std::uint32_t> pool4_index;
-  std::map<PoolKey, std::uint32_t> dense_index;
   std::map<std::uint64_t, std::uint32_t> ladder_index;
   std::vector<std::uint8_t> param_seen(plan->num_params_, 0);
 
@@ -83,17 +101,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
     }
     plan->plan_ops_.push_back(op);
     run.clear();
-  };
-
-  // Cache the dense matrix of a constant source op for the density-matrix
-  // simulator (constant ops ignore the parameter span).
-  auto intern_dense = [&](const Operation& op, std::size_t i) {
-    auto [it, inserted] = dense_index.try_emplace(
-        key_for(op), u32(plan->const_matrices_.size()));
-    if (inserted) {
-      plan->const_matrices_.push_back(circuit.operation_matrix(i, {}));
-    }
-    plan->source_matrix_[i] = it->second;
   };
 
   auto intern2 = [&](const Operation& op, const gates::Mat2& fwd,
@@ -193,7 +200,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         const gates::Mat2 inv =
             gates::rotation_entries(op.axis, -op.fixed_angle);
         push_constant1q(op, i, intern2(op, fwd, inv));
-        intern_dense(op, i);
         break;
       }
       case OpKind::kHadamard:
@@ -207,7 +213,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         const gates::Mat2 fwd = gates::entries_of(m);
         // Involutions: the inverse re-applies the forward gate.
         push_constant1q(op, i, intern2(op, fwd, fwd));
-        intern_dense(op, i);
         break;
       }
       case OpKind::kSGate:
@@ -217,7 +222,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         push_constant1q(
             op, i, intern2(op, gates::entries_of(m),
                            gates::entries_of(adjoint(m))));
-        intern_dense(op, i);
         break;
       }
       case OpKind::kCustomSingle: {
@@ -228,7 +232,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         push_constant1q(
             op, i, intern2(op, gates::entries_of(m),
                            gates::entries_of(adjoint(m))));
-        intern_dense(op, i);
         break;
       }
       case OpKind::kCz: {
@@ -253,13 +256,11 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
           p.fused_count = u32(end - i);
           ++plan->stats_.cz_ladders;
           plan->stats_.cz_ladder_source_ops += end - i;
-          for (std::size_t j = i; j < end; ++j) intern_dense(ops[j], j);
           i = end - 1;  // the loop resumes after the ladder
         } else {
           p.kernel = Kernel::kCzGate;
           p.qubit0 = u32(op.qubit0);
           p.qubit1 = u32(op.qubit1);
-          intern_dense(op, i);
         }
         plan->plan_ops_.push_back(p);
         break;
@@ -274,20 +275,18 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         p.matrix = intern2(op, x, x);
         p.source_index = u32(i);
         plan->plan_ops_.push_back(p);
-        intern_dense(op, i);
         break;
       }
       case OpKind::kSwap: {
         flush_run();
         PlanOp p;
         p.kernel = Kernel::kFixedTwo;
-        // Symmetric: lowered on (min, max) for apply_two_qubit.
+        // Symmetric: lowered on (min, max) for apply_mat4_from.
         p.qubit0 = u32(std::min(op.qubit0, op.qubit1));
         p.qubit1 = u32(std::max(op.qubit0, op.qubit1));
         p.matrix = intern4(op, gates::swap(), gates::swap());
         p.source_index = u32(i);
         plan->plan_ops_.push_back(p);
-        intern_dense(op, i);
         break;
       }
       case OpKind::kCustomTwo: {
@@ -303,7 +302,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         p.matrix = intern4(op, m, adjoint(m));
         p.source_index = u32(i);
         plan->plan_ops_.push_back(p);
-        intern_dense(op, i);
         break;
       }
     }
@@ -386,14 +384,8 @@ double CompiledCircuit::adjoint_value_and_gradient(
       apply_controlled_mat2(phi, inv[k], op.qubit0, op.qubit1);
       const gates::Mat2 dr =
           gates::rotation_derivative_entries_from(op.axis, fwd[k]);
-      // |1><1| (x) dR/dtheta on the control-set subspace, zero elsewhere
-      // (matrix bit 0 = control = qubit0).
-      Complex m[4][4] = {};
-      m[1][1] = dr.m00;
-      m[1][3] = dr.m01;
-      m[3][1] = dr.m10;
-      m[3][3] = dr.m11;
-      apply_mat4_from(scratch, phi, m, op.qubit0, op.qubit1);
+      apply_mat4_from(scratch, phi, controlled_derivative(dr), op.qubit0,
+                      op.qubit1);
       gradient[op.param] += 2.0 * lambda.inner_product(scratch).real();
       apply_controlled_mat2(lambda, inv[k], op.qubit0, op.qubit1);
     } else {
@@ -469,7 +461,8 @@ void CompiledCircuit::apply_plan_op(std::size_t k, StateVector& state,
       apply_cz(state, op.qubit0, op.qubit1);
       return;
     case Kernel::kFixedTwo:
-      state.apply_two_qubit(pool4_[op.matrix], op.qubit0, op.qubit1);
+      apply_mat4_from(state, state, entries4(pool4_[op.matrix]), op.qubit0,
+                      op.qubit1);
       return;
     case Kernel::kCzLadder:
       apply_cz_ladder(state, cz_ladders_[op.matrix].mask,
@@ -510,7 +503,8 @@ void CompiledCircuit::apply_plan_op_inverse(
       apply_cz(state, op.qubit0, op.qubit1);
       return;
     case Kernel::kFixedTwo:
-      state.apply_two_qubit(pool4_inv_[op.matrix], op.qubit0, op.qubit1);
+      apply_mat4_from(state, state, entries4(pool4_inv_[op.matrix]),
+                      op.qubit0, op.qubit1);
       return;
     case Kernel::kCzLadder:  // self-inverse
       apply_cz_ladder(state, cz_ladders_[op.matrix].mask,
@@ -572,14 +566,7 @@ void CompiledCircuit::apply_plan_op_derivative(
     apply_mat2_from(dst, src, dr, op.qubit0);
     return;
   }
-  // Controlled rotation: |1><1| (x) dR/dtheta, zero on the control-clear
-  // subspace, as a zero-filled 4x4 (matrix bit 0 = control = qubit0).
-  Complex m[4][4] = {};
-  m[1][1] = dr.m00;
-  m[1][3] = dr.m01;
-  m[3][1] = dr.m10;
-  m[3][3] = dr.m11;
-  apply_mat4_from(dst, src, m, op.qubit0, op.qubit1);
+  apply_mat4_from(dst, src, controlled_derivative(dr), op.qubit0, op.qubit1);
 }
 
 void CompiledCircuit::apply_plan_op_with_angle(std::size_t k,
@@ -619,21 +606,6 @@ std::size_t CompiledCircuit::plan_op_for_parameter(
     return kNoOperation;
   }
   return param_plan_op_[param_index];
-}
-
-bool CompiledCircuit::source_op_is_constant(std::size_t source_index) const {
-  QBARREN_REQUIRE(source_index < source_matrix_.size(),
-                  "CompiledCircuit::source_op_is_constant: index out of "
-                  "range");
-  return source_matrix_[source_index] != kNoIndex32;
-}
-
-const ComplexMatrix& CompiledCircuit::source_constant_matrix(
-    std::size_t source_index) const {
-  QBARREN_REQUIRE(source_op_is_constant(source_index),
-                  "CompiledCircuit::source_constant_matrix: op is not "
-                  "constant");
-  return const_matrices_[source_matrix_[source_index]];
 }
 
 // --- plan attachment -------------------------------------------------------

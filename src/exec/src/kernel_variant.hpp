@@ -110,8 +110,8 @@
      std::size_t target),                                                    \
     (dst, src, u, target))                                                   \
   X(void, apply_mat4_from,                                                   \
-    (StateVector& dst, const StateVector& src, const Complex (&m)[4][4],     \
-     std::size_t q_low, std::size_t q_high),                                 \
+    (StateVector& dst, const StateVector& src,                               \
+     std::span<const Complex, 16> m, std::size_t q_low, std::size_t q_high), \
     (dst, src, m, q_low, q_high))                                            \
   X(Complex, adjoint_rotation_sweep,                                         \
     (StateVector& phi, StateVector& lambda, gates::Axis axis,                \

@@ -7,7 +7,7 @@
 // with exact (==) comparisons: the per-op forward, inverse and derivative,
 // whole-program simulation, the adjoint sweep, whole-program shifted
 // simulation (and the shift-rule and finite-difference gradients built on
-// it), and the noisy density-matrix walk.
+// it), and the noisy density-matrix walk, on the oracle's own row-major rho.
 #pragma once
 
 #include <algorithm>
@@ -308,37 +308,182 @@ inline std::vector<double> finite_difference_gradient(
   return grad;
 }
 
+// --- the noisy density-matrix walk -------------------------------------------
+//
+// The oracle keeps its own rho, dim x dim row-major in a plain vector, and
+// the row and column loops that conjugate it; the library's DensityMatrix
+// runs the same products on the exec kernels instead.
+
+/// Noisy-walk state: rho[r * dim + c].
+struct NoisyRho {
+  std::size_t dim;
+  std::vector<Complex> rho;
+};
+
+/// v <- M v over the row index (for each fixed column), M 2x2 on `target`.
+inline void transform_rows_1q(NoisyRho& s, const ComplexMatrix& m,
+                              std::size_t target) {
+  const Complex m00 = m.at_unchecked(0, 0);
+  const Complex m01 = m.at_unchecked(0, 1);
+  const Complex m10 = m.at_unchecked(1, 0);
+  const Complex m11 = m.at_unchecked(1, 1);
+  const std::size_t bit = std::size_t{1} << target;
+  const std::size_t low_mask = bit - 1;
+  for (std::size_t i = 0; i < s.dim / 2; ++i) {
+    const std::size_t r0 = ((i & ~low_mask) << 1) | (i & low_mask);
+    Complex* row0 = s.rho.data() + r0 * s.dim;
+    Complex* row1 = s.rho.data() + (r0 | bit) * s.dim;
+    for (std::size_t c = 0; c < s.dim; ++c) {
+      const Complex a = row0[c];
+      const Complex b = row1[c];
+      row0[c] = m00 * a + m01 * b;
+      row1[c] = m10 * a + m11 * b;
+    }
+  }
+}
+
+/// v <- M v over the column index (for each fixed row).
+inline void transform_cols_1q(NoisyRho& s, const ComplexMatrix& m,
+                              std::size_t target) {
+  const Complex m00 = m.at_unchecked(0, 0);
+  const Complex m01 = m.at_unchecked(0, 1);
+  const Complex m10 = m.at_unchecked(1, 0);
+  const Complex m11 = m.at_unchecked(1, 1);
+  const std::size_t bit = std::size_t{1} << target;
+  const std::size_t low_mask = bit - 1;
+  for (std::size_t r = 0; r < s.dim; ++r) {
+    Complex* row = s.rho.data() + r * s.dim;
+    for (std::size_t i = 0; i < s.dim / 2; ++i) {
+      const std::size_t c0 = ((i & ~low_mask) << 1) | (i & low_mask);
+      const Complex a = row[c0];
+      const Complex b = row[c0 | bit];
+      row[c0] = m00 * a + m01 * b;
+      row[c0 | bit] = m10 * a + m11 * b;
+    }
+  }
+}
+
+/// v <- M v over the row index, M 4x4 on (q_low, q_high).
+inline void transform_rows_2q(NoisyRho& s, const ComplexMatrix& m,
+                              std::size_t q_low, std::size_t q_high) {
+  const std::size_t bl = std::size_t{1} << q_low;
+  const std::size_t bh = std::size_t{1} << q_high;
+  for (std::size_t base = 0; base < s.dim; ++base) {
+    if ((base & bl) != 0 || (base & bh) != 0) continue;
+    const std::size_t rows[4] = {base, base | bl, base | bh, base | bl | bh};
+    for (std::size_t c = 0; c < s.dim; ++c) {
+      Complex in[4];
+      for (std::size_t x = 0; x < 4; ++x) in[x] = s.rho[rows[x] * s.dim + c];
+      for (std::size_t x = 0; x < 4; ++x) {
+        Complex acc{0.0, 0.0};
+        for (std::size_t y = 0; y < 4; ++y) acc += m.at_unchecked(x, y) * in[y];
+        s.rho[rows[x] * s.dim + c] = acc;
+      }
+    }
+  }
+}
+
+/// v <- M v over the column index, M 4x4 on (q_low, q_high).
+inline void transform_cols_2q(NoisyRho& s, const ComplexMatrix& m,
+                              std::size_t q_low, std::size_t q_high) {
+  const std::size_t bl = std::size_t{1} << q_low;
+  const std::size_t bh = std::size_t{1} << q_high;
+  for (std::size_t r = 0; r < s.dim; ++r) {
+    Complex* row = s.rho.data() + r * s.dim;
+    for (std::size_t base = 0; base < s.dim; ++base) {
+      if ((base & bl) != 0 || (base & bh) != 0) continue;
+      const std::size_t cols[4] = {base, base | bl, base | bh, base | bl | bh};
+      Complex in[4];
+      for (std::size_t x = 0; x < 4; ++x) in[x] = row[cols[x]];
+      for (std::size_t x = 0; x < 4; ++x) {
+        Complex acc{0.0, 0.0};
+        for (std::size_t y = 0; y < 4; ++y) acc += m.at_unchecked(x, y) * in[y];
+        row[cols[x]] = acc;
+      }
+    }
+  }
+}
+
+/// rho <- M rho M^dag: M over the rows, conj(M) over the columns. `qubits`
+/// holds one qubit for a 2x2 M, (q_low, q_high) for a 4x4.
+inline void conjugate(NoisyRho& s, const ComplexMatrix& m,
+                      std::span<const std::size_t> qubits) {
+  ComplexMatrix conj_m = m;
+  for (Complex& v : conj_m.data()) v = std::conj(v);
+  if (qubits.size() == 1) {
+    transform_rows_1q(s, m, qubits[0]);
+    transform_cols_1q(s, conj_m, qubits[0]);
+  } else {
+    transform_rows_2q(s, m, qubits[0], qubits[1]);
+    transform_cols_2q(s, conj_m, qubits[0], qubits[1]);
+  }
+}
+
+/// rho <- sum_k K rho K^dag, each term conjugated from a copy of rho.
+inline void apply_channel(NoisyRho& s, const KrausChannel& channel,
+                          std::span<const std::size_t> qubits) {
+  std::vector<Complex> acc(s.rho.size(), Complex{0.0, 0.0});
+  const std::vector<Complex> original = s.rho;
+  for (const ComplexMatrix& k : channel.operators()) {
+    s.rho = original;
+    conjugate(s, k, qubits);
+    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += s.rho[i];
+  }
+  s.rho = std::move(acc);
+}
+
 /// tr(H rho) after the noisy density-matrix walk, every gate matrix
 /// rebuilt by Circuit::operation_matrix.
 inline double noisy_expectation(const Circuit& circuit,
                                 std::span<const double> params,
                                 const Observable& observable,
                                 const NoiseModel& noise) {
-  DensityMatrix rho(circuit.num_qubits());
+  const std::size_t n = circuit.num_qubits();
+  NoisyRho s{std::size_t{1} << n, {}};
+  s.rho.assign(s.dim * s.dim, Complex{0.0, 0.0});
+  s.rho[0] = Complex{1.0, 0.0};
   const auto& ops = circuit.operations();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Operation& op = ops[i];
     if (is_two_qubit(op.kind)) {
+      const std::size_t pair[2] = {op.qubit0, op.qubit1};
       if (op.kind == OpKind::kCz) {
-        rho.apply_cz(op.qubit0, op.qubit1);
+        // CZ rho CZ: element (r, c) flips sign when exactly one of r, c
+        // has both qubit bits set.
+        const std::size_t mask = (std::size_t{1} << op.qubit0) |
+                                 (std::size_t{1} << op.qubit1);
+        for (std::size_t r = 0; r < s.dim; ++r) {
+          for (std::size_t c = 0; c < s.dim; ++c) {
+            if (((r & mask) == mask) != ((c & mask) == mask)) {
+              s.rho[r * s.dim + c] = -s.rho[r * s.dim + c];
+            }
+          }
+        }
       } else {
-        rho.apply_unitary_2q(circuit.operation_matrix(i, params), op.qubit0,
-                             op.qubit1);
+        conjugate(s, circuit.operation_matrix(i, params), pair);
       }
       if (noise.two_qubit.has_value()) {
-        rho.apply_channel_2q(*noise.two_qubit, op.qubit0, op.qubit1);
+        apply_channel(s, *noise.two_qubit, pair);
       } else if (noise.single_qubit.has_value()) {
-        rho.apply_channel_1q(*noise.single_qubit, op.qubit0);
-        rho.apply_channel_1q(*noise.single_qubit, op.qubit1);
+        apply_channel(s, *noise.single_qubit, {pair, 1});
+        apply_channel(s, *noise.single_qubit, {pair + 1, 1});
       }
     } else {
-      rho.apply_unitary_1q(circuit.operation_matrix(i, params), op.qubit0);
+      const std::size_t target[1] = {op.qubit0};
+      conjugate(s, circuit.operation_matrix(i, params), target);
       if (noise.single_qubit.has_value()) {
-        rho.apply_channel_1q(*noise.single_qubit, op.qubit0);
+        apply_channel(s, *noise.single_qubit, target);
       }
     }
   }
-  return rho.expectation(observable);
+  // tr(H rho) = sum_j (H rho e_j)_j.
+  double acc = 0.0;
+  std::vector<Complex> column(s.dim);
+  for (std::size_t j = 0; j < s.dim; ++j) {
+    for (std::size_t r = 0; r < s.dim; ++r) column[r] = s.rho[r * s.dim + j];
+    acc += observable.apply(StateVector(n, column)).amplitude(j).real();
+  }
+  return acc;
 }
 
 }  // namespace qbarren::reference

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -63,16 +64,6 @@ TEST(CompiledCircuit, LoweringStatsAndFusion) {
   // 2x2 pool: H, X, S, T plus CNOT's X (interned under its own op kind);
   // 4x4 pool: SWAP.
   EXPECT_EQ(stats.cached_matrices, 6u);
-
-  // Constant source ops expose their cached dense matrices.
-  EXPECT_TRUE(plan->source_op_is_constant(0));
-  EXPECT_FALSE(plan->source_op_is_constant(2));  // the RY
-  const ComplexMatrix& h = plan->source_constant_matrix(0);
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t col = 0; col < 2; ++col) {
-      EXPECT_EQ(h(r, col), gates::hadamard()(r, col));
-    }
-  }
 
   // The fused program agrees exactly with the op-by-op walk.
   Rng rng(7);
@@ -684,11 +675,11 @@ TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
   const ComplexMatrix u = gates::u3(0.7, 1.9, -0.4);
   Rng rng(75);
   ComplexMatrix dense4(4, 4);
-  Complex m4[4][4];
+  std::array<Complex, 16> m4;
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       dense4(r, c) = Complex(rng.normal(), rng.normal());
-      m4[r][c] = dense4(r, c);
+      m4[4 * r + c] = dense4(r, c);
     }
   }
   for (std::size_t q = 2; q <= 6; ++q) {
@@ -728,6 +719,11 @@ TEST(Kernels, TwoQubitKernelsMatchInterpretedApplyOnEveryOrderedPair) {
           StateVector mat4(q);
           exec::apply_mat4_from(mat4, inputs[n], m4, a, b);
           expect_bit_identical(mat4, want_mat4, "mat4 " + name);
+          // dst == src: the plan's fixed 4x4 ops and the density matrix
+          // run the kernel in place.
+          StateVector in_place = inputs[n];
+          exec::apply_mat4_from(in_place, in_place, m4, a, b);
+          expect_bit_identical(in_place, want_mat4, "mat4 in place " + name);
         }
       }
     }
@@ -1349,10 +1345,8 @@ TEST(KernelVariants, AdjointSweepMatchesScalarOracleBitForBit) {
 TEST(KernelVariants, TwoQubitKernelsMatchBaselineOnEveryOrderedPair) {
   const gates::Mat2 dense = gates::entries_of(gates::u3(0.7, 1.9, -0.4));
   Rng rng(78);
-  Complex m4[4][4];
-  for (auto& row : m4) {
-    for (Complex& e : row) e = Complex(rng.normal(), rng.normal());
-  }
+  std::array<Complex, 16> m4;
+  for (Complex& e : m4) e = Complex(rng.normal(), rng.normal());
   for (std::size_t q = 2; q <= kMaxVariantQubits; ++q) {
     const std::vector<StateVector> inputs = signed_zero_inputs(q, rng);
     for (const exec::KernelVariant& variant : exec::kernel_variants()) {
@@ -1398,6 +1392,10 @@ TEST(KernelVariants, TwoQubitKernelsMatchBaselineOnEveryOrderedPair) {
             check("mat4", [&](const exec::KernelSet& k, StateVector& s) {
               k.apply_mat4_from(s, inputs[n], m4, a, b);
             });
+            check("mat4 in place",
+                  [&](const exec::KernelSet& k, StateVector& s) {
+                    k.apply_mat4_from(s, s, m4, a, b);
+                  });
           }
         }
       }
