@@ -215,10 +215,6 @@ class Circuit {
   /// The custom gate an operation references; requires a custom kind.
   [[nodiscard]] const CustomGate& custom_gate(const Operation& op) const;
 
-  /// Appends every operation of `other` (same width), remapping its
-  /// parameter indices to fresh indices of this circuit.
-  void append(const Circuit& other);
-
   // --- dense matrices ------------------------------------------------------
   //
   // Execution itself lives in the exec layer: exec::simulate(circuit,
@@ -244,7 +240,7 @@ class Circuit {
 
   /// Attaches a compiled plan (nullptr detaches). Const because the plan
   /// is a cache keyed on the circuit's structure; any structural mutation
-  /// (add_*, append) detaches it automatically. Thread-safe.
+  /// (add_*) detaches it automatically. Thread-safe.
   void attach_execution_plan(std::shared_ptr<const ExecutionPlan> plan) const {
     plan_slot_.set(std::move(plan));
   }

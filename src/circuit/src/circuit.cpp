@@ -234,27 +234,6 @@ const CustomGate& Circuit::custom_gate(const Operation& op) const {
   return custom_gates_[op.custom_index];
 }
 
-void Circuit::append(const Circuit& other) {
-  QBARREN_REQUIRE(other.num_qubits_ == num_qubits_,
-                  "Circuit::append: width mismatch");
-  invalidate_execution_plan();
-  const std::size_t base = num_params_;
-  const std::size_t custom_base = custom_gates_.size();
-  for (Operation op : other.ops_) {
-    if (is_parameterized(op.kind)) {
-      op.param_index += base;
-    }
-    if (op.kind == OpKind::kCustomSingle || op.kind == OpKind::kCustomTwo) {
-      op.custom_index += custom_base;
-    }
-    ops_.push_back(op);
-  }
-  custom_gates_.insert(custom_gates_.end(), other.custom_gates_.begin(),
-                       other.custom_gates_.end());
-  num_params_ += other.num_params_;
-  layer_shape_.reset();  // composite circuits have no single tensor shape
-}
-
 ComplexMatrix Circuit::op_matrix(const Operation& op,
                                  std::span<const double> params) const {
   switch (op.kind) {

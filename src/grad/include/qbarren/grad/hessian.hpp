@@ -23,7 +23,8 @@ namespace qbarren {
                                     std::span<const double> params,
                                     std::size_t index);
 
-/// Diagonal only; O(P) evaluations.
+/// Diagonal only: 2P + 1 circuit evaluations, element i equal to
+/// second_partial(..., i) bit for bit.
 [[nodiscard]] std::vector<double> hessian_diagonal(
     const Circuit& circuit, const Observable& observable,
     std::span<const double> params);

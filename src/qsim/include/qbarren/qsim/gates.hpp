@@ -32,8 +32,6 @@ namespace qbarren::gates {
 [[nodiscard]] ComplexMatrix rx(double theta);
 [[nodiscard]] ComplexMatrix ry(double theta);
 [[nodiscard]] ComplexMatrix rz(double theta);
-/// Phase gate diag(1, e^{i theta}).
-[[nodiscard]] ComplexMatrix phase(double theta);
 /// General single-qubit rotation U3(theta, phi, lambda) (OpenQASM
 /// convention).
 [[nodiscard]] ComplexMatrix u3(double theta, double phi, double lambda);

@@ -36,9 +36,6 @@ class StateVector {
     return amps_.size();
   }
 
-  /// Resets to |0...0>.
-  void reset();
-
   [[nodiscard]] const std::vector<Complex>& amplitudes() const noexcept {
     return amps_;
   }
@@ -71,17 +68,11 @@ class StateVector {
   /// Probability of qubit `q` measuring |1>.
   [[nodiscard]] double probability_one(std::size_t q) const;
 
-  /// All 2^n basis probabilities.
-  [[nodiscard]] std::vector<double> probabilities() const;
-
   /// <this|other>. Dimensions must match.
   [[nodiscard]] Complex inner_product(const StateVector& other) const;
 
   /// |<this|other>|^2.
   [[nodiscard]] double fidelity(const StateVector& other) const;
-
-  /// Expectation <psi| Z_q |psi> of Pauli-Z on one qubit.
-  [[nodiscard]] double expectation_z(std::size_t q) const;
 
  private:
   void check_qubit(std::size_t q, const char* who) const;

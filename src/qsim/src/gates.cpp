@@ -86,10 +86,6 @@ ComplexMatrix rz(double theta) {
   return make2(e.m00, e.m01, e.m10, e.m11);
 }
 
-ComplexMatrix phase(double theta) {
-  return make2(1, 0, 0, std::exp(kI * theta));
-}
-
 ComplexMatrix u3(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2.0);
   const double s = std::sin(theta / 2.0);

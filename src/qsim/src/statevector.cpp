@@ -27,11 +27,6 @@ StateVector::StateVector(std::size_t num_qubits,
                   "StateVector: amplitude count must equal 2^num_qubits");
 }
 
-void StateVector::reset() {
-  std::fill(amps_.begin(), amps_.end(), Complex{0.0, 0.0});
-  amps_[0] = Complex{1.0, 0.0};
-}
-
 Complex StateVector::amplitude(std::size_t basis_index) const {
   QBARREN_REQUIRE(basis_index < amps_.size(),
                   "StateVector::amplitude: basis index out of range");
@@ -142,14 +137,6 @@ double StateVector::probability_one(std::size_t q) const {
   return acc;
 }
 
-std::vector<double> StateVector::probabilities() const {
-  std::vector<double> out(amps_.size());
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    out[i] = std::norm(amps_[i]);
-  }
-  return out;
-}
-
 Complex StateVector::inner_product(const StateVector& other) const {
   QBARREN_REQUIRE(amps_.size() == other.amps_.size(),
                   "inner_product: dimension mismatch");
@@ -162,11 +149,6 @@ Complex StateVector::inner_product(const StateVector& other) const {
 
 double StateVector::fidelity(const StateVector& other) const {
   return std::norm(inner_product(other));
-}
-
-double StateVector::expectation_z(std::size_t q) const {
-  // <Z_q> = p(q = 0) - p(q = 1) = 1 - 2 p(q = 1).
-  return 1.0 - 2.0 * probability_one(q);
 }
 
 ComplexMatrix embed_single_qubit(const ComplexMatrix& u, std::size_t target,

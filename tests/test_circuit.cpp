@@ -190,48 +190,6 @@ TEST(Circuit, OperationIndexValidated) {
   EXPECT_THROW(plan->apply_plan_ops(s, params, 1, 3), InvalidArgument);
 }
 
-TEST(Circuit, AppendRemapsParameters) {
-  Circuit a(2);
-  a.add_rotation(gates::Axis::kX, 0);
-  Circuit b(2);
-  b.add_rotation(gates::Axis::kY, 1);
-  b.add_rotation(gates::Axis::kZ, 0);
-
-  a.append(b);
-  EXPECT_EQ(a.num_parameters(), 3u);
-  EXPECT_EQ(a.num_operations(), 3u);
-  EXPECT_EQ(a.operations()[1].param_index, 1u);
-  EXPECT_EQ(a.operations()[2].param_index, 2u);
-}
-
-TEST(Circuit, AppendRejectsWidthMismatch) {
-  Circuit a(2);
-  const Circuit b(3);
-  EXPECT_THROW(a.append(b), InvalidArgument);
-}
-
-TEST(Circuit, AppendEqualsSequentialExecution) {
-  Circuit a(2);
-  a.add_rotation(gates::Axis::kX, 0);
-  a.add_cz(0, 1);
-  Circuit b(2);
-  b.add_rotation(gates::Axis::kY, 1);
-
-  Circuit combined = a;
-  combined.append(b);
-  const std::vector<double> params{0.4, 1.2};
-
-  const StateVector via_combined = exec::simulate(combined, params);
-  StateVector via_sequence(2);
-  for (const auto& [part, part_params] :
-       {std::pair{&a, std::vector<double>{0.4}},
-        std::pair{&b, std::vector<double>{1.2}}}) {
-    const auto plan = exec::plan_for(*part);
-    plan->apply_plan_ops(via_sequence, part_params, 0, plan->num_plan_ops());
-  }
-  EXPECT_NEAR(via_combined.fidelity(via_sequence), 1.0, kTol);
-}
-
 TEST(Circuit, DepthComputation) {
   Circuit c(3);
   EXPECT_EQ(c.depth(), 0u);
@@ -279,14 +237,6 @@ TEST(Circuit, LayerShapeValidation) {
   c.set_layer_shape(LayerShape{3, 4});
   ASSERT_TRUE(c.layer_shape().has_value());
   EXPECT_EQ(c.layer_shape()->layers, 3u);
-}
-
-TEST(Circuit, AppendDropsLayerShape) {
-  Circuit a(2);
-  a.set_layer_shape(LayerShape{1, 2});
-  const Circuit b(2);
-  a.append(b);
-  EXPECT_FALSE(a.layer_shape().has_value());
 }
 
 TEST(Circuit, UnitaryRefusesWideRegisters) {

@@ -82,12 +82,6 @@ TEST(Gates, RyKnownValues) {
   EXPECT_NEAR(r(1, 1).real(), s, kTol);
 }
 
-TEST(Gates, PhaseGate) {
-  const ComplexMatrix p = gates::phase(M_PI);
-  EXPECT_NEAR(std::abs(p(1, 1) - Complex{-1.0, 0.0}), 0.0, kTol);
-  expect_matrix_near(gates::phase(M_PI / 2.0), gates::s_gate());
-}
-
 TEST(Gates, U3ReducesToRy) {
   // U3(theta, 0, 0) = RY(theta).
   expect_matrix_near(gates::u3(0.7, 0.0, 0.0), gates::ry(0.7));
@@ -161,7 +155,6 @@ TEST_P(RotationProperties, UnitaryAtAllAngles) {
     EXPECT_TRUE(is_unitary(gates::rotation(axis, theta)))
         << gates::axis_name(axis) << "(" << theta << ")";
   }
-  EXPECT_TRUE(is_unitary(gates::phase(theta)));
   EXPECT_TRUE(is_unitary(gates::u3(theta, 0.4, -1.2)));
   EXPECT_TRUE(is_unitary(gates::crz(theta)));
 }

@@ -50,6 +50,23 @@ TEST(Hessian, MatchesFiniteDifferences) {
   }
 }
 
+TEST(Hessian, DiagonalEqualsSecondPartialsExactly) {
+  // hessian_diagonal evaluates the unshifted cost once for every index;
+  // each entry must still be second_partial's value, bit for bit.
+  Rng structure(4);
+  VarianceAnsatzOptions options;
+  options.layers = 3;
+  const Circuit c = variance_ansatz(3, structure, options);
+  const GlobalZeroObservable obs(3);
+  Rng rng(5);
+  const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+  const auto diag = hessian_diagonal(c, obs, params);
+  ASSERT_EQ(diag.size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(diag[i], second_partial(c, obs, params, i)) << i;
+  }
+}
+
 TEST(Hessian, PositiveSemidefiniteAtGlobalMinimum) {
   // At theta = 0 the identity cost is at its global minimum: the Hessian
   // diagonal cannot be negative (each 1-D slice is minimized).

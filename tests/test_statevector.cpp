@@ -39,14 +39,6 @@ TEST(StateVector, ExplicitAmplitudesChecked) {
   EXPECT_EQ(s.probability(1), 1.0);
 }
 
-TEST(StateVector, ResetRestoresZeroState) {
-  StateVector s(2);
-  s.apply_single_qubit(gates::hadamard(), 0);
-  s.reset();
-  EXPECT_EQ(s.amplitude(0), (Complex{1.0, 0.0}));
-  EXPECT_NEAR(s.norm_squared(), 1.0, kTol);
-}
-
 TEST(StateVector, PauliXFlipsTargetQubit) {
   StateVector s(3);
   s.apply_single_qubit(gates::pauli_x(), 1);
@@ -188,16 +180,6 @@ TEST(StateVector, ProbabilityOneSumsCorrectly) {
   EXPECT_NEAR(s.probability_one(1), 0.0, kTol);
 }
 
-TEST(StateVector, ProbabilitiesSumToOne) {
-  StateVector s(3);
-  s.apply_single_qubit(gates::hadamard(), 0);
-  s.apply_single_qubit(gates::u3(0.3, 1.0, 2.0), 2);
-  const auto probs = s.probabilities();
-  double total = 0.0;
-  for (double p : probs) total += p;
-  EXPECT_NEAR(total, 1.0, kTol);
-}
-
 TEST(StateVector, InnerProductAndFidelity) {
   StateVector a(1);
   StateVector b(1);
@@ -211,15 +193,6 @@ TEST(StateVector, InnerProductAndFidelity) {
 
   const StateVector wide(2);
   EXPECT_THROW((void)a.inner_product(wide), InvalidArgument);
-}
-
-TEST(StateVector, ExpectationZ) {
-  StateVector s(2);
-  EXPECT_NEAR(s.expectation_z(0), 1.0, kTol);
-  s.apply_single_qubit(gates::pauli_x(), 0);
-  EXPECT_NEAR(s.expectation_z(0), -1.0, kTol);
-  s.apply_single_qubit(gates::hadamard(), 1);
-  EXPECT_NEAR(s.expectation_z(1), 0.0, kTol);
 }
 
 TEST(StateVector, NormalizeZeroVectorThrows) {
